@@ -91,6 +91,10 @@ class ChannelParams:
             raise ValueError("self_block_half_angle must lie in (0, pi]")
         if not self.elevation_grid or not self.azimuth_grid:
             raise ValueError("steering grids must be non-empty")
+        if not all(0.0 <= e <= math.pi for e in self.elevation_grid):
+            raise ValueError("steering elevations must lie in [0, pi]")
+        if not all(math.isfinite(a) for a in self.azimuth_grid):
+            raise ValueError("steering azimuths must be finite")
 
     def with_beamwidths(
         self,

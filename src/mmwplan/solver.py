@@ -7,10 +7,14 @@ Three planners share one precomputed model of the venue:
   at most T users, adds the most newly satisfied presence mass, breaking
   ties by the connectivity mass it builds toward not-yet-satisfied users
   and then by the lowest candidate and steering indices.
-* ``exact_place`` enumerates candidate subsets in increasing size with all
-  steering combinations and searches assignments depth-first, so the first
-  feasible size is the minimum number of access points. Intended for small
-  instances only and guarded by hard size limits.
+* ``exact_place`` enumerates candidate subsets in increasing size with the
+  steering combinations that can win and searches assignments depth-first,
+  so the first feasible size is the minimum number of access points. A
+  steering is skipped when a lower-index steering of the same mount reaches
+  every user it reaches that could use the mount; coverage only grows with
+  the reached set, so the lexicographically first optimum never uses a
+  skipped steering and the result is the one a full scan returns. Intended
+  for small instances only and guarded by hard size limits.
 * ``uniform_place`` is the coverage-oblivious baseline: spread n mounts by
   farthest-point selection and aim every beam straight down.
 
@@ -22,6 +26,7 @@ deployment round-trips bit-identically through revalidation.
 
 from __future__ import annotations
 
+import logging
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -53,6 +58,8 @@ from .scenarios import (
 from .venue import Venue, occlusion_matrix
 
 DEPLOYMENT_FORMAT_VERSION = 1
+
+logger = logging.getLogger(__name__)
 
 BetaLike = Union[float, Sequence[float]]
 
@@ -201,7 +208,7 @@ def _normalize_betas(betas: BetaLike, n: int) -> np.ndarray:
             raise ValueError(
                 f"expected {n} per-user targets, got shape {arr.shape}"
             )
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
+    if not np.all((arr >= 0.0) & (arr <= 1.0)):
         raise ValueError("per-user targets must lie in [0, 1]")
     return arr
 
@@ -762,6 +769,10 @@ def _assignment_search(
     for j in range(n - 1, -1, -1):
         suffix[j] = suffix[j + 1] + qv[order[j]]
     pos_of = {l: p for p, l in enumerate(subset)}
+    needs = {
+        m: [(ms, [pos_of[l] for l in _bits(ms)]) for ms in choices[m]]
+        for m in order
+    }
     cap = [capacity] * len(subset)
     cur: List[int] = [0] * n
     best_val = -1.0
@@ -776,8 +787,7 @@ def _assignment_search(
             best_assign = cur.copy()
             return
         m = order[j]
-        for ms in choices[m]:
-            need = [pos_of[l] for l in _bits(ms)]
+        for ms, need in needs[m]:
             if all(cap[p] > 0 for p in need):
                 for p in need:
                     cap[p] -= 1
@@ -803,6 +813,16 @@ def _bits(mask: int) -> List[int]:
     return out
 
 
+def _useful_steerings(foot: np.ndarray) -> List[int]:
+    """Indices of the rows of a (steerings, users) footprint matrix that no
+    lower-index row contains."""
+    return [
+        ti
+        for ti in range(foot.shape[0])
+        if not (foot[:ti] >= foot[ti]).all(axis=1).any()
+    ]
+
+
 def exact_place(
     venue: Venue,
     params: ChannelParams,
@@ -818,8 +838,18 @@ def exact_place(
     Scans subset sizes in increasing order; within the first feasible size
     every configuration is searched and the one with the largest coverage
     wins, ties resolved toward the lexicographically first subset and
-    steering tuple. Guarded by hard instance-size limits because the
-    configuration space grows as C(L, k) * (steerings)^k.
+    steering tuple.
+
+    Only useful steerings enter the product. A mount's footprint matters
+    only on the users whose minimal satisfying sets contain that mount; a
+    steering whose footprint there is contained in a lower-index
+    steering's is skipped. Swapping it for that steering reaches a
+    superset of users, so the coverage is no lower and the tuple is
+    lexicographically earlier: the first optimum of the full scan never
+    uses a skipped steering, and the strict-improvement scan over the
+    kept ones returns the same deployment. The space is the sum over
+    subsets of the product of their kept-steering counts, at most
+    C(L, k) * (steerings)^k, so hard instance-size limits still guard it.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
@@ -891,12 +921,25 @@ def exact_place(
         k_min = max(0, math.ceil(n_needed / capacity))
 
     n_t = model.n_tuples
+    # bit l of allowed[m] is read only through user m's minimal sets
+    matters = np.zeros((L, M), dtype=bool)
+    for m, sets in choices_all.items():
+        for ms in sets:
+            matters[_bits(ms), m] = True
+    reps = [
+        _useful_steerings(model.foot_ok[l] & matters[l]) for l in range(L)
+    ]
+    for l in range(L):
+        logger.debug(
+            "exact: candidate %d keeps %d of %d steerings %s",
+            l, len(reps[l]), n_t, reps[l],
+        )
 
     def scan_subset(
         subset: Tuple[int, ...]
     ) -> Optional[Tuple[float, Tuple, Tuple, List[int], List[int]]]:
         best = None
-        for steer in product(range(n_t), repeat=len(subset)):
+        for steer in product(*[reps[l] for l in subset]):
             allowed = np.zeros(M, dtype=np.int64)
             for pos, l in enumerate(subset):
                 allowed[model.foot_ok[l, steer[pos]]] |= np.int64(1 << l)
@@ -923,8 +966,11 @@ def exact_place(
         return best
 
     found = None
+    searched = full = 0
     for k in range(max(k_min, 0), L + 1):
         subsets = list(combinations(range(L), k))
+        searched += sum(math.prod(len(reps[l]) for l in s) for s in subsets)
+        full += len(subsets) * n_t ** k
         if parallel and len(subsets) > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as ex:
                 results = list(ex.map(scan_subset, subsets))
@@ -937,6 +983,9 @@ def exact_place(
                 found = r
         if found is not None:
             break
+    logger.debug(
+        "exact: searched %d of %d steering configurations", searched, full
+    )
     if found is None:
         raise InfeasibleError(
             "no candidate subset reaches the target coverage",

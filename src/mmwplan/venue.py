@@ -77,6 +77,18 @@ class BodyPrism:
         return lo, hi
 
 
+def _require_finite(what: str, name: str, values: Sequence) -> None:
+    """Reject NaN and infinite entries in one field of every item.
+
+    Needed for the fields no two-sided range check bounds: a NaN compares
+    False both ways, so a one-sided check passes it.
+    """
+    bad = ~np.isfinite(np.asarray(values, dtype=float))
+    if bad.any():
+        i = int(np.argwhere(bad)[0][0])
+        raise VenueFormatError(f"{what} {i}: {name} {values[i]} is not finite")
+
+
 @dataclass
 class Venue:
     name: str
@@ -128,6 +140,20 @@ class Venue:
                 raise VenueFormatError(
                     f"grid position {i}: beta {gp.beta} outside [0, 1]"
                 )
+        # the range checks above reject NaN and inf in the other fields
+        _require_finite(
+            "grid position", "pos", [gp.position for gp in self.grid_positions]
+        )
+        _require_finite(
+            "grid position",
+            "orientation_std",
+            [gp.orientation_std for gp in self.grid_positions],
+        )
+        _require_finite(
+            "candidate", "pos", [c.position for c in self.candidates]
+        )
+        _require_finite("blocker", "center", [b.center for b in self.blockers])
+        _require_finite("blocker", "size", [b.size for b in self.blockers])
         max_gp_z = max(gp.position[2] for gp in self.grid_positions)
         for j, c in enumerate(self.candidates):
             if c.id != j:

@@ -18,8 +18,15 @@ from mmwplan.channel import (
     link_profile,
     main_lobe_gain,
 )
+from mmwplan.errors import InfeasibleError
 from mmwplan.scenarios import connectivity_probability
-from mmwplan.solver import PlanningModel
+from mmwplan.solver import (
+    PlacedAp,
+    PlanningModel,
+    _assignment_search,
+    _bits,
+    _minimal_satisfying_masks,
+)
 from mmwplan.venue import (
     Venue,
     horizontal_distance,
@@ -252,6 +259,63 @@ def flat_minimum_count(venue, params, alpha, beta, kmax=3):
         if best_cov is not None:
             return k, best_cov / total
     return None
+
+
+def exact_place_unpruned(venue, params, alpha, betas):
+    """``exact_place`` with every steering of every mount in the product.
+
+    The same subset order, assignment search and strict-improvement
+    tie-break as the solver, without its size guard, parallel lane or
+    steering pruning, so the two must return identical deployments.
+    Raises ``InfeasibleError`` when no subset reaches ``alpha``.
+    """
+    model = PlanningModel(venue, params, betas)
+    M, L, T = model.M, model.L, params.capacity_per_beam
+    free = model.betas <= 0.0
+    base = float(model.q[free].sum())
+    choices_all = {m: _minimal_satisfying_masks(model, m) for m in range(M)}
+    demanding = [int(m) for m in model.gp_order
+                 if not free[m] and choices_all[m]]
+
+    found = None
+    for k in range(0, L + 1):
+        for subset in itertools.combinations(range(L), k):
+            for steer in itertools.product(range(model.n_tuples), repeat=k):
+                allowed = [0] * M
+                for l, ti in zip(subset, steer):
+                    for m in np.flatnonzero(model.foot_ok[l, ti]):
+                        allowed[m] |= 1 << l
+                order, choices, potential = [], {}, base
+                for m in demanding:
+                    opts = [ms for ms in choices_all[m]
+                            if ms & ~allowed[m] == 0]
+                    if opts:
+                        order.append(m)
+                        choices[m] = opts
+                        potential += float(model.q[m])
+                if model.normalized(potential) < alpha:
+                    continue
+                val, assign = _assignment_search(
+                    order, choices, model.q, subset, T, base)
+                if assign is None or model.normalized(val) < alpha:
+                    continue
+                if found is None or val > found[0]:
+                    found = (val, subset, steer, order, assign)
+        if found is not None:
+            break
+    if found is None:
+        raise InfeasibleError("no candidate subset reaches the target")
+    _, subset, steer, order, assign = found
+    by_ap = {l: [] for l in subset}
+    for m, ms in zip(order, assign):
+        for l in _bits(ms):
+            by_ap[l].append(m)
+    selected = []
+    for l, ti in zip(subset, steer):
+        theta, phi = model.steering_angles(ti)
+        selected.append(PlacedAp(candidate=l, theta=theta, phi=phi,
+                                 assigned=tuple(sorted(by_ap[l]))))
+    return model.finalize(selected)
 
 
 # ---------------------------------------------------------------------------

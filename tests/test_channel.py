@@ -134,6 +134,24 @@ def test_params_validation():
         ChannelParams(elevation_grid=())
 
 
+@pytest.mark.parametrize("grids", [
+    {"elevation_grid": (5.0,)},
+    {"elevation_grid": (0.0, -0.1)},
+    {"elevation_grid": (math.nan,)},
+    {"elevation_grid": (math.inf,)},
+    {"azimuth_grid": (0.0, math.nan)},
+    {"azimuth_grid": (-math.inf,)},
+])
+def test_params_reject_bad_steering_grids(grids):
+    with pytest.raises(ValueError):
+        ChannelParams(**grids)
+
+
+def test_params_accept_steering_grid_edges():
+    p = ChannelParams(elevation_grid=(0.0, math.pi), azimuth_grid=(7.0,))
+    assert p.elevation_grid == (0.0, math.pi)
+
+
 def test_with_beamwidths():
     p = ChannelParams()
     q = p.with_beamwidths(ap_beamwidth=1.0)

@@ -187,6 +187,48 @@ def test_validate_rejects_garbage(capsys, tmp_path, toy_path):
     assert "error" in stderr
 
 
+def test_plan_rejects_nan_mount_height(capsys, tmp_path, toy_path):
+    with open(toy_path) as fh:
+        data = json.load(fh)
+    data["candidates"][0]["pos"][2] = float("nan")
+    bad = tmp_path / "nan.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(bad), "--alpha", "0.9",
+        "--beta", "0.7",
+    )
+    assert code == 3
+    assert "not finite" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("solver", ["greedy", "exact"])
+def test_plan_rejects_nan_beta(capsys, toy_path, solver):
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", toy_path, "--solver", solver,
+        "--alpha", "0.5", "--beta", "nan",
+    )
+    assert code == 3
+    assert "targets" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("grids", [
+    {"elevation_grid": [5.0]},
+    {"azimuth_grid": [float("nan")]},
+])
+def test_plan_rejects_bad_steering_grid(capsys, tmp_path, toy_path, grids):
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps(grids))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", toy_path, "--params", str(params),
+        "--alpha", "0.9", "--beta", "0.7",
+    )
+    assert code == 3
+    assert "steering" in stderr
+    assert stdout == ""
+
+
 def test_validate_flags_malformed_deployment(capsys, tmp_path, toy_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

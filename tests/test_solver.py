@@ -1,6 +1,8 @@
 """Coverage evaluation, greedy and exact placement, uniform baseline."""
 
+import logging
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -288,6 +290,78 @@ def test_exact_matches_flat_enumeration(tight_params):
         dep = exact_place(v, tight_params, alpha, 0.65)
         assert len(dep.selected) == want_k
         assert abs(dep.normalized_coverage - want_cov) < 1e-12
+
+
+def _exact_or_none(solve, venue, params, alpha):
+    try:
+        return solve(venue, params, alpha, 0.65).to_dict()
+    except InfeasibleError:
+        return None
+
+
+def _with_twin_seat(venue):
+    """Seat 0 again, with its own copy of seat 0's body prism."""
+    gp = venue.grid_positions[0]
+    twin = replace(gp, id=venue.n_grid)
+    prism = replace(next(b for b in venue.blockers if b.owner == 0),
+                    owner=twin.id)
+    return replace(venue, grid_positions=venue.grid_positions + [twin],
+                   blockers=venue.blockers + [prism])
+
+
+def _with_twin_mount(venue):
+    cand = replace(venue.candidates[1], id=venue.n_candidates)
+    return replace(venue, candidates=venue.candidates + [cand])
+
+
+def test_exact_matches_unpruned_scan():
+    # Steering pruning must not change the lexicographically first
+    # optimum. The full 24-steering grid keeps the unpruned scan cheap only
+    # at capacity 3; smaller capacities need more access points and get
+    # 8- and 10-steering grids, the latter with a repeated azimuth so two
+    # steerings of every mount have identical footprints.
+    grids = (
+        {},
+        {"elevation_grid": (0.0, math.pi / 4.0),
+         "azimuth_grid": (0.0, math.pi / 2.0, math.pi, -math.pi / 2.0)},
+        {"elevation_grid": (0.0, math.pi / 4.0),
+         "azimuth_grid": (0.0, math.pi / 2.0, math.pi / 2.0, math.pi,
+                          -math.pi / 2.0)},
+    )
+    cases = []
+    for i in range(40):
+        cap = 1 + i % 3
+        alpha = 0.55 + 0.35 * ((7 * i) % 12) / 11.0
+        grid = grids[0] if cap == 3 else grids[1 + i % 2]
+        params = ChannelParams(capacity_per_beam=cap, **grid)
+        cases.append((random_toy(3000 + i), params, alpha))
+    cases.append((_with_twin_seat(random_toy(3100)),
+                  ChannelParams(capacity_per_beam=2, **grids[1]), 0.7))
+    cases.append((_with_twin_mount(random_toy(3101)),
+                  ChannelParams(capacity_per_beam=2, **grids[1]), 0.7))
+    placed = 0
+    for venue, params, alpha in cases:
+        want = _exact_or_none(oracles.exact_place_unpruned, venue, params,
+                              alpha)
+        assert _exact_or_none(exact_place, venue, params, alpha) == want, (
+            venue.name, params.capacity_per_beam, alpha)
+        placed += want is not None
+    assert placed >= 30
+
+
+def test_exact_logs_pruned_search_at_debug(tight_params, caplog):
+    v = random_toy(41)
+    quiet = exact_place(v, tight_params, 0.7, 0.65).to_dict()
+    with caplog.at_level(logging.DEBUG, logger="mmwplan.solver"):
+        loud = exact_place(v, tight_params, 0.7, 0.65).to_dict()
+    assert loud == quiet
+    kept = [r for r in caplog.records if "steerings" in r.getMessage()]
+    assert len(kept) == v.n_candidates
+    assert all(1 <= len(r.args[3]) <= 24 for r in kept)
+    (summary,) = [r for r in caplog.records
+                  if "configurations" in r.getMessage()]
+    searched, full = summary.args
+    assert 0 < searched < full
 
 
 def test_exact_refuses_large_instances(default_params):

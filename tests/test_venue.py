@@ -259,6 +259,38 @@ def test_validation_catches_bad_ids_and_ranges():
               candidates=good.candidates)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("gp_pos", (0.0, math.nan, 0.0)),
+    ("cand_pos", (3.0, 0.0, math.nan)),
+    ("cand_pos", (math.inf, 0.0, 4.0)),
+    ("orientation_std", math.inf),
+    ("orientation_std", math.nan),
+    ("facing", math.nan),
+    ("elevation", math.inf),
+    ("presence_prob", math.nan),
+    ("beta", math.nan),
+    ("blocker_center", (1.0, math.nan, 1.0)),
+    ("blocker_size", (1.0, 1.0, math.inf)),
+])
+def test_validation_rejects_non_finite_fields(field, value):
+    gp = GridPosition(id=0, position=(0.0, 0.0, 0.0), facing=0.0,
+                      elevation=0.3, presence_prob=1.0, orientation_std=0.5)
+    cand = CandidateLocation(id=0, position=(3.0, 0.0, 4.0))
+    prism = BodyPrism(center=(1.0, 0.0, 1.0), size=(0.5, 0.5, 2.0))
+    if field == "gp_pos":
+        gp = GridPosition(**{**gp.__dict__, "position": value})
+    elif field == "cand_pos":
+        cand = CandidateLocation(id=0, position=value)
+    elif field in gp.__dict__:
+        gp = GridPosition(**{**gp.__dict__, field: value})
+    else:
+        key = field.split("_")[1]
+        prism = BodyPrism(**{**prism.__dict__, key: value})
+    with pytest.raises(VenueFormatError, match=field.split("_")[-1]):
+        Venue(name="x", grid_positions=[gp], candidates=[cand],
+              blockers=[prism])
+
+
 def test_json_round_trip(toy_venue):
     blob = json.dumps(toy_venue.to_dict())
     back = Venue.from_dict(json.loads(blob))
