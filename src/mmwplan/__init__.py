@@ -60,7 +60,6 @@ from .solver import (
     IterationChoice,
     PlacedAp,
     PlanningModel,
-    build_model,
     evaluate_coverage,
     exact_place,
     greedy_iteration_best,
@@ -72,7 +71,6 @@ from .venue import (
     CandidateLocation,
     GridPosition,
     Venue,
-    los_angle_sets,
     nadir_angle,
     occlusion_matrix,
     ray_occluded,
@@ -130,7 +128,6 @@ __all__ = [
     "IterationChoice",
     "GreedyState",
     "PlanningModel",
-    "build_model",
     "evaluate_coverage",
     "greedy_iteration_best",
     "greedy_place",
@@ -146,6 +143,5 @@ __all__ = [
     "nadir_angle",
     "ray_occluded",
     "occlusion_matrix",
-    "los_angle_sets",
     "__version__",
 ]

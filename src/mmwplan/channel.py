@@ -273,6 +273,30 @@ def _active_half_width(
     return reach
 
 
+def _profile_from_reach(
+    gp_id: int, ap_id: int, distance: float, phi_rx: float, reach: float
+) -> LinkProfile:
+    """Classify a link from its active half-width around ``phi_rx``: no
+    reach is never on, a reach of pi or more is always on, anything between
+    is the arc of that half-width centered on the device-to-candidate
+    azimuth."""
+    if reach <= 0.0:
+        cls, interval = LinkClass.NEVER_ON, AngularInterval.empty()
+    elif reach >= math.pi:
+        cls, interval = LinkClass.ALWAYS_ON, AngularInterval.full()
+    else:
+        cls = LinkClass.ORIENTATION_DEPENDENT
+        interval = AngularInterval.from_center(phi_rx, reach)
+    return LinkProfile(
+        gp=gp_id,
+        ap=ap_id,
+        distance=distance,
+        link_class=cls,
+        effective_interval=interval,
+        usable=cls is not LinkClass.NEVER_ON,
+    )
+
+
 def link_profile(
     venue: Venue,
     params: ChannelParams,
@@ -310,21 +334,7 @@ def link_profile(
         tx_gain_db,
     )
     phi_rx, _ = rx_angles(venue, gp_id, ap_id)
-    if reach <= 0.0:
-        cls, interval = LinkClass.NEVER_ON, AngularInterval.empty()
-    elif reach >= math.pi:
-        cls, interval = LinkClass.ALWAYS_ON, AngularInterval.full()
-    else:
-        cls = LinkClass.ORIENTATION_DEPENDENT
-        interval = AngularInterval.from_center(phi_rx, reach)
-    return LinkProfile(
-        gp=gp_id,
-        ap=ap_id,
-        distance=distance,
-        link_class=cls,
-        effective_interval=interval,
-        usable=cls is not LinkClass.NEVER_ON,
-    )
+    return _profile_from_reach(gp_id, ap_id, distance, phi_rx, reach)
 
 
 __all__ = [

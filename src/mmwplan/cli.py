@@ -7,7 +7,8 @@ coverage for an existing deployment file and can cross-check it by Monte
 Carlo.
 
 Exit codes: 0 success, 2 infeasible (the partial result is still
-written), 3 unreadable or invalid input, 4 exact-solver size refusal.
+written), 3 unreadable or invalid input, including command-line usage
+errors, 4 size refusal.
 """
 
 from __future__ import annotations
@@ -113,9 +114,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     trace = None
     try:
         if args.solver == "greedy":
-            deployment, trace = greedy_place(
-                venue, params, args.alpha, betas, parallel=args.parallel
-            )
+            deployment, trace = greedy_place(venue, params, args.alpha, betas)
         elif args.solver == "exact":
             deployment = exact_place(
                 venue,
@@ -124,7 +123,6 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 betas,
                 max_candidates=args.max_exact_l,
                 max_positions=args.max_exact_m,
-                parallel=args.parallel,
             )
         else:
             n = args.uniform_n or venue.n_candidates
@@ -304,8 +302,17 @@ def cmd_validate(args: argparse.Namespace) -> int:
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports usage errors with the invalid-input exit code; argparse's
+    own code 2 would read as "infeasible". Subparsers inherit the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="mmwplan",
         description=(
             "Access point placement and beam steering planner for seated "
@@ -358,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--uniform-n", type=int, default=None)
     p.add_argument("--max-exact-l", type=int, default=6)
     p.add_argument("--max-exact-m", type=int, default=12)
-    p.add_argument("--parallel", action="store_true")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(

@@ -5,12 +5,12 @@ the full antenna-gain and SNR chain sample by sample, and compares the
 empirical success rates against the closed-form scenario probabilities.
 
 Reproducibility contract: the generator is Philox (counter-based); the
-per-user substream is seeded with key = [seed, gp_id], so streams are
-independent of evaluation order and stable under parallel execution. Per
-user, the orientation uniforms are drawn first as one block; with
-shadowing enabled, each replayed link then draws one block of
-line-of-sight deviates followed by one block of blocked deviates, links
-in ascending candidate order. Both facts are recorded in every report.
+per-user substream is seeded with key = [seed, gp_id], so a user's stream
+does not depend on which users are replayed or in what order. Per user,
+the orientation uniforms are drawn first as one block; with shadowing
+enabled, each replayed link then draws one block of line-of-sight
+deviates followed by one block of blocked deviates, links in ascending
+candidate order. Both facts are recorded in every report.
 """
 
 from __future__ import annotations
@@ -28,8 +28,12 @@ from .channel import (
     linear_to_db,
     main_lobe_gain,
 )
-from .scenarios import OrientationDistribution, connectivity_probability
-from .solver import Deployment, PlanningModel, evaluate_coverage
+from .scenarios import (
+    OrientationDistribution,
+    _std_normal_cdf,
+    connectivity_probability,
+)
+from .solver import Deployment, PlanningModel
 from .venue import Venue
 
 _GENERATOR = "philox4x64"
@@ -55,16 +59,12 @@ def _substream(seed: int, gp_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _std_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-
-
 def _sample_orientations(
     rng: np.random.Generator, dist: OrientationDistribution, n: int
 ) -> np.ndarray:
     """Inverse-CDF draws from the Gaussian renormalized to [-pi, pi]."""
-    lo = _std_cdf((-math.pi - dist.mean) / dist.std)
-    hi = _std_cdf((math.pi - dist.mean) / dist.std)
+    lo = _std_normal_cdf((-math.pi - dist.mean) / dist.std)
+    hi = _std_normal_cdf((math.pi - dist.mean) / dist.std)
     u = rng.random(n)
     draws = dist.mean + dist.std * ndtri(lo + u * (hi - lo))
     return np.clip(draws, -math.pi, math.pi)
@@ -223,8 +223,8 @@ def monte_carlo_coverage(
     Transmit gains use each serving beam's actual steering. Validation
     errors from the analytic evaluation propagate unchanged.
     """
-    analytic = evaluate_coverage(venue, params, deployment, betas)
     model = PlanningModel(venue, params, betas)
+    analytic = model.evaluate(deployment)
 
     serving: Dict[int, List[_LinkGeometry]] = {}
     for ap in deployment.selected:

@@ -20,7 +20,7 @@ Three planners share one precomputed model of the venue:
 
 Satisfaction of a user is always the scenario-partition probability of its
 assigned set meeting the per-user target; all solvers and the standalone
-``evaluate_coverage`` recompute it through the same code path, so a
+``evaluate_coverage`` recompute it through ``PlanningModel.finalize``, so a
 deployment round-trips bit-identically through revalidation.
 """
 
@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from itertools import combinations, product
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
@@ -37,13 +36,12 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
-    LinkClass,
     LinkProfile,
     _active_half_width,
+    _profile_from_reach,
     linear_to_db,
     main_lobe_gain,
 )
-from .angles import AngularInterval
 from .errors import (
     DeploymentValidationError,
     GeometryError,
@@ -62,6 +60,9 @@ DEPLOYMENT_FORMAT_VERSION = 1
 logger = logging.getLogger(__name__)
 
 BetaLike = Union[float, Sequence[float]]
+
+# candidate sets are np.int64 bitmasks, so bit 63 is out of reach
+_MAX_CANDIDATES = 63
 
 
 @dataclass(frozen=True)
@@ -217,8 +218,8 @@ class PlanningModel:
     """Precomputed geometry, link classes, partitions and beam footprints.
 
     Built once per (venue, params, betas) and shared by every solver and by
-    ``evaluate_coverage``, which keeps all satisfaction decisions on a
-    single code path.
+    ``evaluate``; every satisfaction decision goes through ``finalize``.
+    Venues with more than 63 candidate mounts raise ``SizeLimitError``.
     """
 
     def __init__(
@@ -228,6 +229,15 @@ class PlanningModel:
         self.params = params
         self.M = venue.n_grid
         self.L = venue.n_candidates
+        if self.L > _MAX_CANDIDATES:
+            raise SizeLimitError(
+                f"{self.L} candidate mounts exceed the planner's limit of "
+                f"{_MAX_CANDIDATES}: candidate sets are 64-bit signed masks",
+                report={
+                    "candidates": self.L,
+                    "max_candidates": _MAX_CANDIDATES,
+                },
+            )
         self.betas = _normalize_betas(betas, self.M)
         self.q = np.array([gp.presence_prob for gp in venue.grid_positions])
         self.total_mass = float(self.q.sum())
@@ -283,23 +293,12 @@ class PlanningModel:
     # -- link profiles -------------------------------------------------
 
     def profile(self, m: int, l: int) -> LinkProfile:
-        reach = self.reach[m, l]
-        if reach <= 0.0:
-            cls, iv = LinkClass.NEVER_ON, AngularInterval.empty()
-        elif reach >= math.pi:
-            cls, iv = LinkClass.ALWAYS_ON, AngularInterval.full()
-        else:
-            cls = LinkClass.ORIENTATION_DEPENDENT
-            iv = AngularInterval.from_center(
-                float(self.phi_rx[m, l]), float(reach)
-            )
-        return LinkProfile(
-            gp=m,
-            ap=l,
-            distance=float(self.dist[m, l]),
-            link_class=cls,
-            effective_interval=iv,
-            usable=cls is not LinkClass.NEVER_ON,
+        return _profile_from_reach(
+            m,
+            l,
+            float(self.dist[m, l]),
+            float(self.phi_rx[m, l]),
+            float(self.reach[m, l]),
         )
 
     def _profiles_for(self, m: int) -> List[LinkProfile]:
@@ -376,11 +375,67 @@ class PlanningModel:
                 masks[m] |= bit
         return masks
 
+    def evaluate(self, deployment: Deployment) -> CoverageReport:
+        """Validate a deployment and recompute its per-user connectivity
+        and coverage through ``finalize``.
 
-def build_model(
-    venue: Venue, params: ChannelParams, betas: BetaLike
-) -> PlanningModel:
-    return PlanningModel(venue, params, betas)
+        Raises ``DeploymentValidationError`` when the deployment is
+        malformed: unknown ids, duplicated candidates, beams over capacity,
+        or users assigned outside a beam's footprint or over an unusable
+        link.
+        """
+        violations: List[str] = []
+        seen: set = set()
+        half = self.params.ap_beamwidth / 2.0
+        capacity = self.params.capacity_per_beam
+        for ap in deployment.selected:
+            l = ap.candidate
+            if not (0 <= l < self.L):
+                violations.append(f"unknown candidate id {l}")
+                continue
+            if l in seen:
+                violations.append(f"candidate {l} selected more than once")
+            seen.add(l)
+            if len(ap.assigned) > capacity:
+                violations.append(
+                    f"candidate {l} serves {len(ap.assigned)} users, "
+                    f"capacity is {capacity}"
+                )
+            if len(set(ap.assigned)) != len(ap.assigned):
+                violations.append(f"candidate {l} has duplicate assignments")
+            for m in ap.assigned:
+                if not (0 <= m < self.M):
+                    violations.append(f"candidate {l}: unknown user id {m}")
+                    continue
+                if not self.usable[m, l]:
+                    violations.append(
+                        f"user {m} assigned to candidate {l} whose link can "
+                        f"never be active"
+                    )
+                el_off = abs(ap.theta - float(self.nadir_tx[m, l]))
+                d = ap.phi - float(self.phi_tx[m, l])
+                az_off = abs(math.atan2(math.sin(d), math.cos(d)))
+                if el_off > half or (
+                    not self.vertical[m, l] and az_off > half
+                ):
+                    violations.append(
+                        f"user {m} lies outside the beam of candidate {l} "
+                        f"(azimuth offset {az_off:.3f}, elevation offset "
+                        f"{el_off:.3f}, half-width {half:.3f})"
+                    )
+        if violations:
+            raise DeploymentValidationError(
+                "deployment failed validation", violations
+            )
+        dep = self.finalize(deployment.selected)
+        return CoverageReport(
+            per_gp=[
+                GpCoverage(id=m, prob=p, z=z)
+                for m, (p, z) in enumerate(zip(dep.per_gp_prob, dep.satisfied))
+            ],
+            coverage=dep.coverage,
+            normalized_coverage=dep.normalized_coverage,
+        )
 
 
 # -- evaluation --------------------------------------------------------
@@ -392,67 +447,9 @@ def evaluate_coverage(
     deployment: Deployment,
     betas: BetaLike,
 ) -> CoverageReport:
-    """Recompute per-user connectivity and coverage from scratch.
-
-    Raises ``DeploymentValidationError`` when the deployment is malformed:
-    unknown ids, duplicated candidates, beams over capacity, or users
-    assigned outside a beam's footprint or over an unusable link.
-    """
-    model = PlanningModel(venue, params, betas)
-    violations: List[str] = []
-    seen: set = set()
-    half = params.ap_beamwidth / 2.0
-    for ap in deployment.selected:
-        l = ap.candidate
-        if not (0 <= l < model.L):
-            violations.append(f"unknown candidate id {l}")
-            continue
-        if l in seen:
-            violations.append(f"candidate {l} selected more than once")
-        seen.add(l)
-        if len(ap.assigned) > params.capacity_per_beam:
-            violations.append(
-                f"candidate {l} serves {len(ap.assigned)} users, capacity "
-                f"is {params.capacity_per_beam}"
-            )
-        if len(set(ap.assigned)) != len(ap.assigned):
-            violations.append(f"candidate {l} has duplicate assignments")
-        for m in ap.assigned:
-            if not (0 <= m < model.M):
-                violations.append(f"candidate {l}: unknown user id {m}")
-                continue
-            if not model.usable[m, l]:
-                violations.append(
-                    f"user {m} assigned to candidate {l} whose link can "
-                    f"never be active"
-                )
-            el_off = abs(ap.theta - float(model.nadir_tx[m, l]))
-            d = ap.phi - float(model.phi_tx[m, l])
-            az_off = abs(math.atan2(math.sin(d), math.cos(d)))
-            if el_off > half or (
-                not model.vertical[m, l] and az_off > half
-            ):
-                violations.append(
-                    f"user {m} lies outside the beam of candidate {l} "
-                    f"(azimuth offset {az_off:.3f}, elevation offset "
-                    f"{el_off:.3f}, half-width {half:.3f})"
-                )
-    if violations:
-        raise DeploymentValidationError(
-            "deployment failed validation", violations
-        )
-    masks = model.assignment_masks(deployment.selected)
-    probs = [model.conn(m, int(masks[m])) for m in range(model.M)]
-    z = np.array(probs) >= model.betas
-    coverage = model.coverage_of(z)
-    return CoverageReport(
-        per_gp=[
-            GpCoverage(id=m, prob=float(probs[m]), z=bool(z[m]))
-            for m in range(model.M)
-        ],
-        coverage=coverage,
-        normalized_coverage=model.normalized(coverage),
-    )
+    """Recompute per-user connectivity and coverage from scratch; see
+    ``PlanningModel.evaluate``."""
+    return PlanningModel(venue, params, betas).evaluate(deployment)
 
 
 # -- greedy ------------------------------------------------------------
@@ -536,40 +533,10 @@ def _evaluate_tuple(
     return primary, secondary, members
 
 
-def _scan_tuples(
-    model: PlanningModel,
-    items: Sequence[Tuple[int, int, int]],
-    dp: np.ndarray,
-    pred_sat: np.ndarray,
-    satisfied: np.ndarray,
-    capacity: int,
-) -> Optional[Tuple[float, float, int, int, np.ndarray]]:
-    best = None
-    for j, l, ti in items:
-        r = _evaluate_tuple(
-            model, l, ti, dp[:, j], pred_sat[:, j], satisfied, capacity
-        )
-        if r is None:
-            continue
-        primary, secondary, members = r
-        if (
-            best is None
-            or (primary, secondary) > (best[0], best[1])
-            or (
-                (primary, secondary) == (best[0], best[1])
-                and (l, ti) < (best[2], best[3])
-            )
-        ):
-            best = (primary, secondary, l, ti, members)
-    return best
-
-
 def greedy_iteration_best(
     model: PlanningModel,
     pool: Sequence[int],
     state: GreedyState,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Optional[IterationChoice]:
     """Solve one greedy subproblem over the remaining candidate pool.
 
@@ -578,49 +545,29 @@ def greedy_iteration_best(
     and filling leftover capacity with the largest mass-weighted
     connectivity gains. Returns None when nothing adds value, which a
     caller must treat as a dead end. The winner is unique: value ties fall
-    back to the lowest (candidate, elevation index, azimuth index), and the
-    parallel path reduces per-candidate results with the same ordering, so
-    serial and parallel runs agree bit-exactly.
+    back to the lowest (candidate, elevation index, azimuth index).
     """
     dp, pred_sat = _iteration_tables(model, state, pool)
     capacity = model.params.capacity_per_beam
-    items = [
-        (j, l, ti)
-        for j, l in enumerate(pool)
-        for ti in range(model.n_tuples)
-    ]
-    if not parallel or len(pool) <= 1:
-        best = _scan_tuples(
-            model, items, dp, pred_sat, state.satisfied, capacity
-        )
-    else:
-        per_candidate = [
-            items[j * model.n_tuples : (j + 1) * model.n_tuples]
-            for j in range(len(pool))
-        ]
-        with ThreadPoolExecutor(max_workers=max_workers) as ex:
-            results = list(
-                ex.map(
-                    lambda chunk: _scan_tuples(
-                        model, chunk, dp, pred_sat, state.satisfied,
-                        capacity,
-                    ),
-                    per_candidate,
-                )
+    best = None
+    for j, l in enumerate(pool):
+        for ti in range(model.n_tuples):
+            r = _evaluate_tuple(
+                model, l, ti, dp[:, j], pred_sat[:, j], state.satisfied,
+                capacity,
             )
-        best = None
-        for r in results:
             if r is None:
                 continue
+            primary, secondary, members = r
             if (
                 best is None
-                or (r[0], r[1]) > (best[0], best[1])
+                or (primary, secondary) > (best[0], best[1])
                 or (
-                    (r[0], r[1]) == (best[0], best[1])
-                    and (r[2], r[3]) < (best[2], best[3])
+                    (primary, secondary) == (best[0], best[1])
+                    and (l, ti) < (best[2], best[3])
                 )
             ):
-                best = r
+                best = (primary, secondary, l, ti, members)
     if best is None:
         return None
     primary, secondary, l, ti, members = best
@@ -639,8 +586,6 @@ def greedy_place(
     params: ChannelParams,
     alpha: float,
     betas: BetaLike,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Tuple[Deployment, GreedyTrace]:
     """Greedy weighted set-cover placement.
 
@@ -678,9 +623,7 @@ def greedy_place(
         if not pool:
             raise bail("pool_exhausted")
         evaluations += len(pool) * model.n_tuples
-        choice = greedy_iteration_best(
-            model, pool, state, parallel=parallel, max_workers=max_workers
-        )
+        choice = greedy_iteration_best(model, pool, state)
         if choice is None:
             raise bail("stagnated")
         l = choice.candidate
@@ -830,8 +773,6 @@ def exact_place(
     betas: BetaLike,
     max_candidates: int = 6,
     max_positions: int = 12,
-    parallel: bool = False,
-    max_workers: Optional[int] = None,
 ) -> Deployment:
     """Minimum access point count by exhaustive enumeration.
 
@@ -971,12 +912,8 @@ def exact_place(
         subsets = list(combinations(range(L), k))
         searched += sum(math.prod(len(reps[l]) for l in s) for s in subsets)
         full += len(subsets) * n_t ** k
-        if parallel and len(subsets) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as ex:
-                results = list(ex.map(scan_subset, subsets))
-        else:
-            results = [scan_subset(s) for s in subsets]
-        for r in results:
+        for s in subsets:
+            r = scan_subset(s)
             if r is None:
                 continue
             if found is None or r[0] > found[0]:
@@ -1061,7 +998,6 @@ __all__ = [
     "IterationChoice",
     "GreedyState",
     "PlanningModel",
-    "build_model",
     "evaluate_coverage",
     "greedy_iteration_best",
     "greedy_place",

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .angles import AngularInterval, wrap_angle
+from .angles import wrap_angle
 from .errors import GeometryError, VenueFormatError
 
 VENUE_FORMAT_VERSION = 1
@@ -75,6 +75,17 @@ class BodyPrism:
         lo = (c[0] - 0.5 * s[0], c[1] - 0.5 * s[1], c[2] - 0.5 * s[2])
         hi = (c[0] + 0.5 * s[0], c[1] + 0.5 * s[1], c[2] + 0.5 * s[2])
         return lo, hi
+
+
+def _require_xyz(what: str, name: str, values: Sequence) -> None:
+    """Reject a point or size in one field of every item that does not
+    have exactly three coordinates."""
+    for i, v in enumerate(values):
+        if len(v) != 3:
+            raise VenueFormatError(
+                f"{what} {i}: {name} {list(v)} has {len(v)} coordinates, "
+                f"expected 3"
+            )
 
 
 def _require_finite(what: str, name: str, values: Sequence) -> None:
@@ -140,20 +151,24 @@ class Venue:
                 raise VenueFormatError(
                     f"grid position {i}: beta {gp.beta} outside [0, 1]"
                 )
+        seats = [gp.position for gp in self.grid_positions]
+        mounts = [c.position for c in self.candidates]
+        centers = [b.center for b in self.blockers]
+        sizes = [b.size for b in self.blockers]
+        _require_xyz("grid position", "pos", seats)
+        _require_xyz("candidate", "pos", mounts)
+        _require_xyz("blocker", "center", centers)
+        _require_xyz("blocker", "size", sizes)
         # the range checks above reject NaN and inf in the other fields
-        _require_finite(
-            "grid position", "pos", [gp.position for gp in self.grid_positions]
-        )
+        _require_finite("grid position", "pos", seats)
         _require_finite(
             "grid position",
             "orientation_std",
             [gp.orientation_std for gp in self.grid_positions],
         )
-        _require_finite(
-            "candidate", "pos", [c.position for c in self.candidates]
-        )
-        _require_finite("blocker", "center", [b.center for b in self.blockers])
-        _require_finite("blocker", "size", [b.size for b in self.blockers])
+        _require_finite("candidate", "pos", mounts)
+        _require_finite("blocker", "center", centers)
+        _require_finite("blocker", "size", sizes)
         max_gp_z = max(gp.position[2] for gp in self.grid_positions)
         for j, c in enumerate(self.candidates):
             if c.id != j:
@@ -406,31 +421,6 @@ def occlusion_matrix(venue: Venue) -> np.ndarray:
     return occ
 
 
-def los_angle_sets(
-    venue: Venue, gp_id: int, ap_id: int, self_block_half_angle: float
-) -> Tuple[AngularInterval, AngularInterval]:
-    """Orientation azimuths and device tilts with an unblocked view.
-
-    Returns (azimuth_window, tilt_window). When the static ray is occluded
-    both are empty. Otherwise the azimuth window is the arc of body
-    orientations for which the user's own torso does not shadow the
-    candidate, centered on the device-to-candidate azimuth with half-angle
-    ``self_block_half_angle``; the tilt window is the full [0, pi/2] range
-    expressed as the degenerate arc [0, pi/2].
-    """
-    _check_ids(venue, gp_id, ap_id)
-    if not (0.0 < self_block_half_angle <= math.pi):
-        raise GeometryError(
-            f"self_block_half_angle {self_block_half_angle} outside (0, pi]"
-        )
-    if ray_occluded(venue, gp_id, ap_id):
-        return AngularInterval.empty(), AngularInterval.empty()
-    phi_rx, _ = rx_angles(venue, gp_id, ap_id)
-    azimuth_window = AngularInterval.from_center(phi_rx, self_block_half_angle)
-    tilt_window = AngularInterval.arc(0.0, math.pi / 2.0)
-    return azimuth_window, tilt_window
-
-
 __all__ = [
     "VENUE_FORMAT_VERSION",
     "GridPosition",
@@ -445,6 +435,5 @@ __all__ = [
     "link_distance",
     "ray_occluded",
     "occlusion_matrix",
-    "los_angle_sets",
     "wrap_angle",
 ]

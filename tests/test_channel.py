@@ -230,7 +230,7 @@ def test_distance_recorded():
 def test_effective_interval_inside_blockage_window_when_nlos_fails():
     # whenever no blocked orientation can clear the budget, the active
     # arc must sit inside the self-blockage window
-    from mmwplan import los_angle_sets, main_lobe_gain
+    from mmwplan import AngularInterval, main_lobe_gain, rx_angles
     from mmwplan.venue import link_distance
 
     p = ChannelParams()
@@ -250,7 +250,8 @@ def test_effective_interval_inside_blockage_window_when_nlos_fails():
         prof = link_profile(v, p, 0, 0)
         if prof.effective_interval.is_empty:
             continue
-        B, _ = los_angle_sets(v, 0, 0, p.self_block_half_angle)
+        phi_rx, _ = rx_angles(v, 0, 0)
+        B = AngularInterval.from_center(phi_rx, p.self_block_half_angle)
         checked += 1
         for a in np.linspace(-math.pi, math.pi, 145):
             if prof.effective_interval.contains(float(a)):

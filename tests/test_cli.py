@@ -108,6 +108,36 @@ def test_plan_exact_refuses_hall(capsys, tmp_path):
     assert "6" in stderr and "12" in stderr
 
 
+def test_plan_refuses_64_mounts(capsys, tmp_path, toy_path):
+    with open(toy_path) as fh:
+        data = json.load(fh)
+    data["candidates"] = [{"id": j, "pos": [j % 8, j // 8, 5.0]}
+                          for j in range(64)]
+    big = tmp_path / "64.json"
+    big.write_text(json.dumps(data))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(big), "--alpha", "0.5",
+        "--beta", "0.5",
+    )
+    assert code == 4
+    assert "refused" in stderr and "63" in stderr
+    assert stdout == ""
+
+
+@pytest.mark.parametrize("extra", [
+    ["--alpha", "0.5", "--parallel"],
+    ["--alpha", "abc"],
+])
+def test_usage_errors_exit_as_invalid_input(capsys, toy_path, extra):
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main(["plan", "--venue", toy_path, "--beta", "0.7", *extra])
+    assert e.value.code == 3
+    captured = capsys.readouterr()
+    assert "error" in captured.err
+    assert captured.out == ""
+
+
 def test_plan_infeasible_writes_partial(capsys, tmp_path, toy_path):
     params = tmp_path / "params.json"
     params.write_text(json.dumps({"snr_threshold_db": 60.0}))
@@ -199,6 +229,22 @@ def test_plan_rejects_nan_mount_height(capsys, tmp_path, toy_path):
     )
     assert code == 3
     assert "not finite" in stderr
+    assert stdout == ""
+
+
+def test_plan_rejects_two_coordinate_seats(capsys, tmp_path, toy_path):
+    with open(toy_path) as fh:
+        data = json.load(fh)
+    for gp in data["grid_positions"]:
+        gp["pos"] = gp["pos"][:2]
+    bad = tmp_path / "flat.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(bad), "--alpha", "0.9",
+        "--beta", "0.7",
+    )
+    assert code == 3
+    assert "pos" in stderr and "expected 3" in stderr
     assert stdout == ""
 
 

@@ -10,6 +10,7 @@ import pytest
 import oracles
 from conftest import random_toy
 from mmwplan import (
+    CandidateLocation,
     ChannelParams,
     Deployment,
     DeploymentValidationError,
@@ -18,6 +19,7 @@ from mmwplan import (
     PlacedAp,
     PlanningModel,
     SizeLimitError,
+    Venue,
     evaluate_coverage,
     exact_place,
     generate_venue,
@@ -204,15 +206,6 @@ def test_greedy_infeasible_reports_partial(toy_venue):
     assert err.diagnostics["achieved_normalized"] < 0.5
 
 
-def test_greedy_parallel_matches_serial(tight_params):
-    v = random_toy(29)
-    a, ta = greedy_place(v, tight_params, 0.9, 0.7, parallel=False)
-    b, tb = greedy_place(v, tight_params, 0.9, 0.7, parallel=True,
-                         max_workers=3)
-    assert a.to_dict() == b.to_dict()
-    assert ta.to_dict() == tb.to_dict()
-
-
 # -- one-iteration subproblem vs scalar oracle ------------------------------
 
 
@@ -374,6 +367,21 @@ def test_exact_refuses_large_instances(default_params):
     assert rep["grid_positions"] == hall.n_grid
     assert rep["max_positions"] == 12
     assert "limits" in str(e.value)
+
+
+def test_model_refuses_more_than_63_mounts(default_params):
+    def mounts(n):
+        seat = generate_venue("toy").grid_positions[:1]
+        cands = [CandidateLocation(id=j, position=(j % 8, j // 8, 5.0))
+                 for j in range(n)]
+        return Venue(name=f"{n}-mounts", grid_positions=seat,
+                     candidates=cands)
+
+    assert PlanningModel(mounts(63), default_params, 0.5).L == 63
+    with pytest.raises(SizeLimitError) as e:
+        greedy_place(mounts(64), default_params, 0.5, 0.5)
+    assert e.value.report == {"candidates": 64, "max_candidates": 63}
+    assert "63" in str(e.value)
 
 
 def test_exact_infeasible_when_target_unreachable(toy_venue):

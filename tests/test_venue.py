@@ -1,4 +1,4 @@
-"""Venue geometry: angles, occlusion, self-blockage windows, JSON."""
+"""Venue geometry: angles, occlusion, validation, JSON."""
 
 import json
 import math
@@ -14,7 +14,6 @@ from mmwplan import (
     GridPosition,
     Venue,
     VenueFormatError,
-    los_angle_sets,
     occlusion_matrix,
     ray_occluded,
     rx_angles,
@@ -179,59 +178,6 @@ def test_blocker_outside_segment_bbox_is_harmless():
         assert not ray_occluded(v1, 0, 0)
 
 
-# -- self-blockage windows --------------------------------------------------
-
-
-def test_los_sets_occluded_pair_empty():
-    gp, ap = (0.0, 0.0, 0.0), (4.0, 0.0, 4.0)
-    mid = BodyPrism(center=(2.0, 0.0, 2.0), size=(2.0, 2.0, 2.0))
-    v = _venue([gp], [ap], blockers=[mid])
-    az, tilt = los_angle_sets(v, 0, 0, math.pi / 2.0)
-    assert az.is_empty and tilt.is_empty
-
-
-def test_los_sets_full_when_half_angle_pi():
-    v = _venue([(0.0, 0.0, 0.0)], [(3.0, 0.0, 4.0)])
-    az, _ = los_angle_sets(v, 0, 0, math.pi)
-    assert az.is_full
-
-
-def test_los_sets_wrapped_window():
-    # device-to-candidate azimuth 3pi/4, half-angle pi/2 wraps past pi
-    v = _venue([(0.0, 0.0, 0.0)], [(-3.0, 3.0, 4.0)])
-    phi_rx, _ = rx_angles(v, 0, 0)
-    assert abs(phi_rx - 3.0 * math.pi / 4.0) < 1e-12
-    az, _ = los_angle_sets(v, 0, 0, math.pi / 2.0)
-    segs = sorted(az.segments())
-    assert len(segs) == 2
-    (a1, b1), (a2, b2) = segs
-    assert abs(a1 + math.pi) < 1e-9 and abs(b1 + 3.0 * math.pi / 4.0) < 1e-9
-    assert abs(a2 - math.pi / 4.0) < 1e-9 and abs(b2 - math.pi) < 1e-9
-
-
-def test_los_sets_centered_on_rx_azimuth():
-    rng = np.random.default_rng(16)
-    for _ in range(40):
-        gp = tuple(rng.uniform(0.0, 8.0, 2)) + (0.0,)
-        ap = tuple(rng.uniform(0.0, 8.0, 2)) + (4.0,)
-        if abs(gp[0] - ap[0]) + abs(gp[1] - ap[1]) < 1e-6:
-            continue
-        half = float(rng.uniform(0.2, math.pi - 0.01))
-        v = _venue([gp], [ap])
-        az, _ = los_angle_sets(v, 0, 0, half)
-        phi_rx, _ = rx_angles(v, 0, 0)
-        assert abs(wrap_angle(az.center() - phi_rx)) < 1e-9
-        assert abs(az.length() - 2.0 * half) < 1e-9
-
-
-def test_los_sets_rejects_bad_half_angle():
-    v = _venue([(0.0, 0.0, 0.0)], [(3.0, 0.0, 4.0)])
-    with pytest.raises(GeometryError):
-        los_angle_sets(v, 0, 0, 0.0)
-    with pytest.raises(GeometryError):
-        los_angle_sets(v, 0, 0, 3.5)
-
-
 # -- construction and serialization ----------------------------------------
 
 
@@ -271,6 +217,15 @@ def test_validation_catches_bad_ids_and_ranges():
     ("beta", math.nan),
     ("blocker_center", (1.0, math.nan, 1.0)),
     ("blocker_size", (1.0, 1.0, math.inf)),
+    # points and sizes need exactly three coordinates
+    ("gp_pos", (0.0, 0.0)),
+    ("gp_pos", (0.0, 0.0, 0.0, 0.0)),
+    ("cand_pos", (3.0, 0.0)),
+    ("cand_pos", (3.0, 0.0, 4.0, 1.0)),
+    ("blocker_center", (1.0, 0.0)),
+    ("blocker_center", (1.0, 0.0, 1.0, 0.0)),
+    ("blocker_size", (0.5, 0.5)),
+    ("blocker_size", (0.5, 0.5, 2.0, 1.0)),
 ])
 def test_validation_rejects_non_finite_fields(field, value):
     gp = GridPosition(id=0, position=(0.0, 0.0, 0.0), facing=0.0,
