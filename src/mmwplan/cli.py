@@ -125,7 +125,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 max_positions=args.max_exact_m,
             )
         else:
-            n = args.uniform_n or venue.n_candidates
+            n = (
+                args.uniform_n
+                if args.uniform_n is not None
+                else venue.n_candidates
+            )
             deployment = uniform_place(venue, params, n, betas)
     except InfeasibleError as exc:
         elapsed = time.perf_counter() - start
@@ -215,12 +219,13 @@ def cmd_compare(args: argparse.Namespace) -> int:
             except InfeasibleError:
                 pass
             if greedy is not None:
-                n = args.uniform_n or max(len(greedy.selected), 1)
-                try:
-                    uniform = uniform_place(venue, params, n, betas)
-                    row["coverage_uniform"] = uniform.normalized_coverage
-                except ValueError:
-                    pass
+                n = (
+                    args.uniform_n
+                    if args.uniform_n is not None
+                    else max(len(greedy.selected), 1)
+                )
+                uniform = uniform_place(venue, params, n, betas)
+                row["coverage_uniform"] = uniform.normalized_coverage
             if greedy is not None and exact is not None:
                 bound = approximation_bound(trace, exact, venue)
                 row["analytic_ratio"] = bound["analytic_ratio"]

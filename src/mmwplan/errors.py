@@ -39,8 +39,7 @@ class InfeasibleError(PlanError):
 
 
 class SizeLimitError(PlanError):
-    """Raised when an instance exceeds a size limit: the exact solver's
-    guard, or the 63 candidate mounts any planning model can hold."""
+    """Raised when an instance exceeds the exact solver's size guard."""
 
     def __init__(self, message, report=None):
         super().__init__(message)

@@ -177,14 +177,17 @@ def monte_carlo_connectivity(
     partition assumes for assigned links. With shadowing off the empirical
     rate should land within three binomial standard errors of the analytic
     value; with shadowing on there is no such target and the analytic
-    column is reference only.
+    column is reference only. Raises ``ValueError`` for an assigned id
+    outside the venue's candidates.
     """
-    model = PlanningModel(venue, params, 1.0)
     aps = sorted(set(int(l) for l in assigned))
-    mask = 0
-    for l in aps:
-        mask |= 1 << l
-    analytic = connectivity_probability(model.partitions[m], mask)
+    if aps and not (0 <= aps[0] and aps[-1] < venue.n_candidates):
+        raise ValueError(
+            f"assigned ids must lie in [0, {venue.n_candidates - 1}], "
+            f"got {aps}"
+        )
+    model = PlanningModel(venue, params, 1.0)
+    analytic = connectivity_probability(model.partitions[m], aps)
 
     rng = _substream(mc.seed, m)
     gp = venue.grid_positions[m]

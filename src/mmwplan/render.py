@@ -120,7 +120,11 @@ def render_svg(
     wedge_radius: Optional[float] = None,
 ) -> str:
     """Render to an SVG string. Without a deployment the venue is drawn
-    alone and users stay a neutral gray."""
+    alone and users stay a neutral gray.
+
+    Raises ``ValueError`` when the deployment names a candidate id outside
+    the venue or carries a probability count other than one per user.
+    """
     xs = [gp.position[0] for gp in venue.grid_positions]
     ys = [gp.position[1] for gp in venue.grid_positions]
     xs += [c.position[0] for c in venue.candidates]
@@ -135,6 +139,17 @@ def render_svg(
     if deployment is not None:
         probs = deployment.per_gp_prob
         selected = deployment.selected
+        for ap in selected:
+            if not (0 <= ap.candidate < venue.n_candidates):
+                raise ValueError(
+                    f"deployment names candidate {ap.candidate}; the venue "
+                    f"has ids 0..{venue.n_candidates - 1}"
+                )
+        if len(probs) != venue.n_grid:
+            raise ValueError(
+                f"deployment has {len(probs)} per-user probabilities; the "
+                f"venue has {venue.n_grid} grid positions"
+            )
 
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" '

@@ -78,42 +78,41 @@ def circular_mass(
 
 @dataclass(frozen=True)
 class ScenarioCell:
-    """One arc of orientations with a constant set of active links.
-
-    ``visible`` is a bitmask over candidate ids: bit l set means the link
-    to candidate l is active anywhere in the cell.
-    """
+    """One arc of orientations with a constant set of active links."""
 
     interval: AngularInterval
     prob: float
-    visible: int
 
 
 class ScenarioPartition:
     """Cells covering the circle for one grid position.
 
-    ``always_on`` is the bitmask of links active for every orientation;
-    those bits are also set in every cell. ``cell_probs`` and
-    ``cell_masks`` mirror the cells as arrays for fast probability sums.
+    ``visible`` is an ``(n_cells, L)`` boolean matrix over the venue's
+    candidates: row i, column l is set when the link to candidate l is
+    active anywhere in cell i. ``always_on`` is the ``(L,)`` boolean row of
+    links active for every orientation; those columns are set in every
+    row. ``cell_probs`` holds the cell masses as an array for fast sums.
     """
 
-    __slots__ = ("gp", "cells", "always_on", "cell_probs", "cell_masks")
+    __slots__ = ("gp", "cells", "visible", "always_on", "cell_probs")
 
     def __init__(
-        self, gp: int, cells: Sequence[ScenarioCell], always_on: int
+        self,
+        gp: int,
+        cells: Sequence[ScenarioCell],
+        visible: np.ndarray,
+        always_on: np.ndarray,
     ) -> None:
         self.gp = gp
         self.cells = tuple(cells)
-        self.always_on = always_on
+        self.visible = np.asarray(visible, dtype=bool)
+        self.always_on = np.asarray(always_on, dtype=bool)
         self.cell_probs = np.array([c.prob for c in self.cells])
-        self.cell_masks = np.array(
-            [c.visible for c in self.cells], dtype=np.int64
-        )
 
     def __repr__(self) -> str:
         return (
             f"ScenarioPartition(gp={self.gp}, cells={len(self.cells)}, "
-            f"always_on={self.always_on:#x})"
+            f"always_on={np.flatnonzero(self.always_on).tolist()})"
         )
 
 
@@ -127,10 +126,11 @@ def build_scenarios(
     ``always_on``, and every proper arc contributes its two endpoints as
     cell boundaries. Cell membership is decided at the cell midpoint, which
     is safely interior because boundaries are exactly the arc endpoints.
+    Visibility rows span all ``venue.n_candidates`` candidates.
     """
     dist = OrientationDistribution.for_gp(venue, gp_id)
     arcs: List[Tuple[int, AngularInterval]] = []
-    always = 0
+    always = np.zeros(venue.n_candidates, dtype=bool)
     for p in profiles:
         if p.gp != gp_id:
             raise ValueError(
@@ -139,59 +139,48 @@ def build_scenarios(
         if not p.usable or p.effective_interval.is_empty:
             continue
         if p.effective_interval.is_full:
-            always |= 1 << p.ap
+            always[p.ap] = True
         else:
             arcs.append((p.ap, p.effective_interval))
 
     boundaries = sorted({e for _, arc in arcs for e in arc.endpoints()})
-    cells: List[ScenarioCell] = []
     if not boundaries:
-        cells.append(ScenarioCell(AngularInterval.full(), 1.0, always))
-        return ScenarioPartition(gp_id, cells, always)
+        cells = [ScenarioCell(AngularInterval.full(), 1.0)]
+        return ScenarioPartition(gp_id, cells, always[None, :], always)
 
     n = len(boundaries)
+    cells = []
+    visible = np.repeat(always[None, :], n, axis=0)
     for i in range(n):
         lo = boundaries[i]
         hi = boundaries[(i + 1) % n]
         cell_arc = AngularInterval.arc(lo, hi)
         mid = wrap_angle(lo + 0.5 * cell_arc.length())
-        mask = always
         for ap, arc in arcs:
             if arc.contains(mid):
-                mask |= 1 << ap
-        cells.append(
-            ScenarioCell(cell_arc, circular_mass(dist, cell_arc), mask)
-        )
-    return ScenarioPartition(gp_id, cells, always)
-
-
-def _as_mask(aps: Union[int, Iterable[int]]) -> int:
-    if isinstance(aps, int):
-        return aps
-    mask = 0
-    for l in aps:
-        mask |= 1 << l
-    return mask
+                visible[i, ap] = True
+        cells.append(ScenarioCell(cell_arc, circular_mass(dist, cell_arc)))
+    return ScenarioPartition(gp_id, cells, visible, always)
 
 
 def connectivity_probability(
-    partition: ScenarioPartition, aps: Union[int, Iterable[int]]
+    partition: ScenarioPartition, aps: Union[List[int], np.ndarray]
 ) -> float:
     """Probability that at least one link in the set is active.
 
-    ``aps`` is an iterable of candidate ids or a prebuilt bitmask. A set
-    containing an always-on link returns exactly 1.0.
+    ``aps`` indexes the candidate columns: a list or integer array of
+    candidate ids, or a boolean row over candidates. A set containing an
+    always-on link returns exactly 1.0.
     """
-    mask = _as_mask(aps)
-    if mask & partition.always_on:
+    if partition.always_on[aps].any():
         return 1.0
-    hit = (partition.cell_masks & mask) != 0
+    hit = partition.visible[:, aps].any(axis=1)
     return float(partition.cell_probs[hit].sum())
 
 
 def satisfied(
     partition: ScenarioPartition,
-    aps: Union[int, Iterable[int]],
+    aps: Union[List[int], np.ndarray],
     beta: float,
 ) -> bool:
     """Whether the assigned set meets the per-user connectivity target."""

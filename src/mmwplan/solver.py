@@ -28,9 +28,9 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -60,9 +60,6 @@ DEPLOYMENT_FORMAT_VERSION = 1
 logger = logging.getLogger(__name__)
 
 BetaLike = Union[float, Sequence[float]]
-
-# candidate sets are np.int64 bitmasks, so bit 63 is out of reach
-_MAX_CANDIDATES = 63
 
 
 @dataclass(frozen=True)
@@ -219,7 +216,6 @@ class PlanningModel:
 
     Built once per (venue, params, betas) and shared by every solver and by
     ``evaluate``; every satisfaction decision goes through ``finalize``.
-    Venues with more than 63 candidate mounts raise ``SizeLimitError``.
     """
 
     def __init__(
@@ -229,15 +225,6 @@ class PlanningModel:
         self.params = params
         self.M = venue.n_grid
         self.L = venue.n_candidates
-        if self.L > _MAX_CANDIDATES:
-            raise SizeLimitError(
-                f"{self.L} candidate mounts exceed the planner's limit of "
-                f"{_MAX_CANDIDATES}: candidate sets are 64-bit signed masks",
-                report={
-                    "candidates": self.L,
-                    "max_candidates": _MAX_CANDIDATES,
-                },
-            )
         self.betas = _normalize_betas(betas, self.M)
         self.q = np.array([gp.presence_prob for gp in venue.grid_positions])
         self.total_mass = float(self.q.sum())
@@ -339,8 +326,8 @@ class PlanningModel:
 
     # -- satisfaction --------------------------------------------------
 
-    def conn(self, m: int, mask: int) -> float:
-        return connectivity_probability(self.partitions[m], mask)
+    def conn(self, m: int, aps: Union[List[int], np.ndarray]) -> float:
+        return connectivity_probability(self.partitions[m], aps)
 
     def coverage_of(self, z: np.ndarray) -> float:
         return float(np.dot(self.q, z.astype(float)))
@@ -351,9 +338,12 @@ class PlanningModel:
         return coverage / self.total_mass
 
     def finalize(self, selected: Sequence[PlacedAp]) -> Deployment:
-        masks = self.assignment_masks(selected)
+        assigned = np.zeros((self.M, self.L), dtype=bool)
+        for ap in selected:
+            for m in ap.assigned:
+                assigned[m, ap.candidate] = True
         probs = np.array(
-            [self.conn(m, int(masks[m])) for m in range(self.M)]
+            [self.conn(m, assigned[m]) for m in range(self.M)]
         )
         z = probs >= self.betas
         coverage = self.coverage_of(z)
@@ -364,16 +354,6 @@ class PlanningModel:
             coverage=coverage,
             normalized_coverage=self.normalized(coverage),
         )
-
-    def assignment_masks(
-        self, selected: Sequence[PlacedAp]
-    ) -> np.ndarray:
-        masks = np.zeros(self.M, dtype=np.int64)
-        for ap in selected:
-            bit = 1 << ap.candidate
-            for m in ap.assigned:
-                masks[m] |= bit
-        return masks
 
     def evaluate(self, deployment: Deployment) -> CoverageReport:
         """Validate a deployment and recompute its per-user connectivity
@@ -457,9 +437,13 @@ def evaluate_coverage(
 
 @dataclass
 class GreedyState:
-    """Mutable per-user assignment state threaded through iterations."""
+    """Mutable per-user assignment state threaded through iterations.
 
-    masks: np.ndarray
+    ``assigned`` is an ``(M, L)`` boolean matrix: row m marks the
+    candidates serving user m.
+    """
+
+    assigned: np.ndarray
     conn: np.ndarray
     satisfied: np.ndarray
     coverage: float
@@ -469,7 +453,7 @@ class GreedyState:
         conn = np.zeros(model.M)
         satisfied = conn >= model.betas
         return GreedyState(
-            masks=np.zeros(model.M, dtype=np.int64),
+            assigned=np.zeros((model.M, model.L), dtype=bool),
             conn=conn,
             satisfied=satisfied,
             coverage=model.coverage_of(satisfied),
@@ -481,20 +465,17 @@ def _iteration_tables(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per (user, pool candidate): connectivity gain and predicted
     satisfaction if that single candidate were added."""
-    P = len(pool)
-    bits = np.array([1 << l for l in pool], dtype=np.int64)
-    dp = np.zeros((model.M, P))
-    pred_sat = np.zeros((model.M, P), dtype=bool)
+    cols = np.asarray(pool, dtype=np.intp)
+    dp = np.zeros((model.M, cols.size))
+    pred_sat = np.zeros((model.M, cols.size), dtype=bool)
     for m in np.flatnonzero(~state.satisfied):
         part = model.partitions[m]
-        masks = part.cell_masks
-        cur = int(state.masks[m])
-        uncovered = (masks & cur) == 0
-        hit = (masks[:, None] & bits[None, :]) != 0
+        uncovered = ~part.visible[:, state.assigned[m]].any(axis=1)
+        hit = part.visible[:, cols]
         gain = part.cell_probs @ (hit & uncovered[:, None])
         dp[m] = gain
         pred = state.conn[m] + gain
-        pred = np.where((bits & part.always_on) != 0, 1.0, pred)
+        pred = np.where(part.always_on[cols], 1.0, pred)
         pred_sat[m] = pred >= model.betas[m]
     return dp, pred_sat
 
@@ -627,10 +608,9 @@ def greedy_place(
         if choice is None:
             raise bail("stagnated")
         l = choice.candidate
-        bit = np.int64(1 << l)
         for m in choice.members:
-            state.masks[m] |= bit
-            state.conn[m] = model.conn(m, int(state.masks[m]))
+            state.assigned[m, l] = True
+            state.conn[m] = model.conn(m, state.assigned[m])
         newly = [
             m
             for m in choice.members
@@ -670,30 +650,29 @@ def greedy_place(
 # -- exact -------------------------------------------------------------
 
 
-def _minimal_satisfying_masks(
+def _minimal_satisfying_sets(
     model: PlanningModel, m: int
-) -> List[int]:
-    """All inclusion-minimal candidate sets meeting user m's target."""
+) -> List[Tuple[int, ...]]:
+    """All inclusion-minimal candidate sets meeting user m's target, as
+    tuples of ids in ``combinations`` order."""
     beta = model.betas[m]
     if beta <= 0.0:
         return []
     ids = [int(l) for l in np.flatnonzero(model.usable[m])]
-    found: List[int] = []
+    found: List[Tuple[int, ...]] = []
     for size in range(1, len(ids) + 1):
         for combo in combinations(ids, size):
-            mask = 0
-            for l in combo:
-                mask |= 1 << l
-            if any(prev & mask == prev for prev in found):
+            if any(set(prev).issubset(combo) for prev in found):
                 continue
-            if connectivity_probability(model.partitions[m], mask) >= beta:
-                found.append(mask)
+            prob = connectivity_probability(model.partitions[m], list(combo))
+            if prob >= beta:
+                found.append(combo)
     return found
 
 
 def _assignment_search(
     order: Sequence[int],
-    choices: Dict[int, List[int]],
+    choices: Dict[int, List[Tuple[int, ...]]],
     qv: np.ndarray,
     subset: Sequence[int],
     capacity: int,
@@ -705,7 +684,8 @@ def _assignment_search(
     satisfying sets (capacity permitting) or stays unassigned. The
     remaining-mass bound prunes branches that cannot beat the incumbent,
     and the first assignment reaching the maximum is kept, which makes the
-    result independent of pruning strength.
+    result independent of pruning strength. An unassigned user gets the
+    empty set.
     """
     n = len(order)
     suffix = np.zeros(n + 1)
@@ -713,13 +693,13 @@ def _assignment_search(
         suffix[j] = suffix[j + 1] + qv[order[j]]
     pos_of = {l: p for p, l in enumerate(subset)}
     needs = {
-        m: [(ms, [pos_of[l] for l in _bits(ms)]) for ms in choices[m]]
+        m: [(ms, [pos_of[l] for l in ms]) for ms in choices[m]]
         for m in order
     }
     cap = [capacity] * len(subset)
-    cur: List[int] = [0] * n
+    cur: List[Tuple[int, ...]] = [()] * n
     best_val = -1.0
-    best_assign: Optional[List[int]] = None
+    best_assign: Optional[List[Tuple[int, ...]]] = None
 
     def rec(j: int, val: float) -> None:
         nonlocal best_val, best_assign
@@ -738,22 +718,11 @@ def _assignment_search(
                 rec(j + 1, val + qv[m])
                 for p in need:
                     cap[p] += 1
-        cur[j] = 0
+        cur[j] = ()
         rec(j + 1, val)
 
     rec(0, 0.0)
     return base + best_val if best_val >= 0.0 else -1.0, best_assign
-
-
-def _bits(mask: int) -> List[int]:
-    out = []
-    l = 0
-    while mask:
-        if mask & 1:
-            out.append(l)
-        mask >>= 1
-        l += 1
-    return out
 
 
 def _useful_steerings(foot: np.ndarray) -> List[int]:
@@ -815,15 +784,7 @@ def exact_place(
     full_ok = np.array(
         [
             free[m]
-            or connectivity_probability(
-                model.partitions[m],
-                int(
-                    np.bitwise_or.reduce(
-                        (np.int64(1) << np.flatnonzero(model.usable[m])),
-                        initial=np.int64(0),
-                    )
-                ),
-            )
+            or connectivity_probability(model.partitions[m], model.usable[m])
             >= model.betas[m]
             for m in range(M)
         ]
@@ -839,7 +800,7 @@ def exact_place(
             },
         )
 
-    choices_all = {m: _minimal_satisfying_masks(model, m) for m in range(M)}
+    choices_all = {m: _minimal_satisfying_sets(model, m) for m in range(M)}
     demanding = [
         int(m)
         for m in model.gp_order
@@ -862,11 +823,11 @@ def exact_place(
         k_min = max(0, math.ceil(n_needed / capacity))
 
     n_t = model.n_tuples
-    # bit l of allowed[m] is read only through user m's minimal sets
+    # whether user m may use mount l is read only through m's minimal sets
     matters = np.zeros((L, M), dtype=bool)
     for m, sets in choices_all.items():
         for ms in sets:
-            matters[_bits(ms), m] = True
+            matters[list(ms), m] = True
     reps = [
         _useful_steerings(model.foot_ok[l] & matters[l]) for l in range(L)
     ]
@@ -878,18 +839,21 @@ def exact_place(
 
     def scan_subset(
         subset: Tuple[int, ...]
-    ) -> Optional[Tuple[float, Tuple, Tuple, List[int], List[int]]]:
+    ) -> Optional[
+        Tuple[float, Tuple, Tuple, List[int], List[Tuple[int, ...]]]
+    ]:
         best = None
         for steer in product(*[reps[l] for l in subset]):
-            allowed = np.zeros(M, dtype=np.int64)
-            for pos, l in enumerate(subset):
-                allowed[model.foot_ok[l, steer[pos]]] |= np.int64(1 << l)
+            allowed: List[set] = [set() for _ in range(M)]
+            for l, ti in zip(subset, steer):
+                for m in model.foot_members[l][ti]:
+                    allowed[m].add(l)
             order = []
-            choices: Dict[int, List[int]] = {}
+            choices: Dict[int, List[Tuple[int, ...]]] = {}
             potential = base
             for m in demanding:
                 opts = [
-                    ms for ms in choices_all[m] if ms & ~int(allowed[m]) == 0
+                    ms for ms in choices_all[m] if allowed[m].issuperset(ms)
                 ]
                 if opts:
                     order.append(m)
@@ -931,7 +895,7 @@ def exact_place(
     _, subset, steer, order, assign = found
     by_ap: Dict[int, List[int]] = {l: [] for l in subset}
     for j, m in enumerate(order):
-        for l in _bits(assign[j]):
+        for l in assign[j]:
             by_ap[l].append(m)
     selected = [
         PlacedAp(

@@ -24,8 +24,7 @@ from mmwplan.solver import (
     PlacedAp,
     PlanningModel,
     _assignment_search,
-    _bits,
-    _minimal_satisfying_masks,
+    _minimal_satisfying_sets,
 )
 from mmwplan.venue import (
     Venue,
@@ -194,9 +193,9 @@ def pattern_connectivity(partition, ap_ids):
     """
     ids = list(ap_ids)
     masses = {}
-    for cell in partition.cells:
-        vis = cell.visible | partition.always_on
-        pat = tuple(int(vis >> l & 1) for l in ids)
+    for cell, row in zip(partition.cells, partition.visible):
+        vis = row | partition.always_on
+        pat = tuple(bool(vis[l]) for l in ids)
         masses[pat] = masses.get(pat, 0.0) + cell.prob
     return sum(p for pat, p in masses.items() if any(pat))
 
@@ -233,12 +232,10 @@ def flat_minimum_count(venue, params, alpha, beta, kmax=3):
                     for s in range(1 << k):
                         if (s & avail) != s:
                             continue
-                        gmask = 0
-                        for i in range(k):
-                            if s >> i & 1:
-                                gmask |= 1 << cand_subset[i]
+                        ids = [cand_subset[i] for i in range(k)
+                               if s >> i & 1]
                         probs[s] = connectivity_probability(
-                            model.partitions[m], gmask)
+                            model.partitions[m], ids)
                     opts.append(probs)
                 for choice in itertools.product(*[sorted(o) for o in opts]):
                     load = [0] * k
@@ -273,7 +270,7 @@ def exact_place_unpruned(venue, params, alpha, betas):
     M, L, T = model.M, model.L, params.capacity_per_beam
     free = model.betas <= 0.0
     base = float(model.q[free].sum())
-    choices_all = {m: _minimal_satisfying_masks(model, m) for m in range(M)}
+    choices_all = {m: _minimal_satisfying_sets(model, m) for m in range(M)}
     demanding = [int(m) for m in model.gp_order
                  if not free[m] and choices_all[m]]
 
@@ -281,14 +278,14 @@ def exact_place_unpruned(venue, params, alpha, betas):
     for k in range(0, L + 1):
         for subset in itertools.combinations(range(L), k):
             for steer in itertools.product(range(model.n_tuples), repeat=k):
-                allowed = [0] * M
+                allowed = [set() for _ in range(M)]
                 for l, ti in zip(subset, steer):
                     for m in np.flatnonzero(model.foot_ok[l, ti]):
-                        allowed[m] |= 1 << l
+                        allowed[m].add(l)
                 order, choices, potential = [], {}, base
                 for m in demanding:
                     opts = [ms for ms in choices_all[m]
-                            if ms & ~allowed[m] == 0]
+                            if set(ms) <= allowed[m]]
                     if opts:
                         order.append(m)
                         choices[m] = opts
@@ -308,7 +305,7 @@ def exact_place_unpruned(venue, params, alpha, betas):
     _, subset, steer, order, assign = found
     by_ap = {l: [] for l in subset}
     for m, ms in zip(order, assign):
-        for l in _bits(ms):
+        for l in ms:
             by_ap[l].append(m)
     selected = []
     for l, ti in zip(subset, steer):
@@ -322,7 +319,7 @@ def exact_place_unpruned(venue, params, alpha, betas):
 # greedy subproblem: slow rescan
 
 
-def iteration_key_oracle(model, l, ti, masks, conn, satisfied):
+def iteration_key_oracle(model, l, ti, assigned, conn, satisfied):
     """Re-derive one beam's (new mass, gain mass, members) with scalar
     arithmetic, mirroring the documented member policy: users the beam
     newly satisfies first in descending mass order, then unsatisfied users
@@ -333,11 +330,11 @@ def iteration_key_oracle(model, l, ti, masks, conn, satisfied):
            if not satisfied[m]]
     if not mem:
         return None
-    bit = 1 << l
     winners, rest = [], []
     for m in mem:
         part = model.partitions[m]
-        after = connectivity_probability(part, int(masks[m]) | bit)
+        ids = sorted({int(k) for k in np.flatnonzero(assigned[m])} | {l})
+        after = connectivity_probability(part, ids)
         gain = after - conn[m]
         if after >= beta[m]:
             winners.append(m)
@@ -358,12 +355,13 @@ def iteration_key_oracle(model, l, ti, masks, conn, satisfied):
     return primary, secondary, members
 
 
-def iteration_best_oracle(model, pool, masks, conn, satisfied):
+def iteration_best_oracle(model, pool, assigned, conn, satisfied):
     """Exhaustive argmax over the pool with the documented tie-break."""
     best = None
     for l in pool:
         for ti in range(model.n_tuples):
-            r = iteration_key_oracle(model, l, ti, masks, conn, satisfied)
+            r = iteration_key_oracle(model, l, ti, assigned, conn,
+                                     satisfied)
             if r is None:
                 continue
             key = (r[0], r[1])

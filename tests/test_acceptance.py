@@ -44,6 +44,10 @@ def _verdict(num, label, ok, detail):
     assert ok, line
 
 
+def _ids(bits):
+    return [l for l in range(4) if bits >> l & 1]
+
+
 def _partition(venue, params, m):
     profiles = [link_profile(venue, params, m, l)
                 for l in range(venue.n_candidates)]
@@ -225,14 +229,15 @@ def test_criterion_5_monotone_in_targets():
         venue = random_toy(seed)
         for m in range(venue.n_grid):
             parts.append(_partition(venue, TIGHT, m))
+    # random subsets of the 4 toy mounts: bit l of an integer picks id l
     full = (1 << 4) - 1
     while cases < 10000:
         part = parts[int(rng.integers(0, len(parts)))]
         small = int(rng.integers(0, full + 1))
         big = small | int(rng.integers(0, full + 1))
         grew += (
-            connectivity_probability(part, small)
-            <= connectivity_probability(part, big) + 1e-15
+            connectivity_probability(part, _ids(small))
+            <= connectivity_probability(part, _ids(big)) + 1e-15
         )
         cases += 1
     _verdict(

@@ -108,20 +108,23 @@ def test_plan_exact_refuses_hall(capsys, tmp_path):
     assert "6" in stderr and "12" in stderr
 
 
-def test_plan_refuses_64_mounts(capsys, tmp_path, toy_path):
+def test_plan_accepts_200_mounts(capsys, tmp_path, toy_path):
     with open(toy_path) as fh:
         data = json.load(fh)
-    data["candidates"] = [{"id": j, "pos": [j % 8, j // 8, 5.0]}
-                          for j in range(64)]
-    big = tmp_path / "64.json"
+    data["candidates"] = [{"id": j, "pos": [0.5 * (j % 20), j // 20, 5.0]}
+                          for j in range(200)]
+    big = tmp_path / "200.json"
     big.write_text(json.dumps(data))
+    dep_path = tmp_path / "dep.json"
     code, stdout, stderr = run(
         capsys, "plan", "--venue", str(big), "--alpha", "0.5",
-        "--beta", "0.5",
+        "--beta", "0.5", "--out", str(dep_path),
     )
-    assert code == 4
-    assert "refused" in stderr and "63" in stderr
-    assert stdout == ""
+    assert code == 0, stderr
+    assert "solver=greedy" in stdout
+    dep = json.loads(dep_path.read_text())
+    assert dep["normalized_coverage"] >= 0.5
+    assert all(0 <= ap["loc"] < 200 for ap in dep["selected"])
 
 
 @pytest.mark.parametrize("extra", [
@@ -159,6 +162,21 @@ def test_plan_uniform(capsys, toy_path):
     )
     assert code == 0
     assert "aps=2" in stdout
+
+
+@pytest.mark.parametrize("command, n", [
+    ("plan", "0"), ("compare", "0"), ("compare", "-2"), ("compare", "99"),
+])
+def test_uniform_n_out_of_range_is_invalid_input(capsys, toy_path, command,
+                                                 n):
+    extra = ["--solver", "uniform"] if command == "plan" else []
+    code, stdout, stderr = run(
+        capsys, command, "--venue", toy_path, "--alpha", "0.5",
+        "--beta", "0.7", "--uniform-n", n, *extra,
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "count must lie in [1, 4]" in stderr
 
 
 # -- validate ---------------------------------------------------------------
@@ -310,6 +328,36 @@ def test_render_round_trip(capsys, tmp_path, toy_path):
     classes = [el.get("class") for el in root.iter()]
     assert "access-point" in classes
     assert "grid-position" in classes
+
+
+def _tampered_deployment(tmp_path, toy_path, edit):
+    dep_path = tmp_path / "dep.json"
+    assert main(["plan", "--venue", toy_path, "--alpha", "0.9",
+                 "--beta", "0.7", "--out", str(dep_path)]) == 0
+    data = json.loads(dep_path.read_text())
+    edit(data)
+    dep_path.write_text(json.dumps(data))
+    return dep_path
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d["selected"][0].update(loc=99), "candidate 99"),
+    (lambda d: d["selected"][0].update(loc=-1), "candidate -1"),
+    (lambda d: d.update(per_gp=d["per_gp"][:3]), "3 per-user"),
+], ids=["loc-99", "loc-minus-1", "short-per-gp"])
+def test_render_rejects_deployment_outside_venue(capsys, tmp_path, toy_path,
+                                                 edit, message):
+    dep_path = _tampered_deployment(tmp_path, toy_path, edit)
+    svg_path = tmp_path / "plan.svg"
+    code, stdout, stderr = run(
+        capsys, "render", "--venue", toy_path, "--deployment",
+        str(dep_path), "--out", str(svg_path),
+    )
+    assert code == 3
+    assert message in stderr
+    assert "Traceback" not in stderr
+    assert stdout == ""
+    assert not svg_path.exists()
 
 
 def test_render_venue_only(capsys, tmp_path, toy_path):

@@ -11,7 +11,6 @@ from mmwplan import (
     DeploymentValidationError,
     McConfig,
     OrientationDistribution,
-    PlanningModel,
     greedy_place,
     monte_carlo_connectivity,
     monte_carlo_coverage,
@@ -99,6 +98,13 @@ def test_empty_set_is_exact_zero(tight_params):
     assert r["empirical_prob"] == 0.0
 
 
+@pytest.mark.parametrize("assigned", [[-1], [0, 4]])
+def test_connectivity_rejects_unknown_ids(toy_venue, default_params,
+                                          assigned):
+    with pytest.raises(ValueError, match="assigned ids"):
+        monte_carlo_connectivity(toy_venue, default_params, 0, assigned, MC)
+
+
 def test_orientation_dependent_link_within_3sigma():
     v = single_link_venue(dx=0.0, dz=40.0, tilt=0.0)
     r = monte_carlo_connectivity(v, ChannelParams(), 0, [0], MC)
@@ -157,12 +163,10 @@ def test_coverage_matches_per_user_replay(tight_params):
     # the standalone run and the deployment replay agree bit for bit
     v = random_toy(61)
     dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
-    model = PlanningModel(v, tight_params, 0.7)
-    masks = model.assignment_masks(dep.selected)
     cov = monte_carlo_coverage(v, tight_params, dep, 0.7, MC)
     checked = 0
     for m in range(v.n_grid):
-        s = [l for l in range(v.n_candidates) if int(masks[m]) >> l & 1]
+        s = sorted(ap.candidate for ap in dep.selected if m in ap.assigned)
         if not s:
             continue
         r = monte_carlo_connectivity(v, tight_params, m, s, MC)

@@ -1,14 +1,18 @@
 """Orientation distribution, scenario cells, chance-constraint sums."""
 
+import functools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_toy
 from mmwplan import (
     AngularInterval,
+    CandidateLocation,
     ChannelParams,
     OrientationDistribution,
     ScenarioCell,
@@ -25,6 +29,11 @@ def _partition(venue, params, m):
     profiles = [link_profile(venue, params, m, l)
                 for l in range(venue.n_candidates)]
     return build_scenarios(venue, m, profiles)
+
+
+def _ids(bits):
+    """Candidate ids of the set bits of a small integer, lowest first."""
+    return [l for l in range(bits.bit_length()) if bits >> l & 1]
 
 
 # -- distribution -----------------------------------------------------------
@@ -89,8 +98,8 @@ def test_single_always_on_link_single_cell():
     part = build_scenarios(v, 0, [prof])
     assert len(part.cells) == 1
     assert part.cells[0].prob == 1.0
-    assert part.always_on == 1
-    assert part.cells[0].visible == 1
+    assert part.always_on.tolist() == [True, False, False, False]
+    assert part.visible.tolist() == [[True, False, False, False]]
 
 
 def test_partition_invariants(toy_venue, default_params):
@@ -102,8 +111,8 @@ def test_partition_invariants(toy_venue, default_params):
         # disjoint cover of the circle
         total = sum(c.interval.length() for c in part.cells)
         assert abs(total - 2.0 * math.pi) < 1e-9
-        for c in part.cells:
-            assert c.visible & part.always_on == part.always_on
+        assert part.visible.shape == (len(part.cells), n_links)
+        assert part.visible[:, part.always_on].all()
 
 
 def test_partition_rejects_foreign_profile(toy_venue, default_params):
@@ -120,7 +129,7 @@ def test_cell_masks_constant_within_cells():
             part = _partition(v, p, m)
             profiles = {l: link_profile(v, p, m, l)
                         for l in range(v.n_candidates)}
-            for c in part.cells:
+            for c, row in zip(part.cells, part.visible):
                 if c.interval.length() < 1e-6:
                     continue
                 # probe a few interior points
@@ -130,12 +139,10 @@ def test_cell_masks_constant_within_cells():
                     x = math.atan2(
                         math.sin(lo + f * c.interval.length()),
                         math.cos(lo + f * c.interval.length()))
-                    mask = 0
-                    for l, prof in profiles.items():
-                        if prof.usable and prof.effective_interval.contains(
-                                x):
-                            mask |= 1 << l
-                    assert mask == c.visible
+                    active = [prof.usable
+                              and prof.effective_interval.contains(x)
+                              for prof in profiles.values()]
+                    assert active == row.tolist()
 
 
 def test_cell_frequencies_match_sampling():
@@ -164,24 +171,24 @@ def test_cell_frequencies_match_sampling():
 def test_connectivity_empty_set_zero(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 0)
     assert connectivity_probability(part, []) == 0.0
-    assert connectivity_probability(part, 0) == 0.0
+    none = np.zeros(toy_venue.n_candidates, dtype=bool)
+    assert connectivity_probability(part, none) == 0.0
 
 
 def test_connectivity_full_interval_link_is_one(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 0)
-    assert part.always_on
-    l = int(part.always_on).bit_length() - 1
+    assert part.always_on.any()
+    l = int(np.flatnonzero(part.always_on)[-1])
     assert connectivity_probability(part, [l]) == 1.0
 
 
 def test_connectivity_mask_and_iterable_agree(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 3)
     for s in ([0], [1, 2], [0, 3], [1, 2, 3]):
-        mask = 0
-        for l in s:
-            mask |= 1 << l
+        row = np.zeros(toy_venue.n_candidates, dtype=bool)
+        row[s] = True
         assert connectivity_probability(part, s) == \
-            connectivity_probability(part, mask)
+            connectivity_probability(part, row)
 
 
 def test_connectivity_matches_union_arithmetic():
@@ -226,8 +233,8 @@ def test_connectivity_monotone_under_growth():
         small = int(rng.integers(0, 16))
         extra = int(rng.integers(0, 16))
         big = small | extra
-        assert connectivity_probability(parts[m], small) <= \
-            connectivity_probability(parts[m], big) + 1e-15
+        assert connectivity_probability(parts[m], _ids(small)) <= \
+            connectivity_probability(parts[m], _ids(big)) + 1e-15
 
 
 def test_refinement_invariance():
@@ -236,10 +243,11 @@ def test_refinement_invariance():
     for m in (0, 4):
         part = _partition(v, p, m)
         dist = OrientationDistribution.for_gp(v, m)
-        split = []
-        for c in part.cells:
+        split, rows = [], []
+        for c, row in zip(part.cells, part.visible):
             if c.interval.is_full or c.interval.length() < 1e-9:
                 split.append(c)
+                rows.append(row)
                 continue
             lo = c.interval.endpoints()[0]
             mid = math.atan2(math.sin(lo + c.interval.length() / 2.0),
@@ -247,14 +255,13 @@ def test_refinement_invariance():
             hi = c.interval.endpoints()[1]
             left = AngularInterval.arc(lo, mid)
             right = AngularInterval.arc(mid, hi)
-            split.append(ScenarioCell(left, circular_mass(dist, left),
-                                      c.visible))
-            split.append(ScenarioCell(right, circular_mass(dist, right),
-                                      c.visible))
-        fine = ScenarioPartition(m, split, part.always_on)
+            split.append(ScenarioCell(left, circular_mass(dist, left)))
+            split.append(ScenarioCell(right, circular_mass(dist, right)))
+            rows += [row, row]
+        fine = ScenarioPartition(m, split, rows, part.always_on)
         for s in range(16):
-            a = connectivity_probability(part, s)
-            b = connectivity_probability(fine, s)
+            a = connectivity_probability(part, _ids(s))
+            b = connectivity_probability(fine, _ids(s))
             assert abs(a - b) < 1e-12
 
 
@@ -273,6 +280,75 @@ def test_satisfied_beta_one_needs_always_on():
     p = ChannelParams()
     prof = link_profile(v, p, 0, 0)
     part = build_scenarios(v, 0, [prof])
-    assert part.always_on == 0
+    assert not part.always_on.any()
     assert not satisfied(part, [0], 1.0)
     assert satisfied(part, [0], 0.3)
+
+
+# -- past 64 candidates -----------------------------------------------------
+
+
+@functools.lru_cache(maxsize=None)
+def _padded_toy(seed, n_candidates):
+    """random_toy(seed) with mounts appended up to ``n_candidates``.
+
+    Ids 64 to 67 sit 10 cm above the toy's own mounts, whose short links
+    are often always on; the others are scattered over and around the
+    room at several heights, where links are proper arcs or dead. Returns
+    the venue with each seat's link profiles and partition.
+    """
+    v = random_toy(seed)
+    rng = np.random.default_rng(seed)
+
+    def spot(j):
+        if 64 <= j < 68:
+            x, y, z = v.candidates[j - 64].position
+            return (x, y, z + 0.1)
+        return (float(rng.uniform(-15.0, 25.0)),
+                float(rng.uniform(-15.0, 24.0)),
+                float(rng.uniform(3.0, 12.0)))
+
+    extra = [CandidateLocation(id=j, position=spot(j))
+             for j in range(v.n_candidates, n_candidates)]
+    v = replace(v, candidates=v.candidates + extra)
+    p = ChannelParams()
+    profiles = [[link_profile(v, p, m, l) for l in range(n_candidates)]
+                for m in range(v.n_grid)]
+    parts = [build_scenarios(v, m, profiles[m]) for m in range(v.n_grid)]
+    return v, profiles, parts
+
+
+def test_padded_toys_exercise_high_ids():
+    always = arcs = 0
+    for seed in range(4):
+        _, profiles, _ = _padded_toy(seed, 70)
+        for per_seat in profiles:
+            for prof in per_seat[64:]:
+                iv = prof.effective_interval
+                always += prof.usable and iv.is_full
+                arcs += prof.usable and not iv.is_full and not iv.is_empty
+    assert always > 0 and arcs > 0
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_connectivity_past_64_candidates_matches_patterns(data):
+    seed = data.draw(st.integers(0, 3), label="seed")
+    n_candidates = data.draw(st.sampled_from([65, 70]), label="L")
+    _, profiles, parts = _padded_toy(seed, n_candidates)
+    m = data.draw(st.integers(0, len(parts) - 1), label="seat")
+    always = [l for l, prof in enumerate(profiles[m])
+              if prof.usable and prof.effective_interval.is_full]
+    high = data.draw(st.integers(64, n_candidates - 1), label="high id")
+    rest = data.draw(
+        st.lists(st.integers(0, n_candidates - 1), max_size=4, unique=True),
+        label="other ids",
+    )
+    ids = {high, *rest}
+    if always and data.draw(st.booleans(), label="add an always-on id"):
+        ids.add(data.draw(st.sampled_from(always), label="always-on id"))
+    ids = sorted(ids)
+    got = connectivity_probability(parts[m], ids)
+    assert abs(got - oracles.pattern_connectivity(parts[m], ids)) <= 1e-12
+    if set(ids) & set(always):
+        assert got == 1.0

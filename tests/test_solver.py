@@ -209,11 +209,11 @@ def test_greedy_infeasible_reports_partial(toy_venue):
 # -- one-iteration subproblem vs scalar oracle ------------------------------
 
 
-def _oracle_top_two(model, pool, masks, conn, satisfied):
+def _oracle_top_two(model, pool, assigned, conn, satisfied):
     keys = []
     for l in pool:
         for ti in range(model.n_tuples):
-            r = oracles.iteration_key_oracle(model, l, ti, masks, conn,
+            r = oracles.iteration_key_oracle(model, l, ti, assigned, conn,
                                              satisfied)
             if r is not None:
                 keys.append(((r[0], r[1]), (l, ti), r[2]))
@@ -231,7 +231,7 @@ def test_iteration_choice_matches_oracle(tight_params):
         while model.normalized(state.coverage) < 0.95 and pool:
             choice = greedy_iteration_best(model, pool, state)
             best, second = _oracle_top_two(
-                model, pool, state.masks, state.conn, state.satisfied
+                model, pool, state.assigned, state.conn, state.satisfied
             )
             if choice is None:
                 # stagnation must be mutual
@@ -255,10 +255,9 @@ def test_iteration_choice_matches_oracle(tight_params):
                 assert list(choice.members) == best[2]
             # commit the implementation's choice and continue
             l = choice.candidate
-            bit = np.int64(1 << l)
             for m in choice.members:
-                state.masks[m] |= bit
-                state.conn[m] = model.conn(m, int(state.masks[m]))
+                state.assigned[m, l] = True
+                state.conn[m] = model.conn(m, state.assigned[m])
                 if state.conn[m] >= model.betas[m]:
                     state.satisfied[m] = True
             state.coverage = model.coverage_of(state.satisfied)
@@ -369,19 +368,36 @@ def test_exact_refuses_large_instances(default_params):
     assert "limits" in str(e.value)
 
 
-def test_model_refuses_more_than_63_mounts(default_params):
-    def mounts(n):
-        seat = generate_venue("toy").grid_positions[:1]
-        cands = [CandidateLocation(id=j, position=(j % 8, j // 8, 5.0))
-                 for j in range(n)]
-        return Venue(name=f"{n}-mounts", grid_positions=seat,
-                     candidates=cands)
+def test_model_builds_64_mounts(default_params):
+    seat = generate_venue("toy").grid_positions[:1]
+    cands = [CandidateLocation(id=j, position=(j % 8, j // 8, 5.0))
+             for j in range(64)]
+    venue = Venue(name="64-mounts", grid_positions=seat, candidates=cands)
+    model = PlanningModel(venue, default_params, 0.5)
+    assert model.L == 64
+    assert model.partitions[0].visible.shape[1] == 64
+    dep, _ = greedy_place(venue, default_params, 0.5, 0.5)
+    assert dep.normalized_coverage >= 0.5
+    assert evaluate_coverage(venue, default_params, dep, 0.5).coverage == \
+        dep.coverage
 
-    assert PlanningModel(mounts(63), default_params, 0.5).L == 63
-    with pytest.raises(SizeLimitError) as e:
-        greedy_place(mounts(64), default_params, 0.5, 0.5)
-    assert e.value.report == {"candidates": 64, "max_candidates": 63}
-    assert "63" in str(e.value)
+
+def test_far_mounts_prepended_to_hall_only_shift_ids(default_params):
+    # 50 mounts kilometres away never serve anyone, so greedy must plan
+    # the hall exactly as before, with every candidate id moved up by 50
+    hall = generate_venue("hall")
+    pads = [CandidateLocation(id=j, position=(5000.0 + j, 12.5, 4.0))
+            for j in range(50)]
+    shifted = [replace(c, id=c.id + 50) for c in hall.candidates]
+    padded = replace(hall, candidates=pads + shifted)
+    assert padded.n_candidates == 70
+    base, _ = greedy_place(hall, default_params, 0.75, 0.9)
+    dep, _ = greedy_place(padded, default_params, 0.75, 0.9)
+    assert [replace(ap, candidate=ap.candidate - 50)
+            for ap in dep.selected] == base.selected
+    assert dep.per_gp_prob == base.per_gp_prob
+    assert dep.satisfied == base.satisfied
+    assert dep.coverage == base.coverage
 
 
 def test_exact_infeasible_when_target_unreachable(toy_venue):
