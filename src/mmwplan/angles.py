@@ -11,6 +11,8 @@ import math
 from dataclasses import dataclass
 from typing import List, Tuple
 
+import numpy as np
+
 TWO_PI = 2.0 * math.pi
 
 _EMPTY = "empty"
@@ -23,6 +25,16 @@ def wrap_angle(a: float) -> float:
     if -math.pi <= a <= math.pi:
         return a
     return math.atan2(math.sin(a), math.cos(a))
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` of every element: values in [-pi, pi] pass through
+    and the others are wrapped one by one with ``math.atan2``, whose bits
+    ``np.arctan2`` does not always reproduce."""
+    a = np.array(a, dtype=float)
+    out = np.flatnonzero((a < -math.pi) | (a > math.pi))
+    a[out] = [wrap_angle(v) for v in a[out].tolist()]
+    return a
 
 
 def angle_offset(a: float, b: float) -> float:

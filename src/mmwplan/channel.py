@@ -17,7 +17,8 @@ device's receive beam only points where the user faces. Because both
 effects are windows centered on the device-to-candidate azimuth, the set of
 orientations for which the link clears the SNR threshold is always a single
 arc around that azimuth (possibly empty or the full circle), found by
-walking the offset breakpoints outward while the budget still clears.
+testing at most three rings of offsets outward while the budget still
+clears; ``_active_half_width`` does this for a whole array of links.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import enum
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Tuple
+
+import numpy as np
 
 from .angles import AngularInterval, angle_offset, wrap_angle
 from .errors import GeometryError
@@ -226,51 +229,69 @@ def snr_db(
 
 def _active_half_width(
     params: ChannelParams,
-    distance: float,
-    psi_rx: float,
-    vertical_ray: bool,
-    occluded: bool,
-    device_tilt: float,
+    distance: np.ndarray,
+    psi_rx: np.ndarray,
+    vertical_ray: np.ndarray,
+    occluded: np.ndarray,
+    device_tilt: np.ndarray,
     tx_gain_db: float,
-) -> float:
+) -> np.ndarray:
     """Largest orientation offset from the device-to-candidate azimuth at
-    which the link still clears the threshold.
+    which each link still clears the threshold.
 
+    The arguments broadcast against each other, one element per link.
     Offsets split into at most three rings: inside both the self-blockage
     window and the receive cone, inside exactly one, inside neither. The
     budget is non-increasing outward (line of sight beats blocked, main
     lobe beats side lobe), so the active set is the prefix of rings that
-    clear and the answer is a single cut point. Requires the side-lobe gain
-    not to exceed the main-lobe gain and distances of at least 1 m, both
-    true for any physical configuration.
+    clear and the answer is a single cut point: 0, the first cut, the
+    second or pi. Requires the side-lobe gain not to exceed the main-lobe
+    gain and distances of at least 1 m, both true for any physical
+    configuration.
+
+    The SNR is evaluated with the operations of ``snr_db`` in the same
+    order, and ``log10`` is taken per distance with ``math.log10``, so
+    every reach has the bits of the scalar budget.
     """
+    distance = np.asarray(distance, dtype=float)
     gamma = params.snr_threshold_db + params.fade_margin_db
     rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
     rx_side_db = params.side_lobe_gain_db
-    elev_ok = abs(device_tilt - psi_rx) <= params.md_beamwidth / 2.0
-    half_block = None if occluded else params.self_block_half_angle
-    if not elev_ok:
-        half_cone = None
-    elif vertical_ray:
-        # A vertical ray has no azimuth; the receive cone covers every
-        # orientation once the tilt matches.
-        half_cone = math.pi
-    else:
-        half_cone = params.md_beamwidth / 2.0
-    cuts = sorted(
-        {c for c in (half_block, half_cone) if c is not None and c < math.pi}
+    log_d = np.fromiter(
+        map(math.log10, distance.ravel().tolist()), float, distance.size
+    ).reshape(distance.shape)
+    elev_ok = np.abs(device_tilt - psi_rx) <= params.md_beamwidth / 2.0
+    # -1 marks a window that is absent: no line of sight, or a receive
+    # cone missed in elevation; a vertical ray's cone covers every
+    # orientation once the tilt matches, as it has no azimuth
+    half_block = np.where(occluded, -1.0, params.self_block_half_angle)
+    half_cone = np.where(
+        elev_ok, np.where(vertical_ray, math.pi, params.md_beamwidth / 2.0),
+        -1.0,
     )
-    cuts.append(math.pi)
-    reach = 0.0
+    a = np.where((half_block > 0.0) & (half_block < math.pi), half_block,
+                 math.pi)
+    b = np.where((half_cone > 0.0) & (half_cone < math.pi), half_cone,
+                 math.pi)
+    # a repeated cut gives a repeated verdict, so it changes nothing
+    cuts = (np.minimum(a, b), np.maximum(a, b), math.pi)
+    clears = []
     for cut in cuts:
-        los = half_block is not None and cut <= half_block
-        main = half_cone is not None and cut <= half_cone
-        rx_db = rx_main_db if main else rx_side_db
-        if snr_db(params, distance, tx_gain_db, rx_db, los) >= gamma:
-            reach = cut
-        else:
-            break
-    return reach
+        los = (half_block > 0.0) & (cut <= half_block)
+        main = (half_cone > 0.0) & (cut <= half_cone)
+        rx_db = np.where(main, rx_main_db, rx_side_db)
+        alpha = np.where(los, params.alpha_los, params.alpha_nlos)
+        loss = params.kappa_db + 10.0 * alpha * log_d + 0.0
+        snr = (
+            params.tx_power_dbm + tx_gain_db + rx_db - loss
+            - params.noise_power_dbm
+        )
+        clears.append(snr >= gamma)
+    return np.where(
+        clears[0],
+        np.where(clears[1], np.where(clears[2], math.pi, cuts[1]), cuts[0]),
+        0.0,
+    )
 
 
 def _profile_from_reach(
@@ -329,9 +350,11 @@ def link_profile(
                           params.side_lobe_gain_db)
         )
     gp = venue.grid_positions[gp_id]
-    reach = _active_half_width(
-        params, distance, psi_rx, vertical, occluded, gp.elevation,
-        tx_gain_db,
+    reach = float(
+        _active_half_width(
+            params, np.array([distance]), psi_rx, vertical, occluded,
+            gp.elevation, tx_gain_db,
+        )[0]
     )
     phi_rx, _ = rx_angles(venue, gp_id, ap_id)
     return _profile_from_reach(gp_id, ap_id, distance, phi_rx, reach)

@@ -276,6 +276,15 @@ def cmd_validate(args: argparse.Namespace) -> int:
     params = _load_params(args)
     betas = venue_betas(venue, args.beta)
     deployment = _load_deployment(args.deployment)
+    mc = (
+        McConfig(
+            n_samples=args.samples,
+            seed=args.seed,
+            sample_shadowing=args.shadowing,
+        )
+        if args.mc
+        else None
+    )
     report = evaluate_coverage(venue, params, deployment, betas)
     ok = report.normalized_coverage >= args.alpha
     print(
@@ -284,12 +293,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"normalized={report.normalized_coverage:.4f} "
         f"target={args.alpha:.4f} {'ok' if ok else 'below target'}"
     )
-    if args.mc:
-        mc = McConfig(
-            n_samples=args.samples,
-            seed=args.seed,
-            sample_shadowing=args.shadowing,
-        )
+    if mc is not None:
         mc_report = monte_carlo_coverage(venue, params, deployment, betas, mc)
         outside = [
             row["id"]

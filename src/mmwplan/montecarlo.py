@@ -38,7 +38,6 @@ from .venue import Venue
 
 _GENERATOR = "philox4x64"
 _SUBSTREAM_RULE = "key = [seed, gp_id]"
-_MASK64 = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -52,10 +51,13 @@ class McConfig:
     def __post_init__(self) -> None:
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
+        # the Philox key holds 64 bits; a seed outside them would alias
+        if not (0 <= self.seed < 1 << 64):
+            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
 
 
 def _substream(seed: int, gp_id: int) -> np.random.Generator:
-    key = np.array([seed & _MASK64, gp_id & _MASK64], dtype=np.uint64)
+    key = np.array([seed, gp_id], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -181,11 +183,6 @@ def monte_carlo_connectivity(
     outside the venue's candidates.
     """
     aps = sorted(set(int(l) for l in assigned))
-    if aps and not (0 <= aps[0] and aps[-1] < venue.n_candidates):
-        raise ValueError(
-            f"assigned ids must lie in [0, {venue.n_candidates - 1}], "
-            f"got {aps}"
-        )
     model = PlanningModel(venue, params, 1.0)
     analytic = connectivity_probability(model.partitions[m], aps)
 

@@ -7,6 +7,13 @@ usable links cut the circle into at most 2 * n_links cells on which the
 set of active links is constant. Those cells, weighted by their Gaussian
 mass, are the only scenarios with non-zero probability; the probability
 that any link in an assigned set is active is a plain sum of cell masses.
+
+``seat_partition`` builds a seat's partition from its links' azimuths and
+active half-widths, and ``build_scenarios`` from link profiles; both go
+through ``_partition``, which decides every cell's membership with one
+broadcast test. Arc endpoints and cell midpoints are wrapped with
+``math.atan2`` and the masses use ``math.erf``, as a cell-by-cell walk
+would, so the partition has the same bits.
 """
 
 from __future__ import annotations
@@ -17,7 +24,7 @@ from typing import Iterable, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .angles import AngularInterval, wrap_angle
+from .angles import TWO_PI, AngularInterval, wrap_angles
 from .channel import LinkProfile
 from .venue import Venue
 
@@ -92,9 +99,12 @@ class ScenarioPartition:
     active anywhere in cell i. ``always_on`` is the ``(L,)`` boolean row of
     links active for every orientation; those columns are set in every
     row. ``cell_probs`` holds the cell masses as an array for fast sums.
+    A partition built from its boundaries makes its ``cells`` only when
+    they are first read, since planning reads just the arrays.
     """
 
-    __slots__ = ("gp", "cells", "visible", "always_on", "cell_probs")
+    __slots__ = ("gp", "visible", "always_on", "cell_probs", "_cells",
+                 "_bounds")
 
     def __init__(
         self,
@@ -104,16 +114,128 @@ class ScenarioPartition:
         always_on: np.ndarray,
     ) -> None:
         self.gp = gp
-        self.cells = tuple(cells)
+        self._cells = tuple(cells)
+        self._bounds: List[float] = []
         self.visible = np.asarray(visible, dtype=bool)
         self.always_on = np.asarray(always_on, dtype=bool)
-        self.cell_probs = np.array([c.prob for c in self.cells])
+        self.cell_probs = np.array([c.prob for c in self._cells])
+
+    @classmethod
+    def _from_bounds(
+        cls,
+        gp: int,
+        bounds: List[float],
+        cell_probs: np.ndarray,
+        visible: np.ndarray,
+        always_on: np.ndarray,
+    ) -> "ScenarioPartition":
+        """A partition whose cell i runs from ``bounds[i]`` to the next
+        boundary, the last one wrapping through +-pi back to the first."""
+        part = cls.__new__(cls)
+        part.gp = gp
+        part._cells = None
+        part._bounds = bounds
+        part.visible = visible
+        part.always_on = always_on
+        part.cell_probs = cell_probs
+        return part
+
+    @property
+    def cells(self) -> Tuple[ScenarioCell, ...]:
+        if self._cells is None:
+            b, n = self._bounds, len(self._bounds)
+            self._cells = tuple(
+                ScenarioCell(AngularInterval.arc(b[i], b[(i + 1) % n]), p)
+                for i, p in enumerate(self.cell_probs.tolist())
+            )
+        return self._cells
 
     def __repr__(self) -> str:
         return (
-            f"ScenarioPartition(gp={self.gp}, cells={len(self.cells)}, "
+            f"ScenarioPartition(gp={self.gp}, cells={len(self.cell_probs)}, "
             f"always_on={np.flatnonzero(self.always_on).tolist()})"
         )
+
+
+def _partition(
+    gp_id: int,
+    dist: OrientationDistribution,
+    always: np.ndarray,
+    arc_ap: np.ndarray,
+    arc_lo: np.ndarray,
+    arc_hi: np.ndarray,
+) -> ScenarioPartition:
+    """Cut the circle at the endpoints of the proper arcs (candidate
+    ``arc_ap[k]`` active from ``arc_lo[k]`` to ``arc_hi[k]``) and weigh
+    each cell by its mass under ``dist``.
+
+    A cell's membership is decided at its midpoint, which is safely
+    interior because boundaries are exactly the arc endpoints; one
+    broadcast wrapped-arc test of shape (cells, arcs) covers every pair.
+    Lengths, midpoints and masses use the operations of
+    ``AngularInterval.length``, ``wrap_angle`` and ``circular_mass``: the
+    normal CDF is evaluated once per boundary and once at each of -pi and
+    pi, and each cell's mass is the sum, from 0, over its one or two
+    segments, with the empty segment at +-pi worth 0.0.
+    """
+    # endpoints in arc order, so a tie between 0.0 and -0.0 keeps the
+    # first one seen
+    ends = np.column_stack((arc_lo, arc_hi)).ravel().tolist()
+    bounds = sorted(set(ends))
+    if not bounds:
+        cells = [ScenarioCell(AngularInterval.full(), 1.0)]
+        return ScenarioPartition(gp_id, cells, always[None, :], always)
+
+    b = np.array(bounds)
+    # cells 0..n-2 run upward; the last wraps through +-pi and splits into
+    # [b[-1], pi] and [-pi, b[0]]
+    length = np.append(b[1:] - b[:-1], (b[0] - b[-1]) + TWO_PI)
+    x = wrap_angles(b + 0.5 * length)[:, None]
+    lo, hi = arc_lo[None, :], arc_hi[None, :]
+    inside = np.where(lo < hi, (lo <= x) & (x <= hi), (x >= lo) | (x <= hi))
+    visible = np.repeat(always[None, :], len(bounds), axis=0)
+    np.logical_or.at(visible, (slice(None), arc_ap), inside)
+
+    mean, std = dist.mean, dist.std
+    cdf = np.array([_std_normal_cdf((e - mean) / std) for e in bounds])
+    cdf_hi = _std_normal_cdf((math.pi - mean) / std)
+    cdf_lo = _std_normal_cdf((-math.pi - mean) / std)
+    trunc = cdf_hi - cdf_lo
+    probs = np.empty(len(bounds))
+    probs[:-1] = (cdf[1:] - cdf[:-1]) / trunc
+    upper = 0.0 if math.pi <= bounds[-1] else (cdf_hi - cdf[-1]) / trunc
+    lower = 0.0 if bounds[0] <= -math.pi else (cdf[0] - cdf_lo) / trunc
+    probs[-1] = 0 + upper + lower
+
+    return ScenarioPartition._from_bounds(
+        gp_id, bounds, probs, visible, always
+    )
+
+
+def seat_partition(
+    gp_id: int,
+    dist: OrientationDistribution,
+    phi_rx: np.ndarray,
+    reach: np.ndarray,
+) -> ScenarioPartition:
+    """Partition the orientation circle for one grid position from its
+    links' device-to-candidate azimuths and active half-widths.
+
+    Column l of ``phi_rx`` and ``reach`` is the link to candidate l. A
+    reach of 0 is never active, a reach of pi or more is always on, and any
+    other reach is the arc ``AngularInterval.from_center(phi_rx, reach)``,
+    computed for all links at once.
+    """
+    always = reach >= math.pi
+    arc_ap = np.flatnonzero((reach > 0.0) & ~always)
+    center, half = phi_rx[arc_ap], reach[arc_ap]
+    arc_lo = wrap_angles(center - half)
+    arc_hi = wrap_angles(center + half)
+    if np.any(arc_lo == arc_hi):
+        raise ValueError(
+            "arc endpoints coincide; use empty() or full() explicitly"
+        )
+    return _partition(gp_id, dist, always, arc_ap, arc_lo, arc_hi)
 
 
 def build_scenarios(
@@ -124,43 +246,34 @@ def build_scenarios(
     ``profiles`` are the link profiles of that grid position; links that
     are never active contribute nothing, links active everywhere go into
     ``always_on``, and every proper arc contributes its two endpoints as
-    cell boundaries. Cell membership is decided at the cell midpoint, which
-    is safely interior because boundaries are exactly the arc endpoints.
-    Visibility rows span all ``venue.n_candidates`` candidates.
+    cell boundaries (see ``_partition``). Visibility rows span all
+    ``venue.n_candidates`` candidates.
     """
     dist = OrientationDistribution.for_gp(venue, gp_id)
-    arcs: List[Tuple[int, AngularInterval]] = []
     always = np.zeros(venue.n_candidates, dtype=bool)
+    arc_ap, arc_lo, arc_hi = [], [], []
     for p in profiles:
         if p.gp != gp_id:
             raise ValueError(
                 f"profile for grid position {p.gp} passed to {gp_id}"
             )
-        if not p.usable or p.effective_interval.is_empty:
+        iv = p.effective_interval
+        if not p.usable or iv.is_empty:
             continue
-        if p.effective_interval.is_full:
+        if iv.is_full:
             always[p.ap] = True
         else:
-            arcs.append((p.ap, p.effective_interval))
-
-    boundaries = sorted({e for _, arc in arcs for e in arc.endpoints()})
-    if not boundaries:
-        cells = [ScenarioCell(AngularInterval.full(), 1.0)]
-        return ScenarioPartition(gp_id, cells, always[None, :], always)
-
-    n = len(boundaries)
-    cells = []
-    visible = np.repeat(always[None, :], n, axis=0)
-    for i in range(n):
-        lo = boundaries[i]
-        hi = boundaries[(i + 1) % n]
-        cell_arc = AngularInterval.arc(lo, hi)
-        mid = wrap_angle(lo + 0.5 * cell_arc.length())
-        for ap, arc in arcs:
-            if arc.contains(mid):
-                visible[i, ap] = True
-        cells.append(ScenarioCell(cell_arc, circular_mass(dist, cell_arc)))
-    return ScenarioPartition(gp_id, cells, visible, always)
+            arc_ap.append(p.ap)
+            arc_lo.append(iv.lo)
+            arc_hi.append(iv.hi)
+    return _partition(
+        gp_id,
+        dist,
+        always,
+        np.array(arc_ap, dtype=np.intp),
+        np.array(arc_lo, dtype=float),
+        np.array(arc_hi, dtype=float),
+    )
 
 
 def connectivity_probability(
@@ -170,11 +283,26 @@ def connectivity_probability(
 
     ``aps`` indexes the candidate columns: a list or integer array of
     candidate ids, or a boolean row over candidates. A set containing an
-    always-on link returns exactly 1.0.
+    always-on link returns exactly 1.0. Raises ``ValueError`` for an id
+    outside ``[0, L)`` or a boolean row whose length is not ``L``.
     """
-    if partition.always_on[aps].any():
+    n = partition.always_on.shape[0]
+    idx = np.asarray(aps)
+    if idx.dtype == bool:
+        if idx.shape != (n,):
+            raise ValueError(
+                f"a boolean row of assigned ids needs {n} entries, got "
+                f"shape {idx.shape}"
+            )
+    elif idx.size == 0:
+        return 0.0
+    elif not (0 <= idx.min() and idx.max() < n):
+        raise ValueError(
+            f"assigned ids must lie in [0, {n - 1}], got {idx.tolist()}"
+        )
+    if partition.always_on[idx].any():
         return 1.0
-    hit = partition.visible[:, aps].any(axis=1)
+    hit = partition.visible[:, idx].any(axis=1)
     return float(partition.cell_probs[hit].sum())
 
 
@@ -193,6 +321,7 @@ __all__ = [
     "ScenarioPartition",
     "build_scenarios",
     "circular_mass",
+    "seat_partition",
     "connectivity_probability",
     "satisfied",
 ]

@@ -36,9 +36,7 @@ import numpy as np
 
 from .channel import (
     ChannelParams,
-    LinkProfile,
     _active_half_width,
-    _profile_from_reach,
     linear_to_db,
     main_lobe_gain,
 )
@@ -48,10 +46,14 @@ from .errors import (
     InfeasibleError,
     SizeLimitError,
 )
-from .scenarios import (
+# build_scenarios is not called here; it stays importable from this module
+# because perfbench/spans.py wraps it by this name (the span reads 0)
+from .scenarios import (  # noqa: F401
+    OrientationDistribution,
     ScenarioPartition,
     build_scenarios,
     connectivity_probability,
+    seat_partition,
 )
 from .venue import Venue, occlusion_matrix
 
@@ -216,6 +218,18 @@ class PlanningModel:
 
     Built once per (venue, params, betas) and shared by every solver and by
     ``evaluate``; every satisfaction decision goes through ``finalize``.
+
+    The build is array code over all (seat, candidate) pairs: view-ray
+    angles and distances, ``occlusion_matrix`` (one batched slab test per
+    seat), the active half-widths ``reach`` (``_active_half_width`` on the
+    whole (M, L) grid), and one ``seat_partition`` per seat straight from
+    its row of ``phi_rx`` and ``reach``, with no per-link profile objects.
+    Where a value's bits reach the outputs the scalar ``math`` functions
+    stay: ``math.log10`` per distance, ``math.atan2`` for angles that leave
+    [-pi, pi], and ``math.erf`` per cell boundary, because their numpy
+    counterparts differ from them in the last bit for some inputs. So the
+    model is bit-identical to the one-link, one-cell walks kept as oracles
+    in the tests.
     """
 
     def __init__(
@@ -248,24 +262,24 @@ class PlanningModel:
         self.psi_rx = np.arccos(np.clip(-down[:, :, 2] / self.dist, -1.0, 1.0))
         self.occluded = occlusion_matrix(venue)
 
-        tx_main_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
-        self.reach = np.zeros((self.M, self.L))
-        for m in range(self.M):
-            tilt = venue.grid_positions[m].elevation
-            for l in range(self.L):
-                self.reach[m, l] = _active_half_width(
-                    params,
-                    float(self.dist[m, l]),
-                    float(self.psi_rx[m, l]),
-                    bool(self.vertical[m, l]),
-                    bool(self.occluded[m, l]),
-                    tilt,
-                    tx_main_db,
-                )
+        tilt = np.array([gp.elevation for gp in venue.grid_positions])
+        self.reach = _active_half_width(
+            params,
+            self.dist,
+            self.psi_rx,
+            self.vertical,
+            self.occluded,
+            tilt[:, None],
+            linear_to_db(main_lobe_gain(params.ap_beamwidth)),
+        )
         self.usable = self.reach > 0.0
-
         self.partitions: List[ScenarioPartition] = [
-            build_scenarios(venue, m, self._profiles_for(m))
+            seat_partition(
+                m,
+                OrientationDistribution.for_gp(venue, m),
+                self.phi_rx[m],
+                self.reach[m],
+            )
             for m in range(self.M)
         ]
 
@@ -276,20 +290,6 @@ class PlanningModel:
         # gp ids sorted by descending presence mass, ties by id
         self.gp_order = np.lexsort((np.arange(self.M), -self.q))
         self._build_footprints()
-
-    # -- link profiles -------------------------------------------------
-
-    def profile(self, m: int, l: int) -> LinkProfile:
-        return _profile_from_reach(
-            m,
-            l,
-            float(self.dist[m, l]),
-            float(self.phi_rx[m, l]),
-            float(self.reach[m, l]),
-        )
-
-    def _profiles_for(self, m: int) -> List[LinkProfile]:
-        return [self.profile(m, l) for l in range(self.L)]
 
     # -- beam footprints -----------------------------------------------
 

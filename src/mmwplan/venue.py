@@ -353,71 +353,109 @@ def link_distance(venue: Venue, gp_id: int, ap_id: int) -> float:
 def _blocker_arrays(
     venue: Venue,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower corners, upper corners and owners (-1 for none) of the
+    prisms, with the corners computed as in ``BodyPrism.bounds``."""
     if not venue.blockers:
         empty = np.zeros((0, 3))
         return empty, empty, np.zeros(0, dtype=np.int64)
-    lo = np.empty((len(venue.blockers), 3))
-    hi = np.empty((len(venue.blockers), 3))
-    owner = np.empty(len(venue.blockers), dtype=np.int64)
-    for i, b in enumerate(venue.blockers):
-        blo, bhi = b.bounds()
-        lo[i] = blo
-        hi[i] = bhi
-        owner[i] = -1 if b.owner is None else b.owner
-    return lo, hi, owner
+    center = np.array([b.center for b in venue.blockers], dtype=float)
+    size = np.array([b.size for b in venue.blockers], dtype=float)
+    owner = np.array(
+        [-1 if b.owner is None else b.owner for b in venue.blockers],
+        dtype=np.int64,
+    )
+    return center - 0.5 * size, center + 0.5 * size, owner
 
 
 def _segment_hits_boxes(
     p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Slab test of the open segment (p0, p1) against closed boxes.
+    """Slab test of the open segments (p0, p1) against closed boxes.
 
-    Returns a boolean per box. Touching a box face counts as a hit.
+    ``p1`` is one end point of shape (3,) or a stack of shape (..., 3);
+    the result holds one boolean per (segment, box), shape (..., B).
+    Touching a box face counts as a hit. An axis along which a segment
+    does not move cannot bound its parameter; the segment then misses
+    every box whose slab on that axis does not contain it.
     """
-    if lo.shape[0] == 0:
-        return np.zeros(0, dtype=bool)
-    d = p1 - p0
-    t_near = np.full(lo.shape[0], -np.inf)
-    t_far = np.full(lo.shape[0], np.inf)
-    miss = np.zeros(lo.shape[0], dtype=bool)
-    for ax in range(3):
-        if d[ax] == 0.0:
-            miss |= (p0[ax] < lo[:, ax]) | (p0[ax] > hi[:, ax])
-        else:
-            ta = (lo[:, ax] - p0[ax]) / d[ax]
-            tb = (hi[:, ax] - p0[ax]) / d[ax]
-            t_near = np.maximum(t_near, np.minimum(ta, tb))
-            t_far = np.minimum(t_far, np.maximum(ta, tb))
+    d = (np.asarray(p1, dtype=float) - p0)[..., None, :]
+    shape = d.shape[:-2] + (lo.shape[0],)
+    t_near = np.full(shape, -np.inf)
+    t_far = np.full(shape, np.inf)
+    miss = np.zeros(shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for ax in range(3):
+            d_ax = d[..., ax]
+            flat = d_ax == 0.0
+            miss |= flat & ((p0[ax] < lo[:, ax]) | (p0[ax] > hi[:, ax]))
+            ta = (lo[:, ax] - p0[ax]) / d_ax
+            tb = (hi[:, ax] - p0[ax]) / d_ax
+            t_near = np.where(
+                flat, t_near, np.maximum(t_near, np.minimum(ta, tb))
+            )
+            t_far = np.where(flat, t_far, np.minimum(t_far, np.maximum(ta, tb)))
     return ~miss & (t_near <= t_far) & (t_far > 0.0) & (t_near < 1.0)
+
+
+# margin around the region a prism must reach to be tested at all, in m
+_PRUNE_PAD = 1e-6
+
+
+def _seat_occlusion(
+    p0: np.ndarray, mounts: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    """Which open segments from ``p0`` to each mount cut one of the boxes.
+
+    A box can only be cut where a segment runs below the highest box top,
+    so boxes whose xy extent misses the xy bounding box of those parts
+    (padded by ``_PRUNE_PAD``) are dropped first; a box that is kept gets
+    the exact slab test.
+    """
+    out = np.zeros(mounts.shape[0], dtype=bool)
+    if lo.shape[0] == 0:
+        return out
+    d = mounts - p0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t_top = np.clip((hi[:, 2].max() - p0[2]) / d[:, 2], 0.0, 1.0)
+    # a segment that does not rise keeps its whole length
+    t_top = np.where(d[:, 2] > 0.0, t_top, 1.0)
+    ends = p0[:2] + t_top[:, None] * d[:, :2]
+    xy_lo = np.minimum(ends.min(axis=0), p0[:2]) - _PRUNE_PAD
+    xy_hi = np.maximum(ends.max(axis=0), p0[:2]) + _PRUNE_PAD
+    near = np.all((hi[:, :2] >= xy_lo) & (lo[:, :2] <= xy_hi), axis=1)
+    if near.any():
+        out = _segment_hits_boxes(p0, mounts, lo[near], hi[near]).any(axis=1)
+    return out
 
 
 def ray_occluded(venue: Venue, gp_id: int, ap_id: int) -> bool:
     """True when any blocker not owned by ``gp_id`` cuts the open segment
-    from the device to the candidate."""
+    from the device to the candidate; one row of ``occlusion_matrix``."""
     _check_ids(venue, gp_id, ap_id)
     lo, hi, owner = _blocker_arrays(venue)
-    if lo.shape[0] == 0:
-        return False
     keep = owner != gp_id
     p0 = np.asarray(venue.grid_positions[gp_id].position, dtype=float)
-    p1 = np.asarray(venue.candidates[ap_id].position, dtype=float)
-    hits = _segment_hits_boxes(p0, p1, lo[keep], hi[keep])
-    return bool(hits.any())
+    p1 = np.asarray([venue.candidates[ap_id].position], dtype=float)
+    return bool(_seat_occlusion(p0, p1, lo[keep], hi[keep])[0])
 
 
 def occlusion_matrix(venue: Venue) -> np.ndarray:
-    """Boolean (n_grid, n_candidates) matrix of ray_occluded results."""
+    """Boolean (n_grid, n_candidates) matrix: whether a blocker not owned
+    by the seat cuts the open segment from the seat to the candidate.
+
+    One batched slab test per seat over all (candidate, prism) pairs, after
+    the prune of ``_seat_occlusion``; peak memory is one (L, B) array per
+    seat, never (M, L, B).
+    """
     lo, hi, owner = _blocker_arrays(venue)
     occ = np.zeros((venue.n_grid, venue.n_candidates), dtype=bool)
     if lo.shape[0] == 0:
         return occ
-    for m, gp in enumerate(venue.grid_positions):
+    seats = np.array([gp.position for gp in venue.grid_positions], dtype=float)
+    mounts = np.array([c.position for c in venue.candidates], dtype=float)
+    for m in range(venue.n_grid):
         keep = owner != m
-        blo, bhi = lo[keep], hi[keep]
-        p0 = np.asarray(gp.position, dtype=float)
-        for l, cand in enumerate(venue.candidates):
-            p1 = np.asarray(cand.position, dtype=float)
-            occ[m, l] = bool(_segment_hits_boxes(p0, p1, blo, bhi).any())
+        occ[m] = _seat_occlusion(seats[m], mounts, lo[keep], hi[keep])
     return occ
 
 

@@ -6,9 +6,17 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from mmwplan import ChannelParams, generate_venue
 from mmwplan.venue import BodyPrism, CandidateLocation, GridPosition, Venue
+
+# Property tests replay the same examples on every run, never time out on a
+# loaded host, and keep no example database on disk.
+settings.register_profile(
+    "mmwplan", deadline=None, derandomize=True, database=None
+)
+settings.load_profile("mmwplan")
 
 
 def random_toy(seed):

@@ -11,15 +11,24 @@ import math
 
 import numpy as np
 
-from mmwplan.angles import wrap_angle
+from mmwplan.angles import AngularInterval, wrap_angle
 from mmwplan.channel import (
     ChannelParams,
+    _profile_from_reach,
     flat_top_gain,
+    linear_to_db,
     link_profile,
     main_lobe_gain,
+    snr_db,
 )
 from mmwplan.errors import InfeasibleError
-from mmwplan.scenarios import connectivity_probability
+from mmwplan.scenarios import (
+    OrientationDistribution,
+    ScenarioCell,
+    ScenarioPartition,
+    circular_mass,
+    connectivity_probability,
+)
 from mmwplan.solver import (
     PlacedAp,
     PlanningModel,
@@ -28,10 +37,11 @@ from mmwplan.solver import (
 )
 from mmwplan.venue import (
     Venue,
+    _blocker_arrays,
+    _check_ids,
     horizontal_distance,
     link_distance,
     nadir_angle,
-    ray_occluded,
     rx_angles,
     tx_angles,
 )
@@ -126,6 +136,189 @@ def occluded_by_sampling(venue, gp_id, ap_id, n=10000):
         if inside.any():
             return True
     return False
+
+
+# ---------------------------------------------------------------------------
+# venue: one slab test per (seat, candidate) pair
+
+
+def segment_hits_boxes(p0, p1, lo, hi):
+    """Slab test of the one open segment (p0, p1) against closed boxes,
+    one axis branch at a time. Touching a box face counts as a hit."""
+    if lo.shape[0] == 0:
+        return np.zeros(0, dtype=bool)
+    d = p1 - p0
+    t_near = np.full(lo.shape[0], -np.inf)
+    t_far = np.full(lo.shape[0], np.inf)
+    miss = np.zeros(lo.shape[0], dtype=bool)
+    for ax in range(3):
+        if d[ax] == 0.0:
+            miss |= (p0[ax] < lo[:, ax]) | (p0[ax] > hi[:, ax])
+        else:
+            ta = (lo[:, ax] - p0[ax]) / d[ax]
+            tb = (hi[:, ax] - p0[ax]) / d[ax]
+            t_near = np.maximum(t_near, np.minimum(ta, tb))
+            t_far = np.minimum(t_far, np.maximum(ta, tb))
+    return ~miss & (t_near <= t_far) & (t_far > 0.0) & (t_near < 1.0)
+
+
+def ray_occluded(venue, gp_id, ap_id):
+    """Whether a blocker not owned by ``gp_id`` cuts the open segment from
+    the device to the candidate, tested against every prism, unpruned."""
+    _check_ids(venue, gp_id, ap_id)
+    lo, hi, owner = _blocker_arrays(venue)
+    if lo.shape[0] == 0:
+        return False
+    keep = owner != gp_id
+    p0 = np.asarray(venue.grid_positions[gp_id].position, dtype=float)
+    p1 = np.asarray(venue.candidates[ap_id].position, dtype=float)
+    return bool(segment_hits_boxes(p0, p1, lo[keep], hi[keep]).any())
+
+
+def occlusion_matrix(venue):
+    """``ray_occluded`` for every (seat, candidate) pair, one pair at a
+    time, with the prism arrays built once."""
+    lo, hi, owner = _blocker_arrays(venue)
+    occ = np.zeros((venue.n_grid, venue.n_candidates), dtype=bool)
+    if lo.shape[0] == 0:
+        return occ
+    for m, gp in enumerate(venue.grid_positions):
+        keep = owner != m
+        blo, bhi = lo[keep], hi[keep]
+        p0 = np.asarray(gp.position, dtype=float)
+        for l, cand in enumerate(venue.candidates):
+            p1 = np.asarray(cand.position, dtype=float)
+            occ[m, l] = bool(segment_hits_boxes(p0, p1, blo, bhi).any())
+    return occ
+
+
+# ---------------------------------------------------------------------------
+# channel: one ring walk per link
+
+
+def active_half_width(params, distance, psi_rx, vertical_ray, occluded,
+                      device_tilt, tx_gain_db):
+    """Active half-width of one link by walking its rings outward with the
+    scalar budget ``snr_db`` until one fails."""
+    gamma = params.snr_threshold_db + params.fade_margin_db
+    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
+    rx_side_db = params.side_lobe_gain_db
+    elev_ok = abs(device_tilt - psi_rx) <= params.md_beamwidth / 2.0
+    half_block = None if occluded else params.self_block_half_angle
+    if not elev_ok:
+        half_cone = None
+    elif vertical_ray:
+        half_cone = math.pi
+    else:
+        half_cone = params.md_beamwidth / 2.0
+    cuts = sorted(
+        {c for c in (half_block, half_cone) if c is not None and c < math.pi}
+    )
+    cuts.append(math.pi)
+    reach = 0.0
+    for cut in cuts:
+        los = half_block is not None and cut <= half_block
+        main = half_cone is not None and cut <= half_cone
+        rx_db = rx_main_db if main else rx_side_db
+        if snr_db(params, distance, tx_gain_db, rx_db, los) >= gamma:
+            reach = cut
+        else:
+            break
+    return reach
+
+
+def model_reach(model):
+    """``active_half_width`` for every pair of a model, from the model's
+    own geometry and occlusion, at the aligned transmit gain."""
+    tx_main_db = linear_to_db(main_lobe_gain(model.params.ap_beamwidth))
+    reach = np.zeros((model.M, model.L))
+    for m in range(model.M):
+        tilt = model.venue.grid_positions[m].elevation
+        for l in range(model.L):
+            reach[m, l] = active_half_width(
+                model.params,
+                float(model.dist[m, l]),
+                float(model.psi_rx[m, l]),
+                bool(model.vertical[m, l]),
+                bool(model.occluded[m, l]),
+                tilt,
+                tx_main_db,
+            )
+    return reach
+
+
+# ---------------------------------------------------------------------------
+# scenarios: one cell and one arc at a time
+
+
+def build_scenarios(venue, gp_id, profiles):
+    """Partition of one seat's orientation circle from its link profiles:
+    sorted arc endpoints, membership by ``AngularInterval.contains`` at
+    each cell midpoint, and masses by ``circular_mass``."""
+    dist = OrientationDistribution.for_gp(venue, gp_id)
+    arcs = []
+    always = np.zeros(venue.n_candidates, dtype=bool)
+    for p in profiles:
+        if p.gp != gp_id:
+            raise ValueError(
+                f"profile for grid position {p.gp} passed to {gp_id}"
+            )
+        if not p.usable or p.effective_interval.is_empty:
+            continue
+        if p.effective_interval.is_full:
+            always[p.ap] = True
+        else:
+            arcs.append((p.ap, p.effective_interval))
+
+    boundaries = sorted({e for _, arc in arcs for e in arc.endpoints()})
+    if not boundaries:
+        cells = [ScenarioCell(AngularInterval.full(), 1.0)]
+        return ScenarioPartition(gp_id, cells, always[None, :], always)
+
+    n = len(boundaries)
+    cells = []
+    visible = np.repeat(always[None, :], n, axis=0)
+    for i in range(n):
+        lo = boundaries[i]
+        hi = boundaries[(i + 1) % n]
+        cell_arc = AngularInterval.arc(lo, hi)
+        mid = wrap_angle(lo + 0.5 * cell_arc.length())
+        for ap, arc in arcs:
+            if arc.contains(mid):
+                visible[i, ap] = True
+        cells.append(ScenarioCell(cell_arc, circular_mass(dist, cell_arc)))
+    return ScenarioPartition(gp_id, cells, visible, always)
+
+
+def model_partitions(model):
+    """Every seat's partition built from one ``LinkProfile`` per link, as
+    classified from the model's distances, azimuths and reach."""
+    parts = []
+    for m in range(model.M):
+        profiles = [
+            _profile_from_reach(m, l, float(model.dist[m, l]),
+                                float(model.phi_rx[m, l]),
+                                float(model.reach[m, l]))
+            for l in range(model.L)
+        ]
+        parts.append(build_scenarios(model.venue, m, profiles))
+    return parts
+
+
+def _cell_bits(part):
+    return [(c.interval.kind, float(c.interval.lo).hex(),
+             float(c.interval.hi).hex(), float(c.prob).hex())
+            for c in part.cells]
+
+
+def same_partition(a, b):
+    """Bit-equal cells, equal visibility and always-on rows, and equal
+    cell-mass bytes."""
+    return (a.gp == b.gp and _cell_bits(a) == _cell_bits(b)
+            and a.visible.shape == b.visible.shape
+            and (a.visible == b.visible).all()
+            and (a.always_on == b.always_on).all()
+            and a.cell_probs.tobytes() == b.cell_probs.tobytes())
 
 
 # ---------------------------------------------------------------------------

@@ -224,6 +224,25 @@ def test_validate_with_monte_carlo(capsys, tmp_path, toy_path):
     assert report["n_samples"] == 5000
 
 
+@pytest.mark.parametrize("seed", ["-1", str(1 << 64)])
+def test_validate_mc_rejects_seed_outside_64_bits(capsys, tmp_path, toy_path,
+                                                  seed):
+    # -1 and 2**64 used to replay the streams of 2**64 - 1 and 0
+    dep_path = tmp_path / "dep.json"
+    assert main(["plan", "--venue", toy_path, "--alpha", "0.9",
+                 "--beta", "0.7", "--out", str(dep_path)]) == 0
+    mc_path = tmp_path / "mc.json"
+    code, stdout, stderr = run(
+        capsys, "validate", "--venue", toy_path, "--deployment",
+        str(dep_path), "--alpha", "0.9", "--beta", "0.7", "--mc",
+        "--samples", "100", "--seed", seed, "--out", str(mc_path),
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "seed" in stderr
+    assert not mc_path.exists()
+
+
 def test_validate_rejects_garbage(capsys, tmp_path, toy_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

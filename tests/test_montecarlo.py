@@ -80,6 +80,18 @@ def test_bad_config_rejected():
         McConfig(n_samples=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
+def test_seed_outside_64_bits_rejected(seed):
+    # the Philox key keeps 64 bits, so such a seed would replay another
+    with pytest.raises(ValueError, match="seed"):
+        McConfig(seed=seed)
+
+
+def test_seed_range_ends_accepted():
+    assert McConfig(seed=0).seed == 0
+    assert McConfig(seed=(1 << 64) - 1).seed == (1 << 64) - 1
+
+
 # -- per-user connectivity --------------------------------------------------
 
 

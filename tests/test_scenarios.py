@@ -191,6 +191,24 @@ def test_connectivity_mask_and_iterable_agree(toy_venue, default_params):
             connectivity_probability(part, row)
 
 
+@pytest.mark.parametrize("make", [
+    lambda L: [-1],
+    lambda L: [L],
+    lambda L: [0, L],
+    lambda L: np.ones(L - 1, dtype=bool),
+    lambda L: np.ones(L + 1, dtype=bool),
+], ids=["minus-one", "L", "zero-and-L", "short-row", "long-row"])
+def test_connectivity_rejects_ids_outside_candidates(toy_venue,
+                                                     default_params, make):
+    # a negative id used to read a mount from the end of the row
+    part = _partition(toy_venue, default_params, 3)
+    aps = make(toy_venue.n_candidates)
+    with pytest.raises(ValueError, match="assigned ids"):
+        connectivity_probability(part, aps)
+    with pytest.raises(ValueError, match="assigned ids"):
+        satisfied(part, aps, 0.5)
+
+
 def test_connectivity_matches_union_arithmetic():
     p = ChannelParams()
     rng = np.random.default_rng(33)
@@ -330,7 +348,7 @@ def test_padded_toys_exercise_high_ids():
     assert always > 0 and arcs > 0
 
 
-@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@settings(max_examples=100)
 @given(data=st.data())
 def test_connectivity_past_64_candidates_matches_patterns(data):
     seed = data.draw(st.integers(0, 3), label="seed")
