@@ -9,11 +9,8 @@ target fraction of the expected audience is covered.
 from .angles import AngularInterval, angle_offset, wrap_angle
 from .channel import (
     ChannelParams,
-    LinkClass,
-    LinkProfile,
     db_to_linear,
     flat_top_gain,
-    link_profile,
     linear_to_db,
     main_lobe_gain,
     path_loss_db,
@@ -33,19 +30,12 @@ from .metrics import (
     audit_greedy_prices,
     location_difference,
 )
-from .montecarlo import (
-    McConfig,
-    monte_carlo_connectivity,
-    monte_carlo_coverage,
-    sample_orientation,
-)
-from .render import render_svg, save_svg
+from .montecarlo import McConfig, monte_carlo_coverage
+from .render import render_svg
 from .scenarios import (
     OrientationDistribution,
-    ScenarioCell,
     ScenarioPartition,
     build_scenarios,
-    circular_mass,
     connectivity_probability,
     satisfied,
 )
@@ -55,9 +45,7 @@ from .solver import (
     Deployment,
     GpCoverage,
     GreedyIteration,
-    GreedyState,
     GreedyTrace,
-    IterationChoice,
     PlacedAp,
     PlanningModel,
     evaluate_coverage,
@@ -73,9 +61,6 @@ from .venue import (
     Venue,
     nadir_angle,
     occlusion_matrix,
-    ray_occluded,
-    rx_angles,
-    tx_angles,
     venue_betas,
 )
 
@@ -86,15 +71,12 @@ __all__ = [
     "angle_offset",
     "wrap_angle",
     "ChannelParams",
-    "LinkClass",
-    "LinkProfile",
     "db_to_linear",
     "linear_to_db",
     "main_lobe_gain",
     "flat_top_gain",
     "path_loss_db",
     "snr_db",
-    "link_profile",
     "PlanError",
     "GeometryError",
     "VenueFormatError",
@@ -106,16 +88,11 @@ __all__ = [
     "audit_greedy_prices",
     "location_difference",
     "McConfig",
-    "sample_orientation",
-    "monte_carlo_connectivity",
     "monte_carlo_coverage",
     "render_svg",
-    "save_svg",
     "OrientationDistribution",
-    "ScenarioCell",
     "ScenarioPartition",
     "build_scenarios",
-    "circular_mass",
     "connectivity_probability",
     "satisfied",
     "PlacedAp",
@@ -125,8 +102,6 @@ __all__ = [
     "CoverSet",
     "GreedyIteration",
     "GreedyTrace",
-    "IterationChoice",
-    "GreedyState",
     "PlanningModel",
     "evaluate_coverage",
     "greedy_iteration_best",
@@ -138,10 +113,7 @@ __all__ = [
     "BodyPrism",
     "Venue",
     "venue_betas",
-    "tx_angles",
-    "rx_angles",
     "nadir_angle",
-    "ray_occluded",
     "occlusion_matrix",
     "__version__",
 ]

@@ -34,6 +34,7 @@ from .montecarlo import McConfig, monte_carlo_coverage
 from .render import render_svg
 from .solver import (
     Deployment,
+    PlanningModel,
     evaluate_coverage,
     exact_place,
     greedy_place,
@@ -61,8 +62,22 @@ _CSV_COLUMNS = (
 )
 
 
-def _float_list(text: str) -> List[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+def _fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value <= 1.0:  # NaN fails as well
+        raise argparse.ArgumentTypeError(f"{text!r} is not in [0, 1]")
+    return value
+
+
+def _float_list(text: str, item=float) -> List[float]:
+    values = [item(tok) for tok in text.split(",") if tok.strip() != ""]
+    if not values:
+        raise argparse.ArgumentTypeError(f"{text!r} lists no numbers")
+    return values
+
+
+def _fraction_list(text: str) -> List[float]:
+    return _float_list(text, _fraction)
 
 
 def _load_params(args: argparse.Namespace) -> ChannelParams:
@@ -111,16 +126,15 @@ def cmd_plan(args: argparse.Namespace) -> int:
     params = _load_params(args)
     betas = venue_betas(venue, args.beta)
     start = time.perf_counter()
+    model = PlanningModel(venue, params, betas)
     trace = None
     try:
         if args.solver == "greedy":
-            deployment, trace = greedy_place(venue, params, args.alpha, betas)
+            deployment, trace = greedy_place(model, args.alpha)
         elif args.solver == "exact":
             deployment = exact_place(
-                venue,
-                params,
+                model,
                 args.alpha,
-                betas,
                 max_candidates=args.max_exact_l,
                 max_positions=args.max_exact_m,
             )
@@ -130,7 +144,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 if args.uniform_n is not None
                 else venue.n_candidates
             )
-            deployment = uniform_place(venue, params, n, betas)
+            deployment = uniform_place(model, n)
     except InfeasibleError as exc:
         elapsed = time.perf_counter() - start
         if exc.partial is not None and args.out:
@@ -177,6 +191,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
     rows = []
     for w in widths:
         params = base.with_beamwidths(ap_beamwidth=w)
+        # one model per width, shared by every target and solver
+        model = PlanningModel(venue, params, betas)
         for alpha in args.alpha:
             row = {
                 "W": w,
@@ -193,7 +209,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
             }
             greedy = trace = None
             try:
-                greedy, trace = greedy_place(venue, params, alpha, betas)
+                greedy, trace = greedy_place(model, alpha)
                 row["L_greedy"] = len(greedy.selected)
                 row["coverage_greedy"] = greedy.normalized_coverage
             except InfeasibleError as exc:
@@ -205,10 +221,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
             exact = None
             try:
                 exact = exact_place(
-                    venue,
-                    params,
+                    model,
                     alpha,
-                    betas,
                     max_candidates=args.max_exact_l,
                     max_positions=args.max_exact_m,
                 )
@@ -224,7 +238,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     if args.uniform_n is not None
                     else max(len(greedy.selected), 1)
                 )
-                uniform = uniform_place(venue, params, n, betas)
+                uniform = uniform_place(model, n)
                 row["coverage_uniform"] = uniform.normalized_coverage
             if greedy is not None and exact is not None:
                 bound = approximation_bound(trace, exact, venue)
@@ -285,7 +299,8 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if args.mc
         else None
     )
-    report = evaluate_coverage(venue, params, deployment, betas)
+    model = PlanningModel(venue, params, betas)
+    report = evaluate_coverage(model, deployment)
     ok = report.normalized_coverage >= args.alpha
     print(
         f"aps={len(deployment.selected)} "
@@ -294,7 +309,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"target={args.alpha:.4f} {'ok' if ok else 'below target'}"
     )
     if mc is not None:
-        mc_report = monte_carlo_coverage(venue, params, deployment, betas, mc)
+        mc_report = monte_carlo_coverage(model, mc, deployment)
         outside = [
             row["id"]
             for row in mc_report["per_gp"]
@@ -346,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
         if alpha_list:
             p.add_argument(
                 "--alpha",
-                type=_float_list,
+                type=_fraction_list,
                 required=True,
                 help="comma-separated list of coverage targets",
             )
@@ -357,7 +372,7 @@ def build_parser() -> argparse.ArgumentParser:
                 help="comma-separated list of AP beamwidths, radians",
             )
         else:
-            p.add_argument("--alpha", type=float, required=True)
+            p.add_argument("--alpha", type=_fraction, required=True)
             p.add_argument("--beamwidth-ap", type=float, default=None)
         p.add_argument("--beta", type=float, required=True)
         p.add_argument("--beamwidth-md", type=float, default=None)

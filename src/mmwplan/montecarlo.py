@@ -33,8 +33,7 @@ from .scenarios import (
     _std_normal_cdf,
     connectivity_probability,
 )
-from .solver import Deployment, PlanningModel
-from .venue import Venue
+from .solver import Deployment, PlanningModel, evaluate_coverage
 
 _GENERATOR = "philox4x64"
 _SUBSTREAM_RULE = "key = [seed, gp_id]"
@@ -167,11 +166,7 @@ def _compare(
 
 
 def monte_carlo_connectivity(
-    venue: Venue,
-    params: ChannelParams,
-    m: int,
-    assigned: Iterable[int],
-    mc: McConfig,
+    model: PlanningModel, m: int, assigned: Iterable[int], mc: McConfig
 ) -> Dict[str, object]:
     """Empirical probability that any assigned link is active for user m.
 
@@ -179,11 +174,12 @@ def monte_carlo_connectivity(
     partition assumes for assigned links. With shadowing off the empirical
     rate should land within three binomial standard errors of the analytic
     value; with shadowing on there is no such target and the analytic
-    column is reference only. Raises ``ValueError`` for an assigned id
-    outside the venue's candidates.
+    column is reference only. The model's per-user targets are not read.
+    Raises ``ValueError`` for an assigned id outside the venue's
+    candidates.
     """
+    venue, params = model.venue, model.params
     aps = sorted(set(int(l) for l in assigned))
-    model = PlanningModel(venue, params, 1.0)
     analytic = connectivity_probability(model.partitions[m], aps)
 
     rng = _substream(mc.seed, m)
@@ -212,19 +208,16 @@ def monte_carlo_connectivity(
 
 
 def monte_carlo_coverage(
-    venue: Venue,
-    params: ChannelParams,
-    deployment: Deployment,
-    betas,
-    mc: McConfig,
+    model: PlanningModel, mc: McConfig, deployment: Deployment
 ) -> Dict[str, object]:
-    """Replay a whole deployment and compare against the analytic report.
+    """Replay a whole deployment and compare against the analytic report
+    of ``evaluate_coverage``.
 
     Transmit gains use each serving beam's actual steering. Validation
     errors from the analytic evaluation propagate unchanged.
     """
-    model = PlanningModel(venue, params, betas)
-    analytic = model.evaluate(deployment)
+    venue, params = model.venue, model.params
+    analytic = evaluate_coverage(model, deployment)
 
     serving: Dict[int, List[_LinkGeometry]] = {}
     for ap in deployment.selected:

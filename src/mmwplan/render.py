@@ -213,14 +213,4 @@ def render_svg(
     return "\n".join(parts) + "\n"
 
 
-def save_svg(
-    venue: Venue,
-    deployment: Optional[Deployment],
-    path: str,
-    beamwidth: float = 2.0 * math.pi / 3.0,
-) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_svg(venue, deployment, beamwidth=beamwidth))
-
-
-__all__ = ["render_svg", "save_svg"]
+__all__ = ["render_svg"]

@@ -1,6 +1,10 @@
 """Access point placement solvers.
 
-Three planners share one precomputed model of the venue:
+Three planners share one precomputed model of the venue. A caller builds
+one ``PlanningModel`` per (venue, params, betas) and passes it as the
+first argument of every planner and of ``evaluate_coverage``; none of them
+builds a model or writes to the one it gets, so one model serves any
+number of targets, solvers and evaluations:
 
 * ``greedy_place`` repeats a weighted set-cover step: among every remaining
   (candidate, steering) pair it picks the one whose beam, allowed to serve
@@ -19,7 +23,7 @@ Three planners share one precomputed model of the venue:
   farthest-point selection and aim every beam straight down.
 
 Satisfaction of a user is always the scenario-partition probability of its
-assigned set meeting the per-user target; all solvers and the standalone
+assigned set meeting the per-user target; all solvers and
 ``evaluate_coverage`` recompute it through ``PlanningModel.finalize``, so a
 deployment round-trips bit-identically through revalidation.
 """
@@ -152,7 +156,6 @@ class CoverSet:
     theta: float
     phi: float
     members: Tuple[int, ...]
-    weight: float
 
 
 @dataclass(frozen=True)
@@ -216,8 +219,11 @@ def _normalize_betas(betas: BetaLike, n: int) -> np.ndarray:
 class PlanningModel:
     """Precomputed geometry, link classes, partitions and beam footprints.
 
-    Built once per (venue, params, betas) and shared by every solver and by
-    ``evaluate``; every satisfaction decision goes through ``finalize``.
+    Depends only on (venue, params, betas), never on a coverage target or
+    a solver, so it is built once per (venue, params, betas) and shared:
+    the solvers and ``evaluate_coverage`` take it as their first argument
+    and only read it. Every satisfaction decision goes through
+    ``finalize``.
 
     The build is array code over all (seat, candidate) pairs: view-ray
     angles and distances, ``occlusion_matrix`` (one batched slab test per
@@ -355,81 +361,70 @@ class PlanningModel:
             normalized_coverage=self.normalized(coverage),
         )
 
-    def evaluate(self, deployment: Deployment) -> CoverageReport:
-        """Validate a deployment and recompute its per-user connectivity
-        and coverage through ``finalize``.
-
-        Raises ``DeploymentValidationError`` when the deployment is
-        malformed: unknown ids, duplicated candidates, beams over capacity,
-        or users assigned outside a beam's footprint or over an unusable
-        link.
-        """
-        violations: List[str] = []
-        seen: set = set()
-        half = self.params.ap_beamwidth / 2.0
-        capacity = self.params.capacity_per_beam
-        for ap in deployment.selected:
-            l = ap.candidate
-            if not (0 <= l < self.L):
-                violations.append(f"unknown candidate id {l}")
-                continue
-            if l in seen:
-                violations.append(f"candidate {l} selected more than once")
-            seen.add(l)
-            if len(ap.assigned) > capacity:
-                violations.append(
-                    f"candidate {l} serves {len(ap.assigned)} users, "
-                    f"capacity is {capacity}"
-                )
-            if len(set(ap.assigned)) != len(ap.assigned):
-                violations.append(f"candidate {l} has duplicate assignments")
-            for m in ap.assigned:
-                if not (0 <= m < self.M):
-                    violations.append(f"candidate {l}: unknown user id {m}")
-                    continue
-                if not self.usable[m, l]:
-                    violations.append(
-                        f"user {m} assigned to candidate {l} whose link can "
-                        f"never be active"
-                    )
-                el_off = abs(ap.theta - float(self.nadir_tx[m, l]))
-                d = ap.phi - float(self.phi_tx[m, l])
-                az_off = abs(math.atan2(math.sin(d), math.cos(d)))
-                if el_off > half or (
-                    not self.vertical[m, l] and az_off > half
-                ):
-                    violations.append(
-                        f"user {m} lies outside the beam of candidate {l} "
-                        f"(azimuth offset {az_off:.3f}, elevation offset "
-                        f"{el_off:.3f}, half-width {half:.3f})"
-                    )
-        if violations:
-            raise DeploymentValidationError(
-                "deployment failed validation", violations
-            )
-        dep = self.finalize(deployment.selected)
-        return CoverageReport(
-            per_gp=[
-                GpCoverage(id=m, prob=p, z=z)
-                for m, (p, z) in enumerate(zip(dep.per_gp_prob, dep.satisfied))
-            ],
-            coverage=dep.coverage,
-            normalized_coverage=dep.normalized_coverage,
-        )
-
 
 # -- evaluation --------------------------------------------------------
 
 
 def evaluate_coverage(
-    venue: Venue,
-    params: ChannelParams,
-    deployment: Deployment,
-    betas: BetaLike,
+    model: PlanningModel, deployment: Deployment
 ) -> CoverageReport:
-    """Recompute per-user connectivity and coverage from scratch; see
-    ``PlanningModel.evaluate``."""
-    return PlanningModel(venue, params, betas).evaluate(deployment)
+    """Validate a deployment and recompute its per-user connectivity and
+    coverage through ``model.finalize``.
+
+    Raises ``DeploymentValidationError`` when the deployment is malformed:
+    unknown ids, duplicated candidates, beams over capacity, or users
+    assigned outside a beam's footprint or over an unusable link.
+    """
+    violations: List[str] = []
+    seen: set = set()
+    half = model.params.ap_beamwidth / 2.0
+    capacity = model.params.capacity_per_beam
+    for ap in deployment.selected:
+        l = ap.candidate
+        if not (0 <= l < model.L):
+            violations.append(f"unknown candidate id {l}")
+            continue
+        if l in seen:
+            violations.append(f"candidate {l} selected more than once")
+        seen.add(l)
+        if len(ap.assigned) > capacity:
+            violations.append(
+                f"candidate {l} serves {len(ap.assigned)} users, "
+                f"capacity is {capacity}"
+            )
+        if len(set(ap.assigned)) != len(ap.assigned):
+            violations.append(f"candidate {l} has duplicate assignments")
+        for m in ap.assigned:
+            if not (0 <= m < model.M):
+                violations.append(f"candidate {l}: unknown user id {m}")
+                continue
+            if not model.usable[m, l]:
+                violations.append(
+                    f"user {m} assigned to candidate {l} whose link can "
+                    f"never be active"
+                )
+            el_off = abs(ap.theta - float(model.nadir_tx[m, l]))
+            d = ap.phi - float(model.phi_tx[m, l])
+            az_off = abs(math.atan2(math.sin(d), math.cos(d)))
+            if el_off > half or (not model.vertical[m, l] and az_off > half):
+                violations.append(
+                    f"user {m} lies outside the beam of candidate {l} "
+                    f"(azimuth offset {az_off:.3f}, elevation offset "
+                    f"{el_off:.3f}, half-width {half:.3f})"
+                )
+    if violations:
+        raise DeploymentValidationError(
+            "deployment failed validation", violations
+        )
+    dep = model.finalize(deployment.selected)
+    return CoverageReport(
+        per_gp=[
+            GpCoverage(id=m, prob=p, z=z)
+            for m, (p, z) in enumerate(zip(dep.per_gp_prob, dep.satisfied))
+        ],
+        coverage=dep.coverage,
+        normalized_coverage=dep.normalized_coverage,
+    )
 
 
 # -- greedy ------------------------------------------------------------
@@ -563,10 +558,7 @@ def greedy_iteration_best(
 
 
 def greedy_place(
-    venue: Venue,
-    params: ChannelParams,
-    alpha: float,
-    betas: BetaLike,
+    model: PlanningModel, alpha: float
 ) -> Tuple[Deployment, GreedyTrace]:
     """Greedy weighted set-cover placement.
 
@@ -579,7 +571,6 @@ def greedy_place(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    model = PlanningModel(venue, params, betas)
     state = GreedyState.initial(model)
     pool = list(range(model.L))
     selected: List[PlacedAp] = []
@@ -634,7 +625,6 @@ def greedy_place(
                     theta=theta,
                     phi=phi,
                     members=assigned,
-                    weight=marginal,
                 ),
                 newly_satisfied=tuple(sorted(newly)),
                 marginal_weight=marginal,
@@ -736,10 +726,8 @@ def _useful_steerings(foot: np.ndarray) -> List[int]:
 
 
 def exact_place(
-    venue: Venue,
-    params: ChannelParams,
+    model: PlanningModel,
     alpha: float,
-    betas: BetaLike,
     max_candidates: int = 6,
     max_positions: int = 12,
 ) -> Deployment:
@@ -763,7 +751,7 @@ def exact_place(
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
-    L, M = venue.n_candidates, venue.n_grid
+    L, M = model.L, model.M
     if L > max_candidates or M > max_positions:
         raise SizeLimitError(
             f"instance size {L} candidates x {M} users exceeds exact solver "
@@ -776,8 +764,7 @@ def exact_place(
                 "max_positions": max_positions,
             },
         )
-    model = PlanningModel(venue, params, betas)
-    capacity = params.capacity_per_beam
+    capacity = model.params.capacity_per_beam
 
     free = model.betas <= 0.0
     base = float(model.q[free].sum())
@@ -912,20 +899,14 @@ def exact_place(
 # -- uniform baseline --------------------------------------------------
 
 
-def uniform_place(
-    venue: Venue,
-    params: ChannelParams,
-    count: int,
-    betas: BetaLike,
-) -> Deployment:
+def uniform_place(model: PlanningModel, count: int) -> Deployment:
     """Coverage-oblivious baseline: farthest-point spread, beams straight
     down, users served by presence mass within each footprint."""
-    model = PlanningModel(venue, params, betas)
     if not (1 <= count <= model.L):
         raise ValueError(
             f"count must lie in [1, {model.L}], got {count}"
         )
-    xy = np.array([c.position[:2] for c in venue.candidates])
+    xy = np.array([c.position[:2] for c in model.venue.candidates])
     centroid = xy.mean(axis=0)
     d0 = np.hypot(*(xy - centroid).T)
     chosen = [int(np.argmin(d0))]
@@ -935,7 +916,7 @@ def uniform_place(
             dmin = np.minimum(dmin, np.hypot(*(xy - xy[l]).T))
         dmin[chosen] = -np.inf
         chosen.append(int(np.argmax(dmin)))
-    capacity = params.capacity_per_beam
+    capacity = model.params.capacity_per_beam
     selected = []
     for l in chosen:
         members = model.footprint(l, 0.0, 0.0)[:capacity]

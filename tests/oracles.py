@@ -451,16 +451,15 @@ def flat_minimum_count(venue, params, alpha, beta, kmax=3):
     return None
 
 
-def exact_place_unpruned(venue, params, alpha, betas):
+def exact_place_unpruned(model, alpha):
     """``exact_place`` with every steering of every mount in the product.
 
     The same subset order, assignment search and strict-improvement
-    tie-break as the solver, without its size guard, parallel lane or
-    steering pruning, so the two must return identical deployments.
+    tie-break as the solver, without its size guard or steering pruning,
+    so the two must return identical deployments.
     Raises ``InfeasibleError`` when no subset reaches ``alpha``.
     """
-    model = PlanningModel(venue, params, betas)
-    M, L, T = model.M, model.L, params.capacity_per_beam
+    M, L, T = model.M, model.L, model.params.capacity_per_beam
     free = model.betas <= 0.0
     base = float(model.q[free].sum())
     choices_all = {m: _minimal_satisfying_sets(model, m) for m in range(M)}

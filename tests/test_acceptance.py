@@ -18,6 +18,7 @@ from mmwplan import (
     ChannelParams,
     InfeasibleError,
     McConfig,
+    PlanningModel,
     approximation_bound,
     audit_greedy_prices,
     build_scenarios,
@@ -25,12 +26,12 @@ from mmwplan import (
     exact_place,
     generate_venue,
     greedy_place,
-    link_profile,
     main_lobe_gain,
-    monte_carlo_connectivity,
     monte_carlo_coverage,
     path_loss_db,
 )
+from mmwplan.channel import link_profile
+from mmwplan.montecarlo import monte_carlo_connectivity
 
 ACCEPTANCE_LINES = []
 
@@ -65,7 +66,7 @@ def test_criterion_1_exact_matches_flat_enumeration():
         alpha = 0.55 if i % 3 == 0 else 0.70
         t0 = time.perf_counter()
         try:
-            dep = exact_place(venue, TIGHT, alpha, 0.65)
+            dep = exact_place(PlanningModel(venue, TIGHT, 0.65), alpha)
             got = (len(dep.selected), dep.normalized_coverage)
         except InfeasibleError:
             got = None
@@ -107,7 +108,8 @@ def test_criterion_2_connectivity_probabilities():
         want = oracles.pattern_connectivity(part, s)
         enum_ok += abs(got - want) < 1e-12
         mc = monte_carlo_connectivity(
-            venue, TIGHT, m, s, McConfig(n_samples=100000, seed=900 + j)
+            PlanningModel(venue, TIGHT, 0.65), m, s,
+            McConfig(n_samples=100000, seed=900 + j),
         )
         sampled_ok += bool(mc["within_3sigma"])
     _verdict(
@@ -132,14 +134,13 @@ def sweep():
                     ap_beamwidth=wi * math.pi / 15.0
                 )
                 for venue in venues:
+                    model = PlanningModel(venue, params, beta)
                     try:
-                        greedy, trace = greedy_place(
-                            venue, params, alpha, beta
-                        )
+                        greedy, trace = greedy_place(model, alpha)
                     except InfeasibleError:
                         greedy = trace = None
                     try:
-                        exact = exact_place(venue, params, alpha, beta)
+                        exact = exact_place(model, alpha)
                     except InfeasibleError:
                         exact = None
                     rows.append((venue, greedy, trace, exact))
@@ -205,13 +206,11 @@ def test_criterion_5_monotone_in_targets():
     alphas = (0.2, 0.4, 0.6, 0.75, 0.9)
     rooms_ok = 0
     for i in range(10):
-        venue = random_toy(3000 + i)
+        model = PlanningModel(random_toy(3000 + i), TIGHT, 0.65)
         counts = []
         for alpha in alphas:
             try:
-                counts.append(
-                    len(exact_place(venue, TIGHT, alpha, 0.65).selected)
-                )
+                counts.append(len(exact_place(model, alpha).selected))
             except InfeasibleError:
                 counts.append(None)
         ok = True
@@ -278,7 +277,8 @@ def test_criterion_7_builtin_venues():
 
         def attempt():
             try:
-                dep, _ = greedy_place(venue, params, 0.75, 0.9)
+                dep, _ = greedy_place(PlanningModel(venue, params, 0.9),
+                                      0.75)
                 return dep, None
             except InfeasibleError as exc:
                 return exc.partial, exc
@@ -323,7 +323,8 @@ def test_criterion_8_determinism():
     toy = random_toy(77)
     blobs = set()
     for _ in range(5):
-        dep, trace = greedy_place(toy, params, 0.75, 0.7)
+        # a fresh model per repeat: the build is part of what must repeat
+        dep, trace = greedy_place(PlanningModel(toy, params, 0.7), 0.75)
         blobs.add(json.dumps(
             {"dep": dep.to_dict(), "trace": trace.to_dict()},
             sort_keys=True,
@@ -331,11 +332,12 @@ def test_criterion_8_determinism():
     repeats_ok = len(blobs) == 1
 
     mc = McConfig(n_samples=30000, seed=13)
-    mc_a = monte_carlo_connectivity(toy, params, 1, [0, 2], mc)
-    mc_b = monte_carlo_connectivity(toy, params, 1, [0, 2], mc)
-    dep, _ = greedy_place(toy, params, 0.75, 0.7)
-    cov_a = monte_carlo_coverage(toy, params, dep, 0.7, mc)
-    cov_b = monte_carlo_coverage(toy, params, dep, 0.7, mc)
+    model = PlanningModel(toy, params, 0.7)
+    mc_a = monte_carlo_connectivity(model, 1, [0, 2], mc)
+    mc_b = monte_carlo_connectivity(model, 1, [0, 2], mc)
+    dep, _ = greedy_place(model, 0.75)
+    cov_a = monte_carlo_coverage(model, mc, dep)
+    cov_b = monte_carlo_coverage(model, mc, dep)
     mc_ok = mc_a == mc_b and cov_a == cov_b
 
     _verdict(

@@ -11,15 +11,14 @@ from conftest import random_toy, single_link_venue
 from mmwplan import (
     BodyPrism,
     ChannelParams,
-    LinkClass,
     db_to_linear,
     flat_top_gain,
     linear_to_db,
-    link_profile,
     main_lobe_gain,
     path_loss_db,
     snr_db,
 )
+from mmwplan.channel import LinkClass, link_profile
 
 
 # -- antenna pattern --------------------------------------------------------
@@ -211,7 +210,8 @@ def test_side_lobe_sufficient_interval_is_blockage_window():
     # mid range: a line-of-sight side lobe clears the budget but nothing
     # clears once the body blocks, so the active arc is exactly the
     # self-blockage window
-    from mmwplan import rx_angles, wrap_angle
+    from mmwplan import wrap_angle
+    from mmwplan.venue import rx_angles
     v = single_link_venue(dx=9.0, dz=12.0, facing=0.3)
     p = ChannelParams()
     prof = link_profile(v, p, 0, 0)
@@ -230,8 +230,8 @@ def test_distance_recorded():
 def test_effective_interval_inside_blockage_window_when_nlos_fails():
     # whenever no blocked orientation can clear the budget, the active
     # arc must sit inside the self-blockage window
-    from mmwplan import AngularInterval, main_lobe_gain, rx_angles
-    from mmwplan.venue import link_distance
+    from mmwplan import AngularInterval, main_lobe_gain
+    from mmwplan.venue import link_distance, rx_angles
 
     p = ChannelParams()
     tx_db = linear_to_db(main_lobe_gain(p.ap_beamwidth))
@@ -323,7 +323,8 @@ def test_steered_profiles_match_dense_sweep():
 
 
 def test_steering_at_exact_boresight_matches_unsteered():
-    from mmwplan import nadir_angle, tx_angles
+    from mmwplan import nadir_angle
+    from mmwplan.venue import tx_angles
     p = ChannelParams()
     v = random_toy(43)
     for m in (1, 4):

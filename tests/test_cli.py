@@ -6,7 +6,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from mmwplan import Deployment, Venue, evaluate_coverage
+from mmwplan import Deployment, PlanningModel, Venue, evaluate_coverage
 from mmwplan.cli import main
 
 
@@ -66,7 +66,7 @@ def test_plan_greedy_round_trip(capsys, tmp_path, toy_path):
     dep = Deployment.from_dict(json.loads(dep_path.read_text()))
     venue = Venue.load(toy_path)
     from mmwplan import ChannelParams
-    rep = evaluate_coverage(venue, ChannelParams(), dep, 0.7)
+    rep = evaluate_coverage(PlanningModel(venue, ChannelParams(), 0.7), dep)
     assert rep.normalized_coverage >= 0.9
     trace = json.loads(trace_path.read_text())
     assert trace["format_version"] == 1
@@ -130,6 +130,7 @@ def test_plan_accepts_200_mounts(capsys, tmp_path, toy_path):
 @pytest.mark.parametrize("extra", [
     ["--alpha", "0.5", "--parallel"],
     ["--alpha", "abc"],
+    ["--alpha", "inf"],
 ])
 def test_usage_errors_exit_as_invalid_input(capsys, toy_path, extra):
     capsys.readouterr()
@@ -428,3 +429,90 @@ def test_compare_stdout_when_no_out(capsys, toy_path):
     )
     assert code == 0
     assert stdout.startswith("W,alpha,beta,")
+
+
+# -- argument checks ----------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("validate", ["--alpha", "nan"]),
+    ("validate", ["--alpha", "1.5"]),
+    ("validate", ["--alpha", "-1"]),
+    ("compare", ["--alpha", ","]),
+    ("compare", ["--alpha", "0.5,nan"]),
+    ("compare", ["--alpha", "0.5,1.5"]),
+    ("compare", ["--alpha", "0.5", "--beamwidth-ap", ","]),
+], ids=["validate-nan", "validate-1.5", "validate-minus-1",
+        "compare-empty", "compare-nan", "compare-1.5",
+        "compare-empty-widths"])
+def test_bad_alpha_and_empty_lists_are_usage_errors(capsys, tmp_path,
+                                                    toy_path, command,
+                                                    extra):
+    # these used to exit 2 "below target", 0 "ok", write a header-only
+    # CSV or fall back to the default width
+    dep_path = tmp_path / "dep.json"
+    assert main(["plan", "--venue", toy_path, "--alpha", "0.9",
+                 "--beta", "0.7", "--out", str(dep_path)]) == 0
+    capsys.readouterr()
+    if command == "validate":
+        extra = ["--deployment", str(dep_path), *extra]
+    with pytest.raises(SystemExit) as e:
+        main([command, "--venue", toy_path, "--beta", "0.7", *extra])
+    assert e.value.code == 3
+    captured = capsys.readouterr()
+    assert "error: argument" in captured.err
+    assert captured.out == ""
+
+
+# -- one planning model per op ----------------------------------------------
+
+
+@pytest.fixture()
+def model_builds(monkeypatch):
+    """Counts PlanningModel constructions."""
+    builds = []
+    init = PlanningModel.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PlanningModel, "__init__", counting)
+    return builds
+
+
+@pytest.mark.parametrize("solver", ["greedy", "exact", "uniform"])
+def test_plan_builds_one_model(capsys, toy_path, model_builds, solver):
+    code, _, _ = run(capsys, "plan", "--venue", toy_path, "--solver",
+                     solver, "--alpha", "0.9", "--beta", "0.7")
+    assert code == 0
+    assert len(model_builds) == 1
+
+
+def test_validate_mc_builds_one_model(capsys, tmp_path, toy_path,
+                                      model_builds):
+    dep_path = tmp_path / "dep.json"
+    assert main(["plan", "--venue", toy_path, "--alpha", "0.9",
+                 "--beta", "0.7", "--out", str(dep_path)]) == 0
+    model_builds.clear()
+    code, _, _ = run(
+        capsys, "validate", "--venue", toy_path, "--deployment",
+        str(dep_path), "--alpha", "0.9", "--beta", "0.7", "--mc",
+        "--samples", "1000",
+    )
+    assert code == 0
+    assert len(model_builds) == 1
+
+
+@pytest.mark.parametrize("widths, builds", [
+    ([], 1),
+    (["--beamwidth-ap", f"{2.0 * math.pi / 3.0}"], 1),
+    (["--beamwidth-ap", f"{2.0 * math.pi / 3.0},{math.pi / 2.0}"], 2),
+])
+def test_compare_builds_one_model_per_width(capsys, toy_path, model_builds,
+                                            widths, builds):
+    code, stdout, _ = run(capsys, "compare", "--venue", toy_path,
+                          "--alpha", "0.5,0.9", "--beta", "0.7", *widths)
+    assert code == 0
+    assert len(stdout.strip().split("\n")) == 1 + 2 * builds
+    assert len(model_builds) == builds

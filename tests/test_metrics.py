@@ -12,6 +12,7 @@ from mmwplan import (
     GreedyIteration,
     GreedyTrace,
     PlacedAp,
+    PlanningModel,
     approximation_bound,
     audit_greedy_prices,
     exact_place,
@@ -38,7 +39,7 @@ def _ap(candidate, assigned):
 def _iteration(candidate, members, newly, weight, running):
     return GreedyIteration(
         cover=CoverSet(candidate=candidate, theta=0.0, phi=0.0,
-                       members=tuple(members), weight=weight),
+                       members=tuple(members)),
         newly_satisfied=tuple(newly),
         marginal_weight=weight,
         running_coverage=running,
@@ -130,8 +131,9 @@ def test_bound_trivial_exact_solution(toy_venue):
 def test_bound_on_solver_pair(tight_params):
     for seed in (21, 22, 23):
         v = random_toy(seed)
-        dep, trace = greedy_place(v, tight_params, 0.9, 0.7)
-        exact = exact_place(v, tight_params, 0.9, 0.7)
+        model = PlanningModel(v, tight_params, 0.7)
+        dep, trace = greedy_place(model, 0.9)
+        exact = exact_place(model, 0.9)
         out = approximation_bound(trace, exact, v)
         if not out["comparable"]:
             continue
@@ -190,8 +192,9 @@ def test_audit_passes_on_solver_pairs(tight_params):
     seen_ok = 0
     for seed in (21, 22, 23, 24):
         v = random_toy(seed)
-        dep, trace = greedy_place(v, tight_params, 0.9, 0.7)
-        exact = exact_place(v, tight_params, 0.9, 0.7)
+        model = PlanningModel(v, tight_params, 0.7)
+        dep, trace = greedy_place(model, 0.9)
+        exact = exact_place(model, 0.9)
         out = audit_greedy_prices(trace, exact, v)
         assert out["ok"], out
         seen_ok += 1

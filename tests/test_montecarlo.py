@@ -11,11 +11,11 @@ from mmwplan import (
     DeploymentValidationError,
     McConfig,
     OrientationDistribution,
+    PlanningModel,
     greedy_place,
-    monte_carlo_connectivity,
     monte_carlo_coverage,
-    sample_orientation,
 )
+from mmwplan.montecarlo import monte_carlo_connectivity, sample_orientation
 from mmwplan.solver import Deployment, PlacedAp
 
 MC = McConfig(n_samples=20000, seed=5)
@@ -96,16 +96,16 @@ def test_seed_range_ends_accepted():
 
 
 def test_always_on_link_is_exact(tight_params):
-    v = random_toy(61)
-    r = monte_carlo_connectivity(v, tight_params, 0, [0], MC)
+    model = PlanningModel(random_toy(61), tight_params, 0.7)
+    r = monte_carlo_connectivity(model, 0, [0], MC)
     assert r["analytic_prob"] == 1.0
     assert r["empirical_prob"] == 1.0
     assert r["within_3sigma"]
 
 
 def test_empty_set_is_exact_zero(tight_params):
-    v = random_toy(61)
-    r = monte_carlo_connectivity(v, tight_params, 2, [], MC)
+    model = PlanningModel(random_toy(61), tight_params, 0.7)
+    r = monte_carlo_connectivity(model, 2, [], MC)
     assert r["analytic_prob"] == 0.0
     assert r["empirical_prob"] == 0.0
 
@@ -114,12 +114,15 @@ def test_empty_set_is_exact_zero(tight_params):
 def test_connectivity_rejects_unknown_ids(toy_venue, default_params,
                                           assigned):
     with pytest.raises(ValueError, match="assigned ids"):
-        monte_carlo_connectivity(toy_venue, default_params, 0, assigned, MC)
+        monte_carlo_connectivity(
+            PlanningModel(toy_venue, default_params, 0.7), 0, assigned, MC
+        )
 
 
 def test_orientation_dependent_link_within_3sigma():
     v = single_link_venue(dx=0.0, dz=40.0, tilt=0.0)
-    r = monte_carlo_connectivity(v, ChannelParams(), 0, [0], MC)
+    r = monte_carlo_connectivity(PlanningModel(v, ChannelParams(), 0.7), 0,
+                                 [0], MC)
     assert 0.0 < r["analytic_prob"] < 1.0
     assert r["within_3sigma"], r
 
@@ -132,13 +135,14 @@ def test_random_rooms_within_3sigma(tight_params):
         size = int(rng.integers(1, 3))
         s = sorted(rng.choice(v.n_candidates, size=size,
                               replace=False).tolist())
-        r = monte_carlo_connectivity(v, tight_params, m, s, MC)
+        r = monte_carlo_connectivity(PlanningModel(v, tight_params, 0.7), m,
+                                     s, MC)
         assert r["within_3sigma"], r
 
 
 def test_report_names_stream_layout(tight_params):
-    v = random_toy(61)
-    r = monte_carlo_connectivity(v, tight_params, 1, [0, 2], MC)
+    model = PlanningModel(random_toy(61), tight_params, 0.7)
+    r = monte_carlo_connectivity(model, 1, [0, 2], MC)
     assert r["generator"] == "philox4x64"
     assert "gp_id" in r["substream_rule"]
     assert r["assigned"] == [0, 2]
@@ -146,22 +150,22 @@ def test_report_names_stream_layout(tight_params):
 
 
 def test_connectivity_report_reproducible(tight_params):
-    v = random_toy(62)
-    a = monte_carlo_connectivity(v, tight_params, 4, [1, 3], MC)
-    b = monte_carlo_connectivity(v, tight_params, 4, [1, 3], MC)
+    model = PlanningModel(random_toy(62), tight_params, 0.7)
+    a = monte_carlo_connectivity(model, 4, [1, 3], MC)
+    b = monte_carlo_connectivity(model, 4, [1, 3], MC)
     assert a == b
     c = monte_carlo_connectivity(
-        v, tight_params, 4, [1, 3], McConfig(n_samples=20000, seed=6)
+        model, 4, [1, 3], McConfig(n_samples=20000, seed=6)
     )
     assert c["empirical_prob"] != a["empirical_prob"] or \
         c["analytic_prob"] == 1.0
 
 
 def test_shadowing_replay_runs_and_reproduces(tight_params):
-    v = random_toy(61)
+    model = PlanningModel(random_toy(61), tight_params, 0.7)
     mc = McConfig(n_samples=5000, seed=9, sample_shadowing=True)
-    a = monte_carlo_connectivity(v, tight_params, 4, [2], mc)
-    b = monte_carlo_connectivity(v, tight_params, 4, [2], mc)
+    a = monte_carlo_connectivity(model, 4, [2], mc)
+    b = monte_carlo_connectivity(model, 4, [2], mc)
     assert a == b
     assert a["sample_shadowing"]
     assert isinstance(a["within_3sigma"], bool)
@@ -174,32 +178,34 @@ def test_coverage_matches_per_user_replay(tight_params):
     # a user served by the same set must see the identical substream, so
     # the standalone run and the deployment replay agree bit for bit
     v = random_toy(61)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
-    cov = monte_carlo_coverage(v, tight_params, dep, 0.7, MC)
+    model = PlanningModel(v, tight_params, 0.7)
+    dep, _ = greedy_place(model, 0.9)
+    cov = monte_carlo_coverage(model, MC, dep)
     checked = 0
     for m in range(v.n_grid):
         s = sorted(ap.candidate for ap in dep.selected if m in ap.assigned)
         if not s:
             continue
-        r = monte_carlo_connectivity(v, tight_params, m, s, MC)
+        r = monte_carlo_connectivity(model, m, s, MC)
         assert r["empirical_prob"] == cov["per_gp"][m]["empirical_prob"]
         checked += 1
     assert checked >= 3
 
 
 def test_coverage_report_reproducible(tight_params):
-    v = random_toy(63)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
-    a = monte_carlo_coverage(v, tight_params, dep, 0.7, MC)
-    b = monte_carlo_coverage(v, tight_params, dep, 0.7, MC)
+    model = PlanningModel(random_toy(63), tight_params, 0.7)
+    dep, _ = greedy_place(model, 0.9)
+    a = monte_carlo_coverage(model, MC, dep)
+    b = monte_carlo_coverage(model, MC, dep)
     assert a == b
     assert a["generator"] == "philox4x64"
     assert a["coverage_analytic"] == dep.coverage
 
 
 def test_empty_deployment_covers_nothing(toy_venue, default_params):
-    dep, _ = greedy_place(toy_venue, default_params, 0.0, 0.7)
-    cov = monte_carlo_coverage(toy_venue, default_params, dep, 0.7, MC)
+    model = PlanningModel(toy_venue, default_params, 0.7)
+    dep, _ = greedy_place(model, 0.0)
+    cov = monte_carlo_coverage(model, MC, dep)
     assert cov["coverage_empirical"] == 0.0
     assert cov["coverage_analytic"] == 0.0
     assert all(row["empirical_prob"] == 0.0 for row in cov["per_gp"])
@@ -212,4 +218,6 @@ def test_malformed_deployment_propagates(toy_venue, default_params):
         normalized_coverage=0.0,
     )
     with pytest.raises(DeploymentValidationError):
-        monte_carlo_coverage(toy_venue, default_params, bad, 0.7, MC)
+        monte_carlo_coverage(
+            PlanningModel(toy_venue, default_params, 0.7), MC, bad
+        )

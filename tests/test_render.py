@@ -6,11 +6,12 @@ import xml.etree.ElementTree as ET
 from conftest import random_toy
 from mmwplan import (
     ChannelParams,
+    PlanningModel,
     generate_venue,
     greedy_place,
     render_svg,
-    save_svg,
 )
+from mmwplan.cli import main
 
 SVG_NS = "{http://www.w3.org/2000/svg}"
 
@@ -22,19 +23,22 @@ def _by_class(svg, cls):
 
 def test_identical_inputs_identical_bytes(tight_params):
     v = random_toy(72)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
+    dep, _ = greedy_place(PlanningModel(v, tight_params, 0.7), 0.9)
     assert render_svg(v, dep) == render_svg(v, dep)
 
 
 def test_save_matches_render(tmp_path, toy_venue):
-    out = tmp_path / "venue.svg"
-    save_svg(toy_venue, None, str(out))
+    # the file `mmwplan render` writes is render_svg's text, unchanged
+    venue_path, out = tmp_path / "toy.json", tmp_path / "venue.svg"
+    toy_venue.save(str(venue_path))
+    assert main(["render", "--venue", str(venue_path),
+                 "--out", str(out)]) == 0
     assert out.read_text() == render_svg(toy_venue, None)
 
 
 def test_marker_counts(tight_params):
     v = random_toy(72)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
+    dep, _ = greedy_place(PlanningModel(v, tight_params, 0.7), 0.9)
     svg = render_svg(v, dep)
     assert len(_by_class(svg, "grid-position")) == v.n_grid
     assert len(_by_class(svg, "candidate")) == v.n_candidates
@@ -44,7 +48,7 @@ def test_marker_counts(tight_params):
 
 def test_wedges_carry_stored_steering(tight_params):
     v = random_toy(73)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
+    dep, _ = greedy_place(PlanningModel(v, tight_params, 0.7), 0.9)
     beams = {int(b.get("data-candidate")): b
              for b in _by_class(render_svg(v, dep), "beam")}
     for ap in dep.selected:
@@ -63,7 +67,7 @@ def test_venue_only_render(toy_venue):
 
 def test_probability_colors_hit_ramp_ends(tight_params):
     v = random_toy(74)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
+    dep, _ = greedy_place(PlanningModel(v, tight_params, 0.7), 0.9)
     dep.per_gp_prob[0] = 1.0
     dep.per_gp_prob[1] = 0.0
     dots = {int(d.get("data-gp")): d
@@ -82,7 +86,7 @@ def test_hall_markers_stay_inside_canvas():
     hall = generate_venue("hall")
     p = ChannelParams(ap_beamwidth=2.0 * math.pi / 3.0,
                       md_beamwidth=math.pi / 3.0)
-    dep, _ = greedy_place(hall, p, 0.75, 0.95)
+    dep, _ = greedy_place(PlanningModel(hall, p, 0.95), 0.75)
     svg = render_svg(hall, dep)
     root = ET.fromstring(svg)
     width = float(root.get("width"))

@@ -15,14 +15,13 @@ from mmwplan import (
     CandidateLocation,
     ChannelParams,
     OrientationDistribution,
-    ScenarioCell,
     ScenarioPartition,
     build_scenarios,
-    circular_mass,
     connectivity_probability,
-    link_profile,
     satisfied,
 )
+from mmwplan.channel import link_profile
+from mmwplan.scenarios import ScenarioCell, circular_mass
 
 
 def _partition(venue, params, m):

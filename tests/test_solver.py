@@ -14,7 +14,6 @@ from mmwplan import (
     ChannelParams,
     Deployment,
     DeploymentValidationError,
-    GreedyState,
     InfeasibleError,
     PlacedAp,
     PlanningModel,
@@ -27,6 +26,7 @@ from mmwplan import (
     greedy_place,
     uniform_place,
 )
+from mmwplan.solver import GreedyState
 
 WIDE = ChannelParams(ap_beamwidth=2.0 * math.pi / 3.0,
                      md_beamwidth=math.pi / 3.0)
@@ -37,10 +37,11 @@ DEAF = ChannelParams(snr_threshold_db=60.0)
 
 
 def test_empty_deployment_scores_zero(toy_venue, default_params):
-    dep, trace = greedy_place(toy_venue, default_params, 0.0, 0.7)
+    model = PlanningModel(toy_venue, default_params, 0.7)
+    dep, trace = greedy_place(model, 0.0)
     assert dep.selected == []
     assert trace.iterations == []
-    rep = evaluate_coverage(toy_venue, default_params, dep, 0.7)
+    rep = evaluate_coverage(model, dep)
     assert rep.coverage == 0.0
     assert rep.normalized_coverage == 0.0
     assert not any(g.z for g in rep.per_gp)
@@ -48,9 +49,9 @@ def test_empty_deployment_scores_zero(toy_venue, default_params):
 
 def test_evaluation_matches_solver_numbers(tight_params):
     for seed in (21, 22):
-        v = random_toy(seed)
-        dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
-        rep = evaluate_coverage(v, tight_params, dep, 0.7)
+        model = PlanningModel(random_toy(seed), tight_params, 0.7)
+        dep, _ = greedy_place(model, 0.9)
+        rep = evaluate_coverage(model, dep)
         assert rep.coverage == dep.coverage
         assert rep.normalized_coverage == dep.normalized_coverage
         for g, p, z in zip(rep.per_gp, dep.per_gp_prob, dep.satisfied):
@@ -59,11 +60,11 @@ def test_evaluation_matches_solver_numbers(tight_params):
 
 
 def test_deployment_round_trip(tight_params):
-    v = random_toy(23)
-    dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
+    model = PlanningModel(random_toy(23), tight_params, 0.7)
+    dep, _ = greedy_place(model, 0.9)
     back = Deployment.from_dict(dep.to_dict())
     assert back.to_dict() == dep.to_dict()
-    rep = evaluate_coverage(v, tight_params, back, 0.7)
+    rep = evaluate_coverage(model, back)
     assert rep.normalized_coverage == dep.normalized_coverage
 
 
@@ -79,14 +80,16 @@ def _ap(candidate, theta=0.0, phi=0.0, assigned=()):
 
 def test_validation_unknown_candidate(toy_venue, default_params):
     with pytest.raises(DeploymentValidationError) as e:
-        evaluate_coverage(toy_venue, default_params, _dep(_ap(99)), 0.7)
+        evaluate_coverage(PlanningModel(toy_venue, default_params, 0.7),
+                          _dep(_ap(99)))
     assert any("unknown candidate" in v for v in e.value.violations)
 
 
 def test_validation_duplicate_candidate(toy_venue, default_params):
     with pytest.raises(DeploymentValidationError) as e:
         evaluate_coverage(
-            toy_venue, default_params, _dep(_ap(0), _ap(0)), 0.7
+            PlanningModel(toy_venue, default_params, 0.7),
+            _dep(_ap(0), _ap(0)),
         )
     assert any("more than once" in v for v in e.value.violations)
 
@@ -98,10 +101,7 @@ def test_validation_over_capacity(toy_venue, tight_params):
     if len(members) <= tight_params.capacity_per_beam:
         members = members + members  # force overflow, also duplicates
     with pytest.raises(DeploymentValidationError) as e:
-        evaluate_coverage(
-            toy_venue, tight_params,
-            _dep(_ap(0, theta, phi, members)), 0.7,
-        )
+        evaluate_coverage(model, _dep(_ap(0, theta, phi, members)))
     assert any("capacity" in v for v in e.value.violations)
 
 
@@ -110,10 +110,7 @@ def test_validation_duplicate_assignment(toy_venue, default_params):
     theta, phi = model.steering_angles(0)
     m = int(model.footprint(0, theta, phi)[0])
     with pytest.raises(DeploymentValidationError) as e:
-        evaluate_coverage(
-            toy_venue, default_params,
-            _dep(_ap(0, theta, phi, (m, m))), 0.7,
-        )
+        evaluate_coverage(model, _dep(_ap(0, theta, phi, (m, m))))
     assert any("duplicate" in v for v in e.value.violations)
 
 
@@ -122,8 +119,7 @@ def test_validation_unusable_link(toy_venue):
     model = PlanningModel(toy_venue, DEAF, 0.7)
     assert not model.usable.any()
     with pytest.raises(DeploymentValidationError) as e:
-        evaluate_coverage(toy_venue, DEAF, _dep(_ap(0, 0.0, 0.0, (0,))),
-                          0.7)
+        evaluate_coverage(model, _dep(_ap(0, 0.0, 0.0, (0,))))
     assert any("never be active" in v for v in e.value.violations)
 
 
@@ -136,9 +132,7 @@ def test_validation_outside_footprint(toy_venue, default_params):
     phi = math.atan2(math.sin(model.phi_tx[m, l] + math.pi),
                      math.cos(model.phi_tx[m, l] + math.pi))
     with pytest.raises(DeploymentValidationError) as e:
-        evaluate_coverage(
-            toy_venue, default_params, _dep(_ap(l, theta, phi, (m,))), 0.7
-        )
+        evaluate_coverage(model, _dep(_ap(l, theta, phi, (m,))))
     assert any("outside the beam" in v for v in e.value.violations)
 
 
@@ -147,14 +141,15 @@ def test_validation_outside_footprint(toy_venue, default_params):
 
 def test_greedy_rejects_bad_alpha(toy_venue, default_params):
     with pytest.raises(ValueError):
-        greedy_place(toy_venue, default_params, 1.5, 0.7)
+        greedy_place(PlanningModel(toy_venue, default_params, 0.7), 1.5)
 
 
 def test_greedy_meets_target_and_revalidates(tight_params):
     for seed in (24, 25, 26):
         v = random_toy(seed)
-        dep, trace = greedy_place(v, tight_params, 0.9, 0.7)
-        rep = evaluate_coverage(v, tight_params, dep, 0.7)
+        model = PlanningModel(v, tight_params, 0.7)
+        dep, trace = greedy_place(model, 0.9)
+        rep = evaluate_coverage(model, dep)
         assert rep.normalized_coverage >= 0.9
         assert rep.normalized_coverage == dep.normalized_coverage
         run = [it.running_coverage for it in trace.iterations]
@@ -165,7 +160,9 @@ def test_greedy_meets_target_and_revalidates(tight_params):
 
 def test_greedy_trace_serializes():
     v = random_toy(27)
-    _, trace = greedy_place(v, ChannelParams(capacity_per_beam=3), 0.9, 0.7)
+    _, trace = greedy_place(
+        PlanningModel(v, ChannelParams(capacity_per_beam=3), 0.7), 0.9
+    )
     d = trace.to_dict()
     assert d["format_version"] == 1
     assert len(d["iterations"]) == len(trace.iterations)
@@ -177,9 +174,9 @@ def test_greedy_trace_serializes():
 
 def test_greedy_matches_exact_count_on_small_rooms(tight_params):
     for seed in (21, 22, 23):
-        v = random_toy(seed)
-        dep, _ = greedy_place(v, tight_params, 0.9, 0.7)
-        exact = exact_place(v, tight_params, 0.9, 0.7)
+        model = PlanningModel(random_toy(seed), tight_params, 0.7)
+        dep, _ = greedy_place(model, 0.9)
+        exact = exact_place(model, 0.9)
         assert len(exact.selected) <= len(dep.selected)
         assert len(dep.selected) <= 3 * len(exact.selected)
 
@@ -187,7 +184,7 @@ def test_greedy_matches_exact_count_on_small_rooms(tight_params):
 def test_greedy_clusters_near_front_of_hall():
     # seats all face the stage wall, so useful beams hang near it
     hall = generate_venue("hall")
-    dep, _ = greedy_place(hall, WIDE, 0.75, 0.95)
+    dep, _ = greedy_place(PlanningModel(hall, WIDE, 0.95), 0.75)
     assert dep.normalized_coverage >= 0.75
     ys = [hall.candidates[ap.candidate].position[1] for ap in dep.selected]
     mid = float(np.mean([c.position[1] for c in hall.candidates]))
@@ -197,7 +194,7 @@ def test_greedy_clusters_near_front_of_hall():
 
 def test_greedy_infeasible_reports_partial(toy_venue):
     with pytest.raises(InfeasibleError) as e:
-        greedy_place(toy_venue, DEAF, 0.5, 0.7)
+        greedy_place(PlanningModel(toy_venue, DEAF, 0.7), 0.5)
     err = e.value
     assert err.partial is not None
     assert err.partial.selected == []
@@ -269,7 +266,7 @@ def test_iteration_choice_matches_oracle(tight_params):
 
 
 def test_exact_zero_alpha_places_nothing(toy_venue, default_params):
-    dep = exact_place(toy_venue, default_params, 0.0, 0.7)
+    dep = exact_place(PlanningModel(toy_venue, default_params, 0.7), 0.0)
     assert dep.selected == []
 
 
@@ -279,14 +276,14 @@ def test_exact_matches_flat_enumeration(tight_params):
         want_k, want_cov = oracles.flat_minimum_count(
             v, tight_params, alpha, 0.65
         )
-        dep = exact_place(v, tight_params, alpha, 0.65)
+        dep = exact_place(PlanningModel(v, tight_params, 0.65), alpha)
         assert len(dep.selected) == want_k
         assert abs(dep.normalized_coverage - want_cov) < 1e-12
 
 
-def _exact_or_none(solve, venue, params, alpha):
+def _exact_or_none(solve, model, alpha):
     try:
-        return solve(venue, params, alpha, 0.65).to_dict()
+        return solve(model, alpha).to_dict()
     except InfeasibleError:
         return None
 
@@ -333,9 +330,9 @@ def test_exact_matches_unpruned_scan():
                   ChannelParams(capacity_per_beam=2, **grids[1]), 0.7))
     placed = 0
     for venue, params, alpha in cases:
-        want = _exact_or_none(oracles.exact_place_unpruned, venue, params,
-                              alpha)
-        assert _exact_or_none(exact_place, venue, params, alpha) == want, (
+        model = PlanningModel(venue, params, 0.65)
+        want = _exact_or_none(oracles.exact_place_unpruned, model, alpha)
+        assert _exact_or_none(exact_place, model, alpha) == want, (
             venue.name, params.capacity_per_beam, alpha)
         placed += want is not None
     assert placed >= 30
@@ -343,9 +340,10 @@ def test_exact_matches_unpruned_scan():
 
 def test_exact_logs_pruned_search_at_debug(tight_params, caplog):
     v = random_toy(41)
-    quiet = exact_place(v, tight_params, 0.7, 0.65).to_dict()
+    model = PlanningModel(v, tight_params, 0.65)
+    quiet = exact_place(model, 0.7).to_dict()
     with caplog.at_level(logging.DEBUG, logger="mmwplan.solver"):
-        loud = exact_place(v, tight_params, 0.7, 0.65).to_dict()
+        loud = exact_place(model, 0.7).to_dict()
     assert loud == quiet
     kept = [r for r in caplog.records if "steerings" in r.getMessage()]
     assert len(kept) == v.n_candidates
@@ -359,7 +357,7 @@ def test_exact_logs_pruned_search_at_debug(tight_params, caplog):
 def test_exact_refuses_large_instances(default_params):
     hall = generate_venue("hall")
     with pytest.raises(SizeLimitError) as e:
-        exact_place(hall, default_params, 0.75, 0.9)
+        exact_place(PlanningModel(hall, default_params, 0.9), 0.75)
     rep = e.value.report
     assert rep["candidates"] == hall.n_candidates
     assert rep["max_candidates"] == 6
@@ -376,10 +374,9 @@ def test_model_builds_64_mounts(default_params):
     model = PlanningModel(venue, default_params, 0.5)
     assert model.L == 64
     assert model.partitions[0].visible.shape[1] == 64
-    dep, _ = greedy_place(venue, default_params, 0.5, 0.5)
+    dep, _ = greedy_place(model, 0.5)
     assert dep.normalized_coverage >= 0.5
-    assert evaluate_coverage(venue, default_params, dep, 0.5).coverage == \
-        dep.coverage
+    assert evaluate_coverage(model, dep).coverage == dep.coverage
 
 
 def test_far_mounts_prepended_to_hall_only_shift_ids(default_params):
@@ -391,8 +388,8 @@ def test_far_mounts_prepended_to_hall_only_shift_ids(default_params):
     shifted = [replace(c, id=c.id + 50) for c in hall.candidates]
     padded = replace(hall, candidates=pads + shifted)
     assert padded.n_candidates == 70
-    base, _ = greedy_place(hall, default_params, 0.75, 0.9)
-    dep, _ = greedy_place(padded, default_params, 0.75, 0.9)
+    base, _ = greedy_place(PlanningModel(hall, default_params, 0.9), 0.75)
+    dep, _ = greedy_place(PlanningModel(padded, default_params, 0.9), 0.75)
     assert [replace(ap, candidate=ap.candidate - 50)
             for ap in dep.selected] == base.selected
     assert dep.per_gp_prob == base.per_gp_prob
@@ -402,7 +399,7 @@ def test_far_mounts_prepended_to_hall_only_shift_ids(default_params):
 
 def test_exact_infeasible_when_target_unreachable(toy_venue):
     with pytest.raises(InfeasibleError) as e:
-        exact_place(toy_venue, DEAF, 0.5, 0.7)
+        exact_place(PlanningModel(toy_venue, DEAF, 0.7), 0.5)
     diag = e.value.diagnostics
     assert diag["max_normalized"] == 0.0
     assert diag["unreachable_users"] == toy_venue.n_grid
@@ -412,14 +409,14 @@ def test_exact_infeasible_when_target_unreachable(toy_venue):
 
 
 def test_uniform_full_count_uses_every_candidate(toy_venue, default_params):
-    dep = uniform_place(toy_venue, default_params, toy_venue.n_candidates,
-                        0.7)
+    dep = uniform_place(PlanningModel(toy_venue, default_params, 0.7),
+                        toy_venue.n_candidates)
     assert sorted(ap.candidate for ap in dep.selected) == \
         list(range(toy_venue.n_candidates))
 
 
 def test_uniform_single_picks_most_central(toy_venue, default_params):
-    dep = uniform_place(toy_venue, default_params, 1, 0.7)
+    dep = uniform_place(PlanningModel(toy_venue, default_params, 0.7), 1)
     xy = np.array([c.position[:2] for c in toy_venue.candidates])
     centroid = xy.mean(axis=0)
     want = int(np.argmin(np.hypot(*(xy - centroid).T)))
@@ -428,19 +425,52 @@ def test_uniform_single_picks_most_central(toy_venue, default_params):
 
 
 def test_uniform_count_bounds(toy_venue, default_params):
+    model = PlanningModel(toy_venue, default_params, 0.7)
     with pytest.raises(ValueError):
-        uniform_place(toy_venue, default_params, 0, 0.7)
+        uniform_place(model, 0)
     with pytest.raises(ValueError):
-        uniform_place(toy_venue, default_params,
-                      toy_venue.n_candidates + 1, 0.7)
+        uniform_place(model, toy_venue.n_candidates + 1)
 
 
 def test_uniform_trails_greedy_on_hall():
     hall = generate_venue("hall")
-    greedy, _ = greedy_place(hall, WIDE, 0.75, 0.95)
-    uniform = uniform_place(hall, WIDE, 16, 0.95)
+    model = PlanningModel(hall, WIDE, 0.95)
+    greedy, _ = greedy_place(model, 0.75)
+    uniform = uniform_place(model, 16)
     assert 16 >= len(greedy.selected)
     assert uniform.normalized_coverage < greedy.normalized_coverage
     # the baseline still passes deployment validation
-    rep = evaluate_coverage(hall, WIDE, uniform, 0.95)
+    rep = evaluate_coverage(model, uniform)
     assert rep.normalized_coverage == uniform.normalized_coverage
+
+
+# -- one model shared by every solver ---------------------------------------
+
+
+def _model_bytes(model):
+    arrays = {
+        name: (value.dtype.str, value.shape, value.tobytes())
+        for name, value in vars(model).items()
+        if isinstance(value, np.ndarray)
+    }
+    parts = [
+        (p.gp, p.visible.tobytes(), p.always_on.tobytes(),
+         p.cell_probs.tobytes())
+        for p in model.partitions
+    ]
+    feet = [[mem.tobytes() for mem in row] for row in model.foot_members]
+    return arrays, parts, feet, model.total_mass
+
+
+def test_solvers_and_evaluation_leave_the_model_unchanged(tight_params):
+    # the CLI shares one model across targets and solvers, which is only
+    # safe while none of them writes to it
+    model = PlanningModel(random_toy(21), tight_params, 0.7)
+    before = _model_bytes(model)
+    assert "occluded" in before[0] and "reach" in before[0]
+    for alpha in (0.5, 0.9):
+        dep, _ = greedy_place(model, alpha)
+        evaluate_coverage(model, dep)
+        evaluate_coverage(model, exact_place(model, alpha))
+    evaluate_coverage(model, uniform_place(model, 2))
+    assert _model_bytes(model) == before

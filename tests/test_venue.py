@@ -15,12 +15,10 @@ from mmwplan import (
     Venue,
     VenueFormatError,
     occlusion_matrix,
-    ray_occluded,
-    rx_angles,
-    tx_angles,
     venue_betas,
     wrap_angle,
 )
+from mmwplan.venue import ray_occluded, rx_angles, tx_angles
 
 
 def _venue(gp_pos, cand_pos, blockers=(), facing=0.0):
