@@ -35,6 +35,7 @@ from .render import render_svg
 from .solver import (
     Deployment,
     PlanningModel,
+    check_exact_size,
     evaluate_coverage,
     exact_place,
     greedy_place,
@@ -125,6 +126,13 @@ def cmd_plan(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
     params = _load_params(args)
     betas = venue_betas(venue, args.beta)
+    if args.solver == "exact":
+        check_exact_size(
+            venue.n_candidates,
+            venue.n_grid,
+            args.max_exact_l,
+            args.max_exact_m,
+        )
     start = time.perf_counter()
     model = PlanningModel(venue, params, betas)
     trace = None

@@ -19,7 +19,7 @@ their hardware.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from .solver import Deployment, GreedyTrace
 from .venue import Venue

@@ -1,8 +1,16 @@
 """Monte Carlo validation of the analytic connectivity machinery.
 
 Samples device orientations (and optionally per-link shadowing), replays
-the full antenna-gain and SNR chain sample by sample, and compares the
-empirical success rates against the closed-form scenario probabilities.
+the antenna-gain and SNR chain on them, and compares the empirical success
+rates against the closed-form scenario probabilities.
+
+Without shadowing a link's SNR takes at most four values, one per (line
+of sight, main lobe) pair, and both flags are windows on the offset from
+the device-to-candidate azimuth. So the replay decides each value once
+per link and compares the samples with the window edges; samples within
+``_EDGE_TOL`` of an edge take the exact ``arctan2`` offset, so every
+boolean is the one the per-sample chain gives. With shadowing each sample
+draws its own deviate and the chain runs sample by sample.
 
 Reproducibility contract: the generator is Philox (counter-based); the
 per-user substream is seeded with key = [seed, gp_id], so a user's stream
@@ -27,6 +35,7 @@ from .channel import (
     flat_top_gain,
     linear_to_db,
     main_lobe_gain,
+    snr_db,
 )
 from .scenarios import (
     OrientationDistribution,
@@ -37,6 +46,8 @@ from .solver import Deployment, PlanningModel, evaluate_coverage
 
 _GENERATOR = "philox4x64"
 _SUBSTREAM_RULE = "key = [seed, gp_id]"
+# samples this close to a window edge take the exact arctan2 offset
+_EDGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -48,6 +59,15 @@ class McConfig:
     fade_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
+        for name in ("n_samples", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, not {value!r}")
+        # a NaN margin would fail every SNR test and report a rate of 0
+        if not math.isfinite(self.fade_margin_db):
+            raise ValueError(
+                f"fade_margin_db must be finite, not {self.fade_margin_db!r}"
+            )
         if self.n_samples < 1:
             raise ValueError("n_samples must be at least 1")
         # the Philox key holds 64 bits; a seed outside them would alias
@@ -66,9 +86,15 @@ def _sample_orientations(
     """Inverse-CDF draws from the Gaussian renormalized to [-pi, pi]."""
     lo = _std_normal_cdf((-math.pi - dist.mean) / dist.std)
     hi = _std_normal_cdf((math.pi - dist.mean) / dist.std)
-    u = rng.random(n)
-    draws = dist.mean + dist.std * ndtri(lo + u * (hi - lo))
-    return np.clip(draws, -math.pi, math.pi)
+    # mean + std * ndtri(lo + u * (hi - lo)), clipped, in the uniforms'
+    # buffer; IEEE addition and multiplication commute, so the bits match
+    draws = rng.random(n)
+    draws *= hi - lo
+    draws += lo
+    ndtri(draws, out=draws)
+    draws *= dist.std
+    draws += dist.mean
+    return np.clip(draws, -math.pi, math.pi, out=draws)
 
 
 def sample_orientation(
@@ -89,6 +115,45 @@ class _LinkGeometry:
     tx_gain_db: float
 
 
+def _wrapped_offset(phis: np.ndarray, phi_rx: float) -> np.ndarray:
+    """Azimuth offset of each orientation from ``phi_rx``, in [0, pi]."""
+    d = phis - phi_rx
+    return np.abs(np.arctan2(np.sin(d), np.cos(d)))
+
+
+def _within(phis: np.ndarray, phi_rx: float, half: float) -> np.ndarray:
+    """``_wrapped_offset(phis, phi_rx) <= half`` for ``half < pi``.
+
+    The window's edges ``phi_rx -/+ half``, wrapped into [-pi, pi], decide
+    every sample farther than ``_EDGE_TOL`` from both; the samples near an
+    edge, or near the seam at +-pi when an edge lies by it, take the exact
+    offset, so each boolean is the one the offset itself gives.
+    """
+    lo, hi = phi_rx - half, phi_rx + half
+    wraps = lo < -math.pi or hi > math.pi
+    if lo < -math.pi:
+        lo += 2.0 * math.pi
+    elif hi > math.pi:
+        hi -= 2.0 * math.pi
+
+    def window(pad: float) -> np.ndarray:
+        # the samples inside the window widened by pad at both edges
+        above, below = phis >= lo - pad, phis <= hi + pad
+        return np.logical_or(above, below, out=above) if wraps else (
+            np.logical_and(above, below, out=above)
+        )
+
+    inside = window(-_EDGE_TOL)
+    near = window(_EDGE_TOL)
+    near ^= inside
+    if max(abs(lo), abs(hi)) >= math.pi - _EDGE_TOL:
+        near |= np.abs(phis) >= math.pi - _EDGE_TOL
+    idx = np.flatnonzero(near)
+    if idx.size:
+        inside[idx] = _wrapped_offset(phis[idx], phi_rx) <= half
+    return inside
+
+
 def _replay_success(
     params: ChannelParams,
     mc: McConfig,
@@ -101,8 +166,11 @@ def _replay_success(
 
     Mirrors the analytic classifier exactly at zero shadowing: torso
     blockage and the receive cone are both windows around the
-    device-to-candidate azimuth, boundaries inclusive.
+    device-to-candidate azimuth, boundaries inclusive. With shadowing the
+    SNR chain runs per sample; without it, per link (``_replay_cut``).
     """
+    if not mc.sample_shadowing:
+        return _replay_cut(params, mc, phis, links, device_tilt)
     gamma = (
         params.snr_threshold_db + params.fade_margin_db + mc.fade_margin_db
     )
@@ -110,8 +178,7 @@ def _replay_success(
     half_cone = params.md_beamwidth / 2.0
     ok = np.zeros(phis.shape[0], dtype=bool)
     for link in links:
-        d = phis - link.phi_rx
-        delta = np.abs(np.arctan2(np.sin(d), np.cos(d)))
+        delta = _wrapped_offset(phis, link.phi_rx)
         los = (not link.occluded) & (delta <= params.self_block_half_angle)
         elev_ok = abs(device_tilt - link.psi_rx) <= half_cone
         if not elev_ok:
@@ -121,11 +188,9 @@ def _replay_success(
         else:
             main = delta <= half_cone
         alpha = np.where(los, params.alpha_los, params.alpha_nlos)
-        shadow = 0.0
-        if mc.sample_shadowing:
-            chi_los = rng.normal(0.0, params.sigma_los_db, phis.shape[0])
-            chi_nlos = rng.normal(0.0, params.sigma_nlos_db, phis.shape[0])
-            shadow = np.where(los, chi_los, chi_nlos)
+        chi_los = rng.normal(0.0, params.sigma_los_db, phis.shape[0])
+        chi_nlos = rng.normal(0.0, params.sigma_nlos_db, phis.shape[0])
+        shadow = np.where(los, chi_los, chi_nlos)
         loss = (
             params.kappa_db
             + 10.0 * alpha * math.log10(link.distance)
@@ -140,6 +205,59 @@ def _replay_success(
             - params.noise_power_dbm
         )
         ok |= snr >= gamma
+    return ok
+
+
+def _replay_cut(
+    params: ChannelParams,
+    mc: McConfig,
+    phis: np.ndarray,
+    links: Sequence[_LinkGeometry],
+    device_tilt: float,
+) -> np.ndarray:
+    """``_replay_success`` at zero shadowing, one SNR decision per arc.
+
+    Line of sight and the main lobe each end at an offset edge
+    (``self_block_half_angle``, half the device beamwidth), so a link's SNR
+    takes one value per arc between the edges. Each value is decided once,
+    by ``snr_db``: its operations are the per-sample chain's in the same
+    order, so its bits are too. An edge whose two sides decide alike is
+    dropped, and the samples are only compared with the edges left.
+    """
+    gamma = (
+        params.snr_threshold_db + params.fade_margin_db + mc.fade_margin_db
+    )
+    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
+    half_cone = params.md_beamwidth / 2.0
+    block = params.self_block_half_angle
+    # no offset exceeds pi, so an edge at pi is never crossed
+    edges = sorted({h for h in (block, half_cone) if h < math.pi})
+    ok = np.zeros(phis.shape[0], dtype=bool)
+    for link in links:
+        elev_ok = abs(device_tilt - link.psi_rx) <= half_cone
+        # outcome[k]: offsets past the first k edges and within the rest
+        outcome = []
+        for k in range(len(edges) + 1):
+            los = not link.occluded and block not in edges[:k]
+            main = elev_ok and (link.vertical or half_cone not in edges[:k])
+            rx_db = rx_main_db if main else params.side_lobe_gain_db
+            snr = snr_db(params, link.distance, link.tx_gain_db, rx_db, los)
+            outcome.append(snr >= gamma)
+        flips = [
+            h for k, h in enumerate(edges) if outcome[k] != outcome[k + 1]
+        ]
+        if not flips:
+            if outcome[0]:
+                ok[:] = True
+                return ok
+            continue
+        # the outcome past every edge, flipped at each edge a sample is within
+        link_ok = _within(phis, link.phi_rx, flips[0])
+        for h in flips[1:]:
+            link_ok ^= _within(phis, link.phi_rx, h)
+        if outcome[-1]:
+            np.logical_not(link_ok, out=link_ok)
+        ok |= link_ok
     return ok
 
 

@@ -725,6 +725,26 @@ def _useful_steerings(foot: np.ndarray) -> List[int]:
     ]
 
 
+def check_exact_size(
+    L: int, M: int, max_candidates: int, max_positions: int
+) -> None:
+    """Refuse an instance of L candidates and M users that exceeds the
+    exact solver's limits, with ``SizeLimitError``. Callers holding only
+    the venue check it before building the model."""
+    if L > max_candidates or M > max_positions:
+        raise SizeLimitError(
+            f"instance size {L} candidates x {M} users exceeds exact solver "
+            f"limits ({max_candidates} x {max_positions}); use the greedy "
+            f"solver or raise the limits explicitly",
+            report={
+                "candidates": L,
+                "max_candidates": max_candidates,
+                "grid_positions": M,
+                "max_positions": max_positions,
+            },
+        )
+
+
 def exact_place(
     model: PlanningModel,
     alpha: float,
@@ -752,18 +772,7 @@ def exact_place(
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     L, M = model.L, model.M
-    if L > max_candidates or M > max_positions:
-        raise SizeLimitError(
-            f"instance size {L} candidates x {M} users exceeds exact solver "
-            f"limits ({max_candidates} x {max_positions}); use the greedy "
-            f"solver or raise the limits explicitly",
-            report={
-                "candidates": L,
-                "max_candidates": max_candidates,
-                "grid_positions": M,
-                "max_positions": max_positions,
-            },
-        )
+    check_exact_size(L, M, max_candidates, max_positions)
     capacity = model.params.capacity_per_beam
 
     free = model.betas <= 0.0
@@ -946,6 +955,7 @@ __all__ = [
     "evaluate_coverage",
     "greedy_iteration_best",
     "greedy_place",
+    "check_exact_size",
     "exact_place",
     "uniform_place",
 ]

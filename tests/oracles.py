@@ -10,10 +10,10 @@ import itertools
 import math
 
 import numpy as np
+from scipy.special import ndtri
 
 from mmwplan.angles import AngularInterval, wrap_angle
 from mmwplan.channel import (
-    ChannelParams,
     _profile_from_reach,
     flat_top_gain,
     linear_to_db,
@@ -36,7 +36,6 @@ from mmwplan.solver import (
     _minimal_satisfying_sets,
 )
 from mmwplan.venue import (
-    Venue,
     _blocker_arrays,
     _check_ids,
     horizontal_distance,
@@ -561,3 +560,65 @@ def iteration_best_oracle(model, pool, assigned, conn, satisfied):
                     or (key == best[0] and (l, ti) < best[1])):
                 best = (key, (l, ti), r[2])
     return best
+
+
+# ---------------------------------------------------------------------------
+# Monte Carlo: the sampler and the per-sample replay
+
+
+def sample_orientations(rng, dist, n):
+    """The orientation sampler as one expression: inverse-CDF draws from
+    the Gaussian renormalized to [-pi, pi]."""
+    lo = _std_cdf((-math.pi - dist.mean) / dist.std)
+    hi = _std_cdf((math.pi - dist.mean) / dist.std)
+    u = rng.random(n)
+    draws = dist.mean + dist.std * ndtri(lo + u * (hi - lo))
+    return np.clip(draws, -math.pi, math.pi)
+
+
+def replay_success(params, mc, rng, phis, links, device_tilt):
+    """Per-sample connectivity of a set of links for given orientations,
+    every sample through the whole antenna-gain and SNR chain.
+
+    Mirrors the analytic classifier exactly at zero shadowing: torso
+    blockage and the receive cone are both windows around the
+    device-to-candidate azimuth, boundaries inclusive.
+    """
+    gamma = (
+        params.snr_threshold_db + params.fade_margin_db + mc.fade_margin_db
+    )
+    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
+    half_cone = params.md_beamwidth / 2.0
+    ok = np.zeros(phis.shape[0], dtype=bool)
+    for link in links:
+        d = phis - link.phi_rx
+        delta = np.abs(np.arctan2(np.sin(d), np.cos(d)))
+        los = (not link.occluded) & (delta <= params.self_block_half_angle)
+        elev_ok = abs(device_tilt - link.psi_rx) <= half_cone
+        if not elev_ok:
+            main = np.zeros_like(los)
+        elif link.vertical:
+            main = np.ones_like(los)
+        else:
+            main = delta <= half_cone
+        alpha = np.where(los, params.alpha_los, params.alpha_nlos)
+        shadow = 0.0
+        if mc.sample_shadowing:
+            chi_los = rng.normal(0.0, params.sigma_los_db, phis.shape[0])
+            chi_nlos = rng.normal(0.0, params.sigma_nlos_db, phis.shape[0])
+            shadow = np.where(los, chi_los, chi_nlos)
+        loss = (
+            params.kappa_db
+            + 10.0 * alpha * math.log10(link.distance)
+            + shadow
+        )
+        rx_db = np.where(main, rx_main_db, params.side_lobe_gain_db)
+        snr = (
+            params.tx_power_dbm
+            + link.tx_gain_db
+            + rx_db
+            - loss
+            - params.noise_power_dbm
+        )
+        ok |= snr >= gamma
+    return ok

@@ -6,6 +6,8 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import mmwplan.montecarlo
+import oracles
 from mmwplan import Deployment, PlanningModel, Venue, evaluate_coverage
 from mmwplan.cli import main
 
@@ -106,6 +108,26 @@ def test_plan_exact_refuses_hall(capsys, tmp_path):
     assert code == 4
     assert "refused" in stderr
     assert "6" in stderr and "12" in stderr
+
+
+@pytest.mark.parametrize("kind, size", [("hall", "20 candidates x 135"),
+                                        ("stadium", "16 candidates x 1040")])
+def test_plan_exact_refuses_before_building_the_model(capsys, tmp_path,
+                                                      model_builds, kind,
+                                                      size):
+    venue = tmp_path / f"{kind}.json"
+    assert main(["generate", kind, "--out", str(venue)]) == 0
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(venue), "--solver", "exact",
+        "--alpha", "0.75", "--beta", "0.9",
+    )
+    assert code == 4
+    assert stdout == ""
+    assert stderr == (
+        f"refused: instance size {size} users exceeds exact solver limits "
+        f"(6 x 12); use the greedy solver or raise the limits explicitly\n"
+    )
+    assert model_builds == []
 
 
 def test_plan_accepts_200_mounts(capsys, tmp_path, toy_path):
@@ -223,6 +245,35 @@ def test_validate_with_monte_carlo(capsys, tmp_path, toy_path):
     report = json.loads(mc_path.read_text())
     assert report["generator"] == "philox4x64"
     assert report["n_samples"] == 5000
+
+
+@pytest.mark.parametrize("shadowing", [[], ["--shadowing"]])
+def test_validate_mc_matches_per_sample_replay(capsys, tmp_path, monkeypatch,
+                                               shadowing):
+    # the report must not change by a byte when the sampler and the replay
+    # are the one-expression, every-sample oracles
+    hall = tmp_path / "hall.json"
+    dep_path = tmp_path / "dep.json"
+    assert main(["generate", "hall", "--out", str(hall)]) == 0
+    assert main(["plan", "--venue", str(hall), "--alpha", "0.75",
+                 "--beta", "0.9", "--out", str(dep_path)]) == 0
+
+    def validate(out):
+        code, stdout, _ = run(
+            capsys, "validate", "--venue", str(hall), "--deployment",
+            str(dep_path), "--alpha", "0.75", "--beta", "0.9", "--mc",
+            "--samples", "20000", "--seed", "3", "--out", str(out),
+            *shadowing,
+        )
+        assert code == 0
+        return stdout, out.read_bytes()
+
+    got = validate(tmp_path / "mc.json")
+    monkeypatch.setattr(mmwplan.montecarlo, "_sample_orientations",
+                        oracles.sample_orientations)
+    monkeypatch.setattr(mmwplan.montecarlo, "_replay_success",
+                        oracles.replay_success)
+    assert got == validate(tmp_path / "mc_oracle.json")
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

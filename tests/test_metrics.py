@@ -1,12 +1,7 @@
 """Bound evaluation, price audit and placement difference metrics."""
 
-import math
-
-import pytest
-
 from conftest import random_toy
 from mmwplan import (
-    ChannelParams,
     CoverSet,
     Deployment,
     GreedyIteration,

@@ -1,10 +1,13 @@
 """Sampled-orientation replay against the closed-form probabilities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import oracles
 from conftest import random_toy, single_link_venue
 from mmwplan import (
     ChannelParams,
@@ -15,7 +18,16 @@ from mmwplan import (
     greedy_place,
     monte_carlo_coverage,
 )
-from mmwplan.montecarlo import monte_carlo_connectivity, sample_orientation
+from mmwplan.channel import snr_db
+from mmwplan.montecarlo import (
+    _LinkGeometry,
+    _replay_success,
+    _sample_orientations,
+    _within,
+    _wrapped_offset,
+    monte_carlo_connectivity,
+    sample_orientation,
+)
 from mmwplan.solver import Deployment, PlacedAp
 
 MC = McConfig(n_samples=20000, seed=5)
@@ -75,9 +87,41 @@ def test_one_uniform_per_draw():
     assert list(order_x) == list(order_u)
 
 
+@pytest.mark.parametrize("mean, std, n", [
+    (0.0, 0.5, 1), (0.2, 0.6, 7), (3.0, 2.0, 1000), (-2.5, 1.0, 4096),
+    (1.1, 1e-9, 33), (-math.pi, 40.0, 1000), (math.pi, 0.05, 200),
+])
+def test_sampler_matches_one_expression(mean, std, n):
+    # the sampler works in the uniforms' buffer, with the same bits
+    dist = OrientationDistribution(mean=mean, std=std)
+    a, b = _rng(7), _rng(7)
+    got = _sample_orientations(a, dist, n)
+    want = oracles.sample_orientations(b, dist, n)
+    assert got.tobytes() == want.tobytes()
+    assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used
+    if n == 1:
+        one = sample_orientation(_rng(7), dist)
+        assert np.float64(one).tobytes() == want.tobytes()
+
+
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         McConfig(n_samples=0)
+
+
+@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
+def test_non_finite_fade_margin_rejected(margin):
+    # a NaN margin used to fail every SNR test: empirical 0.0 everywhere
+    with pytest.raises(ValueError, match="fade_margin_db"):
+        McConfig(fade_margin_db=margin)
+
+
+@pytest.mark.parametrize("field", ["n_samples", "seed"])
+@pytest.mark.parametrize("value", [True, False, 100.0, "100", None])
+def test_non_int_sample_count_and_seed_rejected(field, value):
+    # n_samples=True used to pass the check and fail inside numpy
+    with pytest.raises(ValueError, match=field):
+        McConfig(**{field: value})
 
 
 @pytest.mark.parametrize("seed", [-1, 1 << 64, (1 << 64) + 5])
@@ -221,3 +265,132 @@ def test_malformed_deployment_propagates(toy_venue, default_params):
         monte_carlo_coverage(
             PlanningModel(toy_venue, default_params, 0.7), MC, bad
         )
+
+
+# -- the replay against the per-sample oracle -------------------------------
+
+
+_ANGLE = st.one_of(
+    st.sampled_from(
+        [-math.pi, -math.pi / 2.0, 0.0, math.pi / 2.0, math.pi]
+    ),
+    st.floats(-math.pi, math.pi),
+)
+_LINK = st.builds(
+    _LinkGeometry,
+    ap=st.just(0),
+    distance=st.one_of(st.floats(0.1, 1.0), st.floats(1.0, 200.0)),
+    phi_rx=_ANGLE,
+    psi_rx=st.floats(0.0, math.pi),
+    vertical=st.booleans(),
+    occluded=st.booleans(),
+    tx_gain_db=st.floats(-20.0, 30.0),
+)
+
+
+def _wrapped(x):
+    if x > math.pi:
+        x -= 2.0 * math.pi
+    elif x < -math.pi:
+        x += 2.0 * math.pi
+    return min(max(x, -math.pi), math.pi)
+
+
+def _ulps(x, k):
+    """The double k steps from x."""
+    for _ in range(abs(k)):
+        x = np.nextafter(x, math.copysign(np.inf, k))
+    return float(x)
+
+
+def _around(points, k):
+    """Each point and the k doubles to either side, clipped to [-pi, pi]."""
+    near = [_ulps(x, j) for x in points for j in range(-k, k + 1)]
+    return np.clip(near, -math.pi, math.pi)
+
+
+def _example(distance, block, md_beamwidth, side_lobe_db, offset_db):
+    """One link facing the device's tilt, as a hypothesis example."""
+    return example(
+        links=[_LinkGeometry(0, distance, 0.3, 1.0, False, False, 0.0)],
+        tilt=1.0, md_beamwidth=md_beamwidth, block=block,
+        side_lobe_db=side_lobe_db, alphas=(2.0, 2.0), offset_db=offset_db,
+        mc_margin=0.0, shadowing=False, seed=3,
+    )
+
+
+@settings(max_examples=400)
+# side lobe above the main lobe: passes within the line-of-sight window and
+# past the cone, fails between them (two edges flip the outcome)
+@_example(10.0, math.pi / 4.0, math.pi, 6.0, -15.5)
+# a 0.2 m link: passes only past both windows, where the loss is lowest
+@_example(0.2, math.pi / 2.0, math.pi / 2.0, -2.0, 10.0)
+@given(
+    links=st.lists(_LINK, min_size=1, max_size=3),
+    tilt=st.floats(0.0, math.pi),
+    md_beamwidth=st.one_of(
+        st.sampled_from([math.pi / 2.0, math.pi]),
+        st.floats(1e-6, 2.0 * math.pi, exclude_max=True),
+    ),
+    block=st.one_of(
+        st.sampled_from([math.pi, math.pi / 2.0]),
+        st.floats(1e-6, math.pi),
+    ),
+    side_lobe_db=st.floats(-10.0, 6.0),
+    alphas=st.tuples(st.floats(1.5, 3.0), st.floats(0.0, 2.0)),
+    offset_db=st.floats(-25.0, 25.0),
+    mc_margin=st.floats(-3.0, 3.0),
+    shadowing=st.booleans(),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_replay_matches_per_sample_oracle(links, tilt, md_beamwidth, block,
+                                          side_lobe_db, alphas, offset_db,
+                                          mc_margin, shadowing, seed):
+    # the threshold lands within 25 dB of the first link's line-of-sight
+    # SNR before antenna gain at the device, so its outcome can change
+    # between windows; links shorter than 1 m or a side lobe above the main
+    # lobe make the outcome past the edges the better one
+    base = ChannelParams(
+        md_beamwidth=md_beamwidth,
+        self_block_half_angle=block,
+        side_lobe_gain_db=side_lobe_db,
+        alpha_los=alphas[0],
+        alpha_nlos=alphas[0] + alphas[1],
+    )
+    los_snr = snr_db(base, links[0].distance, links[0].tx_gain_db, 0.0, True)
+    params = replace(
+        base, fade_margin_db=los_snr - base.snr_threshold_db + offset_db
+    )
+    mc = McConfig(n_samples=1, seed=seed, sample_shadowing=shadowing,
+                  fade_margin_db=mc_margin)
+    # every window edge and two doubles to either side, both ends and the
+    # middle of the circle, and uniform draws
+    edges = [_wrapped(g.phi_rx + s * h) for g in links
+             for h in (block, md_beamwidth / 2.0) for s in (-1.0, 1.0)]
+    phis = np.concatenate([
+        _around([-math.pi, 0.0, math.pi] + edges, 2),
+        np.random.default_rng(seed).uniform(-math.pi, math.pi, 300),
+    ])
+    a = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    b = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    got = _replay_success(params, mc, a, phis, links, tilt)
+    want = oracles.replay_success(params, mc, b, phis, links, tilt)
+    assert got.dtype == want.dtype == bool
+    assert got.tobytes() == want.tobytes()
+    assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used
+
+
+@pytest.mark.parametrize("center, half", [
+    (-math.pi, 0.3), (0.0, math.pi / 2.0), (math.pi / 2.0, math.pi / 2.0),
+    (-math.pi / 2.0, math.pi / 2.0), (1.0, math.pi - 1.0),
+    (-2.5, math.pi - 2.5), (math.pi, 1e-12),
+])
+def test_window_matches_exact_offset_at_the_seam(center, half):
+    # edges on or within a few doubles of +-pi: a sample across the seam
+    # neighbours such an edge on the circle though 2 pi away as a number
+    phis = _around([-math.pi, math.pi], 3)
+    centers = [_ulps(center, k) for k in range(-8, 9)]
+    for c in (c for c in centers if -math.pi <= c <= math.pi):
+        for h in (_ulps(half, k) for k in range(-8, 9)):
+            want = _wrapped_offset(phis, c) <= h
+            assert _within(phis, c, h).tobytes() == want.tobytes(), (c, h)
