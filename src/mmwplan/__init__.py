@@ -6,7 +6,7 @@ on the orientation circle, and places beams greedily or exactly until a
 target fraction of the expected audience is covered.
 """
 
-from .angles import AngularInterval, angle_offset, wrap_angle
+from .angles import angle_offset, wrap_angle
 from .channel import (
     ChannelParams,
     db_to_linear,
@@ -35,9 +35,7 @@ from .render import render_svg
 from .scenarios import (
     OrientationDistribution,
     ScenarioPartition,
-    build_scenarios,
     connectivity_probability,
-    satisfied,
 )
 from .solver import (
     CoverageReport,
@@ -59,7 +57,6 @@ from .venue import (
     CandidateLocation,
     GridPosition,
     Venue,
-    nadir_angle,
     occlusion_matrix,
     venue_betas,
 )
@@ -67,7 +64,6 @@ from .venue import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AngularInterval",
     "angle_offset",
     "wrap_angle",
     "ChannelParams",
@@ -92,9 +88,7 @@ __all__ = [
     "render_svg",
     "OrientationDistribution",
     "ScenarioPartition",
-    "build_scenarios",
     "connectivity_probability",
-    "satisfied",
     "PlacedAp",
     "Deployment",
     "GpCoverage",
@@ -113,7 +107,6 @@ __all__ = [
     "BodyPrism",
     "Venue",
     "venue_betas",
-    "nadir_angle",
     "occlusion_matrix",
     "__version__",
 ]

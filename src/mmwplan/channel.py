@@ -1,4 +1,4 @@
-"""Millimeter-wave link budget and per-link activity classification.
+"""Millimeter-wave link budget and the array link classifier.
 
 Antennas use a flat-top pattern: a constant main-lobe gain of
 2 / (1 - cos(W/2)) inside a cone of full width W and a constant side-lobe
@@ -18,32 +18,33 @@ effects are windows centered on the device-to-candidate azimuth, the set of
 orientations for which the link clears the SNR threshold is always a single
 arc around that azimuth (possibly empty or the full circle), found by
 testing at most three rings of offsets outward while the budget still
-clears; ``_active_half_width`` does this for a whole array of links.
+clears. ``_active_half_width`` does this for a whole array of links;
+``PlanningModel`` runs it once over every (seat, candidate) pair, and no
+per-link classifier exists beside it.
 """
 
 from __future__ import annotations
 
-import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
-from .angles import AngularInterval, angle_offset, wrap_angle
-from .errors import GeometryError
-from .venue import (
-    Venue,
-    horizontal_distance,
-    link_distance,
-    nadir_angle,
-    ray_occluded,
-    rx_angles,
-    tx_angles,
-)
+from .angles import angle_offset, wrap_angle
 
 _DEF_ELEVATIONS = (0.0, math.pi / 4.0, math.pi / 2.0)
 _DEF_AZIMUTHS = tuple(wrap_angle(n * math.pi / 4.0) for n in range(8))
+
+
+def _finite_number(value) -> bool:
+    """An int or float, not a bool, that is finite as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
 
 
 @dataclass(frozen=True)
@@ -80,6 +81,19 @@ class ChannelParams:
     fade_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
+        # a params file can hold NaN, Infinity, null, strings or booleans;
+        # NaN fails every comparison below both ways, so type and
+        # finiteness come first
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.type == "float" and not _finite_number(value):
+                raise ValueError(
+                    f"{f.name} must be a finite number, not {value!r}"
+                )
+            if f.type == "int" and (
+                isinstance(value, bool) or not isinstance(value, int)
+            ):
+                raise ValueError(f"{f.name} must be an integer, not {value!r}")
         if not (0.0 < self.ap_beamwidth < 2.0 * math.pi):
             raise ValueError("ap_beamwidth must lie in (0, 2*pi)")
         if not (0.0 < self.md_beamwidth < 2.0 * math.pi):
@@ -139,29 +153,6 @@ class ChannelParams:
         if "azimuth_grid" in kw:
             kw["azimuth_grid"] = tuple(float(v) for v in kw["azimuth_grid"])
         return ChannelParams(**kw)
-
-
-class LinkClass(enum.Enum):
-    NEVER_ON = "never_on"
-    ALWAYS_ON = "always_on"
-    ORIENTATION_DEPENDENT = "orientation_dependent"
-
-
-@dataclass(frozen=True)
-class LinkProfile:
-    """Planning view of one (grid position, candidate) link.
-
-    ``effective_interval`` is the arc of body orientations for which the
-    link clears the SNR threshold; ``usable`` marks links a solver may
-    assign (everything except NEVER_ON).
-    """
-
-    gp: int
-    ap: int
-    distance: float
-    link_class: LinkClass
-    effective_interval: AngularInterval
-    usable: bool
 
 
 def db_to_linear(db: float) -> float:
@@ -294,81 +285,12 @@ def _active_half_width(
     )
 
 
-def _profile_from_reach(
-    gp_id: int, ap_id: int, distance: float, phi_rx: float, reach: float
-) -> LinkProfile:
-    """Classify a link from its active half-width around ``phi_rx``: no
-    reach is never on, a reach of pi or more is always on, anything between
-    is the arc of that half-width centered on the device-to-candidate
-    azimuth."""
-    if reach <= 0.0:
-        cls, interval = LinkClass.NEVER_ON, AngularInterval.empty()
-    elif reach >= math.pi:
-        cls, interval = LinkClass.ALWAYS_ON, AngularInterval.full()
-    else:
-        cls = LinkClass.ORIENTATION_DEPENDENT
-        interval = AngularInterval.from_center(phi_rx, reach)
-    return LinkProfile(
-        gp=gp_id,
-        ap=ap_id,
-        distance=distance,
-        link_class=cls,
-        effective_interval=interval,
-        usable=cls is not LinkClass.NEVER_ON,
-    )
-
-
-def link_profile(
-    venue: Venue,
-    params: ChannelParams,
-    gp_id: int,
-    ap_id: int,
-    steering: Optional[Tuple[float, float]] = None,
-) -> LinkProfile:
-    """Classify one link at zero shadowing.
-
-    Without ``steering`` the transmit side is assumed aligned (main lobe),
-    which is what placement needs: an assignment is only legal inside the
-    chosen beam anyway. With ``steering = (theta, phi)`` the transmit gain
-    uses the actual boresight offsets, theta measured from straight down.
-    """
-    distance = link_distance(venue, gp_id, ap_id)
-    if distance == 0.0:
-        raise GeometryError("device and candidate positions coincide")
-    phi_tx, psi_tx = tx_angles(venue, ap_id, gp_id)
-    _, psi_rx = rx_angles(venue, gp_id, ap_id)
-    vertical = horizontal_distance(venue, gp_id, ap_id) == 0.0
-    occluded = ray_occluded(venue, gp_id, ap_id)
-    if steering is None:
-        tx_gain_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
-    else:
-        theta, phi = steering
-        az_off = 0.0 if vertical else wrap_angle(phi - phi_tx)
-        el_off = theta - nadir_angle(psi_tx)
-        tx_gain_db = linear_to_db(
-            flat_top_gain(az_off, el_off, params.ap_beamwidth,
-                          params.side_lobe_gain_db)
-        )
-    gp = venue.grid_positions[gp_id]
-    reach = float(
-        _active_half_width(
-            params, np.array([distance]), psi_rx, vertical, occluded,
-            gp.elevation, tx_gain_db,
-        )[0]
-    )
-    phi_rx, _ = rx_angles(venue, gp_id, ap_id)
-    return _profile_from_reach(gp_id, ap_id, distance, phi_rx, reach)
-
-
 __all__ = [
     "ChannelParams",
-    "LinkClass",
-    "LinkProfile",
     "db_to_linear",
     "linear_to_db",
     "main_lobe_gain",
     "flat_top_gain",
     "path_loss_db",
     "snr_db",
-    "link_profile",
 ]

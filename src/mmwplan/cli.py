@@ -287,7 +287,10 @@ def _load_deployment(path: str) -> Deployment:
     try:
         with open(path) as fh:
             return Deployment.from_dict(json.load(fh))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
+    # int(Infinity) raises OverflowError
+    except (
+        OSError, json.JSONDecodeError, KeyError, TypeError, OverflowError
+    ) as exc:
         raise VenueFormatError(
             f"cannot read deployment file {path}: {exc}"
         ) from exc

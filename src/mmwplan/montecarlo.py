@@ -97,13 +97,6 @@ def _sample_orientations(
     return np.clip(draws, -math.pi, math.pi, out=draws)
 
 
-def sample_orientation(
-    rng: np.random.Generator, dist: OrientationDistribution
-) -> float:
-    """One orientation draw; consumes exactly one uniform."""
-    return float(_sample_orientations(rng, dist, 1)[0])
-
-
 @dataclass(frozen=True)
 class _LinkGeometry:
     ap: int
@@ -406,7 +399,6 @@ def monte_carlo_coverage(
 
 __all__ = [
     "McConfig",
-    "sample_orientation",
     "monte_carlo_connectivity",
     "monte_carlo_coverage",
 ]

@@ -9,23 +9,21 @@ mass, are the only scenarios with non-zero probability; the probability
 that any link in an assigned set is active is a plain sum of cell masses.
 
 ``seat_partition`` builds a seat's partition from its links' azimuths and
-active half-widths, and ``build_scenarios`` from link profiles; both go
-through ``_partition``, which decides every cell's membership with one
-broadcast test. Arc endpoints and cell midpoints are wrapped with
-``math.atan2`` and the masses use ``math.erf``, as a cell-by-cell walk
-would, so the partition has the same bits.
+active half-widths, deciding every cell's membership with one broadcast
+test. Arc endpoints and cell midpoints are wrapped with ``math.atan2`` and
+the masses use ``math.erf``, as a cell-by-cell walk would, so the
+partition has the bits of the scalar walk kept in the test oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import List, Union
 
 import numpy as np
 
-from .angles import TWO_PI, AngularInterval, wrap_angles
-from .channel import LinkProfile
+from .angles import TWO_PI, wrap_angles
 from .venue import Venue
 
 _SQRT2 = math.sqrt(2.0)
@@ -57,98 +55,35 @@ class OrientationDistribution:
         gp = venue.grid_positions[gp_id]
         return OrientationDistribution(mean=gp.facing, std=gp.orientation_std)
 
-    def truncation_mass(self) -> float:
-        return _std_normal_cdf(
-            (math.pi - self.mean) / self.std
-        ) - _std_normal_cdf((-math.pi - self.mean) / self.std)
-
-    def mass_between(self, a: float, b: float) -> float:
-        """Probability mass of [a, b] for -pi <= a <= b <= pi."""
-        if b <= a:
-            return 0.0
-        num = _std_normal_cdf((b - self.mean) / self.std) - _std_normal_cdf(
-            (a - self.mean) / self.std
-        )
-        return num / self.truncation_mass()
-
-
-def circular_mass(
-    dist: OrientationDistribution, interval: AngularInterval
-) -> float:
-    """Probability that the orientation falls inside an arc."""
-    if interval.is_empty:
-        return 0.0
-    if interval.is_full:
-        return 1.0
-    return sum(dist.mass_between(a, b) for a, b in interval.segments())
-
-
-@dataclass(frozen=True)
-class ScenarioCell:
-    """One arc of orientations with a constant set of active links."""
-
-    interval: AngularInterval
-    prob: float
-
 
 class ScenarioPartition:
     """Cells covering the circle for one grid position.
 
-    ``visible`` is an ``(n_cells, L)`` boolean matrix over the venue's
-    candidates: row i, column l is set when the link to candidate l is
-    active anywhere in cell i. ``always_on`` is the ``(L,)`` boolean row of
-    links active for every orientation; those columns are set in every
-    row. ``cell_probs`` holds the cell masses as an array for fast sums.
-    A partition built from its boundaries makes its ``cells`` only when
-    they are first read, since planning reads just the arrays.
+    Cell i runs counterclockwise from ``bounds[i]`` to the next boundary,
+    the last one wrapping through +-pi back to the first; with no
+    boundaries the one cell is the whole circle. ``cell_probs`` holds the
+    cell masses. ``visible`` is an ``(n_cells, L)`` boolean matrix over
+    the venue's candidates: row i, column l is set when the link to
+    candidate l is active anywhere in cell i. ``always_on`` is the
+    ``(L,)`` boolean row of links active for every orientation; those
+    columns are set in every row. The arguments are stored as given.
     """
 
-    __slots__ = ("gp", "visible", "always_on", "cell_probs", "_cells",
-                 "_bounds")
+    __slots__ = ("gp", "bounds", "cell_probs", "visible", "always_on")
 
     def __init__(
         self,
-        gp: int,
-        cells: Sequence[ScenarioCell],
-        visible: np.ndarray,
-        always_on: np.ndarray,
-    ) -> None:
-        self.gp = gp
-        self._cells = tuple(cells)
-        self._bounds: List[float] = []
-        self.visible = np.asarray(visible, dtype=bool)
-        self.always_on = np.asarray(always_on, dtype=bool)
-        self.cell_probs = np.array([c.prob for c in self._cells])
-
-    @classmethod
-    def _from_bounds(
-        cls,
         gp: int,
         bounds: List[float],
         cell_probs: np.ndarray,
         visible: np.ndarray,
         always_on: np.ndarray,
-    ) -> "ScenarioPartition":
-        """A partition whose cell i runs from ``bounds[i]`` to the next
-        boundary, the last one wrapping through +-pi back to the first."""
-        part = cls.__new__(cls)
-        part.gp = gp
-        part._cells = None
-        part._bounds = bounds
-        part.visible = visible
-        part.always_on = always_on
-        part.cell_probs = cell_probs
-        return part
-
-    @property
-    def cells(self) -> Tuple[ScenarioCell, ...]:
-        if self._cells is None:
-            b, n = self._bounds, len(self._bounds)
-            self._cells = tuple(
-                ScenarioCell(AngularInterval.arc(b[i], b[(i + 1) % n]), p)
-                for i, p in enumerate(self.cell_probs.tolist())
-            )
-        return self._cells
+    ) -> None:
+        self.gp = gp
+        self.bounds = bounds
+        self.cell_probs = cell_probs
+        self.visible = visible
+        self.always_on = always_on
 
     def __repr__(self) -> str:
         return (
@@ -172,8 +107,8 @@ def _partition(
     A cell's membership is decided at its midpoint, which is safely
     interior because boundaries are exactly the arc endpoints; one
     broadcast wrapped-arc test of shape (cells, arcs) covers every pair.
-    Lengths, midpoints and masses use the operations of
-    ``AngularInterval.length``, ``wrap_angle`` and ``circular_mass``: the
+    Lengths, midpoints and masses use the operations of the scalar
+    cell-by-cell walk (arc length, ``wrap_angle``, erf masses): the
     normal CDF is evaluated once per boundary and once at each of -pi and
     pi, and each cell's mass is the sum, from 0, over its one or two
     segments, with the empty segment at +-pi worth 0.0.
@@ -183,8 +118,9 @@ def _partition(
     ends = np.column_stack((arc_lo, arc_hi)).ravel().tolist()
     bounds = sorted(set(ends))
     if not bounds:
-        cells = [ScenarioCell(AngularInterval.full(), 1.0)]
-        return ScenarioPartition(gp_id, cells, always[None, :], always)
+        return ScenarioPartition(
+            gp_id, bounds, np.array([1.0]), always[None, :], always
+        )
 
     b = np.array(bounds)
     # cells 0..n-2 run upward; the last wraps through +-pi and splits into
@@ -207,9 +143,7 @@ def _partition(
     lower = 0.0 if bounds[0] <= -math.pi else (cdf[0] - cdf_lo) / trunc
     probs[-1] = 0 + upper + lower
 
-    return ScenarioPartition._from_bounds(
-        gp_id, bounds, probs, visible, always
-    )
+    return ScenarioPartition(gp_id, bounds, probs, visible, always)
 
 
 def seat_partition(
@@ -223,8 +157,10 @@ def seat_partition(
 
     Column l of ``phi_rx`` and ``reach`` is the link to candidate l. A
     reach of 0 is never active, a reach of pi or more is always on, and any
-    other reach is the arc ``AngularInterval.from_center(phi_rx, reach)``,
-    computed for all links at once.
+    other reach is the closed arc from ``phi_rx - reach`` to
+    ``phi_rx + reach``, wrapped into [-pi, pi], for all links at once.
+    Raises ``ValueError`` when an arc is too narrow for its wrapped
+    endpoints to differ.
     """
     always = reach >= math.pi
     arc_ap = np.flatnonzero((reach > 0.0) & ~always)
@@ -232,48 +168,8 @@ def seat_partition(
     arc_lo = wrap_angles(center - half)
     arc_hi = wrap_angles(center + half)
     if np.any(arc_lo == arc_hi):
-        raise ValueError(
-            "arc endpoints coincide; use empty() or full() explicitly"
-        )
+        raise ValueError("arc endpoints coincide")
     return _partition(gp_id, dist, always, arc_ap, arc_lo, arc_hi)
-
-
-def build_scenarios(
-    venue: Venue, gp_id: int, profiles: Iterable[LinkProfile]
-) -> ScenarioPartition:
-    """Partition the orientation circle for one grid position.
-
-    ``profiles`` are the link profiles of that grid position; links that
-    are never active contribute nothing, links active everywhere go into
-    ``always_on``, and every proper arc contributes its two endpoints as
-    cell boundaries (see ``_partition``). Visibility rows span all
-    ``venue.n_candidates`` candidates.
-    """
-    dist = OrientationDistribution.for_gp(venue, gp_id)
-    always = np.zeros(venue.n_candidates, dtype=bool)
-    arc_ap, arc_lo, arc_hi = [], [], []
-    for p in profiles:
-        if p.gp != gp_id:
-            raise ValueError(
-                f"profile for grid position {p.gp} passed to {gp_id}"
-            )
-        iv = p.effective_interval
-        if not p.usable or iv.is_empty:
-            continue
-        if iv.is_full:
-            always[p.ap] = True
-        else:
-            arc_ap.append(p.ap)
-            arc_lo.append(iv.lo)
-            arc_hi.append(iv.hi)
-    return _partition(
-        gp_id,
-        dist,
-        always,
-        np.array(arc_ap, dtype=np.intp),
-        np.array(arc_lo, dtype=float),
-        np.array(arc_hi, dtype=float),
-    )
 
 
 def connectivity_probability(
@@ -306,22 +202,9 @@ def connectivity_probability(
     return float(partition.cell_probs[hit].sum())
 
 
-def satisfied(
-    partition: ScenarioPartition,
-    aps: Union[List[int], np.ndarray],
-    beta: float,
-) -> bool:
-    """Whether the assigned set meets the per-user connectivity target."""
-    return connectivity_probability(partition, aps) >= beta
-
-
 __all__ = [
     "OrientationDistribution",
-    "ScenarioCell",
     "ScenarioPartition",
-    "build_scenarios",
-    "circular_mass",
     "seat_partition",
     "connectivity_probability",
-    "satisfied",
 ]

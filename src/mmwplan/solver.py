@@ -50,16 +50,17 @@ from .errors import (
     InfeasibleError,
     SizeLimitError,
 )
-# build_scenarios is not called here; it stays importable from this module
-# because perfbench/spans.py wraps it by this name (the span reads 0)
-from .scenarios import (  # noqa: F401
+from .scenarios import (
     OrientationDistribution,
     ScenarioPartition,
-    build_scenarios,
     connectivity_probability,
     seat_partition,
 )
 from .venue import Venue, occlusion_matrix
+
+# never called: the benchmark's span wraps this name and reads 0 until the
+# in-package stage recorder (ROADMAP item 1) replaces it
+build_scenarios = seat_partition
 
 DEPLOYMENT_FORMAT_VERSION = 1
 
@@ -217,7 +218,7 @@ def _normalize_betas(betas: BetaLike, n: int) -> np.ndarray:
 
 
 class PlanningModel:
-    """Precomputed geometry, link classes, partitions and beam footprints.
+    """Precomputed geometry, link reach, partitions and beam footprints.
 
     Depends only on (venue, params, betas), never on a coverage target or
     a solver, so it is built once per (venue, params, betas) and shared:
@@ -225,17 +226,21 @@ class PlanningModel:
     and only read it. Every satisfaction decision goes through
     ``finalize``.
 
-    The build is array code over all (seat, candidate) pairs: view-ray
-    angles and distances, ``occlusion_matrix`` (one batched slab test per
-    seat), the active half-widths ``reach`` (``_active_half_width`` on the
-    whole (M, L) grid), and one ``seat_partition`` per seat straight from
-    its row of ``phi_rx`` and ``reach``, with no per-link profile objects.
-    Where a value's bits reach the outputs the scalar ``math`` functions
-    stay: ``math.log10`` per distance, ``math.atan2`` for angles that leave
-    [-pi, pi], and ``math.erf`` per cell boundary, because their numpy
-    counterparts differ from them in the last bit for some inputs. So the
-    model is bit-identical to the one-link, one-cell walks kept as oracles
-    in the tests.
+    This is the one place the package derives link facts, each as an
+    (M, L) array over all (seat, candidate) pairs: view-ray azimuths
+    ``phi_tx``/``phi_rx``, the steering elevation ``nadir_tx`` (angle
+    from straight down), the receive elevation ``psi_rx``, ``dist`` and
+    ``vertical``; ``occluded`` from ``occlusion_matrix`` (one batched slab
+    test per seat); the active half-widths ``reach`` from
+    ``_active_half_width`` at the aligned transmit gain, where 0 is never
+    on and pi is always on; and one ``seat_partition`` per seat straight
+    from its rows of ``phi_rx`` and ``reach``. Where a value's bits reach
+    the outputs the scalar ``math`` functions stay: ``math.log10`` per
+    distance, ``math.atan2`` for angles that leave [-pi, pi], and
+    ``math.erf`` per cell boundary, because their numpy counterparts
+    differ from them in the last bit for some inputs. So the model is
+    bit-identical to the one-link, one-cell walks kept as oracles in the
+    tests.
     """
 
     def __init__(
@@ -405,8 +410,14 @@ def evaluate_coverage(
                 )
             el_off = abs(ap.theta - float(model.nadir_tx[m, l]))
             d = ap.phi - float(model.phi_tx[m, l])
-            az_off = abs(math.atan2(math.sin(d), math.cos(d)))
-            if el_off > half or (not model.vertical[m, l] and az_off > half):
+            # math.sin rejects an infinite angle; NaN fails both tests
+            az_off = (
+                abs(math.atan2(math.sin(d), math.cos(d)))
+                if math.isfinite(d) else math.nan
+            )
+            if not (el_off <= half) or (
+                not model.vertical[m, l] and not (az_off <= half)
+            ):
                 violations.append(
                     f"user {m} lies outside the beam of candidate {l} "
                     f"(azimuth offset {az_off:.3f}, elevation offset "

@@ -24,8 +24,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .angles import wrap_angle
-from .errors import GeometryError, VenueFormatError
+from .errors import VenueFormatError
 
 VENUE_FORMAT_VERSION = 1
 
@@ -252,7 +251,8 @@ class Venue:
                 for b in data.get("blockers", [])
             ]
             name = str(data["name"])
-        except (KeyError, TypeError, ValueError) as exc:
+        # int(Infinity) raises OverflowError
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise VenueFormatError(f"malformed venue data: {exc}") from exc
         return Venue(
             name=name,
@@ -276,7 +276,7 @@ class Venue:
         return Venue.from_dict(data)
 
 
-# -- view-ray geometry ----------------------------------------------------
+# -- per-seat targets and occlusion ---------------------------------------
 
 
 def venue_betas(venue: Venue, default: float) -> List[float]:
@@ -286,68 +286,6 @@ def venue_betas(venue: Venue, default: float) -> List[float]:
         default if gp.beta is None else gp.beta
         for gp in venue.grid_positions
     ]
-
-
-def _check_ids(venue: Venue, gp_id: int, ap_id: int) -> None:
-    if not (0 <= gp_id < venue.n_grid):
-        raise GeometryError(f"grid position id {gp_id} out of range")
-    if not (0 <= ap_id < venue.n_candidates):
-        raise GeometryError(f"candidate id {ap_id} out of range")
-
-
-def _direction_angles(src: Vec3, dst: Vec3) -> Tuple[float, float]:
-    dx = dst[0] - src[0]
-    dy = dst[1] - src[1]
-    dz = dst[2] - src[2]
-    d = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if d == 0.0:
-        raise GeometryError("coincident endpoints have no view direction")
-    azimuth = math.atan2(dy, dx) if (dx != 0.0 or dy != 0.0) else 0.0
-    elevation = math.acos(max(-1.0, min(1.0, dz / d)))
-    return azimuth, elevation
-
-
-def tx_angles(venue: Venue, ap_id: int, gp_id: int) -> Tuple[float, float]:
-    """Azimuth and elevation of the ray from candidate ``ap_id`` toward grid
-    position ``gp_id``. Elevation is measured from +z, so a user straight
-    below sits at elevation pi."""
-    _check_ids(venue, gp_id, ap_id)
-    return _direction_angles(
-        venue.candidates[ap_id].position, venue.grid_positions[gp_id].position
-    )
-
-
-def rx_angles(venue: Venue, gp_id: int, ap_id: int) -> Tuple[float, float]:
-    """Azimuth and elevation of the ray from grid position ``gp_id`` toward
-    candidate ``ap_id``. Candidates sit above every device, so the elevation
-    is always in [0, pi/2)."""
-    _check_ids(venue, gp_id, ap_id)
-    return _direction_angles(
-        venue.grid_positions[gp_id].position, venue.candidates[ap_id].position
-    )
-
-
-def nadir_angle(elevation_from_up: float) -> float:
-    """Convert a +z-referenced elevation to the angle from straight down.
-
-    Beam steering elevations are referenced from the downward vertical
-    (0 points at the floor), matching how ceiling antennas are aimed.
-    """
-    return math.pi - elevation_from_up
-
-
-def horizontal_distance(venue: Venue, gp_id: int, ap_id: int) -> float:
-    g = venue.grid_positions[gp_id].position
-    a = venue.candidates[ap_id].position
-    return math.hypot(a[0] - g[0], a[1] - g[1])
-
-
-def link_distance(venue: Venue, gp_id: int, ap_id: int) -> float:
-    g = venue.grid_positions[gp_id].position
-    a = venue.candidates[ap_id].position
-    return math.sqrt(
-        (a[0] - g[0]) ** 2 + (a[1] - g[1]) ** 2 + (a[2] - g[2]) ** 2
-    )
 
 
 def _blocker_arrays(
@@ -428,17 +366,6 @@ def _seat_occlusion(
     return out
 
 
-def ray_occluded(venue: Venue, gp_id: int, ap_id: int) -> bool:
-    """True when any blocker not owned by ``gp_id`` cuts the open segment
-    from the device to the candidate; one row of ``occlusion_matrix``."""
-    _check_ids(venue, gp_id, ap_id)
-    lo, hi, owner = _blocker_arrays(venue)
-    keep = owner != gp_id
-    p0 = np.asarray(venue.grid_positions[gp_id].position, dtype=float)
-    p1 = np.asarray([venue.candidates[ap_id].position], dtype=float)
-    return bool(_seat_occlusion(p0, p1, lo[keep], hi[keep])[0])
-
-
 def occlusion_matrix(venue: Venue) -> np.ndarray:
     """Boolean (n_grid, n_candidates) matrix: whether a blocker not owned
     by the seat cuts the open segment from the seat to the candidate.
@@ -466,12 +393,5 @@ __all__ = [
     "BodyPrism",
     "Venue",
     "venue_betas",
-    "tx_angles",
-    "rx_angles",
-    "nadir_angle",
-    "horizontal_distance",
-    "link_distance",
-    "ray_occluded",
     "occlusion_matrix",
-    "wrap_angle",
 ]

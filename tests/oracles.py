@@ -4,29 +4,31 @@ Everything here favors brute force over cleverness: dense angle sweeps
 instead of breakpoint walks, point sampling instead of slab tests,
 trapezoid integration instead of closed forms, and flat enumeration
 instead of pruned search. Slow is fine; these only run in tests.
+
+The package derives every link fact once, as arrays in ``PlanningModel``.
+The scalar one-link versions live here: view-ray geometry, the unpruned
+slab test, the ring walk, closed arcs and the cell-by-cell partition.
 """
 
 import itertools
 import math
+from dataclasses import dataclass
+from typing import List, Tuple
 
 import numpy as np
 from scipy.special import ndtri
 
-from mmwplan.angles import AngularInterval, wrap_angle
+from mmwplan.angles import TWO_PI, wrap_angle
 from mmwplan.channel import (
-    _profile_from_reach,
     flat_top_gain,
     linear_to_db,
-    link_profile,
     main_lobe_gain,
     snr_db,
 )
-from mmwplan.errors import InfeasibleError
+from mmwplan.errors import GeometryError, InfeasibleError
 from mmwplan.scenarios import (
     OrientationDistribution,
-    ScenarioCell,
     ScenarioPartition,
-    circular_mass,
     connectivity_probability,
 )
 from mmwplan.solver import (
@@ -35,21 +37,186 @@ from mmwplan.solver import (
     _assignment_search,
     _minimal_satisfying_sets,
 )
-from mmwplan.venue import (
-    _blocker_arrays,
-    _check_ids,
-    horizontal_distance,
-    link_distance,
-    nadir_angle,
-    rx_angles,
-    tx_angles,
-)
+from mmwplan.venue import _blocker_arrays
 
 SQRT2 = math.sqrt(2.0)
 
 
 def _std_cdf(x):
     return 0.5 * (1.0 + math.erf(x / SQRT2))
+
+
+# ---------------------------------------------------------------------------
+# angles: closed arcs on the circle
+
+_EMPTY = "empty"
+_FULL = "full"
+_ARC = "arc"
+
+
+@dataclass(frozen=True)
+class AngularInterval:
+    """A closed arc on the circle [-pi, pi].
+
+    Arcs run counterclockwise from ``lo`` to ``hi``, wrapping through +-pi
+    when lo > hi. ``kind`` distinguishes the empty set and the full circle
+    from proper arcs; proper arcs always have lo != hi and both endpoints in
+    [-pi, pi], so equal intervals compare equal field-wise.
+    """
+
+    kind: str
+    lo: float = 0.0
+    hi: float = 0.0
+
+    @staticmethod
+    def empty() -> "AngularInterval":
+        return AngularInterval(_EMPTY)
+
+    @staticmethod
+    def full() -> "AngularInterval":
+        return AngularInterval(_FULL)
+
+    @staticmethod
+    def arc(lo: float, hi: float) -> "AngularInterval":
+        lo = wrap_angle(lo)
+        hi = wrap_angle(hi)
+        if lo == hi:
+            raise ValueError(
+                "arc endpoints coincide; use empty() or full() explicitly"
+            )
+        return AngularInterval(_ARC, lo, hi)
+
+    @staticmethod
+    def from_center(center: float, half_width: float) -> "AngularInterval":
+        """Arc of total length 2*half_width centered at ``center``.
+
+        half_width <= 0 gives the empty set, half_width >= pi the full
+        circle.
+        """
+        if half_width <= 0.0:
+            return AngularInterval.empty()
+        if half_width >= math.pi:
+            return AngularInterval.full()
+        return AngularInterval.arc(center - half_width, center + half_width)
+
+    @property
+    def is_empty(self) -> bool:
+        return self.kind == _EMPTY
+
+    @property
+    def is_full(self) -> bool:
+        return self.kind == _FULL
+
+    def length(self) -> float:
+        if self.kind == _EMPTY:
+            return 0.0
+        if self.kind == _FULL:
+            return TWO_PI
+        d = self.hi - self.lo
+        return d if d > 0.0 else d + TWO_PI
+
+    def center(self) -> float:
+        """Midpoint of the arc (0.0 for empty and full by convention)."""
+        if self.kind != _ARC:
+            return 0.0
+        return wrap_angle(self.lo + 0.5 * self.length())
+
+    def contains(self, angle: float) -> bool:
+        if self.kind == _EMPTY:
+            return False
+        if self.kind == _FULL:
+            return True
+        x = wrap_angle(angle)
+        if self.lo < self.hi:
+            return self.lo <= x <= self.hi
+        # wrapped arc passes through +-pi
+        return x >= self.lo or x <= self.hi
+
+    def endpoints(self) -> Tuple[float, ...]:
+        if self.kind != _ARC:
+            return ()
+        return (self.lo, self.hi)
+
+    def segments(self) -> List[Tuple[float, float]]:
+        """Decompose into non-wrapping segments of [-pi, pi].
+
+        Useful for integrating a linear density over the arc.
+        """
+        if self.kind == _EMPTY:
+            return []
+        if self.kind == _FULL:
+            return [(-math.pi, math.pi)]
+        if self.lo < self.hi:
+            return [(self.lo, self.hi)]
+        return [(self.lo, math.pi), (-math.pi, self.hi)]
+
+
+# ---------------------------------------------------------------------------
+# venue: scalar view-ray geometry, one link at a time
+
+
+def _direction_angles(src, dst):
+    dx = dst[0] - src[0]
+    dy = dst[1] - src[1]
+    dz = dst[2] - src[2]
+    d = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if d == 0.0:
+        raise GeometryError("coincident endpoints have no view direction")
+    azimuth = math.atan2(dy, dx) if (dx != 0.0 or dy != 0.0) else 0.0
+    elevation = math.acos(max(-1.0, min(1.0, dz / d)))
+    return azimuth, elevation
+
+
+def tx_angles(venue, ap_id, gp_id):
+    """Azimuth and elevation of the ray from candidate ``ap_id`` toward grid
+    position ``gp_id``. Elevation is measured from +z, so a user straight
+    below sits at elevation pi."""
+    return _direction_angles(
+        venue.candidates[ap_id].position, venue.grid_positions[gp_id].position
+    )
+
+
+def rx_angles(venue, gp_id, ap_id):
+    """Azimuth and elevation of the ray from grid position ``gp_id`` toward
+    candidate ``ap_id``. Candidates sit above every device, so the elevation
+    is always in [0, pi/2)."""
+    return _direction_angles(
+        venue.grid_positions[gp_id].position, venue.candidates[ap_id].position
+    )
+
+
+def horizontal_distance(venue, gp_id, ap_id):
+    g = venue.grid_positions[gp_id].position
+    a = venue.candidates[ap_id].position
+    return math.hypot(a[0] - g[0], a[1] - g[1])
+
+
+def link_distance(venue, gp_id, ap_id):
+    g = venue.grid_positions[gp_id].position
+    a = venue.candidates[ap_id].position
+    return math.sqrt(
+        (a[0] - g[0]) ** 2 + (a[1] - g[1]) ** 2 + (a[2] - g[2]) ** 2
+    )
+
+
+# ---------------------------------------------------------------------------
+# channel: transmit gain of one link
+
+
+def _tx_gain_db(venue, params, gp_id, ap_id, steering):
+    """Transmit gain of one link in dB: the main lobe when ``steering`` is
+    None (an aligned beam), else the flat-top gain at the offsets of the
+    boresight ``steering = (theta, phi)``, theta measured from straight
+    down."""
+    if steering is None:
+        return linear_to_db(main_lobe_gain(params.ap_beamwidth))
+    theta, phi = steering
+    phi_tx, psi_tx = tx_angles(venue, ap_id, gp_id)
+    vertical = horizontal_distance(venue, gp_id, ap_id) == 0.0
+    az_off = 0.0 if vertical else wrap_angle(phi - phi_tx)
+    el_off = theta - (math.pi - psi_tx)
+    return linear_to_db(flat_top_gain(
+        az_off, el_off, params.ap_beamwidth, params.side_lobe_gain_db))
 
 
 # ---------------------------------------------------------------------------
@@ -76,16 +243,7 @@ def active_at_orientation(venue, params, gp_id, ap_id, phi_body,
     rx_main = elev_ok and (vertical or delta <= params.md_beamwidth / 2.0)
     rx_db = (10.0 * math.log10(main_lobe_gain(params.md_beamwidth))
              if rx_main else params.side_lobe_gain_db)
-
-    if steering is None:
-        tx_db = 10.0 * math.log10(main_lobe_gain(params.ap_beamwidth))
-    else:
-        theta, phi = steering
-        phi_tx, psi_tx = tx_angles(venue, ap_id, gp_id)
-        az_off = 0.0 if vertical else wrap_angle(phi - phi_tx)
-        el_off = theta - nadir_angle(psi_tx)
-        tx_db = 10.0 * math.log10(flat_top_gain(
-            az_off, el_off, params.ap_beamwidth, params.side_lobe_gain_db))
+    tx_db = _tx_gain_db(venue, params, gp_id, ap_id, steering)
 
     exponent = params.alpha_los if los else params.alpha_nlos
     pl = params.kappa_db + 10.0 * exponent * math.log10(d)
@@ -96,10 +254,9 @@ def active_at_orientation(venue, params, gp_id, ap_id, phi_body,
 def sweep_mismatches(venue, params, gp_id, ap_id, n=3600, margin=1e-6,
                      steering=None):
     """Count grid orientations where the pointwise sweep disagrees with the
-    classified interval, ignoring points within ``margin`` of an endpoint
+    arc of ``link_arc``, ignoring points within ``margin`` of an endpoint
     where float boundaries legitimately differ."""
-    prof = link_profile(venue, params, gp_id, ap_id, steering=steering)
-    iv = prof.effective_interval
+    iv = link_arc(venue, params, gp_id, ap_id, steering=steering)
     ends = []
     for a, b in iv.segments():
         ends.extend((a, b))
@@ -164,7 +321,6 @@ def segment_hits_boxes(p0, p1, lo, hi):
 def ray_occluded(venue, gp_id, ap_id):
     """Whether a blocker not owned by ``gp_id`` cuts the open segment from
     the device to the candidate, tested against every prism, unpruned."""
-    _check_ids(venue, gp_id, ap_id)
     lo, hi, owner = _blocker_arrays(venue)
     if lo.shape[0] == 0:
         return False
@@ -246,74 +402,111 @@ def model_reach(model):
     return reach
 
 
+def link_reach(venue, params, gp_id, ap_id, steering=None):
+    """Device-to-candidate azimuth and active half-width of one link at
+    zero shadowing, from the scalar geometry, ``ray_occluded`` and the
+    ring walk. ``steering`` as in ``_tx_gain_db``."""
+    d = link_distance(venue, gp_id, ap_id)
+    phi_rx, psi_rx = rx_angles(venue, gp_id, ap_id)
+    reach = active_half_width(
+        params, d, psi_rx, horizontal_distance(venue, gp_id, ap_id) == 0.0,
+        ray_occluded(venue, gp_id, ap_id),
+        venue.grid_positions[gp_id].elevation,
+        _tx_gain_db(venue, params, gp_id, ap_id, steering),
+    )
+    return phi_rx, reach
+
+
+def link_arc(venue, params, gp_id, ap_id, steering=None):
+    """Arc of body orientations on which one link clears the threshold:
+    empty when it is never on, the full circle when it is always on."""
+    return AngularInterval.from_center(
+        *link_reach(venue, params, gp_id, ap_id, steering=steering))
+
+
 # ---------------------------------------------------------------------------
 # scenarios: one cell and one arc at a time
 
 
-def build_scenarios(venue, gp_id, profiles):
-    """Partition of one seat's orientation circle from its link profiles:
-    sorted arc endpoints, membership by ``AngularInterval.contains`` at
-    each cell midpoint, and masses by ``circular_mass``."""
-    dist = OrientationDistribution.for_gp(venue, gp_id)
-    arcs = []
-    always = np.zeros(venue.n_candidates, dtype=bool)
-    for p in profiles:
-        if p.gp != gp_id:
-            raise ValueError(
-                f"profile for grid position {p.gp} passed to {gp_id}"
-            )
-        if not p.usable or p.effective_interval.is_empty:
-            continue
-        if p.effective_interval.is_full:
-            always[p.ap] = True
-        else:
-            arcs.append((p.ap, p.effective_interval))
+def mass_between(dist, a, b):
+    """Probability mass of [a, b] for -pi <= a <= b <= pi."""
+    if b <= a:
+        return 0.0
+    num = _std_cdf((b - dist.mean) / dist.std) - _std_cdf(
+        (a - dist.mean) / dist.std)
+    trunc = _std_cdf((math.pi - dist.mean) / dist.std) - _std_cdf(
+        (-math.pi - dist.mean) / dist.std)
+    return num / trunc
 
-    boundaries = sorted({e for _, arc in arcs for e in arc.endpoints()})
+
+def circular_mass(dist, interval):
+    """Probability that the orientation falls inside an arc."""
+    if interval.is_empty:
+        return 0.0
+    if interval.is_full:
+        return 1.0
+    return sum(mass_between(dist, a, b) for a, b in interval.segments())
+
+
+def build_scenarios(venue, gp_id, arcs):
+    """Partition of one seat's orientation circle from the active arc of
+    each of its links (``arcs[l]`` for candidate l): sorted arc endpoints,
+    membership by ``AngularInterval.contains`` at each cell midpoint, and
+    masses by ``circular_mass``."""
+    dist = OrientationDistribution.for_gp(venue, gp_id)
+    always = np.array([arc.is_full for arc in arcs], dtype=bool)
+    proper = [(ap, arc) for ap, arc in enumerate(arcs)
+              if not (arc.is_empty or arc.is_full)]
+
+    boundaries = sorted({e for _, arc in proper for e in arc.endpoints()})
     if not boundaries:
-        cells = [ScenarioCell(AngularInterval.full(), 1.0)]
-        return ScenarioPartition(gp_id, cells, always[None, :], always)
+        return ScenarioPartition(gp_id, boundaries, np.array([1.0]),
+                                 always[None, :], always)
 
     n = len(boundaries)
-    cells = []
+    probs = []
     visible = np.repeat(always[None, :], n, axis=0)
     for i in range(n):
         lo = boundaries[i]
         hi = boundaries[(i + 1) % n]
         cell_arc = AngularInterval.arc(lo, hi)
         mid = wrap_angle(lo + 0.5 * cell_arc.length())
-        for ap, arc in arcs:
+        for ap, arc in proper:
             if arc.contains(mid):
                 visible[i, ap] = True
-        cells.append(ScenarioCell(cell_arc, circular_mass(dist, cell_arc)))
-    return ScenarioPartition(gp_id, cells, visible, always)
+        probs.append(circular_mass(dist, cell_arc))
+    return ScenarioPartition(gp_id, boundaries, np.array(probs), visible,
+                             always)
 
 
 def model_partitions(model):
-    """Every seat's partition built from one ``LinkProfile`` per link, as
-    classified from the model's distances, azimuths and reach."""
-    parts = []
-    for m in range(model.M):
-        profiles = [
-            _profile_from_reach(m, l, float(model.dist[m, l]),
-                                float(model.phi_rx[m, l]),
-                                float(model.reach[m, l]))
+    """Every seat's partition built from the arcs of the model's
+    azimuths and reach."""
+    return [
+        build_scenarios(model.venue, m, [
+            AngularInterval.from_center(float(model.phi_rx[m, l]),
+                                        float(model.reach[m, l]))
             for l in range(model.L)
-        ]
-        parts.append(build_scenarios(model.venue, m, profiles))
-    return parts
+        ])
+        for m in range(model.M)
+    ]
 
 
-def _cell_bits(part):
-    return [(c.interval.kind, float(c.interval.lo).hex(),
-             float(c.interval.hi).hex(), float(c.prob).hex())
-            for c in part.cells]
+def cell_arcs(part):
+    """The cells of a partition as arcs, cell i from ``bounds[i]`` to the
+    next boundary."""
+    b, n = part.bounds, len(part.bounds)
+    if n == 0:
+        return [AngularInterval.full()]
+    return [AngularInterval.arc(b[i], b[(i + 1) % n]) for i in range(n)]
 
 
 def same_partition(a, b):
-    """Bit-equal cells, equal visibility and always-on rows, and equal
-    cell-mass bytes."""
-    return (a.gp == b.gp and _cell_bits(a) == _cell_bits(b)
+    """Bit-equal boundaries and cell masses, and equal visibility and
+    always-on rows."""
+    return (a.gp == b.gp
+            and [float(x).hex() for x in a.bounds]
+            == [float(x).hex() for x in b.bounds]
             and a.visible.shape == b.visible.shape
             and (a.visible == b.visible).all()
             and (a.always_on == b.always_on).all()
@@ -356,8 +549,7 @@ def union_probability(venue, params, gp_id, ap_ids):
 
     segs = []
     for ap in ap_ids:
-        prof = link_profile(venue, params, gp_id, ap)
-        iv = prof.effective_interval
+        iv = link_arc(venue, params, gp_id, ap)
         if iv.is_full:
             return 1.0
         segs.extend(iv.segments())
@@ -385,10 +577,10 @@ def pattern_connectivity(partition, ap_ids):
     """
     ids = list(ap_ids)
     masses = {}
-    for cell, row in zip(partition.cells, partition.visible):
+    for prob, row in zip(partition.cell_probs.tolist(), partition.visible):
         vis = row | partition.always_on
         pat = tuple(bool(vis[l]) for l in ids)
-        masses[pat] = masses.get(pat, 0.0) + cell.prob
+        masses[pat] = masses.get(pat, 0.0) + prob
     return sum(p for pat, p in masses.items() if any(pat))
 
 

@@ -21,7 +21,6 @@ from mmwplan import (
     PlanningModel,
     approximation_bound,
     audit_greedy_prices,
-    build_scenarios,
     connectivity_probability,
     exact_place,
     generate_venue,
@@ -30,7 +29,6 @@ from mmwplan import (
     monte_carlo_coverage,
     path_loss_db,
 )
-from mmwplan.channel import link_profile
 from mmwplan.montecarlo import monte_carlo_connectivity
 
 ACCEPTANCE_LINES = []
@@ -47,12 +45,6 @@ def _verdict(num, label, ok, detail):
 
 def _ids(bits):
     return [l for l in range(4) if bits >> l & 1]
-
-
-def _partition(venue, params, m):
-    profiles = [link_profile(venue, params, m, l)
-                for l in range(venue.n_candidates)]
-    return build_scenarios(venue, m, profiles)
 
 
 # -- 1: exact solver vs unpruned enumeration --------------------------------
@@ -103,13 +95,13 @@ def test_criterion_2_connectivity_probabilities():
             rng.choice(venue.n_candidates, size=size, replace=False)
             .tolist()
         )
-        part = _partition(venue, TIGHT, m)
+        model = PlanningModel(venue, TIGHT, 0.65)
+        part = model.partitions[m]
         got = connectivity_probability(part, s)
         want = oracles.pattern_connectivity(part, s)
         enum_ok += abs(got - want) < 1e-12
         mc = monte_carlo_connectivity(
-            PlanningModel(venue, TIGHT, 0.65), m, s,
-            McConfig(n_samples=100000, seed=900 + j),
+            model, m, s, McConfig(n_samples=100000, seed=900 + j),
         )
         sampled_ok += bool(mc["within_3sigma"])
     _verdict(
@@ -225,9 +217,7 @@ def test_criterion_5_monotone_in_targets():
     cases = grew = 0
     parts = []
     for seed in range(4000, 4005):
-        venue = random_toy(seed)
-        for m in range(venue.n_grid):
-            parts.append(_partition(venue, TIGHT, m))
+        parts += PlanningModel(random_toy(seed), TIGHT, 0.65).partitions
     # random subsets of the 4 toy mounts: bit l of an integer picks id l
     full = (1 << 4) - 1
     while cases < 10000:

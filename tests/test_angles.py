@@ -1,10 +1,11 @@
-"""Circle arithmetic: wrapping, offsets, arcs."""
+"""Circle arithmetic: wrapping, offsets, and the oracles' closed arcs."""
 
 import math
 
 import numpy as np
 
-from mmwplan.angles import AngularInterval, angle_offset, wrap_angle
+from mmwplan.angles import angle_offset, wrap_angle
+from oracles import AngularInterval
 
 
 def test_wrap_angle_range():

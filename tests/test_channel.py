@@ -11,6 +11,7 @@ from conftest import random_toy, single_link_venue
 from mmwplan import (
     BodyPrism,
     ChannelParams,
+    PlanningModel,
     db_to_linear,
     flat_top_gain,
     linear_to_db,
@@ -18,7 +19,6 @@ from mmwplan import (
     path_loss_db,
     snr_db,
 )
-from mmwplan.channel import LinkClass, link_profile
 
 
 # -- antenna pattern --------------------------------------------------------
@@ -165,24 +165,37 @@ def test_params_round_trip():
 
 
 # -- link classification ----------------------------------------------------
+# A link's reach is its active half-width around the device-to-candidate
+# azimuth: 0 is never on, pi is always on, anything between is the arc of
+# that half-width.
+
+
+def _model(v, p):
+    return PlanningModel(v, p, 0.5)
+
+
+def _arc(model, m=0, l=0):
+    """The active arc of one link of the model."""
+    return oracles.AngularInterval.from_center(
+        float(model.phi_rx[m, l]), float(model.reach[m, l]))
 
 
 def test_never_on_occluded_far_pair():
     wall = BodyPrism(center=(1.5, 0.0, 20.0), size=(0.5, 50.0, 45.0))
     v = single_link_venue(dx=3.0, dz=40.0, blockers=[wall])
-    prof = link_profile(v, ChannelParams(), 0, 0)
-    assert prof.link_class is LinkClass.NEVER_ON
-    assert prof.effective_interval.is_empty
-    assert not prof.usable
+    model = _model(v, ChannelParams())
+    assert model.occluded[0, 0]
+    assert model.reach[0, 0] == 0.0
+    assert not model.usable[0, 0]
 
 
 def test_overhead_orientation_dependent_equals_blockage_window():
     # straight-up boresight, candidate overhead at a distance where the
     # main receive lobe clears the threshold but the side lobe does not
     v = single_link_venue(dx=0.0, dz=40.0, tilt=0.0)
-    prof = link_profile(v, ChannelParams(), 0, 0)
-    assert prof.link_class is LinkClass.ORIENTATION_DEPENDENT
-    iv = prof.effective_interval
+    model = _model(v, ChannelParams())
+    assert 0.0 < model.reach[0, 0] < math.pi
+    iv = _arc(model)
     # vertical ray: blockage window spans half the circle around azimuth 0
     assert abs(iv.length() - math.pi) < 1e-9
     assert iv.contains(0.0) and not iv.contains(math.pi)
@@ -191,19 +204,16 @@ def test_overhead_orientation_dependent_equals_blockage_window():
 def test_always_on_with_full_blockage_window():
     p = replace(ChannelParams(), self_block_half_angle=math.pi)
     v = single_link_venue(dx=2.0, dz=3.0)
-    prof = link_profile(v, p, 0, 0)
-    assert prof.link_class is LinkClass.ALWAYS_ON
-    assert prof.effective_interval.is_full
-    assert prof.usable
+    model = _model(v, p)
+    assert model.reach[0, 0] >= math.pi
+    assert model.usable[0, 0]
 
 
 def test_blocked_budget_can_still_clear_at_short_range():
     # at a few meters the blocked-orientation exponent still beats the
     # threshold through the side lobe, so orientation stops mattering
     v = single_link_venue(dx=2.0, dz=3.0)
-    prof = link_profile(v, ChannelParams(), 0, 0)
-    assert prof.link_class is LinkClass.ALWAYS_ON
-    assert prof.effective_interval.is_full
+    assert _model(v, ChannelParams()).reach[0, 0] >= math.pi
 
 
 def test_side_lobe_sufficient_interval_is_blockage_window():
@@ -211,28 +221,22 @@ def test_side_lobe_sufficient_interval_is_blockage_window():
     # clears once the body blocks, so the active arc is exactly the
     # self-blockage window
     from mmwplan import wrap_angle
-    from mmwplan.venue import rx_angles
     v = single_link_venue(dx=9.0, dz=12.0, facing=0.3)
     p = ChannelParams()
-    prof = link_profile(v, p, 0, 0)
-    phi_rx, _ = rx_angles(v, 0, 0)
-    iv = prof.effective_interval
+    iv = _arc(_model(v, p))
+    phi_rx, _ = oracles.rx_angles(v, 0, 0)
     assert abs(iv.length() - 2.0 * p.self_block_half_angle) < 1e-9
     assert abs(wrap_angle(iv.center() - phi_rx)) < 1e-9
 
 
 def test_distance_recorded():
     v = single_link_venue(dx=3.0, dz=4.0)
-    prof = link_profile(v, ChannelParams(), 0, 0)
-    assert abs(prof.distance - 5.0) < 1e-12
+    assert abs(_model(v, ChannelParams()).dist[0, 0] - 5.0) < 1e-12
 
 
 def test_effective_interval_inside_blockage_window_when_nlos_fails():
     # whenever no blocked orientation can clear the budget, the active
     # arc must sit inside the self-blockage window
-    from mmwplan import AngularInterval, main_lobe_gain
-    from mmwplan.venue import link_distance, rx_angles
-
     p = ChannelParams()
     tx_db = linear_to_db(main_lobe_gain(p.ap_beamwidth))
     rx_db = linear_to_db(main_lobe_gain(p.md_beamwidth))
@@ -244,17 +248,18 @@ def test_effective_interval_inside_blockage_window_when_nlos_fails():
         v = single_link_venue(dx=dx, dz=dz,
                               facing=float(rng.uniform(-math.pi, math.pi)),
                               tilt=float(rng.uniform(0.0, math.pi / 2.0)))
-        d = link_distance(v, 0, 0)
+        model = _model(v, p)
+        d = float(model.dist[0, 0])
         if snr_db(p, d, tx_db, rx_db, False) >= p.snr_threshold_db:
             continue  # blocked orientations can clear; no bound applies
-        prof = link_profile(v, p, 0, 0)
-        if prof.effective_interval.is_empty:
+        iv = _arc(model)
+        if iv.is_empty:
             continue
-        phi_rx, _ = rx_angles(v, 0, 0)
-        B = AngularInterval.from_center(phi_rx, p.self_block_half_angle)
+        B = oracles.AngularInterval.from_center(
+            float(model.phi_rx[0, 0]), p.self_block_half_angle)
         checked += 1
         for a in np.linspace(-math.pi, math.pi, 145):
-            if prof.effective_interval.contains(float(a)):
+            if iv.contains(float(a)):
                 assert B.contains(float(a))
     assert checked > 5
 
@@ -265,35 +270,30 @@ def test_widening_rx_beam_never_shrinks_interval():
     lengths = []
     for w in widths:
         p = ChannelParams().with_beamwidths(md_beamwidth=w)
-        lengths.append(link_profile(v, p, 0, 0).effective_interval.length())
+        lengths.append(_arc(_model(v, p)).length())
     assert all(a <= b + 1e-9 for a, b in zip(lengths, lengths[1:]))
 
 
 def test_raising_threshold_monotone_classification():
     v = random_toy(3)
     for gamma in (5.0, 10.0, 20.0, 35.0, 60.0):
-        lo = replace(ChannelParams(), snr_threshold_db=gamma)
-        hi = replace(ChannelParams(), snr_threshold_db=gamma + 10.0)
-        for m in range(v.n_grid):
-            for l in range(v.n_candidates):
-                a = link_profile(v, lo, m, l)
-                b = link_profile(v, hi, m, l)
-                if a.link_class is LinkClass.NEVER_ON:
-                    assert b.link_class is LinkClass.NEVER_ON
-                # interval can only shrink
-                assert (b.effective_interval.length()
-                        <= a.effective_interval.length() + 1e-9)
+        lo = _model(v, replace(ChannelParams(), snr_threshold_db=gamma))
+        hi = _model(v, replace(ChannelParams(),
+                               snr_threshold_db=gamma + 10.0))
+        # a never-on link stays never on
+        assert not (hi.usable & ~lo.usable).any()
+        # the active arc can only shrink
+        assert (hi.reach <= lo.reach).all()
 
 
 def test_classification_matches_dense_sweep_toy():
     p = ChannelParams()
     v = random_toy(41)
-    classes = set()
     for m in range(v.n_grid):
         for l in range(v.n_candidates):
             assert oracles.sweep_mismatches(v, p, m, l, n=720) == 0
-            classes.add(link_profile(v, p, m, l).link_class)
-    assert LinkClass.ORIENTATION_DEPENDENT in classes
+    reach = _model(v, p).reach
+    assert ((reach > 0.0) & (reach < math.pi)).any()
 
 
 def test_classification_matches_dense_sweep_edge_cases():
@@ -323,16 +323,12 @@ def test_steered_profiles_match_dense_sweep():
 
 
 def test_steering_at_exact_boresight_matches_unsteered():
-    from mmwplan import nadir_angle
-    from mmwplan.venue import tx_angles
+    # the planner's own steering toward a user gives the aligned reach
     p = ChannelParams()
     v = random_toy(43)
+    model = _model(v, p)
     for m in (1, 4):
         for l in (1, 3):
-            phi_tx, psi_tx = tx_angles(v, l, m)
-            aligned = (nadir_angle(psi_tx), phi_tx)
-            a = link_profile(v, p, m, l)
-            b = link_profile(v, p, m, l, steering=aligned)
-            assert a.link_class is b.link_class
-            assert abs(a.effective_interval.length()
-                       - b.effective_interval.length()) < 1e-12
+            aligned = (float(model.nadir_tx[m, l]), float(model.phi_tx[m, l]))
+            _, reach = oracles.link_reach(v, p, m, l, steering=aligned)
+            assert reach == model.reach[m, l]

@@ -364,6 +364,83 @@ def test_plan_rejects_bad_steering_grid(capsys, tmp_path, toy_path, grids):
     assert stdout == ""
 
 
+# every scalar ChannelParams field, each set to a value that is not a
+# finite number of its type
+PARAM_FIELDS = (
+    "kappa_db", "alpha_los", "alpha_nlos", "sigma_los_db", "sigma_nlos_db",
+    "tx_power_dbm", "noise_power_dbm", "snr_threshold_db", "ap_beamwidth",
+    "md_beamwidth", "side_lobe_gain_db", "capacity_per_beam",
+    "self_block_half_angle", "fade_margin_db",
+)
+BAD_NUMBERS = ("NaN", "Infinity", "-Infinity", "null", '"x"', "[]", "true")
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f, v) for f in PARAM_FIELDS for v in BAD_NUMBERS),
+    ("capacity_per_beam", "2.5"),
+])
+def test_plan_rejects_bad_param_value(capsys, tmp_path, toy_path, field,
+                                      value):
+    params = tmp_path / "params.json"
+    params.write_text(f'{{"{field}": {value}}}')
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", toy_path, "--params", str(params),
+        "--alpha", "0.9", "--beta", "0.7",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert field in stderr
+    assert "Traceback" not in stderr
+
+
+@pytest.mark.parametrize("section, key", [
+    ("grid_positions", "id"), ("blockers", "owner"),
+])
+def test_plan_rejects_infinite_venue_id(capsys, tmp_path, toy_path, section,
+                                        key):
+    with open(toy_path) as fh:
+        data = json.load(fh)
+    data[section][0][key] = float("inf")
+    bad = tmp_path / "inf.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(bad), "--alpha", "0.9",
+        "--beta", "0.7",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "malformed venue data" in stderr
+
+
+def test_validate_rejects_infinite_deployment_loc(capsys, tmp_path,
+                                                  toy_path):
+    dep_path = _tampered_deployment(
+        tmp_path, toy_path,
+        lambda d: d["selected"][0].update(loc=float("inf")))
+    code, stdout, stderr = run(
+        capsys, "validate", "--venue", toy_path, "--deployment",
+        str(dep_path), "--alpha", "0.5", "--beta", "0.7",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "cannot read deployment file" in stderr
+
+
+@pytest.mark.parametrize("key", ["theta", "phi"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_validate_flags_non_finite_steering(capsys, tmp_path, toy_path, key,
+                                            value):
+    dep_path = _tampered_deployment(
+        tmp_path, toy_path, lambda d: d["selected"][0].update({key: value}))
+    code, stdout, stderr = run(
+        capsys, "validate", "--venue", toy_path, "--deployment",
+        str(dep_path), "--alpha", "0.5", "--beta", "0.7", "--mc",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "outside the beam" in stderr
+
+
 def test_validate_flags_malformed_deployment(capsys, tmp_path, toy_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({

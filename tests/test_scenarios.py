@@ -11,23 +11,26 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import random_toy
 from mmwplan import (
-    AngularInterval,
     CandidateLocation,
     ChannelParams,
     OrientationDistribution,
+    PlacedAp,
+    PlanningModel,
     ScenarioPartition,
-    build_scenarios,
     connectivity_probability,
-    satisfied,
 )
-from mmwplan.channel import link_profile
-from mmwplan.scenarios import ScenarioCell, circular_mass
+from mmwplan.scenarios import seat_partition
 
 
 def _partition(venue, params, m):
-    profiles = [link_profile(venue, params, m, l)
-                for l in range(venue.n_candidates)]
-    return build_scenarios(venue, m, profiles)
+    return PlanningModel(venue, params, 0.5).partitions[m]
+
+
+def _arc_mass(dist, center, half):
+    """Mass the planner gives the arc of half-width ``half`` around
+    ``center``: the connectivity of one link active on exactly that arc."""
+    part = seat_partition(0, dist, np.array([center]), np.array([half]))
+    return connectivity_probability(part, [0])
 
 
 def _ids(bits):
@@ -53,35 +56,34 @@ def test_mass_between_against_numeric_integration():
         for _ in range(5):
             a, b = sorted(rng.uniform(-math.pi, math.pi, 2))
             want = oracles.trunc_mass_numeric(mean, std, a, b)
-            assert abs(dist.mass_between(float(a), float(b)) - want) < 1e-7
+            got = _arc_mass(dist, float(a + b) / 2.0, float(b - a) / 2.0)
+            assert abs(got - want) < 1e-7
 
 
 def test_one_sigma_mass():
     dist = OrientationDistribution(mean=0.3, std=0.4)
-    got = dist.mass_between(0.3 - 0.4, 0.3 + 0.4)
+    got = _arc_mass(dist, 0.3, 0.4)
     assert abs(got - 0.6827) < 1e-3
 
 
 def test_circular_mass_trivial_cases():
     dist = OrientationDistribution(mean=0.5, std=0.7)
-    assert circular_mass(dist, AngularInterval.full()) == 1.0
-    assert circular_mass(dist, AngularInterval.empty()) == 0.0
+    assert _arc_mass(dist, 0.2, math.pi) == 1.0
+    assert _arc_mass(dist, 0.2, 0.0) == 0.0
 
 
 def test_circular_mass_wrapped_interval():
     dist = OrientationDistribution(mean=2.5, std=0.6)
-    iv = AngularInterval.from_center(math.pi, 0.8)
     want = (oracles.trunc_mass_numeric(2.5, 0.6, math.pi - 0.8, math.pi)
             + oracles.trunc_mass_numeric(2.5, 0.6, -math.pi,
                                          -math.pi + 0.8))
-    assert abs(circular_mass(dist, iv) - want) < 1e-7
+    assert abs(_arc_mass(dist, math.pi, 0.8) - want) < 1e-7
 
 
 def test_circular_mass_complement():
     dist = OrientationDistribution(mean=-1.0, std=0.9)
-    iv = AngularInterval.from_center(0.7, 1.1)
-    comp = AngularInterval.from_center(0.7 + math.pi, math.pi - 1.1)
-    got = circular_mass(dist, iv) + circular_mass(dist, comp)
+    got = (_arc_mass(dist, 0.7, 1.1)
+           + _arc_mass(dist, 0.7 + math.pi, math.pi - 1.1))
     assert abs(got - 1.0) < 1e-12
 
 
@@ -90,13 +92,14 @@ def test_circular_mass_complement():
 
 def test_single_always_on_link_single_cell():
     v = random_toy(0)
-    p = ChannelParams()
+    model = PlanningModel(v, ChannelParams(), 0.5)
     # toy links are short enough to be always on
-    prof = link_profile(v, p, 0, 0)
-    assert prof.effective_interval.is_full
-    part = build_scenarios(v, 0, [prof])
-    assert len(part.cells) == 1
-    assert part.cells[0].prob == 1.0
+    assert model.reach[0, 0] >= math.pi
+    only_first = np.where(np.arange(model.L) == 0, model.reach[0], 0.0)
+    part = seat_partition(0, OrientationDistribution.for_gp(v, 0),
+                          model.phi_rx[0], only_first)
+    assert part.bounds == []
+    assert part.cell_probs.tolist() == [1.0]
     assert part.always_on.tolist() == [True, False, False, False]
     assert part.visible.tolist() == [[True, False, False, False]]
 
@@ -105,19 +108,14 @@ def test_partition_invariants(toy_venue, default_params):
     for m in range(toy_venue.n_grid):
         part = _partition(toy_venue, default_params, m)
         n_links = toy_venue.n_candidates
-        assert len(part.cells) <= 2 * n_links + 1
-        assert abs(sum(c.prob for c in part.cells) - 1.0) < 1e-12
+        n_cells = len(part.cell_probs)
+        assert n_cells <= 2 * n_links + 1
+        assert abs(part.cell_probs.sum() - 1.0) < 1e-12
         # disjoint cover of the circle
-        total = sum(c.interval.length() for c in part.cells)
+        total = sum(c.length() for c in oracles.cell_arcs(part))
         assert abs(total - 2.0 * math.pi) < 1e-9
-        assert part.visible.shape == (len(part.cells), n_links)
+        assert part.visible.shape == (n_cells, n_links)
         assert part.visible[:, part.always_on].all()
-
-
-def test_partition_rejects_foreign_profile(toy_venue, default_params):
-    prof = link_profile(toy_venue, default_params, 1, 0)
-    with pytest.raises(ValueError):
-        build_scenarios(toy_venue, 0, [prof])
 
 
 def test_cell_masks_constant_within_cells():
@@ -126,21 +124,18 @@ def test_cell_masks_constant_within_cells():
         v = random_toy(seed)
         for m in range(v.n_grid):
             part = _partition(v, p, m)
-            profiles = {l: link_profile(v, p, m, l)
-                        for l in range(v.n_candidates)}
-            for c, row in zip(part.cells, part.visible):
-                if c.interval.length() < 1e-6:
+            arcs = [oracles.link_arc(v, p, m, l)
+                    for l in range(v.n_candidates)]
+            for c, row in zip(oracles.cell_arcs(part), part.visible):
+                if c.length() < 1e-6:
                     continue
                 # probe a few interior points
-                lo = -math.pi if c.interval.is_full \
-                    else c.interval.endpoints()[0]
+                lo = -math.pi if c.is_full else c.endpoints()[0]
                 for f in (0.25, 0.5, 0.75):
                     x = math.atan2(
-                        math.sin(lo + f * c.interval.length()),
-                        math.cos(lo + f * c.interval.length()))
-                    active = [prof.usable
-                              and prof.effective_interval.contains(x)
-                              for prof in profiles.values()]
+                        math.sin(lo + f * c.length()),
+                        math.cos(lo + f * c.length()))
+                    active = [arc.contains(x) for arc in arcs]
                     assert active == row.tolist()
 
 
@@ -156,12 +151,12 @@ def test_cell_frequencies_match_sampling():
     draws = raw[(raw >= -math.pi) & (raw <= math.pi)]
     n = draws.size
     assert n > 100000
-    for c in part.cells:
-        if c.interval.is_full:
+    for c, prob in zip(oracles.cell_arcs(part), part.cell_probs.tolist()):
+        if c.is_full:
             continue
-        hits = sum(1 for x in draws if c.interval.contains(float(x)))
-        se = math.sqrt(max(c.prob * (1.0 - c.prob), 1e-12) / n)
-        assert abs(hits / n - c.prob) <= 3.0 * se + 1e-9
+        hits = sum(1 for x in draws if c.contains(float(x)))
+        se = math.sqrt(max(prob * (1.0 - prob), 1e-12) / n)
+        assert abs(hits / n - prob) <= 3.0 * se + 1e-9
 
 
 # -- connectivity sums ------------------------------------------------------
@@ -204,8 +199,6 @@ def test_connectivity_rejects_ids_outside_candidates(toy_venue,
     aps = make(toy_venue.n_candidates)
     with pytest.raises(ValueError, match="assigned ids"):
         connectivity_probability(part, aps)
-    with pytest.raises(ValueError, match="assigned ids"):
-        satisfied(part, aps, 0.5)
 
 
 def test_connectivity_matches_union_arithmetic():
@@ -260,22 +253,25 @@ def test_refinement_invariance():
     for m in (0, 4):
         part = _partition(v, p, m)
         dist = OrientationDistribution.for_gp(v, m)
-        split, rows = [], []
-        for c, row in zip(part.cells, part.visible):
-            if c.interval.is_full or c.interval.length() < 1e-9:
-                split.append(c)
+        bounds, probs, rows = [], [], []
+        for c, prob, row in zip(oracles.cell_arcs(part),
+                                part.cell_probs.tolist(), part.visible):
+            if c.is_full or c.length() < 1e-9:
+                bounds += list(c.endpoints()[:1])
+                probs.append(prob)
                 rows.append(row)
                 continue
-            lo = c.interval.endpoints()[0]
-            mid = math.atan2(math.sin(lo + c.interval.length() / 2.0),
-                             math.cos(lo + c.interval.length() / 2.0))
-            hi = c.interval.endpoints()[1]
-            left = AngularInterval.arc(lo, mid)
-            right = AngularInterval.arc(mid, hi)
-            split.append(ScenarioCell(left, circular_mass(dist, left)))
-            split.append(ScenarioCell(right, circular_mass(dist, right)))
+            lo, hi = c.endpoints()
+            mid = math.atan2(math.sin(lo + c.length() / 2.0),
+                             math.cos(lo + c.length() / 2.0))
+            left = oracles.AngularInterval.arc(lo, mid)
+            right = oracles.AngularInterval.arc(mid, hi)
+            bounds += [lo, mid]
+            probs += [oracles.circular_mass(dist, left),
+                      oracles.circular_mass(dist, right)]
             rows += [row, row]
-        fine = ScenarioPartition(m, split, rows, part.always_on)
+        fine = ScenarioPartition(m, bounds, np.array(probs), np.array(rows),
+                                 part.always_on)
         for s in range(16):
             a = connectivity_probability(part, _ids(s))
             b = connectivity_probability(fine, _ids(s))
@@ -286,8 +282,8 @@ def test_refinement_invariance():
 
 
 def test_satisfied_zero_beta_always(toy_venue, default_params):
-    part = _partition(toy_venue, default_params, 0)
-    assert satisfied(part, [], 0.0)
+    dep = PlanningModel(toy_venue, default_params, 0.0).finalize([])
+    assert all(dep.satisfied)
 
 
 def test_satisfied_beta_one_needs_always_on():
@@ -295,11 +291,11 @@ def test_satisfied_beta_one_needs_always_on():
     from conftest import single_link_venue
     v = single_link_venue(dx=0.0, dz=40.0, tilt=0.0)
     p = ChannelParams()
-    prof = link_profile(v, p, 0, 0)
-    part = build_scenarios(v, 0, [prof])
-    assert not part.always_on.any()
-    assert not satisfied(part, [0], 1.0)
-    assert satisfied(part, [0], 0.3)
+    serve = [PlacedAp(candidate=0, theta=0.0, phi=0.0, assigned=(0,))]
+    strict = PlanningModel(v, p, 1.0)
+    assert not strict.partitions[0].always_on.any()
+    assert strict.finalize(serve).satisfied == [False]
+    assert PlanningModel(v, p, 0.3).finalize(serve).satisfied == [True]
 
 
 # -- past 64 candidates -----------------------------------------------------
@@ -312,7 +308,7 @@ def _padded_toy(seed, n_candidates):
     Ids 64 to 67 sit 10 cm above the toy's own mounts, whose short links
     are often always on; the others are scattered over and around the
     room at several heights, where links are proper arcs or dead. Returns
-    the venue with each seat's link profiles and partition.
+    the venue and its planning model.
     """
     v = random_toy(seed)
     rng = np.random.default_rng(seed)
@@ -328,22 +324,16 @@ def _padded_toy(seed, n_candidates):
     extra = [CandidateLocation(id=j, position=spot(j))
              for j in range(v.n_candidates, n_candidates)]
     v = replace(v, candidates=v.candidates + extra)
-    p = ChannelParams()
-    profiles = [[link_profile(v, p, m, l) for l in range(n_candidates)]
-                for m in range(v.n_grid)]
-    parts = [build_scenarios(v, m, profiles[m]) for m in range(v.n_grid)]
-    return v, profiles, parts
+    return v, PlanningModel(v, ChannelParams(), 0.5)
 
 
 def test_padded_toys_exercise_high_ids():
     always = arcs = 0
     for seed in range(4):
-        _, profiles, _ = _padded_toy(seed, 70)
-        for per_seat in profiles:
-            for prof in per_seat[64:]:
-                iv = prof.effective_interval
-                always += prof.usable and iv.is_full
-                arcs += prof.usable and not iv.is_full and not iv.is_empty
+        _, model = _padded_toy(seed, 70)
+        high = model.reach[:, 64:]
+        always += int((high >= math.pi).sum())
+        arcs += int(((high > 0.0) & (high < math.pi)).sum())
     assert always > 0 and arcs > 0
 
 
@@ -352,10 +342,10 @@ def test_padded_toys_exercise_high_ids():
 def test_connectivity_past_64_candidates_matches_patterns(data):
     seed = data.draw(st.integers(0, 3), label="seed")
     n_candidates = data.draw(st.sampled_from([65, 70]), label="L")
-    _, profiles, parts = _padded_toy(seed, n_candidates)
+    _, model = _padded_toy(seed, n_candidates)
+    parts = model.partitions
     m = data.draw(st.integers(0, len(parts) - 1), label="seat")
-    always = [l for l, prof in enumerate(profiles[m])
-              if prof.usable and prof.effective_interval.is_full]
+    always = np.flatnonzero(model.reach[m] >= math.pi).tolist()
     high = data.draw(st.integers(64, n_candidates - 1), label="high id")
     rest = data.draw(
         st.lists(st.integers(0, n_candidates - 1), max_size=4, unique=True),

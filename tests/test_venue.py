@@ -12,13 +12,14 @@ from mmwplan import (
     CandidateLocation,
     GeometryError,
     GridPosition,
+    PlanningModel,
     Venue,
     VenueFormatError,
     occlusion_matrix,
     venue_betas,
     wrap_angle,
 )
-from mmwplan.venue import ray_occluded, rx_angles, tx_angles
+from mmwplan.channel import ChannelParams
 
 
 def _venue(gp_pos, cand_pos, blockers=(), facing=0.0):
@@ -33,35 +34,62 @@ def _venue(gp_pos, cand_pos, blockers=(), facing=0.0):
 
 
 # -- direction angles -------------------------------------------------------
+# Hand-computed angles check the scalar oracle, and ``_view_angles`` checks
+# the model's arrays against it.
+
+
+def _view_angles(v, m=0, l=0):
+    """The model's view-ray arrays at one link, after checking them
+    against the scalar oracle at 1e-12: (phi_tx, psi_tx, phi_rx, psi_rx)
+    with psi_tx the +z-referenced elevation of the downward ray."""
+    model = PlanningModel(v, ChannelParams(), 0.5)
+    phi_tx, psi_tx = oracles.tx_angles(v, l, m)
+    phi_rx, psi_rx = oracles.rx_angles(v, m, l)
+    got = (model.phi_tx[m, l], math.pi - model.nadir_tx[m, l],
+           model.phi_rx[m, l], model.psi_rx[m, l])
+    for a, b in zip(got[::2], (phi_tx, phi_rx)):
+        assert abs(math.remainder(a - b, 2.0 * math.pi)) <= 1e-12
+    for a, b in zip(got[1::2], (psi_tx, psi_rx)):
+        assert abs(a - b) <= 1e-12
+    assert abs(model.dist[m, l] - oracles.link_distance(v, m, l)) <= 1e-12
+    return tuple(float(x) for x in got)
 
 
 def test_tx_angles_straight_down():
     v = _venue([(0.0, 0.0, 0.0)], [(0.0, 0.0, 4.0)])
-    phi, psi = tx_angles(v, 0, 0)
+    phi, psi = oracles.tx_angles(v, 0, 0)
     assert phi == 0.0
     assert abs(psi - math.pi) < 1e-12
+    model_phi, model_psi, _, _ = _view_angles(v)
+    assert model_phi == 0.0
+    assert abs(model_psi - math.pi) < 1e-12
 
 
 def test_tx_angles_diagonal():
     v = _venue([(4.0, 0.0, 0.0)], [(0.0, 0.0, 4.0)])
-    phi, psi = tx_angles(v, 0, 0)
+    phi, psi = oracles.tx_angles(v, 0, 0)
     assert abs(phi - 0.0) < 1e-12
     assert abs(psi - 3.0 * math.pi / 4.0) < 1e-12
+    model_phi, model_psi, _, _ = _view_angles(v)
+    assert abs(model_phi - 0.0) < 1e-12
+    assert abs(model_psi - 3.0 * math.pi / 4.0) < 1e-12
 
 
 def test_tx_angles_hand_computed():
     # AP (1,2,4) -> GP (3,5,1): direction (2,3,-3)
     v = _venue([(3.0, 5.0, 1.0)], [(1.0, 2.0, 4.0)])
-    phi, psi = tx_angles(v, 0, 0)
+    phi, psi = oracles.tx_angles(v, 0, 0)
     d = np.array([2.0, 3.0, -3.0])
     assert abs(phi - math.atan2(3.0, 2.0)) < 1e-12
     assert abs(psi - math.acos(d[2] / np.linalg.norm(d))) < 1e-12
+    _view_angles(v)
 
 
 def test_rx_angles_overhead():
     v = _venue([(1.0, 1.0, 1.0)], [(1.0, 1.0, 5.0)])
-    _, psi = rx_angles(v, 0, 0)
+    _, psi = oracles.rx_angles(v, 0, 0)
     assert psi == 0.0
+    assert _view_angles(v)[3] == 0.0
 
 
 def test_rx_reciprocal_azimuth():
@@ -72,8 +100,7 @@ def test_rx_reciprocal_azimuth():
         if abs(gp[0] - ap[0]) + abs(gp[1] - ap[1]) < 1e-6:
             continue
         v = _venue([gp], [ap])
-        phi_tx, _ = tx_angles(v, 0, 0)
-        phi_rx, _ = rx_angles(v, 0, 0)
+        phi_tx, _, phi_rx, _ = _view_angles(v)
         assert abs(wrap_angle(phi_rx - phi_tx - math.pi)) < 1e-9
 
 
@@ -84,7 +111,7 @@ def test_rx_elevation_below_quarter_turn():
         gp = tuple(rng.uniform(0.0, 10.0, 2)) + (float(rng.uniform(0, 2)),)
         ap = tuple(rng.uniform(0.0, 10.0, 2)) + (float(rng.uniform(3, 9)),)
         v = _venue([gp], [ap])
-        _, psi = rx_angles(v, 0, 0)
+        psi = _view_angles(v)[3]
         assert 0.0 <= psi < math.pi / 2.0
 
 
@@ -93,7 +120,7 @@ def test_coincident_positions_raise():
     # force coincidence bypassing validation
     object.__setattr__(v.candidates[0], "position", (1.0, 1.0, 3.0))
     with pytest.raises(GeometryError):
-        tx_angles(v, 0, 0)
+        PlanningModel(v, ChannelParams(), 0.5)
 
 
 # -- occlusion --------------------------------------------------------------
@@ -109,14 +136,14 @@ def test_midpoint_prism_occludes():
     gp, ap = (0.0, 0.0, 0.0), (4.0, 0.0, 4.0)
     mid = BodyPrism(center=(2.0, 0.0, 2.0), size=(2.0, 2.0, 2.0))
     v = _venue([gp], [ap], blockers=[mid])
-    assert ray_occluded(v, 0, 0)
+    assert occlusion_matrix(v)[0, 0]
 
 
 def test_own_prism_ignored():
     gp, ap = (0.0, 0.0, 1.0), (0.0, 0.0, 5.0)
     own = BodyPrism(center=(0.0, 0.0, 1.0), size=(0.5, 0.5, 1.5), owner=0)
     v = _venue([gp], [ap], blockers=[own])
-    assert not ray_occluded(v, 0, 0)
+    assert not occlusion_matrix(v)[0, 0]
 
 
 def test_tiered_rows_vs_point_sampling():
@@ -125,10 +152,10 @@ def test_tiered_rows_vs_point_sampling():
     blockers = [BodyPrism(center=(float(r), 0.0, 0.3 * r + 0.65),
                           size=(0.5, 0.3, 1.3), owner=r) for r in range(4)]
     for ap_h in (1.5, 2.5, 4.0, 6.0):
-        v = _venue(gps, [(-2.0, 0.0, ap_h)])
+        v = _venue(gps, [(-2.0, 0.0, ap_h)], blockers=blockers)
+        occ = occlusion_matrix(v)
         for m in range(4):
-            assert ray_occluded(v, m, 0) == oracles.occluded_by_sampling(
-                v, m, 0)
+            assert occ[m, 0] == oracles.occluded_by_sampling(v, m, 0)
 
 
 def test_random_prisms_vs_point_sampling():
@@ -143,7 +170,8 @@ def test_random_prisms_vs_point_sampling():
             for _ in range(3)
         ]
         v = _venue([gp], [ap], blockers=blockers)
-        assert ray_occluded(v, 0, 0) == oracles.occluded_by_sampling(v, 0, 0)
+        assert occlusion_matrix(v)[0, 0] == oracles.occluded_by_sampling(
+            v, 0, 0)
 
 
 def test_occlusion_direction_symmetric():
@@ -168,12 +196,12 @@ def test_blocker_outside_segment_bbox_is_harmless():
         gp = (1.0, 1.0, 0.5)
         ap = (5.0, 3.0, 4.0)
         v0 = _venue([gp], [ap])
-        assert not ray_occluded(v0, 0, 0)
+        assert not occlusion_matrix(v0)[0, 0]
         # place a prism strictly outside the segment's bounding box
         off = tuple(rng.uniform(7.0, 9.0, 2)) + (float(rng.uniform(0.2, 1.0)),)
         v1 = _venue([gp], [ap], blockers=[BodyPrism(center=off,
                                                     size=(0.5, 0.5, 0.5))])
-        assert not ray_occluded(v1, 0, 0)
+        assert not occlusion_matrix(v1)[0, 0]
 
 
 # -- construction and serialization ----------------------------------------
