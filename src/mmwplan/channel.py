@@ -21,30 +21,25 @@ testing at most three rings of offsets outward while the budget still
 clears. ``_active_half_width`` does this for a whole array of links;
 ``PlanningModel`` runs it once over every (seat, candidate) pair, and no
 per-link classifier exists beside it.
+
+Every ``ChannelParams`` field is checked by the table ``inputs.CHANNEL``;
+only ``alpha_los <= alpha_nlos``, which ties two fields, is checked here.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .angles import angle_offset, wrap_angle
+from .errors import VenueFormatError
+from .inputs import CHANNEL, check, read, write
 
 _DEF_ELEVATIONS = (0.0, math.pi / 4.0, math.pi / 2.0)
 _DEF_AZIMUTHS = tuple(wrap_angle(n * math.pi / 4.0) for n in range(8))
-
-
-def _finite_number(value) -> bool:
-    """An int or float, not a bool, that is finite as a float."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return False
-    try:
-        return math.isfinite(value)
-    except OverflowError:  # an int beyond the float range
-        return False
 
 
 @dataclass(frozen=True)
@@ -81,78 +76,25 @@ class ChannelParams:
     fade_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
-        # a params file can hold NaN, Infinity, null, strings or booleans;
-        # NaN fails every comparison below both ways, so type and
-        # finiteness come first
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not _finite_number(value):
-                raise ValueError(
-                    f"{f.name} must be a finite number, not {value!r}"
-                )
-            if f.type == "int" and (
-                isinstance(value, bool) or not isinstance(value, int)
-            ):
-                raise ValueError(f"{f.name} must be an integer, not {value!r}")
-        if not (0.0 < self.ap_beamwidth < 2.0 * math.pi):
-            raise ValueError("ap_beamwidth must lie in (0, 2*pi)")
-        if not (0.0 < self.md_beamwidth < 2.0 * math.pi):
-            raise ValueError("md_beamwidth must lie in (0, 2*pi)")
+        check(CHANNEL, self)
         if self.alpha_los > self.alpha_nlos:
-            raise ValueError("alpha_los must not exceed alpha_nlos")
-        if self.sigma_los_db < 0.0 or self.sigma_nlos_db < 0.0:
-            raise ValueError("shadowing spreads must be non-negative")
-        if self.capacity_per_beam < 1:
-            raise ValueError("capacity_per_beam must be at least 1")
-        if not (0.0 < self.self_block_half_angle <= math.pi):
-            raise ValueError("self_block_half_angle must lie in (0, pi]")
-        if not self.elevation_grid or not self.azimuth_grid:
-            raise ValueError("steering grids must be non-empty")
-        if not all(0.0 <= e <= math.pi for e in self.elevation_grid):
-            raise ValueError("steering elevations must lie in [0, pi]")
-        if not all(math.isfinite(a) for a in self.azimuth_grid):
-            raise ValueError("steering azimuths must be finite")
+            raise VenueFormatError("alpha_los must not exceed alpha_nlos")
 
     def with_beamwidths(
         self,
         ap_beamwidth: Optional[float] = None,
         md_beamwidth: Optional[float] = None,
     ) -> "ChannelParams":
-        kw = {}
-        if ap_beamwidth is not None:
-            kw["ap_beamwidth"] = ap_beamwidth
-        if md_beamwidth is not None:
-            kw["md_beamwidth"] = md_beamwidth
+        widths = {"ap_beamwidth": ap_beamwidth, "md_beamwidth": md_beamwidth}
+        kw = {k: v for k, v in widths.items() if v is not None}
         return replace(self, **kw) if kw else self
 
     def to_dict(self) -> dict:
-        return {
-            "kappa_db": self.kappa_db,
-            "alpha_los": self.alpha_los,
-            "alpha_nlos": self.alpha_nlos,
-            "sigma_los_db": self.sigma_los_db,
-            "sigma_nlos_db": self.sigma_nlos_db,
-            "tx_power_dbm": self.tx_power_dbm,
-            "noise_power_dbm": self.noise_power_dbm,
-            "snr_threshold_db": self.snr_threshold_db,
-            "ap_beamwidth": self.ap_beamwidth,
-            "md_beamwidth": self.md_beamwidth,
-            "side_lobe_gain_db": self.side_lobe_gain_db,
-            "elevation_grid": list(self.elevation_grid),
-            "azimuth_grid": list(self.azimuth_grid),
-            "capacity_per_beam": self.capacity_per_beam,
-            "self_block_half_angle": self.self_block_half_angle,
-            "fade_margin_db": self.fade_margin_db,
-        }
+        return write(CHANNEL, self)
 
     @staticmethod
     def from_dict(data: dict) -> "ChannelParams":
-        kw = dict(data)
-        if "elevation_grid" in kw:
-            kw["elevation_grid"] = tuple(float(v) for v in kw["elevation_grid"])
-        if "azimuth_grid" in kw:
-            kw["azimuth_grid"] = tuple(float(v) for v in kw["azimuth_grid"])
-        return ChannelParams(**kw)
+        return ChannelParams(**read(CHANNEL, data, strict=True))
 
 
 def db_to_linear(db: float) -> float:

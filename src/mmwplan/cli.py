@@ -8,13 +8,13 @@ Carlo.
 
 Exit codes: 0 success, 2 infeasible (the partial result is still
 written), 3 unreadable or invalid input, including command-line usage
-errors, 4 size refusal.
+errors, 4 size refusal. The input files are read through ``inputs``, so a
+malformed field exits 3 with a message naming its path.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import sys
 import time
@@ -26,9 +26,9 @@ from .errors import (
     InfeasibleError,
     PlanError,
     SizeLimitError,
-    VenueFormatError,
 )
 from .generators import generate_venue
+from .inputs import load_json, save_json
 from .metrics import approximation_bound, location_difference
 from .montecarlo import McConfig, monte_carlo_coverage
 from .render import render_svg
@@ -82,27 +82,15 @@ def _fraction_list(text: str) -> List[float]:
 
 
 def _load_params(args: argparse.Namespace) -> ChannelParams:
-    if getattr(args, "params", None):
-        try:
-            with open(args.params) as fh:
-                params = ChannelParams.from_dict(json.load(fh))
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
-            raise VenueFormatError(
-                f"cannot read params file {args.params}: {exc}"
-            ) from exc
-    else:
-        params = ChannelParams()
+    params = (
+        load_json(args.params, "params", ChannelParams.from_dict)
+        if getattr(args, "params", None) else ChannelParams()
+    )
     ap = getattr(args, "beamwidth_ap", None)
     if isinstance(ap, list):
         # compare sweeps apply each width itself
         ap = None
     return params.with_beamwidths(ap, getattr(args, "beamwidth_md", None))
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -156,7 +144,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     except InfeasibleError as exc:
         elapsed = time.perf_counter() - start
         if exc.partial is not None and args.out:
-            _write_json(args.out, exc.partial.to_dict())
+            save_json(args.out, exc.partial.to_dict())
         achieved = (
             exc.partial.normalized_coverage if exc.partial else float("nan")
         )
@@ -169,9 +157,9 @@ def cmd_plan(args: argparse.Namespace) -> int:
         return EXIT_INFEASIBLE
     elapsed = time.perf_counter() - start
     if args.out:
-        _write_json(args.out, deployment.to_dict())
+        save_json(args.out, deployment.to_dict())
     if trace is not None and args.trace_out:
-        _write_json(args.trace_out, trace.to_dict())
+        save_json(args.trace_out, trace.to_dict())
     print(
         f"solver={args.solver} aps={len(deployment.selected)} "
         f"coverage={deployment.coverage:.4f} "
@@ -202,19 +190,8 @@ def cmd_compare(args: argparse.Namespace) -> int:
         # one model per width, shared by every target and solver
         model = PlanningModel(venue, params, betas)
         for alpha in args.alpha:
-            row = {
-                "W": w,
-                "alpha": alpha,
-                "beta": args.beta,
-                "L_greedy": None,
-                "L_exact": None,
-                "coverage_greedy": None,
-                "coverage_exact": None,
-                "coverage_uniform": None,
-                "analytic_ratio": None,
-                "observed_ratio": None,
-                "location_diff_pct": None,
-            }
+            row = dict.fromkeys(_CSV_COLUMNS)
+            row.update(W=w, alpha=alpha, beta=args.beta)
             greedy = trace = None
             try:
                 greedy, trace = greedy_place(model, alpha)
@@ -274,7 +251,9 @@ def cmd_render(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
     deployment = None
     if args.deployment:
-        deployment = _load_deployment(args.deployment)
+        deployment = load_json(
+            args.deployment, "deployment", Deployment.from_dict
+        )
     params = _load_params(args)
     svg = render_svg(venue, deployment, beamwidth=params.ap_beamwidth)
     with open(args.out, "w") as fh:
@@ -283,24 +262,13 @@ def cmd_render(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _load_deployment(path: str) -> Deployment:
-    try:
-        with open(path) as fh:
-            return Deployment.from_dict(json.load(fh))
-    # int(Infinity) raises OverflowError
-    except (
-        OSError, json.JSONDecodeError, KeyError, TypeError, OverflowError
-    ) as exc:
-        raise VenueFormatError(
-            f"cannot read deployment file {path}: {exc}"
-        ) from exc
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
     params = _load_params(args)
     betas = venue_betas(venue, args.beta)
-    deployment = _load_deployment(args.deployment)
+    deployment = load_json(
+        args.deployment, "deployment", Deployment.from_dict
+    )
     mc = (
         McConfig(
             n_samples=args.samples,
@@ -333,7 +301,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
             f"outside_3sigma={len(outside)}"
         )
         if args.out:
-            _write_json(args.out, mc_report)
+            save_json(args.out, mc_report)
     return EXIT_OK if ok else EXIT_INFEASIBLE
 
 
@@ -447,13 +415,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
-    except (
-        VenueFormatError,
-        DeploymentValidationError,
-        PlanError,
-        OSError,
-        ValueError,
-    ) as exc:
+    except (PlanError, OSError, ValueError) as exc:
         if isinstance(exc, DeploymentValidationError):
             for v in exc.violations:
                 print(f"violation: {v}", file=sys.stderr)

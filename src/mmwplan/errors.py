@@ -9,8 +9,8 @@ class GeometryError(PlanError):
     """Raised for degenerate geometry, e.g. coincident endpoints."""
 
 
-class VenueFormatError(PlanError):
-    """Raised when a venue or config file fails to parse or validate."""
+class VenueFormatError(PlanError, ValueError):
+    """Raised when an input file or object breaks the rules of ``inputs``."""
 
 
 class DeploymentValidationError(PlanError):

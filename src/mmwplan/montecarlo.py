@@ -37,6 +37,7 @@ from .channel import (
     main_lobe_gain,
     snr_db,
 )
+from .inputs import MC_CONFIG, check
 from .scenarios import (
     OrientationDistribution,
     _std_normal_cdf,
@@ -59,20 +60,7 @@ class McConfig:
     fade_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("n_samples", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an int, not {value!r}")
-        # a NaN margin would fail every SNR test and report a rate of 0
-        if not math.isfinite(self.fade_margin_db):
-            raise ValueError(
-                f"fade_margin_db must be finite, not {self.fade_margin_db!r}"
-            )
-        if self.n_samples < 1:
-            raise ValueError("n_samples must be at least 1")
-        # the Philox key holds 64 bits; a seed outside them would alias
-        if not (0 <= self.seed < 1 << 64):
-            raise ValueError(f"seed {self.seed} outside [0, 2**64)")
+        check(MC_CONFIG, self)
 
 
 def _substream(seed: int, gp_id: int) -> np.random.Generator:

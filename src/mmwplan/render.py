@@ -10,6 +10,7 @@ so identical inputs produce identical bytes.
 from __future__ import annotations
 
 import math
+from html import escape
 from typing import List, Optional, Tuple
 
 from .solver import Deployment
@@ -158,7 +159,7 @@ def render_svg(
         f'<rect x="0" y="0" width="{_fmt(frame.width)}" '
         f'height="{_fmt(frame.height)}" fill="#fafafa"/>',
         f'<text x="{_fmt(_PAD)}" y="24" font-size="16" fill="#111">'
-        f"{venue.name}</text>",
+        f"{escape(venue.name)}</text>",
     ]
 
     for ap in selected:

@@ -50,6 +50,7 @@ from .errors import (
     InfeasibleError,
     SizeLimitError,
 )
+from .inputs import DEPLOYMENT, read, write
 from .scenarios import (
     OrientationDistribution,
     ScenarioPartition,
@@ -61,8 +62,6 @@ from .venue import Venue, occlusion_matrix
 # never called: the benchmark's span wraps this name and reads 0 until the
 # in-package stage recorder (ROADMAP item 1) replaces it
 build_scenarios = seat_partition
-
-DEPLOYMENT_FORMAT_VERSION = 1
 
 logger = logging.getLogger(__name__)
 
@@ -87,51 +86,24 @@ class Deployment:
     coverage: float
     normalized_coverage: float
 
-    def assignment_pairs(self) -> List[Tuple[int, int]]:
-        return [
-            (ap.candidate, m) for ap in self.selected for m in ap.assigned
-        ]
+    @property
+    def per_gp(self) -> List["GpCoverage"]:
+        pairs = zip(self.per_gp_prob, self.satisfied)
+        return [GpCoverage(m, p, bool(z)) for m, (p, z) in enumerate(pairs)]
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": DEPLOYMENT_FORMAT_VERSION,
-            "selected": [
-                {
-                    "loc": ap.candidate,
-                    "theta": ap.theta,
-                    "phi": ap.phi,
-                    "assigned": list(ap.assigned),
-                }
-                for ap in self.selected
-            ],
-            "coverage": self.coverage,
-            "normalized_coverage": self.normalized_coverage,
-            "per_gp": [
-                {"id": i, "prob": p, "z": bool(z)}
-                for i, (p, z) in enumerate(
-                    zip(self.per_gp_prob, self.satisfied)
-                )
-            ],
-        }
+        return write(DEPLOYMENT, self)
 
     @staticmethod
     def from_dict(data: dict) -> "Deployment":
-        selected = [
-            PlacedAp(
-                candidate=int(s["loc"]),
-                theta=float(s["theta"]),
-                phi=float(s["phi"]),
-                assigned=tuple(int(m) for m in s["assigned"]),
-            )
-            for s in data["selected"]
-        ]
-        per_gp = sorted(data["per_gp"], key=lambda r: int(r["id"]))
+        head = read(DEPLOYMENT, data)
+        per_gp = sorted(head["per_gp"], key=lambda r: r["id"])
         return Deployment(
-            selected=selected,
-            per_gp_prob=[float(r["prob"]) for r in per_gp],
-            satisfied=[bool(r["z"]) for r in per_gp],
-            coverage=float(data["coverage"]),
-            normalized_coverage=float(data["normalized_coverage"]),
+            selected=[PlacedAp(**s) for s in head["selected"]],
+            per_gp_prob=[r["prob"] for r in per_gp],
+            satisfied=[r["z"] for r in per_gp],
+            coverage=head["coverage"],
+            normalized_coverage=head["normalized_coverage"],
         )
 
 
@@ -410,11 +382,7 @@ def evaluate_coverage(
                 )
             el_off = abs(ap.theta - float(model.nadir_tx[m, l]))
             d = ap.phi - float(model.phi_tx[m, l])
-            # math.sin rejects an infinite angle; NaN fails both tests
-            az_off = (
-                abs(math.atan2(math.sin(d), math.cos(d)))
-                if math.isfinite(d) else math.nan
-            )
+            az_off = abs(math.atan2(math.sin(d), math.cos(d)))
             if not (el_off <= half) or (
                 not model.vertical[m, l] and not (az_off <= half)
             ):
@@ -429,10 +397,7 @@ def evaluate_coverage(
         )
     dep = model.finalize(deployment.selected)
     return CoverageReport(
-        per_gp=[
-            GpCoverage(id=m, prob=p, z=z)
-            for m, (p, z) in enumerate(zip(dep.per_gp_prob, dep.satisfied))
-        ],
+        per_gp=dep.per_gp,
         coverage=dep.coverage,
         normalized_coverage=dep.normalized_coverage,
     )
@@ -952,7 +917,6 @@ def uniform_place(model: PlanningModel, count: int) -> Deployment:
 
 
 __all__ = [
-    "DEPLOYMENT_FORMAT_VERSION",
     "PlacedAp",
     "Deployment",
     "GpCoverage",

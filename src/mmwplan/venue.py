@@ -13,20 +13,20 @@ Each grid position is the expected device location of one seated user. The
 user's torso is an axis-aligned prism registered as a blocker owned by that
 grid position; a view ray from a device never collides with its owner's own
 prism but can be cut by everyone else's.
+
+Every field, read from a file or set in Python, is checked by the tables of
+``inputs``; ``Venue.validate`` adds the rules that tie fields together.
 """
 
 from __future__ import annotations
 
-import json
-import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .errors import VenueFormatError
-
-VENUE_FORMAT_VERSION = 1
+from .inputs import VENUE, check, load_json, read, save_json, write
 
 Vec3 = Tuple[float, float, float]
 
@@ -76,29 +76,6 @@ class BodyPrism:
         return lo, hi
 
 
-def _require_xyz(what: str, name: str, values: Sequence) -> None:
-    """Reject a point or size in one field of every item that does not
-    have exactly three coordinates."""
-    for i, v in enumerate(values):
-        if len(v) != 3:
-            raise VenueFormatError(
-                f"{what} {i}: {name} {list(v)} has {len(v)} coordinates, "
-                f"expected 3"
-            )
-
-
-def _require_finite(what: str, name: str, values: Sequence) -> None:
-    """Reject NaN and infinite entries in one field of every item.
-
-    Needed for the fields no two-sided range check bounds: a NaN compares
-    False both ways, so a one-sided check passes it.
-    """
-    bad = ~np.isfinite(np.asarray(values, dtype=float))
-    if bad.any():
-        i = int(np.argwhere(bad)[0][0])
-        raise VenueFormatError(f"{what} {i}: {name} {values[i]} is not finite")
-
-
 @dataclass
 class Venue:
     name: str
@@ -118,162 +95,52 @@ class Venue:
         return len(self.candidates)
 
     def validate(self) -> None:
-        if not self.grid_positions:
-            raise VenueFormatError("venue has no grid positions")
-        if not self.candidates:
-            raise VenueFormatError("venue has no candidate locations")
-        for i, gp in enumerate(self.grid_positions):
-            if gp.id != i:
-                raise VenueFormatError(
-                    f"grid position ids must be dense 0..M-1 in order, "
-                    f"found id {gp.id} at index {i}"
-                )
-            if not (0.0 <= gp.presence_prob <= 1.0):
-                raise VenueFormatError(
-                    f"grid position {i}: presence_prob {gp.presence_prob} "
-                    f"outside [0, 1]"
-                )
-            if gp.orientation_std <= 0.0:
-                raise VenueFormatError(
-                    f"grid position {i}: orientation_std must be positive"
-                )
-            if not (0.0 <= gp.elevation <= math.pi / 2.0):
-                raise VenueFormatError(
-                    f"grid position {i}: elevation {gp.elevation} outside "
-                    f"[0, pi/2]"
-                )
-            if not (-math.pi <= gp.facing <= math.pi):
-                raise VenueFormatError(
-                    f"grid position {i}: facing {gp.facing} outside [-pi, pi]"
-                )
-            if gp.beta is not None and not (0.0 <= gp.beta <= 1.0):
-                raise VenueFormatError(
-                    f"grid position {i}: beta {gp.beta} outside [0, 1]"
-                )
-        seats = [gp.position for gp in self.grid_positions]
-        mounts = [c.position for c in self.candidates]
-        centers = [b.center for b in self.blockers]
-        sizes = [b.size for b in self.blockers]
-        _require_xyz("grid position", "pos", seats)
-        _require_xyz("candidate", "pos", mounts)
-        _require_xyz("blocker", "center", centers)
-        _require_xyz("blocker", "size", sizes)
-        # the range checks above reject NaN and inf in the other fields
-        _require_finite("grid position", "pos", seats)
-        _require_finite(
-            "grid position",
-            "orientation_std",
-            [gp.orientation_std for gp in self.grid_positions],
-        )
-        _require_finite("candidate", "pos", mounts)
-        _require_finite("blocker", "center", centers)
-        _require_finite("blocker", "size", sizes)
+        """Check every field through ``inputs.VENUE``, then dense ids,
+        mounts above every device and prism owners that name a seat."""
+        check(VENUE, self)
+        for what, items in (("grid position", self.grid_positions),
+                            ("candidate", self.candidates)):
+            for i, item in enumerate(items):
+                if item.id != i:
+                    raise VenueFormatError(
+                        f"{what} ids must be dense 0..{len(items) - 1} in "
+                        f"order, found id {item.id} at index {i}"
+                    )
         max_gp_z = max(gp.position[2] for gp in self.grid_positions)
         for j, c in enumerate(self.candidates):
-            if c.id != j:
-                raise VenueFormatError(
-                    f"candidate ids must be dense 0..L-1 in order, found id "
-                    f"{c.id} at index {j}"
-                )
             if c.position[2] <= max_gp_z:
                 raise VenueFormatError(
                     f"candidate {j}: height {c.position[2]} must exceed every "
                     f"device height (max {max_gp_z})"
                 )
-        n = self.n_grid
         for b in self.blockers:
-            if b.owner is not None and not (0 <= b.owner < n):
-                raise VenueFormatError(
-                    f"blocker owner {b.owner} is not a grid position id"
-                )
-            if min(b.size) <= 0.0:
-                raise VenueFormatError("blocker sizes must be positive")
+            if b.owner is not None and not (0 <= b.owner < self.n_grid):
+                raise VenueFormatError(f"blocker owner {b.owner} is no seat")
 
     # -- serialization -------------------------------------------------
 
     def to_dict(self) -> dict:
-        return {
-            "format_version": VENUE_FORMAT_VERSION,
-            "name": self.name,
-            "grid_positions": [
-                {
-                    "id": gp.id,
-                    "pos": list(gp.position),
-                    "facing": gp.facing,
-                    "elevation": gp.elevation,
-                    "q": gp.presence_prob,
-                    "orientation_std": gp.orientation_std,
-                    **({} if gp.beta is None else {"beta": gp.beta}),
-                }
-                for gp in self.grid_positions
-            ],
-            "candidates": [
-                {"id": c.id, "pos": list(c.position)} for c in self.candidates
-            ],
-            "blockers": [
-                {
-                    "center": list(b.center),
-                    "size": list(b.size),
-                    "owner": b.owner,
-                }
-                for b in self.blockers
-            ],
-        }
+        return write(VENUE, self)
 
     @staticmethod
     def from_dict(data: dict) -> "Venue":
         try:
-            gps = [
-                GridPosition(
-                    id=int(g["id"]),
-                    position=tuple(float(v) for v in g["pos"]),
-                    facing=float(g["facing"]),
-                    elevation=float(g["elevation"]),
-                    presence_prob=float(g["q"]),
-                    orientation_std=float(g["orientation_std"]),
-                    beta=None if g.get("beta") is None else float(g["beta"]),
-                )
-                for g in data["grid_positions"]
-            ]
-            cands = [
-                CandidateLocation(
-                    id=int(c["id"]),
-                    position=tuple(float(v) for v in c["pos"]),
-                )
-                for c in data["candidates"]
-            ]
-            blockers = [
-                BodyPrism(
-                    center=tuple(float(v) for v in b["center"]),
-                    size=tuple(float(v) for v in b["size"]),
-                    owner=None if b.get("owner") is None else int(b["owner"]),
-                )
-                for b in data.get("blockers", [])
-            ]
-            name = str(data["name"])
-        # int(Infinity) raises OverflowError
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise VenueFormatError(f"malformed venue data: {exc}") from exc
+            head = read(VENUE, data)
+        except VenueFormatError as exc:
+            raise VenueFormatError(f"malformed venue data: {exc}") from None
         return Venue(
-            name=name,
-            grid_positions=gps,
-            candidates=cands,
-            blockers=blockers,
+            name=head["name"],
+            grid_positions=[GridPosition(**g) for g in head["grid_positions"]],
+            candidates=[CandidateLocation(**c) for c in head["candidates"]],
+            blockers=[BodyPrism(**b) for b in head["blockers"]],
         )
 
     def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            json.dump(self.to_dict(), fh, indent=2)
-            fh.write("\n")
+        save_json(path, self.to_dict())
 
     @staticmethod
     def load(path: str) -> "Venue":
-        try:
-            with open(path) as fh:
-                data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
-            raise VenueFormatError(f"cannot read venue file {path}: {exc}") from exc
-        return Venue.from_dict(data)
+        return load_json(path, "venue", Venue.from_dict)
 
 
 # -- per-seat targets and occlusion ---------------------------------------
@@ -387,7 +254,6 @@ def occlusion_matrix(venue: Venue) -> np.ndarray:
 
 
 __all__ = [
-    "VENUE_FORMAT_VERSION",
     "GridPosition",
     "CandidateLocation",
     "BodyPrism",

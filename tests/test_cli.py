@@ -438,7 +438,7 @@ def test_validate_flags_non_finite_steering(capsys, tmp_path, toy_path, key,
     )
     assert code == 3
     assert stdout == ""
-    assert "outside the beam" in stderr
+    assert f"selected[0].{key}" in stderr
 
 
 def test_validate_flags_malformed_deployment(capsys, tmp_path, toy_path):

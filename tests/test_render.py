@@ -2,6 +2,7 @@
 
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 from conftest import random_toy
 from mmwplan import (
@@ -34,6 +35,16 @@ def test_save_matches_render(tmp_path, toy_venue):
     assert main(["render", "--venue", str(venue_path),
                  "--out", str(out)]) == 0
     assert out.read_text() == render_svg(toy_venue, None)
+
+
+def test_venue_name_is_escaped(tmp_path, toy_venue):
+    # markup characters in a venue name must leave the file well-formed
+    venue_path, out = tmp_path / "venue.json", tmp_path / "venue.svg"
+    replace(toy_venue, name="R&D <hall>").save(str(venue_path))
+    assert main(["render", "--venue", str(venue_path),
+                 "--out", str(out)]) == 0
+    root = ET.fromstring(out.read_text())
+    assert [el.text for el in root.iter(SVG_NS + "text")][0] == "R&D <hall>"
 
 
 def test_marker_counts(tight_params):
