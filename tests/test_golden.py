@@ -1,0 +1,107 @@
+"""Byte-identity of the command line's outputs.
+
+Each case runs ``mmwplan.cli.main`` in-process and hashes what it writes:
+stdout with its ``runtime=`` field removed, then every output file in
+order. The digests pin deployments, traces, the compare CSV and Monte
+Carlo reports, so a refactor that promises identical outputs is checked
+here rather than by hand. A change that means to alter an output updates
+that digest and says why.
+"""
+
+import hashlib
+import re
+
+import pytest
+
+from mmwplan.cli import main
+
+_RUNTIME = re.compile(r" runtime=\S+")
+
+# name -> (argv, output files); {toy}, {hall} and {airport} are venue
+# files, {hall_dep} is a greedy hall plan, and the output names are paths
+# in a per-test directory (no case prints a path)
+CASES = {
+    "toy-greedy": (
+        "plan --venue {toy} --alpha 0.9 --beta 0.7 --out {dep} "
+        "--trace-out {trace}", ("dep", "trace"),
+    ),
+    "hall-greedy": (
+        "plan --venue {hall} --alpha 0.75 --beta 0.9 --out {dep} "
+        "--trace-out {trace}", ("dep", "trace"),
+    ),
+    "airport-greedy": (
+        "plan --venue {airport} --alpha 0.8 --beta 0.7 --out {dep} "
+        "--trace-out {trace}", ("dep", "trace"),
+    ),
+    "toy-exact": (
+        "plan --venue {toy} --alpha 0.9 --beta 0.7 --solver exact "
+        "--out {dep}", ("dep",),
+    ),
+    "airport-uniform": (
+        "plan --venue {airport} --alpha 0.5 --beta 0.7 --solver uniform "
+        "--uniform-n 8 --out {dep}", ("dep",),
+    ),
+    "toy-compare": (
+        "compare --venue {toy} --alpha 0.6,0.9 --beta 0.7 "
+        "--beamwidth-ap 1.5,2.0943951", (),
+    ),
+    "hall-mc": (
+        "validate --venue {hall} --deployment {hall_dep} --alpha 0.75 "
+        "--beta 0.9 --mc --samples 20000 --seed 3 --out {mc}", ("mc",),
+    ),
+    "hall-mc-shadowing": (
+        "validate --venue {hall} --deployment {hall_dep} --alpha 0.75 "
+        "--beta 0.9 --mc --samples 20000 --seed 3 --shadowing --out {mc}",
+        ("mc",),
+    ),
+}
+
+DIGESTS = {
+    "airport-greedy":
+        "6af47a50a50c077035efa438380a71826d9c3ec555c7f2747aedb9d3d10bcf4c",
+    "airport-uniform":
+        "b0100990c4b7b234b3c59e4dc4a8e11de42a1710dd84039d2bfac89520bba74e",
+    "hall-greedy":
+        "2e4cf039b9a2396439b2ea0772ba0b594c139e4d38a135b113badf5d5b2947b1",
+    "hall-mc":
+        "8479f07626570e08b82180c0b12a27810c2c700de9c591f8c425e412a9fc206d",
+    "hall-mc-shadowing":
+        "295543134a315d9fdb62593c7f68e5888f59d6160cfae256d4ff282bf359b996",
+    "toy-compare":
+        "a836e2d8b54f1af21ae6d539637b4b6444de610c0f4e6770649242e582e2f341",
+    "toy-exact":
+        "b24ac806b162ac75aee6a12124c82cf19f2dcb14ffa768a9877458ea71e76b1e",
+    "toy-greedy":
+        "6758b3125cf8e3e90af76eecd9b87a2f4193d66f5f7aca7422e75873282a01dc",
+}
+
+
+@pytest.fixture(scope="module")
+def venues(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    paths = {}
+    for kind in ("toy", "hall", "airport"):
+        paths[kind] = str(root / f"{kind}.json")
+        assert main(["generate", kind, "--out", paths[kind]]) == 0
+    paths["hall_dep"] = str(root / "hall_dep.json")
+    assert main(["plan", "--venue", paths["hall"], "--alpha", "0.75",
+                 "--beta", "0.9", "--out", paths["hall_dep"]]) == 0
+    return paths
+
+
+def digest(capsys, tmp_path, venues, name):
+    template, outputs = CASES[name]
+    files = {out: str(tmp_path / out) for out in outputs}
+    argv = template.format(**venues, **files).split()
+    capsys.readouterr()
+    assert main(argv) == 0
+    h = hashlib.sha256(_RUNTIME.sub("", capsys.readouterr().out).encode())
+    for out in outputs:
+        with open(files[out], "rb") as fh:
+            h.update(fh.read())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_digest(capsys, tmp_path, venues, name):
+    assert digest(capsys, tmp_path, venues, name) == DIGESTS[name]
