@@ -6,11 +6,9 @@ on the orientation circle, and places beams greedily or exactly until a
 target fraction of the expected audience is covered.
 """
 
-from .angles import angle_offset, wrap_angle
+from .angles import wrap_angle
 from .channel import (
     ChannelParams,
-    db_to_linear,
-    flat_top_gain,
     linear_to_db,
     main_lobe_gain,
     path_loss_db,
@@ -64,13 +62,10 @@ from .venue import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "angle_offset",
     "wrap_angle",
     "ChannelParams",
-    "db_to_linear",
     "linear_to_db",
     "main_lobe_gain",
-    "flat_top_gain",
     "path_loss_db",
     "snr_db",
     "PlanError",

@@ -30,12 +30,3 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     a[out] = [wrap_angle(v) for v in a[out].tolist()]
     return a
 
-
-def angle_offset(a: float, b: float) -> float:
-    """Absolute circular distance between two angles, in [0, pi]."""
-    d = math.fmod(a - b, TWO_PI)
-    if d > math.pi:
-        d -= TWO_PI
-    elif d < -math.pi:
-        d += TWO_PI
-    return abs(d)

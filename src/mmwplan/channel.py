@@ -8,8 +8,15 @@ gain * (1 - cos(W/2)) / 2 == 1 for every beamwidth.
 
 Path loss in dB is kappa + 10 * alpha * log10(d) + chi with separate
 exponents and shadowing spreads for line-of-sight and blocked links.
-Planning evaluates the chain at chi = 0; the Monte Carlo validator draws
-chi per link and sample.
+``_snr`` is the one expression of the budget and ``_clears`` the one
+verdict of a link at a body orientation. Both broadcast, so the scalar
+``snr_db``, ``_active_half_width`` over every (seat, candidate) pair and
+both branches of the Monte Carlo replay evaluate them, with log10(d)
+taken by ``math.log10`` once per distance. Planning evaluates the budget
+at chi = 0; the Monte Carlo validator can draw chi per link and sample.
+A served user always lies inside its beam (``PlanningModel`` holds the
+one beam test), so the transmit side is always the main-lobe gain; the
+side lobe only enters at the device.
 
 A link's activity depends on the user's random body orientation in two
 ways: the torso shadows candidates behind the user (self-blockage), and the
@@ -34,7 +41,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .angles import angle_offset, wrap_angle
+from .angles import wrap_angle
 from .errors import VenueFormatError
 from .inputs import CHANNEL, check, read, write
 
@@ -97,10 +104,6 @@ class ChannelParams:
         return ChannelParams(**read(CHANNEL, data, strict=True))
 
 
-def db_to_linear(db: float) -> float:
-    return 10.0 ** (db / 10.0)
-
-
 def linear_to_db(x: float) -> float:
     return 10.0 * math.log10(x)
 
@@ -112,23 +115,23 @@ def main_lobe_gain(beamwidth: float) -> float:
     return 2.0 / (1.0 - math.cos(beamwidth / 2.0))
 
 
-def flat_top_gain(
-    offset_azimuth: float,
-    offset_elevation: float,
-    beamwidth: float,
-    side_lobe_db: float,
-) -> float:
-    """Linear antenna gain for a boresight offset.
+def _log10(distance) -> np.ndarray:
+    """``math.log10`` of each distance; ``np.log10`` differs from it in the
+    last bit for some inputs."""
+    d = np.asarray(distance, dtype=float)
+    return np.reshape([math.log10(x) for x in d.ravel().tolist()], d.shape)
 
-    The main lobe is inclusive at exactly W/2 in both axes; the azimuth
-    offset is circular, the elevation offset is a plain magnitude.
-    """
-    half = beamwidth / 2.0
-    az = angle_offset(offset_azimuth, 0.0)
-    el = abs(offset_elevation)
-    if az <= half and el <= half:
-        return main_lobe_gain(beamwidth)
-    return db_to_linear(side_lobe_db)
+
+def _path_loss(params: ChannelParams, log_d, los, shadowing_db=0.0):
+    alpha = np.where(los, params.alpha_los, params.alpha_nlos)
+    return params.kappa_db + 10.0 * alpha * log_d + shadowing_db
+
+
+def _snr(params: ChannelParams, log_d, tx_db, rx_db, los, shadowing_db=0.0):
+    """The link budget in dB; the arguments after ``params`` broadcast
+    against each other, with ``log_d`` from ``_log10``."""
+    loss = _path_loss(params, log_d, los, shadowing_db)
+    return params.tx_power_dbm + tx_db + rx_db - loss - params.noise_power_dbm
 
 
 def path_loss_db(
@@ -137,10 +140,8 @@ def path_loss_db(
     los: bool,
     shadowing_db: float = 0.0,
 ) -> float:
-    if distance <= 0.0:
-        raise ValueError(f"distance must be positive, got {distance}")
-    alpha = params.alpha_los if los else params.alpha_nlos
-    return params.kappa_db + 10.0 * alpha * math.log10(distance) + shadowing_db
+    """One link's path loss in dB; raises ``ValueError`` unless d > 0."""
+    return float(_path_loss(params, math.log10(distance), los, shadowing_db))
 
 
 def snr_db(
@@ -151,13 +152,31 @@ def snr_db(
     los: bool,
     shadowing_db: float = 0.0,
 ) -> float:
-    return (
-        params.tx_power_dbm
-        + tx_gain_db
-        + rx_gain_db
-        - path_loss_db(params, distance, los, shadowing_db)
-        - params.noise_power_dbm
-    )
+    """One link's SNR in dB; raises ``ValueError`` unless d > 0."""
+    return float(_snr(params, math.log10(distance), tx_gain_db, rx_gain_db,
+                      los, shadowing_db))
+
+
+def _clears(params: ChannelParams, log_d, psi_rx, vertical_ray, occluded,
+            device_tilt, offset, shadow=None) -> np.ndarray:
+    """Whether links clear the threshold at a body orientation ``offset``
+    from the device-to-candidate azimuth, the beam at the mount aligned;
+    the arguments after ``params`` broadcast. Line of sight needs an
+    unoccluded ray and the offset within the self-blockage window; the
+    device's main lobe needs its tilt within half its beamwidth of
+    ``psi_rx`` and, but for a vertical ray, the offset within that half
+    too, boundaries inclusive. ``shadow`` is a pair of line-of-sight and
+    blocked deviates."""
+    half_cone = params.md_beamwidth / 2.0
+    los = np.logical_not(occluded) & (offset <= params.self_block_half_angle)
+    elev_ok = np.abs(device_tilt - psi_rx) <= half_cone
+    main = elev_ok & (vertical_ray | (offset <= half_cone))
+    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
+    rx_db = np.where(main, rx_main_db, params.side_lobe_gain_db)
+    tx_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
+    chi = 0.0 if shadow is None else np.where(los, *shadow)
+    snr = _snr(params, log_d, tx_db, rx_db, los, chi)
+    return snr >= params.snr_threshold_db + params.fade_margin_db
 
 
 def _active_half_width(
@@ -167,7 +186,6 @@ def _active_half_width(
     vertical_ray: np.ndarray,
     occluded: np.ndarray,
     device_tilt: np.ndarray,
-    tx_gain_db: float,
 ) -> np.ndarray:
     """Largest orientation offset from the device-to-candidate azimuth at
     which each link still clears the threshold.
@@ -181,45 +199,22 @@ def _active_half_width(
     second or pi. Requires the side-lobe gain not to exceed the main-lobe
     gain and distances of at least 1 m, both true for any physical
     configuration.
-
-    The SNR is evaluated with the operations of ``snr_db`` in the same
-    order, and ``log10`` is taken per distance with ``math.log10``, so
-    every reach has the bits of the scalar budget.
     """
-    distance = np.asarray(distance, dtype=float)
-    gamma = params.snr_threshold_db + params.fade_margin_db
-    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
-    rx_side_db = params.side_lobe_gain_db
-    log_d = np.fromiter(
-        map(math.log10, distance.ravel().tolist()), float, distance.size
-    ).reshape(distance.shape)
-    elev_ok = np.abs(device_tilt - psi_rx) <= params.md_beamwidth / 2.0
-    # -1 marks a window that is absent: no line of sight, or a receive
-    # cone missed in elevation; a vertical ray's cone covers every
-    # orientation once the tilt matches, as it has no azimuth
-    half_block = np.where(occluded, -1.0, params.self_block_half_angle)
-    half_cone = np.where(
-        elev_ok, np.where(vertical_ray, math.pi, params.md_beamwidth / 2.0),
-        -1.0,
-    )
-    a = np.where((half_block > 0.0) & (half_block < math.pi), half_block,
-                 math.pi)
-    b = np.where((half_cone > 0.0) & (half_cone < math.pi), half_cone,
-                 math.pi)
+    log_d = _log10(distance)
+    half_cone = params.md_beamwidth / 2.0
+    elev_ok = np.abs(device_tilt - psi_rx) <= half_cone
+    # each window's edge, or pi for a window that is absent (no line of
+    # sight, a receive cone missed in elevation) or covers every
+    # orientation (a vertical ray's cone, which has no azimuth)
+    a = np.where(occluded, math.pi, params.self_block_half_angle)
+    b = np.where(elev_ok & ~vertical_ray, half_cone, math.pi)
     # a repeated cut gives a repeated verdict, so it changes nothing
     cuts = (np.minimum(a, b), np.maximum(a, b), math.pi)
-    clears = []
-    for cut in cuts:
-        los = (half_block > 0.0) & (cut <= half_block)
-        main = (half_cone > 0.0) & (cut <= half_cone)
-        rx_db = np.where(main, rx_main_db, rx_side_db)
-        alpha = np.where(los, params.alpha_los, params.alpha_nlos)
-        loss = params.kappa_db + 10.0 * alpha * log_d + 0.0
-        snr = (
-            params.tx_power_dbm + tx_gain_db + rx_db - loss
-            - params.noise_power_dbm
-        )
-        clears.append(snr >= gamma)
+    clears = [
+        _clears(params, log_d, psi_rx, vertical_ray, occluded, device_tilt,
+                cut)
+        for cut in cuts
+    ]
     return np.where(
         clears[0],
         np.where(clears[1], np.where(clears[2], math.pi, cuts[1]), cuts[0]),
@@ -229,10 +224,8 @@ def _active_half_width(
 
 __all__ = [
     "ChannelParams",
-    "db_to_linear",
     "linear_to_db",
     "main_lobe_gain",
-    "flat_top_gain",
     "path_loss_db",
     "snr_db",
 ]

@@ -211,7 +211,9 @@ SEAT = (
     Field("facing", "facing", "float", -_PI, _PI),
     Field("elevation", "elevation", "float", 0.0, _PI / 2.0),
     Field("q", "presence_prob", "float", 0.0, 1.0),
-    Field("orientation_std", "orientation_std", "float", _ABOVE_0),
+    # wider spreads leave the orientation masses rounding noise (0 / 0 past
+    # about 1e17 rad); at 1e6 they are arc length / 2 pi to within 1e-9
+    Field("orientation_std", "orientation_std", "float", _ABOVE_0, 1e6),
     Field("beta", "beta", "float", 0.0, 1.0, default=None),
 )
 MOUNT = (Field("id", "id", "int"), Field("pos", "position", "xyz"))
@@ -273,5 +275,4 @@ MC_CONFIG = (
     # the Philox key holds 64 bits; a seed outside them would alias
     Field("seed", "seed", "int", 0, (1 << 64) - 1),
     Field("sample_shadowing", "sample_shadowing", "bool"),
-    Field("fade_margin_db", "fade_margin_db", "float"),
 )

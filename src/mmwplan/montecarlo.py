@@ -1,16 +1,23 @@
 """Monte Carlo validation of the analytic connectivity machinery.
 
 Samples device orientations (and optionally per-link shadowing), replays
-the antenna-gain and SNR chain on them, and compares the empirical success
-rates against the closed-form scenario probabilities.
+the link budget on them, and compares the empirical success rates against
+the closed-form scenario probabilities. The replay reads a seat's rows of
+the planning model's ``dist``, ``phi_rx``, ``psi_rx``, ``vertical`` and
+``occluded`` and decides each link with ``channel._clears``, the verdict
+behind the model's ``reach``, at the main-lobe transmit gain: a served
+user lies inside its beam, as ``evaluate_coverage`` checks before any
+draw.
 
-Without shadowing a link's SNR takes at most four values, one per (line
-of sight, main lobe) pair, and both flags are windows on the offset from
-the device-to-candidate azimuth. So the replay decides each value once
-per link and compares the samples with the window edges; samples within
-``_EDGE_TOL`` of an edge take the exact ``arctan2`` offset, so every
-boolean is the one the per-sample chain gives. With shadowing each sample
-draws its own deviate and the chain runs sample by sample.
+Without shadowing a link's verdict changes only at its window edges
+(torso blockage, the receive cone) on the offset from the
+device-to-candidate azimuth, so it is decided once per arc between them,
+before any draw, and the samples are only compared with the edges;
+samples within ``_EDGE_TOL`` of an edge take the exact ``arctan2``
+offset, so every boolean is the one the per-sample chain gives. A seat
+with a link that clears on every arc has rate 1.0 and draws nothing.
+With shadowing each sample draws its own deviate and the chain runs
+sample by sample.
 
 Reproducibility contract: the generator is Philox (counter-based); the
 per-user substream is seeded with key = [seed, gp_id], so a user's stream
@@ -30,13 +37,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from .channel import (
-    ChannelParams,
-    flat_top_gain,
-    linear_to_db,
-    main_lobe_gain,
-    snr_db,
-)
+from .channel import ChannelParams, _clears, _log10
 from .inputs import MC_CONFIG, check
 from .scenarios import (
     OrientationDistribution,
@@ -50,14 +51,16 @@ _SUBSTREAM_RULE = "key = [seed, gp_id]"
 # samples this close to a window edge take the exact arctan2 offset
 _EDGE_TOL = 1e-9
 
+# a seat's link rows, one element per link: (dist, phi_rx, psi_rx,
+# vertical, occluded), each the model's array of that name at the seat
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
 
 @dataclass(frozen=True)
 class McConfig:
     n_samples: int = 100_000
     seed: int = 0
     sample_shadowing: bool = False
-    # extra threshold margin applied to the replay only, for stress runs
-    fade_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
         check(MC_CONFIG, self)
@@ -83,17 +86,6 @@ def _sample_orientations(
     draws *= dist.std
     draws += dist.mean
     return np.clip(draws, -math.pi, math.pi, out=draws)
-
-
-@dataclass(frozen=True)
-class _LinkGeometry:
-    ap: int
-    distance: float
-    phi_rx: float
-    psi_rx: float
-    vertical: bool
-    occluded: bool
-    tx_gain_db: float
 
 
 def _wrapped_offset(phis: np.ndarray, phi_rx: float) -> np.ndarray:
@@ -135,125 +127,101 @@ def _within(phis: np.ndarray, phi_rx: float, half: float) -> np.ndarray:
     return inside
 
 
+def _arc_outcomes(
+    params: ChannelParams, device_tilt: float, rows: Rows
+) -> Tuple[List[float], np.ndarray]:
+    """Window edges and each link's verdict between them.
+
+    Line of sight and the main lobe each end at an offset edge
+    (``self_block_half_angle``, half the device beamwidth), so a link's
+    SNR takes one value per arc between the edges below pi. Returns those
+    edges, ascending, and an (arcs, links) boolean array: row k holds the
+    verdicts on the arc that ends at edge k, or at pi.
+    """
+    block, half_cone = params.self_block_half_angle, params.md_beamwidth / 2.0
+    # no offset exceeds pi, so an edge at pi is never crossed
+    edges = sorted({h for h in (block, half_cone) if h < math.pi})
+    dist, _, psi_rx, vertical, occluded = rows
+    log_d = _log10(dist)
+    on = [
+        _clears(params, log_d, psi_rx, vertical, occluded, device_tilt, end)
+        for end in edges + [math.pi]
+    ]
+    return edges, np.array(on)
+
+
 def _replay_success(
     params: ChannelParams,
     mc: McConfig,
     rng: np.random.Generator,
     phis: np.ndarray,
-    links: Sequence[_LinkGeometry],
     device_tilt: float,
+    rows: Rows,
 ) -> np.ndarray:
-    """Per-sample connectivity of a set of links for given orientations.
+    """Per-sample connectivity of a seat's links for given orientations.
 
     Mirrors the analytic classifier exactly at zero shadowing: torso
     blockage and the receive cone are both windows around the
     device-to-candidate azimuth, boundaries inclusive. With shadowing the
-    SNR chain runs per sample; without it, per link (``_replay_cut``).
+    SNR chain runs per sample; without it, once per arc between window
+    edges, and a link whose verdict changes at an edge is decided per
+    sample by comparing with that edge.
     """
-    if not mc.sample_shadowing:
-        return _replay_cut(params, mc, phis, links, device_tilt)
-    gamma = (
-        params.snr_threshold_db + params.fade_margin_db + mc.fade_margin_db
-    )
-    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
-    half_cone = params.md_beamwidth / 2.0
-    ok = np.zeros(phis.shape[0], dtype=bool)
-    for link in links:
-        delta = _wrapped_offset(phis, link.phi_rx)
-        los = (not link.occluded) & (delta <= params.self_block_half_angle)
-        elev_ok = abs(device_tilt - link.psi_rx) <= half_cone
-        if not elev_ok:
-            main = np.zeros_like(los)
-        elif link.vertical:
-            main = np.ones_like(los)
-        else:
-            main = delta <= half_cone
-        alpha = np.where(los, params.alpha_los, params.alpha_nlos)
-        chi_los = rng.normal(0.0, params.sigma_los_db, phis.shape[0])
-        chi_nlos = rng.normal(0.0, params.sigma_nlos_db, phis.shape[0])
-        shadow = np.where(los, chi_los, chi_nlos)
-        loss = (
-            params.kappa_db
-            + 10.0 * alpha * math.log10(link.distance)
-            + shadow
-        )
-        rx_db = np.where(main, rx_main_db, params.side_lobe_gain_db)
-        snr = (
-            params.tx_power_dbm
-            + link.tx_gain_db
-            + rx_db
-            - loss
-            - params.noise_power_dbm
-        )
-        ok |= snr >= gamma
-    return ok
-
-
-def _replay_cut(
-    params: ChannelParams,
-    mc: McConfig,
-    phis: np.ndarray,
-    links: Sequence[_LinkGeometry],
-    device_tilt: float,
-) -> np.ndarray:
-    """``_replay_success`` at zero shadowing, one SNR decision per arc.
-
-    Line of sight and the main lobe each end at an offset edge
-    (``self_block_half_angle``, half the device beamwidth), so a link's SNR
-    takes one value per arc between the edges. Each value is decided once,
-    by ``snr_db``: its operations are the per-sample chain's in the same
-    order, so its bits are too. An edge whose two sides decide alike is
-    dropped, and the samples are only compared with the edges left.
-    """
-    gamma = (
-        params.snr_threshold_db + params.fade_margin_db + mc.fade_margin_db
-    )
-    rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
-    half_cone = params.md_beamwidth / 2.0
-    block = params.self_block_half_angle
-    # no offset exceeds pi, so an edge at pi is never crossed
-    edges = sorted({h for h in (block, half_cone) if h < math.pi})
-    ok = np.zeros(phis.shape[0], dtype=bool)
-    for link in links:
-        elev_ok = abs(device_tilt - link.psi_rx) <= half_cone
-        # outcome[k]: offsets past the first k edges and within the rest
-        outcome = []
-        for k in range(len(edges) + 1):
-            los = not link.occluded and block not in edges[:k]
-            main = elev_ok and (link.vertical or half_cone not in edges[:k])
-            rx_db = rx_main_db if main else params.side_lobe_gain_db
-            snr = snr_db(params, link.distance, link.tx_gain_db, rx_db, los)
-            outcome.append(snr >= gamma)
-        flips = [
-            h for k, h in enumerate(edges) if outcome[k] != outcome[k + 1]
-        ]
+    n, (dist, phi_rx, psi_rx, vertical, occluded) = phis.shape[0], rows
+    ok = np.zeros(n, dtype=bool)
+    if mc.sample_shadowing:
+        log_d = _log10(dist)
+        for i in range(dist.shape[0]):
+            chi = (rng.normal(0.0, params.sigma_los_db, n),
+                   rng.normal(0.0, params.sigma_nlos_db, n))
+            ok |= _clears(params, log_d[i], psi_rx[i], vertical[i],
+                          occluded[i], device_tilt,
+                          _wrapped_offset(phis, phi_rx[i]), chi)
+        return ok
+    edges, on = _arc_outcomes(params, device_tilt, rows)
+    for i in range(on.shape[1]):
+        flips = [h for k, h in enumerate(edges) if on[k, i] != on[k + 1, i]]
         if not flips:
-            if outcome[0]:
+            if on[0, i]:
                 ok[:] = True
                 return ok
             continue
-        # the outcome past every edge, flipped at each edge a sample is within
-        link_ok = _within(phis, link.phi_rx, flips[0])
+        # the verdict past every edge, flipped at each edge a sample is within
+        link_ok = _within(phis, phi_rx[i], flips[0])
         for h in flips[1:]:
-            link_ok ^= _within(phis, link.phi_rx, h)
-        if outcome[-1]:
+            link_ok ^= _within(phis, phi_rx[i], h)
+        if on[-1, i]:
             np.logical_not(link_ok, out=link_ok)
         ok |= link_ok
     return ok
 
 
-def _link_geometry(
-    model: PlanningModel, m: int, l: int, tx_gain_db: float
-) -> _LinkGeometry:
-    return _LinkGeometry(
-        ap=l,
-        distance=float(model.dist[m, l]),
-        phi_rx=float(model.phi_rx[m, l]),
-        psi_rx=float(model.psi_rx[m, l]),
-        vertical=bool(model.vertical[m, l]),
-        occluded=bool(model.occluded[m, l]),
-        tx_gain_db=tx_gain_db,
+def _seat_rate(
+    model: PlanningModel, mc: McConfig, m: int, aps: Sequence[int]
+) -> float:
+    """Empirical connectivity of seat m over its links to the candidates
+    ``aps``, in ascending order. Without shadowing, the links' verdicts
+    are decided before any draw, so a seat with a link that clears at
+    every offset gets 1.0 without drawing."""
+    if not aps:
+        return 0.0
+    params = model.params
+    tilt = model.venue.grid_positions[m].elevation
+    rows = tuple(
+        a[m, aps]
+        for a in (model.dist, model.phi_rx, model.psi_rx, model.vertical,
+                  model.occluded)
     )
+    if not mc.sample_shadowing:
+        _, on = _arc_outcomes(params, tilt, rows)
+        if on.all(axis=0).any():
+            return 1.0
+    rng = _substream(mc.seed, m)
+    phis = _sample_orientations(
+        rng, OrientationDistribution.for_gp(model.venue, m), mc.n_samples
+    )
+    ok = _replay_success(params, mc, rng, phis, tilt, rows)
+    return float(ok.sum()) / mc.n_samples
 
 
 def _compare(
@@ -262,6 +230,17 @@ def _compare(
     err = abs(empirical - analytic)
     se = math.sqrt(max(analytic * (1.0 - analytic), 0.0) / n)
     return err, err <= 3.0 * se
+
+
+def _stream(mc: McConfig) -> Dict[str, object]:
+    """The draws behind a report, as every report records them."""
+    return {
+        "n_samples": mc.n_samples,
+        "seed": mc.seed,
+        "sample_shadowing": mc.sample_shadowing,
+        "generator": _GENERATOR,
+        "substream_rule": _SUBSTREAM_RULE,
+    }
 
 
 def monte_carlo_connectivity(
@@ -277,27 +256,13 @@ def monte_carlo_connectivity(
     Raises ``ValueError`` for an assigned id outside the venue's
     candidates.
     """
-    venue, params = model.venue, model.params
     aps = sorted(set(int(l) for l in assigned))
     analytic = connectivity_probability(model.partitions[m], aps)
-
-    rng = _substream(mc.seed, m)
-    gp = venue.grid_positions[m]
-    phis = _sample_orientations(
-        rng, OrientationDistribution.for_gp(venue, m), mc.n_samples
-    )
-    tx_main_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
-    links = [_link_geometry(model, m, l, tx_main_db) for l in aps]
-    ok = _replay_success(params, mc, rng, phis, links, gp.elevation)
-    empirical = float(ok.sum()) / mc.n_samples
+    empirical = _seat_rate(model, mc, m, aps)
     err, within = _compare(empirical, analytic, mc.n_samples)
     return {
         "gp": m,
-        "n_samples": mc.n_samples,
-        "seed": mc.seed,
-        "sample_shadowing": mc.sample_shadowing,
-        "generator": _GENERATOR,
-        "substream_rule": _SUBSTREAM_RULE,
+        **_stream(mc),
         "assigned": aps,
         "empirical_prob": empirical,
         "analytic_prob": analytic,
@@ -312,50 +277,22 @@ def monte_carlo_coverage(
     """Replay a whole deployment and compare against the analytic report
     of ``evaluate_coverage``.
 
-    Transmit gains use each serving beam's actual steering. Validation
-    errors from the analytic evaluation propagate unchanged.
+    Each served link is inside its beam, as the evaluation checks, so it
+    is replayed at the main-lobe transmit gain, like every link of
+    ``monte_carlo_connectivity``; a seat's rate is the one that function
+    reports for the seat's serving set. Validation errors from the
+    analytic evaluation propagate unchanged.
     """
-    venue, params = model.venue, model.params
     analytic = evaluate_coverage(model, deployment)
-
-    serving: Dict[int, List[_LinkGeometry]] = {}
+    serving: List[List[int]] = [[] for _ in range(model.M)]
     for ap in deployment.selected:
         for m in ap.assigned:
-            l = ap.candidate
-            az_off = (
-                0.0
-                if model.vertical[m, l]
-                else float(ap.phi - model.phi_tx[m, l])
-            )
-            el_off = float(ap.theta - model.nadir_tx[m, l])
-            tx_db = linear_to_db(
-                flat_top_gain(
-                    az_off,
-                    el_off,
-                    params.ap_beamwidth,
-                    params.side_lobe_gain_db,
-                )
-            )
-            serving.setdefault(m, []).append(
-                _link_geometry(model, m, l, tx_db)
-            )
+            serving[m].append(ap.candidate)
 
     per_gp = []
     z_emp = np.zeros(model.M, dtype=bool)
     for m in range(model.M):
-        links = sorted(serving.get(m, []), key=lambda g: g.ap)
-        if links:
-            rng = _substream(mc.seed, m)
-            gp = venue.grid_positions[m]
-            phis = _sample_orientations(
-                rng, OrientationDistribution.for_gp(venue, m), mc.n_samples
-            )
-            ok = _replay_success(
-                params, mc, rng, phis, links, gp.elevation
-            )
-            empirical = float(ok.sum()) / mc.n_samples
-        else:
-            empirical = 0.0
+        empirical = _seat_rate(model, mc, m, sorted(serving[m]))
         ana = analytic.per_gp[m].prob
         err, within = _compare(empirical, ana, mc.n_samples)
         z_emp[m] = empirical >= model.betas[m]
@@ -372,11 +309,7 @@ def monte_carlo_coverage(
         )
     coverage_emp = model.coverage_of(z_emp)
     return {
-        "n_samples": mc.n_samples,
-        "seed": mc.seed,
-        "sample_shadowing": mc.sample_shadowing,
-        "generator": _GENERATOR,
-        "substream_rule": _SUBSTREAM_RULE,
+        **_stream(mc),
         "per_gp": per_gp,
         "coverage_analytic": analytic.coverage,
         "coverage_empirical": coverage_emp,

@@ -38,12 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .channel import (
-    ChannelParams,
-    _active_half_width,
-    linear_to_db,
-    main_lobe_gain,
-)
+from .channel import ChannelParams, _active_half_width
 from .errors import (
     DeploymentValidationError,
     GeometryError,
@@ -206,13 +201,14 @@ class PlanningModel:
     test per seat); the active half-widths ``reach`` from
     ``_active_half_width`` at the aligned transmit gain, where 0 is never
     on and pi is always on; and one ``seat_partition`` per seat straight
-    from its rows of ``phi_rx`` and ``reach``. Where a value's bits reach
-    the outputs the scalar ``math`` functions stay: ``math.log10`` per
-    distance, ``math.atan2`` for angles that leave [-pi, pi], and
-    ``math.erf`` per cell boundary, because their numpy counterparts
-    differ from them in the last bit for some inputs. So the model is
-    bit-identical to the one-link, one-cell walks kept as oracles in the
-    tests.
+    from its rows of ``phi_rx`` and ``reach``. ``_beam`` is the one test
+    of users against a steered beam, read by the footprints and by
+    ``evaluate_coverage``. Where a value's bits reach the outputs the
+    scalar ``math`` functions stay: ``math.log10`` per distance,
+    ``math.atan2`` for angles that leave [-pi, pi], and ``math.erf`` per
+    cell boundary, because their numpy counterparts differ from them in
+    the last bit for some inputs. So the model is bit-identical to the
+    one-link, one-cell walks kept as oracles in the tests.
     """
 
     def __init__(
@@ -253,7 +249,6 @@ class PlanningModel:
             self.vertical,
             self.occluded,
             tilt[:, None],
-            linear_to_db(main_lobe_gain(params.ap_beamwidth)),
         )
         self.usable = self.reach > 0.0
         self.partitions: List[ScenarioPartition] = [
@@ -276,15 +271,22 @@ class PlanningModel:
 
     # -- beam footprints -----------------------------------------------
 
-    def _footprint_mask(
+    def _beam(
         self, l: int, theta: float, phi: float
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Whether each user lies inside the beam of candidate l steered
+        to (theta, phi), boundaries inclusive, with its azimuth and
+        elevation offsets from the boresight. A vertical ray has no
+        azimuth, so only its elevation counts."""
         half = self.params.ap_beamwidth / 2.0
-        el_ok = np.abs(theta - self.nadir_tx[:, l]) <= half
+        el = np.abs(theta - self.nadir_tx[:, l])
         d = phi - self.phi_tx[:, l]
         az = np.abs(np.arctan2(np.sin(d), np.cos(d)))
-        az_ok = self.vertical[:, l] | (az <= half)
-        return self.usable[:, l] & el_ok & az_ok
+        inside = (el <= half) & (self.vertical[:, l] | (az <= half))
+        return inside, az, el
+
+    def _footprint_mask(self, l: int, theta: float, phi: float) -> np.ndarray:
+        return self.usable[:, l] & self._beam(l, theta, phi)[0]
 
     def footprint(self, l: int, theta: float, phi: float) -> np.ndarray:
         """Users inside a beam, ordered by descending presence mass."""
@@ -297,9 +299,7 @@ class PlanningModel:
         for l in range(self.L):
             per_tuple = []
             for ti in range(self.n_tuples):
-                theta = self.thetas[ti // self.n_phi]
-                phi = self.phis[ti % self.n_phi]
-                ok = self._footprint_mask(l, theta, phi)
+                ok = self._footprint_mask(l, *self.steering_angles(ti))
                 self.foot_ok[l, ti] = ok
                 per_tuple.append(self.gp_order[ok[self.gp_order]])
             self.foot_members.append(per_tuple)
@@ -371,6 +371,7 @@ def evaluate_coverage(
             )
         if len(set(ap.assigned)) != len(ap.assigned):
             violations.append(f"candidate {l} has duplicate assignments")
+        inside, az_off, el_off = model._beam(l, ap.theta, ap.phi)
         for m in ap.assigned:
             if not (0 <= m < model.M):
                 violations.append(f"candidate {l}: unknown user id {m}")
@@ -380,16 +381,11 @@ def evaluate_coverage(
                     f"user {m} assigned to candidate {l} whose link can "
                     f"never be active"
                 )
-            el_off = abs(ap.theta - float(model.nadir_tx[m, l]))
-            d = ap.phi - float(model.phi_tx[m, l])
-            az_off = abs(math.atan2(math.sin(d), math.cos(d)))
-            if not (el_off <= half) or (
-                not model.vertical[m, l] and not (az_off <= half)
-            ):
+            if not inside[m]:
                 violations.append(
                     f"user {m} lies outside the beam of candidate {l} "
-                    f"(azimuth offset {az_off:.3f}, elevation offset "
-                    f"{el_off:.3f}, half-width {half:.3f})"
+                    f"(azimuth offset {az_off[m]:.3f}, elevation offset "
+                    f"{el_off[m]:.3f}, half-width {half:.3f})"
                 )
     if violations:
         raise DeploymentValidationError(

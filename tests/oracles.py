@@ -19,12 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from mmwplan.angles import TWO_PI, wrap_angle
-from mmwplan.channel import (
-    flat_top_gain,
-    linear_to_db,
-    main_lobe_gain,
-    snr_db,
-)
+from mmwplan.channel import linear_to_db, main_lobe_gain, snr_db
 from mmwplan.errors import GeometryError, InfeasibleError
 from mmwplan.scenarios import (
     OrientationDistribution,
@@ -200,7 +195,35 @@ def link_distance(venue, gp_id, ap_id):
 
 
 # ---------------------------------------------------------------------------
-# channel: transmit gain of one link
+# channel: the flat-top pattern and the transmit gain of one link
+
+
+def angle_offset(a, b):
+    """Absolute circular distance between two angles, in [0, pi]."""
+    d = math.fmod(a - b, TWO_PI)
+    if d > math.pi:
+        d -= TWO_PI
+    elif d < -math.pi:
+        d += TWO_PI
+    return abs(d)
+
+
+def db_to_linear(db):
+    return 10.0 ** (db / 10.0)
+
+
+def flat_top_gain(offset_azimuth, offset_elevation, beamwidth, side_lobe_db):
+    """Linear antenna gain for a boresight offset.
+
+    The main lobe is inclusive at exactly W/2 in both axes; the azimuth
+    offset is circular, the elevation offset is a plain magnitude.
+    """
+    half = beamwidth / 2.0
+    az = angle_offset(offset_azimuth, 0.0)
+    el = abs(offset_elevation)
+    if az <= half and el <= half:
+        return main_lobe_gain(beamwidth)
+    return db_to_linear(side_lobe_db)
 
 
 def _tx_gain_db(venue, params, gp_id, ap_id, steering):
@@ -768,28 +791,28 @@ def sample_orientations(rng, dist, n):
     return np.clip(draws, -math.pi, math.pi)
 
 
-def replay_success(params, mc, rng, phis, links, device_tilt):
-    """Per-sample connectivity of a set of links for given orientations,
-    every sample through the whole antenna-gain and SNR chain.
+def replay_success(params, mc, rng, phis, device_tilt, rows):
+    """Per-sample connectivity of a seat's links (``rows`` as the package
+    replay takes them) for given orientations, every sample through the
+    whole antenna-gain and SNR chain at the main-lobe transmit gain.
 
     Mirrors the analytic classifier exactly at zero shadowing: torso
     blockage and the receive cone are both windows around the
     device-to-candidate azimuth, boundaries inclusive.
     """
-    gamma = (
-        params.snr_threshold_db + params.fade_margin_db + mc.fade_margin_db
-    )
+    gamma = params.snr_threshold_db + params.fade_margin_db
+    tx_gain_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
     rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
     half_cone = params.md_beamwidth / 2.0
     ok = np.zeros(phis.shape[0], dtype=bool)
-    for link in links:
-        d = phis - link.phi_rx
+    for distance, phi_rx, psi_rx, vertical, occluded in zip(*rows):
+        d = phis - phi_rx
         delta = np.abs(np.arctan2(np.sin(d), np.cos(d)))
-        los = (not link.occluded) & (delta <= params.self_block_half_angle)
-        elev_ok = abs(device_tilt - link.psi_rx) <= half_cone
+        los = (not occluded) & (delta <= params.self_block_half_angle)
+        elev_ok = abs(device_tilt - psi_rx) <= half_cone
         if not elev_ok:
             main = np.zeros_like(los)
-        elif link.vertical:
+        elif vertical:
             main = np.ones_like(los)
         else:
             main = delta <= half_cone
@@ -801,13 +824,13 @@ def replay_success(params, mc, rng, phis, links, device_tilt):
             shadow = np.where(los, chi_los, chi_nlos)
         loss = (
             params.kappa_db
-            + 10.0 * alpha * math.log10(link.distance)
+            + 10.0 * alpha * math.log10(distance)
             + shadow
         )
         rx_db = np.where(main, rx_main_db, params.side_lobe_gain_db)
         snr = (
             params.tx_power_dbm
-            + link.tx_gain_db
+            + tx_gain_db
             + rx_db
             - loss
             - params.noise_power_dbm

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 
-from mmwplan.angles import angle_offset, wrap_angle
-from oracles import AngularInterval
+from mmwplan.angles import wrap_angle
+from oracles import AngularInterval, angle_offset
 
 
 def test_wrap_angle_range():

@@ -12,13 +12,12 @@ from mmwplan import (
     BodyPrism,
     ChannelParams,
     PlanningModel,
-    db_to_linear,
-    flat_top_gain,
     linear_to_db,
     main_lobe_gain,
     path_loss_db,
     snr_db,
 )
+from oracles import db_to_linear, flat_top_gain
 
 
 # -- antenna pattern --------------------------------------------------------

@@ -321,6 +321,24 @@ def test_plan_rejects_nan_mount_height(capsys, tmp_path, toy_path):
     assert stdout == ""
 
 
+@pytest.mark.parametrize("std", [1e17, 1e30])
+def test_plan_rejects_orientation_spread_past_bound(capsys, tmp_path,
+                                                    toy_path, std):
+    # such a spread gave NaN cell masses and still planned with exit 0
+    with open(toy_path) as fh:
+        data = json.load(fh)
+    data["grid_positions"][0]["orientation_std"] = std
+    bad = tmp_path / "wide.json"
+    bad.write_text(json.dumps(data))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(bad), "--alpha", "0.9",
+        "--beta", "0.7",
+    )
+    assert code == 3
+    assert "grid_positions[0].orientation_std" in stderr
+    assert stdout == ""
+
+
 def test_plan_rejects_two_coordinate_seats(capsys, tmp_path, toy_path):
     with open(toy_path) as fh:
         data = json.load(fh)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import mmwplan.montecarlo
 import oracles
 from conftest import random_toy, single_link_venue
 from mmwplan import (
@@ -15,12 +16,12 @@ from mmwplan import (
     McConfig,
     OrientationDistribution,
     PlanningModel,
+    generate_venue,
     greedy_place,
     monte_carlo_coverage,
 )
-from mmwplan.channel import snr_db
+from mmwplan.channel import linear_to_db, main_lobe_gain, snr_db
 from mmwplan.montecarlo import (
-    _LinkGeometry,
     _replay_success,
     _sample_orientations,
     _within,
@@ -102,13 +103,6 @@ def test_sampler_matches_one_expression(mean, std, n):
 def test_bad_config_rejected():
     with pytest.raises(ValueError):
         McConfig(n_samples=0)
-
-
-@pytest.mark.parametrize("margin", [math.nan, math.inf, -math.inf])
-def test_non_finite_fade_margin_rejected(margin):
-    # a NaN margin used to fail every SNR test: empirical 0.0 everywhere
-    with pytest.raises(ValueError, match="fade_margin_db"):
-        McConfig(fade_margin_db=margin)
 
 
 @pytest.mark.parametrize("field", ["n_samples", "seed"])
@@ -231,6 +225,34 @@ def test_coverage_matches_per_user_replay(tight_params):
     assert checked >= 3
 
 
+@pytest.mark.parametrize("shadowing", [False, True])
+def test_always_on_seats_draw_nothing(monkeypatch, shadowing):
+    # without shadowing a seat with a link that clears at every offset has
+    # rate 1.0 whatever the draws, so its orientations are never drawn
+    model = PlanningModel(generate_venue("hall"), ChannelParams(), 0.9)
+    dep, _ = greedy_place(model, 0.75)
+    serving = {}
+    for ap in dep.selected:
+        for m in ap.assigned:
+            serving.setdefault(m, []).append(ap.candidate)
+    always = {m for m, ls in serving.items()
+              if (model.reach[m, ls] == math.pi).any()}
+    assert always and len(always) < len(serving)
+    calls = []
+
+    def counted(rng, dist, n):
+        calls.append(n)
+        return _sample_orientations(rng, dist, n)
+
+    monkeypatch.setattr(mmwplan.montecarlo, "_sample_orientations", counted)
+    mc = McConfig(n_samples=2000, seed=3, sample_shadowing=shadowing)
+    report = monte_carlo_coverage(model, mc, dep)
+    skipped = set() if shadowing else always
+    assert len(calls) == len(serving) - len(skipped)
+    for m in skipped:
+        assert report["per_gp"][m]["empirical_prob"] == 1.0
+
+
 def test_coverage_report_reproducible(tight_params):
     model = PlanningModel(random_toy(63), tight_params, 0.7)
     dep, _ = greedy_place(model, 0.9)
@@ -271,16 +293,19 @@ _ANGLE = st.one_of(
     ),
     st.floats(-math.pi, math.pi),
 )
-_LINK = st.builds(
-    _LinkGeometry,
-    ap=st.just(0),
-    distance=st.one_of(st.floats(0.1, 1.0), st.floats(1.0, 200.0)),
-    phi_rx=_ANGLE,
-    psi_rx=st.floats(0.0, math.pi),
-    vertical=st.booleans(),
-    occluded=st.booleans(),
-    tx_gain_db=st.floats(-20.0, 30.0),
+# one link: (dist, phi_rx, psi_rx, vertical, occluded)
+_LINK = st.tuples(
+    st.one_of(st.floats(0.1, 1.0), st.floats(1.0, 200.0)),
+    _ANGLE,
+    st.floats(0.0, math.pi),
+    st.booleans(),
+    st.booleans(),
 )
+
+
+def _rows(links):
+    """A seat's link rows, as the replay reads them off the model."""
+    return tuple(np.array(column) for column in zip(*links))
 
 
 def _wrapped(x):
@@ -307,10 +332,10 @@ def _around(points, k):
 def _example(distance, block, md_beamwidth, side_lobe_db, offset_db):
     """One link facing the device's tilt, as a hypothesis example."""
     return example(
-        links=[_LinkGeometry(0, distance, 0.3, 1.0, False, False, 0.0)],
-        tilt=1.0, md_beamwidth=md_beamwidth, block=block,
-        side_lobe_db=side_lobe_db, alphas=(2.0, 2.0), offset_db=offset_db,
-        mc_margin=0.0, shadowing=False, seed=3,
+        links=[(distance, 0.3, 1.0, False, False)], tilt=1.0,
+        ap_beamwidth=2.0 * math.pi / 3.0, md_beamwidth=md_beamwidth,
+        block=block, side_lobe_db=side_lobe_db, alphas=(2.0, 2.0),
+        offset_db=offset_db, shadowing=False, seed=3,
     )
 
 
@@ -323,6 +348,7 @@ def _example(distance, block, md_beamwidth, side_lobe_db, offset_db):
 @given(
     links=st.lists(_LINK, min_size=1, max_size=3),
     tilt=st.floats(0.0, math.pi),
+    ap_beamwidth=st.floats(0.05, 2.0 * math.pi, exclude_max=True),
     md_beamwidth=st.one_of(
         st.sampled_from([math.pi / 2.0, math.pi]),
         st.floats(1e-6, 2.0 * math.pi, exclude_max=True),
@@ -334,33 +360,34 @@ def _example(distance, block, md_beamwidth, side_lobe_db, offset_db):
     side_lobe_db=st.floats(-10.0, 6.0),
     alphas=st.tuples(st.floats(1.5, 3.0), st.floats(0.0, 2.0)),
     offset_db=st.floats(-25.0, 25.0),
-    mc_margin=st.floats(-3.0, 3.0),
     shadowing=st.booleans(),
     seed=st.integers(0, 2 ** 32),
 )
-def test_replay_matches_per_sample_oracle(links, tilt, md_beamwidth, block,
-                                          side_lobe_db, alphas, offset_db,
-                                          mc_margin, shadowing, seed):
+def test_replay_matches_per_sample_oracle(links, tilt, ap_beamwidth,
+                                          md_beamwidth, block, side_lobe_db,
+                                          alphas, offset_db, shadowing,
+                                          seed):
     # the threshold lands within 25 dB of the first link's line-of-sight
     # SNR before antenna gain at the device, so its outcome can change
     # between windows; links shorter than 1 m or a side lobe above the main
     # lobe make the outcome past the edges the better one
     base = ChannelParams(
+        ap_beamwidth=ap_beamwidth,
         md_beamwidth=md_beamwidth,
         self_block_half_angle=block,
         side_lobe_gain_db=side_lobe_db,
         alpha_los=alphas[0],
         alpha_nlos=alphas[0] + alphas[1],
     )
-    los_snr = snr_db(base, links[0].distance, links[0].tx_gain_db, 0.0, True)
+    tx_db = linear_to_db(main_lobe_gain(ap_beamwidth))
+    los_snr = snr_db(base, links[0][0], tx_db, 0.0, True)
     params = replace(
         base, fade_margin_db=los_snr - base.snr_threshold_db + offset_db
     )
-    mc = McConfig(n_samples=1, seed=seed, sample_shadowing=shadowing,
-                  fade_margin_db=mc_margin)
+    mc = McConfig(n_samples=1, seed=seed, sample_shadowing=shadowing)
     # every window edge and two doubles to either side, both ends and the
     # middle of the circle, and uniform draws
-    edges = [_wrapped(g.phi_rx + s * h) for g in links
+    edges = [_wrapped(link[1] + s * h) for link in links
              for h in (block, md_beamwidth / 2.0) for s in (-1.0, 1.0)]
     phis = np.concatenate([
         _around([-math.pi, 0.0, math.pi] + edges, 2),
@@ -368,8 +395,9 @@ def test_replay_matches_per_sample_oracle(links, tilt, md_beamwidth, block,
     ])
     a = np.random.Generator(np.random.Philox(key=[seed, 0]))
     b = np.random.Generator(np.random.Philox(key=[seed, 0]))
-    got = _replay_success(params, mc, a, phis, links, tilt)
-    want = oracles.replay_success(params, mc, b, phis, links, tilt)
+    rows = _rows(links)
+    got = _replay_success(params, mc, a, phis, tilt, rows)
+    want = oracles.replay_success(params, mc, b, phis, tilt, rows)
     assert got.dtype == want.dtype == bool
     assert got.tobytes() == want.tobytes()
     assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used

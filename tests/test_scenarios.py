@@ -18,6 +18,7 @@ from mmwplan import (
     PlanningModel,
     ScenarioPartition,
     connectivity_probability,
+    generate_venue,
 )
 from mmwplan.scenarios import seat_partition
 
@@ -116,6 +117,17 @@ def test_partition_invariants(toy_venue, default_params):
         assert abs(total - 2.0 * math.pi) < 1e-9
         assert part.visible.shape == (n_cells, n_links)
         assert part.visible[:, part.always_on].all()
+
+
+def test_widest_allowed_spread_is_uniform(default_params):
+    # at the input bound on orientation_std every cell's mass is its arc
+    # length over 2 pi; far past it the masses were 0 / 0
+    venue = generate_venue("toy", orientation_std=1e6)
+    model = PlanningModel(venue, default_params, 0.5)
+    for part in model.partitions:
+        assert part.bounds
+        for prob, arc in zip(part.cell_probs, oracles.cell_arcs(part)):
+            assert abs(prob - arc.length() / (2.0 * math.pi)) <= 1e-9
 
 
 def test_cell_masks_constant_within_cells():

@@ -136,6 +136,30 @@ def test_validation_outside_footprint(toy_venue, default_params):
     assert any("outside the beam" in v for v in e.value.violations)
 
 
+def test_validation_beam_test_is_the_footprint(default_params):
+    # evaluation flags exactly the users outside the footprint, and the
+    # flat-top pattern gives every user inside it the main lobe, so the
+    # Monte Carlo replay's main-lobe transmit gain is the pattern's
+    model = PlanningModel(random_toy(44), default_params, 0.7)
+    W, side = default_params.ap_beamwidth, default_params.side_lobe_gain_db
+    main = oracles.flat_top_gain(0.0, 0.0, W, side)
+    for l in range(model.L):
+        users = tuple(np.flatnonzero(model.usable[:, l]).tolist())
+        for ti in range(model.n_tuples):
+            theta, phi = model.steering_angles(ti)
+            inside = set(model.footprint(l, theta, phi).tolist())
+            flagged = set()
+            try:
+                evaluate_coverage(model, _dep(_ap(l, theta, phi, users)))
+            except DeploymentValidationError as e:
+                flagged = {int(v.split()[1]) for v in e.violations}
+            assert flagged == set(users) - inside
+            for m in inside:
+                az = 0.0 if model.vertical[m, l] else phi - model.phi_tx[m, l]
+                el = theta - model.nadir_tx[m, l]
+                assert oracles.flat_top_gain(az, el, W, side) == main
+
+
 # -- greedy -----------------------------------------------------------------
 
 
