@@ -9,6 +9,7 @@ that digest and says why.
 """
 
 import hashlib
+import json
 import re
 
 import pytest
@@ -18,8 +19,9 @@ from mmwplan.cli import main
 _RUNTIME = re.compile(r" runtime=\S+")
 
 # name -> (argv, output files); {toy}, {hall} and {airport} are venue
-# files, {hall_dep} is a greedy hall plan, and the output names are paths
-# in a per-test directory (no case prints a path)
+# files, {hall_dep} is a greedy hall plan, {cap3} a params file with
+# capacity_per_beam 3, and the output names are paths in a per-test
+# directory; a path that a case prints is hashed as its name
 CASES = {
     "toy-greedy": (
         "plan --venue {toy} --alpha 0.9 --beta 0.7 --out {dep} "
@@ -41,9 +43,21 @@ CASES = {
         "plan --venue {airport} --alpha 0.5 --beta 0.7 --solver uniform "
         "--uniform-n 8 --out {dep}", ("dep",),
     ),
+    "toy-exact-cap3": (
+        "plan --venue {toy} --alpha 0.9 --beta 0.7 --solver exact "
+        "--params {cap3} --out {dep}", ("dep",),
+    ),
     "toy-compare": (
         "compare --venue {toy} --alpha 0.6,0.9 --beta 0.7 "
         "--beamwidth-ap 1.5,2.0943951", (),
+    ),
+    "toy-compare-cap3": (
+        "compare --venue {toy} --alpha 0.6,0.9 --beta 0.7 --params {cap3}",
+        (),
+    ),
+    "hall-render": (
+        "render --venue {hall} --deployment {hall_dep} --out {svg}",
+        ("svg",),
     ),
     "hall-mc": (
         "validate --venue {hall} --deployment {hall_dep} --alpha 0.75 "
@@ -63,14 +77,20 @@ DIGESTS = {
         "b0100990c4b7b234b3c59e4dc4a8e11de42a1710dd84039d2bfac89520bba74e",
     "hall-greedy":
         "2e4cf039b9a2396439b2ea0772ba0b594c139e4d38a135b113badf5d5b2947b1",
+    "hall-render":
+        "4b7f39b33f596ace1390aeb6d25259fc2f655fc3107e4eb5d42ed892b5211896",
     "hall-mc":
         "8479f07626570e08b82180c0b12a27810c2c700de9c591f8c425e412a9fc206d",
     "hall-mc-shadowing":
         "295543134a315d9fdb62593c7f68e5888f59d6160cfae256d4ff282bf359b996",
     "toy-compare":
         "a836e2d8b54f1af21ae6d539637b4b6444de610c0f4e6770649242e582e2f341",
+    "toy-compare-cap3":
+        "1a86a3975d3886d320d8ffed14409f44e8c811f5d1e2ce4679d7e2149b390168",
     "toy-exact":
         "b24ac806b162ac75aee6a12124c82cf19f2dcb14ffa768a9877458ea71e76b1e",
+    "toy-exact-cap3":
+        "53d792539055abbf883f992ca5170e626fdc7a92548293a06b8dcaab1005a3b5",
     "toy-greedy":
         "6758b3125cf8e3e90af76eecd9b87a2f4193d66f5f7aca7422e75873282a01dc",
 }
@@ -83,6 +103,9 @@ def venues(tmp_path_factory):
     for kind in ("toy", "hall", "airport"):
         paths[kind] = str(root / f"{kind}.json")
         assert main(["generate", kind, "--out", paths[kind]]) == 0
+    paths["cap3"] = str(root / "cap3.json")
+    with open(paths["cap3"], "w") as fh:
+        json.dump({"capacity_per_beam": 3}, fh)
     paths["hall_dep"] = str(root / "hall_dep.json")
     assert main(["plan", "--venue", paths["hall"], "--alpha", "0.75",
                  "--beta", "0.9", "--out", paths["hall_dep"]]) == 0
@@ -95,7 +118,10 @@ def digest(capsys, tmp_path, venues, name):
     argv = template.format(**venues, **files).split()
     capsys.readouterr()
     assert main(argv) == 0
-    h = hashlib.sha256(_RUNTIME.sub("", capsys.readouterr().out).encode())
+    out = _RUNTIME.sub("", capsys.readouterr().out)
+    for key, path in {**venues, **files}.items():
+        out = out.replace(path, "{%s}" % key)
+    h = hashlib.sha256(out.encode())
     for out in outputs:
         with open(files[out], "rb") as fh:
             h.update(fh.read())
