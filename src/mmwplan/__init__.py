@@ -36,8 +36,6 @@ from .scenarios import (
     connectivity_probability,
 )
 from .solver import (
-    CoverageReport,
-    CoverSet,
     Deployment,
     GpCoverage,
     GreedyIteration,
@@ -87,8 +85,6 @@ __all__ = [
     "PlacedAp",
     "Deployment",
     "GpCoverage",
-    "CoverageReport",
-    "CoverSet",
     "GreedyIteration",
     "GreedyTrace",
     "PlanningModel",

@@ -30,7 +30,9 @@ clears. ``_active_half_width`` does this for a whole array of links;
 per-link classifier exists beside it.
 
 Every ``ChannelParams`` field is checked by the table ``inputs.CHANNEL``;
-only ``alpha_los <= alpha_nlos``, which ties two fields, is checked here.
+only the rules that tie two fields are checked here: ``alpha_los <=
+alpha_nlos``, and a side lobe no stronger than the device main lobe, which
+``_active_half_width`` assumes.
 """
 
 from __future__ import annotations
@@ -86,6 +88,13 @@ class ChannelParams:
         check(CHANNEL, self)
         if self.alpha_los > self.alpha_nlos:
             raise VenueFormatError("alpha_los must not exceed alpha_nlos")
+        main_db = linear_to_db(main_lobe_gain(self.md_beamwidth))
+        if self.side_lobe_gain_db > main_db:
+            raise VenueFormatError(
+                f"side_lobe_gain_db {self.side_lobe_gain_db!r} exceeds the "
+                f"device main lobe of {main_db:.4g} dB at md_beamwidth "
+                f"{self.md_beamwidth!r}"
+            )
 
     def with_beamwidths(
         self,

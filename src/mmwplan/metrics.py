@@ -133,7 +133,7 @@ def audit_greedy_prices(
             row["price"] = price
             for m in newly:
                 prices[m] = price
-            q_members = [q[m] for m in it.cover.members]
+            q_members = [q[m] for m in it.cover.assigned]
             if q_members and max(q_members) > 0.0:
                 if 1.0 / max(q_members) > price + _TOL:
                     a_violations.append(i)

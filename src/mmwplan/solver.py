@@ -11,6 +11,8 @@ number of targets, solvers and evaluations:
   at most T users, adds the most newly satisfied presence mass, breaking
   ties by the connectivity mass it builds toward not-yet-satisfied users
   and then by the lowest candidate and steering indices.
+  The ``PlacedAp`` that ``greedy_iteration_best`` returns for a step is
+  both the deployment's beam and the trace's ``GreedyIteration.cover``.
 * ``exact_place`` enumerates candidate subsets in increasing size with the
   steering combinations that can win and searches assignments depth-first,
   so the first feasible size is the minimum number of access points. A
@@ -22,10 +24,15 @@ number of targets, solvers and evaluations:
 * ``uniform_place`` is the coverage-oblivious baseline: spread n mounts by
   farthest-point selection and aim every beam straight down.
 
+The model keeps each grid steering's footprint once, in ``foot_members``:
+the usable users inside the beam by descending presence mass. Steerings
+are numbered elevation-major, and only ``steering_angles`` decodes them.
+
 Satisfaction of a user is always the scenario-partition probability of its
 assigned set meeting the per-user target; all solvers and
 ``evaluate_coverage`` recompute it through ``PlanningModel.finalize``, so a
-deployment round-trips bit-identically through revalidation.
+deployment round-trips bit-identically through revalidation, and
+``evaluate_coverage`` returns the re-finalized ``Deployment`` itself.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from .errors import (
     GeometryError,
     InfeasibleError,
     SizeLimitError,
+    VenueFormatError,
 )
 from .inputs import DEPLOYMENT, read, write
 from .scenarios import (
@@ -93,6 +101,9 @@ class Deployment:
     def from_dict(data: dict) -> "Deployment":
         head = read(DEPLOYMENT, data)
         per_gp = sorted(head["per_gp"], key=lambda r: r["id"])
+        n = len(per_gp)
+        if [r["id"] for r in per_gp] != list(range(n)):
+            raise VenueFormatError(f"per_gp: ids must be 0..{n - 1} once each")
         return Deployment(
             selected=[PlacedAp(**s) for s in head["selected"]],
             per_gp_prob=[r["prob"] for r in per_gp],
@@ -109,26 +120,9 @@ class GpCoverage:
     z: bool
 
 
-@dataclass
-class CoverageReport:
-    per_gp: List[GpCoverage]
-    coverage: float
-    normalized_coverage: float
-
-
-@dataclass(frozen=True)
-class CoverSet:
-    """The beam committed by one greedy iteration."""
-
-    candidate: int
-    theta: float
-    phi: float
-    members: Tuple[int, ...]
-
-
 @dataclass(frozen=True)
 class GreedyIteration:
-    cover: CoverSet
+    cover: PlacedAp
     newly_satisfied: Tuple[int, ...]
     marginal_weight: float
     running_coverage: float
@@ -147,7 +141,7 @@ class GreedyTrace:
                     "candidate": it.cover.candidate,
                     "theta": it.cover.theta,
                     "phi": it.cover.phi,
-                    "members": list(it.cover.members),
+                    "members": list(it.cover.assigned),
                     "newly_satisfied": list(it.newly_satisfied),
                     "marginal_weight": it.marginal_weight,
                     "running_coverage": it.running_coverage,
@@ -156,18 +150,6 @@ class GreedyTrace:
             ],
             "tuple_evaluations": self.tuple_evaluations,
         }
-
-
-@dataclass(frozen=True)
-class IterationChoice:
-    """Best subproblem answer for one greedy iteration."""
-
-    candidate: int
-    theta_idx: int
-    phi_idx: int
-    members: Tuple[int, ...]
-    new_weight: float
-    gain_weight: float
 
 
 def _normalize_betas(betas: BetaLike, n: int) -> np.ndarray:
@@ -263,21 +245,29 @@ class PlanningModel:
 
         self.thetas = params.elevation_grid
         self.phis = params.azimuth_grid
-        self.n_phi = len(self.phis)
-        self.n_tuples = len(self.thetas) * self.n_phi
+        self.n_tuples = len(self.thetas) * len(self.phis)
         # gp ids sorted by descending presence mass, ties by id
         self.gp_order = np.lexsort((np.arange(self.M), -self.q))
-        self._build_footprints()
+        # foot_members[l][ti] is footprint(l, *steering_angles(ti)), from
+        # one _beam call per candidate over the elevations and azimuths
+        thetas = np.asarray(self.thetas)[:, None, None]
+        phis = np.asarray(self.phis)[:, None]
+        self.foot_members: List[List[np.ndarray]] = []
+        for l in range(self.L):
+            ok = self.usable[:, l] & self._beam(l, thetas, phis)[0]
+            rows = ok.reshape(self.n_tuples, self.M)[:, self.gp_order]
+            self.foot_members.append([self.gp_order[row] for row in rows])
 
     # -- beam footprints -----------------------------------------------
 
     def _beam(
-        self, l: int, theta: float, phi: float
+        self, l: int, theta, phi
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whether each user lies inside the beam of candidate l steered
         to (theta, phi), boundaries inclusive, with its azimuth and
         elevation offsets from the boresight. A vertical ray has no
-        azimuth, so only its elevation counts."""
+        azimuth, so only its elevation counts. Array angles broadcast
+        against the user axis, which comes last."""
         half = self.params.ap_beamwidth / 2.0
         el = np.abs(theta - self.nadir_tx[:, l])
         d = phi - self.phi_tx[:, l]
@@ -285,27 +275,15 @@ class PlanningModel:
         inside = (el <= half) & (self.vertical[:, l] | (az <= half))
         return inside, az, el
 
-    def _footprint_mask(self, l: int, theta: float, phi: float) -> np.ndarray:
-        return self.usable[:, l] & self._beam(l, theta, phi)[0]
-
     def footprint(self, l: int, theta: float, phi: float) -> np.ndarray:
         """Users inside a beam, ordered by descending presence mass."""
-        ok = self._footprint_mask(l, theta, phi)
+        ok = self.usable[:, l] & self._beam(l, theta, phi)[0]
         return self.gp_order[ok[self.gp_order]]
 
-    def _build_footprints(self) -> None:
-        self.foot_ok = np.zeros((self.L, self.n_tuples, self.M), dtype=bool)
-        self.foot_members: List[List[np.ndarray]] = []
-        for l in range(self.L):
-            per_tuple = []
-            for ti in range(self.n_tuples):
-                ok = self._footprint_mask(l, *self.steering_angles(ti))
-                self.foot_ok[l, ti] = ok
-                per_tuple.append(self.gp_order[ok[self.gp_order]])
-            self.foot_members.append(per_tuple)
-
     def steering_angles(self, ti: int) -> Tuple[float, float]:
-        return self.thetas[ti // self.n_phi], self.phis[ti % self.n_phi]
+        """The angles of grid steering ``ti``, numbered elevation-major."""
+        e, a = divmod(ti, len(self.phis))
+        return self.thetas[e], self.phis[a]
 
     # -- satisfaction --------------------------------------------------
 
@@ -344,9 +322,9 @@ class PlanningModel:
 
 def evaluate_coverage(
     model: PlanningModel, deployment: Deployment
-) -> CoverageReport:
-    """Validate a deployment and recompute its per-user connectivity and
-    coverage through ``model.finalize``.
+) -> Deployment:
+    """Validate a deployment and return it re-finalized: its beams with
+    per-user connectivity and coverage recomputed by ``model.finalize``.
 
     Raises ``DeploymentValidationError`` when the deployment is malformed:
     unknown ids, duplicated candidates, beams over capacity, or users
@@ -391,12 +369,7 @@ def evaluate_coverage(
         raise DeploymentValidationError(
             "deployment failed validation", violations
         )
-    dep = model.finalize(deployment.selected)
-    return CoverageReport(
-        per_gp=dep.per_gp,
-        coverage=dep.coverage,
-        normalized_coverage=dep.normalized_coverage,
-    )
+    return model.finalize(deployment.selected)
 
 
 # -- greedy ------------------------------------------------------------
@@ -485,15 +458,17 @@ def greedy_iteration_best(
     model: PlanningModel,
     pool: Sequence[int],
     state: GreedyState,
-) -> Optional[IterationChoice]:
+) -> Optional[Tuple[PlacedAp, float, float]]:
     """Solve one greedy subproblem over the remaining candidate pool.
 
     Evaluates every (candidate, steering) pair; each pair serves up to the
     beam capacity, preferring users it newly satisfies (by presence mass)
     and filling leftover capacity with the largest mass-weighted
-    connectivity gains. Returns None when nothing adds value, which a
-    caller must treat as a dead end. The winner is unique: value ties fall
-    back to the lowest (candidate, elevation index, azimuth index).
+    connectivity gains. Returns the beam to commit with its newly
+    satisfied mass and its mass-weighted gain, or None when nothing adds
+    value, which a caller must treat as a dead end. The winner is unique:
+    value ties fall back to the lowest (candidate, elevation index,
+    azimuth index).
     """
     dp, pred_sat = _iteration_tables(model, state, pool)
     capacity = model.params.capacity_per_beam
@@ -504,29 +479,17 @@ def greedy_iteration_best(
                 model, l, ti, dp[:, j], pred_sat[:, j], state.satisfied,
                 capacity,
             )
-            if r is None:
-                continue
-            primary, secondary, members = r
-            if (
-                best is None
-                or (primary, secondary) > (best[0], best[1])
-                or (
-                    (primary, secondary) == (best[0], best[1])
-                    and (l, ti) < (best[2], best[3])
-                )
-            ):
-                best = (primary, secondary, l, ti, members)
+            # larger weights win, then the lower (candidate, steering)
+            if r is not None and (best is None or r[:2] > best[:2] or (
+                r[:2] == best[:2] and (l, ti) < best[2:4]
+            )):
+                best = (*r[:2], l, ti, r[2])
     if best is None:
         return None
     primary, secondary, l, ti, members = best
-    return IterationChoice(
-        candidate=l,
-        theta_idx=ti // model.n_phi,
-        phi_idx=ti % model.n_phi,
-        members=tuple(int(m) for m in members),
-        new_weight=primary,
-        gain_weight=secondary,
-    )
+    theta, phi = model.steering_angles(ti)
+    assigned = tuple(sorted(members.tolist()))
+    return PlacedAp(l, theta, phi, assigned), primary, secondary
 
 
 def greedy_place(
@@ -570,35 +533,28 @@ def greedy_place(
         choice = greedy_iteration_best(model, pool, state)
         if choice is None:
             raise bail("stagnated")
-        l = choice.candidate
-        for m in choice.members:
+        ap = choice[0]
+        l = ap.candidate
+        for m in ap.assigned:
             state.assigned[m, l] = True
             state.conn[m] = model.conn(m, state.assigned[m])
         newly = [
             m
-            for m in choice.members
+            for m in ap.assigned
             if not state.satisfied[m] and state.conn[m] >= model.betas[m]
         ]
         for m in newly:
             state.satisfied[m] = True
         state.coverage = model.coverage_of(state.satisfied)
-        theta = model.thetas[choice.theta_idx]
-        phi = model.phis[choice.phi_idx]
-        marginal = float(model.q[newly].sum()) if newly else 0.0
-        assigned = tuple(sorted(choice.members))
-        selected.append(
-            PlacedAp(candidate=l, theta=theta, phi=phi, assigned=assigned)
-        )
+        # summed in presence order, the order the beam admits its winners
+        by_mass = sorted(newly, key=lambda m: (-model.q[m], m))
+        marginal = float(model.q[by_mass].sum()) if newly else 0.0
+        selected.append(ap)
         pool.remove(l)
         iterations.append(
             GreedyIteration(
-                cover=CoverSet(
-                    candidate=l,
-                    theta=theta,
-                    phi=phi,
-                    members=assigned,
-                ),
-                newly_satisfied=tuple(sorted(newly)),
+                cover=ap,
+                newly_satisfied=tuple(newly),
                 marginal_weight=marginal,
                 running_coverage=float(state.coverage),
             )
@@ -687,14 +643,13 @@ def _assignment_search(
     return base + best_val if best_val >= 0.0 else -1.0, best_assign
 
 
-def _useful_steerings(foot: np.ndarray) -> List[int]:
-    """Indices of the rows of a (steerings, users) footprint matrix that no
-    lower-index row contains."""
-    return [
-        ti
-        for ti in range(foot.shape[0])
-        if not (foot[:ti] >= foot[ti]).all(axis=1).any()
-    ]
+def _useful_steerings(
+    members: List[np.ndarray], matters: np.ndarray
+) -> List[int]:
+    """Indices of the footprints, cut to the users ``matters`` marks, that
+    no lower-index footprint contains."""
+    cut = [set(mem[matters[mem]].tolist()) for mem in members]
+    return [t for t, r in enumerate(cut) if not any(r <= p for p in cut[:t])]
 
 
 def check_exact_size(
@@ -797,7 +752,7 @@ def exact_place(
         for ms in sets:
             matters[list(ms), m] = True
     reps = [
-        _useful_steerings(model.foot_ok[l] & matters[l]) for l in range(L)
+        _useful_steerings(model.foot_members[l], matters[l]) for l in range(L)
     ]
     for l in range(L):
         logger.debug(
@@ -866,13 +821,8 @@ def exact_place(
         for l in assign[j]:
             by_ap[l].append(m)
     selected = [
-        PlacedAp(
-            candidate=l,
-            theta=model.thetas[steer[pos] // model.n_phi],
-            phi=model.phis[steer[pos] % model.n_phi],
-            assigned=tuple(sorted(by_ap[l])),
-        )
-        for pos, l in enumerate(subset)
+        PlacedAp(l, *model.steering_angles(ti), tuple(sorted(by_ap[l])))
+        for l, ti in zip(subset, steer)
     ]
     return model.finalize(selected)
 
@@ -898,29 +848,20 @@ def uniform_place(model: PlanningModel, count: int) -> Deployment:
         dmin[chosen] = -np.inf
         chosen.append(int(np.argmax(dmin)))
     capacity = model.params.capacity_per_beam
-    selected = []
-    for l in chosen:
-        members = model.footprint(l, 0.0, 0.0)[:capacity]
-        selected.append(
-            PlacedAp(
-                candidate=l,
-                theta=0.0,
-                phi=0.0,
-                assigned=tuple(sorted(int(m) for m in members)),
-            )
-        )
-    return model.finalize(selected)
+    return model.finalize([
+        PlacedAp(l, 0.0, 0.0, tuple(sorted(
+            model.footprint(l, 0.0, 0.0)[:capacity].tolist()
+        )))
+        for l in chosen
+    ])
 
 
 __all__ = [
     "PlacedAp",
     "Deployment",
     "GpCoverage",
-    "CoverageReport",
-    "CoverSet",
     "GreedyIteration",
     "GreedyTrace",
-    "IterationChoice",
     "GreedyState",
     "PlanningModel",
     "evaluate_coverage",

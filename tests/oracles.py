@@ -611,11 +611,23 @@ def pattern_connectivity(partition, ap_ids):
 # exact solver: flat enumeration
 
 
+def reach_table(model):
+    """``reach[l, ti, m]``: whether grid steering ti of mount l reaches
+    user m, from ``footprint`` one steering at a time."""
+    reach = np.zeros((model.L, model.n_tuples, model.M), dtype=bool)
+    for l in range(model.L):
+        for ti in range(model.n_tuples):
+            reach[l, ti, model.footprint(l, *model.steering_angles(ti))] = True
+    return reach
+
+
 def flat_minimum_count(venue, params, alpha, beta, kmax=3):
     """Unpruned minimum-AP search.
 
     Every candidate subset, every steering product, every per-user serving
-    subset; capacity checked by direct counting. Returns (count, best
+    subset; capacity checked by direct counting. A steering product whose
+    per-user reach patterns match one already scored for the same subset
+    has the same serving options, so it is skipped. Returns (count, best
     normalized coverage) or None when nothing up to ``kmax`` reaches the
     target. Exponential everywhere, so keep instances tiny.
     """
@@ -624,17 +636,26 @@ def flat_minimum_count(venue, params, alpha, beta, kmax=3):
     T = params.capacity_per_beam
     q = model.q
     total = float(q.sum())
+    reach = reach_table(model)
 
     for k in range(0, kmax + 1):
         best_cov = None
         for cand_subset in itertools.combinations(range(L), k):
-            for steer in itertools.product(range(model.n_tuples), repeat=k):
+            # bit m * k + i of a pattern: the subset's i-th mount reaches m
+            codes = [
+                [sum(1 << (m * k + i) for m in np.flatnonzero(row))
+                 for row in reach[l]]
+                for i, l in enumerate(cand_subset)
+            ]
+            scored = set()
+            for steer in itertools.product(*codes):
+                pattern = sum(steer)
+                if pattern in scored:
+                    continue
+                scored.add(pattern)
                 opts = []
                 for m in range(M):
-                    avail = 0
-                    for i, (l, ti) in enumerate(zip(cand_subset, steer)):
-                        if model.foot_ok[l, ti, m]:
-                            avail |= 1 << i
+                    avail = pattern >> (m * k) & ((1 << k) - 1)
                     probs = {}
                     for s in range(1 << k):
                         if (s & avail) != s:
@@ -680,13 +701,14 @@ def exact_place_unpruned(model, alpha):
     demanding = [int(m) for m in model.gp_order
                  if not free[m] and choices_all[m]]
 
+    reach = reach_table(model)
     found = None
     for k in range(0, L + 1):
         for subset in itertools.combinations(range(L), k):
             for steer in itertools.product(range(model.n_tuples), repeat=k):
                 allowed = [set() for _ in range(M)]
                 for l, ti in zip(subset, steer):
-                    for m in np.flatnonzero(model.foot_ok[l, ti]):
+                    for m in np.flatnonzero(reach[l, ti]):
                         allowed[m].add(l)
                 order, choices, potential = [], {}, base
                 for m in demanding:

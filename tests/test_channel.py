@@ -132,6 +132,18 @@ def test_params_validation():
         ChannelParams(elevation_grid=())
 
 
+@pytest.mark.parametrize("md", [math.pi / 3.0, math.pi / 2.0, 5.0])
+def test_side_lobe_may_reach_but_not_pass_the_device_main_lobe(md):
+    main = linear_to_db(main_lobe_gain(md))
+    p = ChannelParams(md_beamwidth=md, side_lobe_gain_db=main)
+    assert p.side_lobe_gain_db == main
+    with pytest.raises(ValueError, match="side_lobe_gain_db"):
+        ChannelParams(md_beamwidth=md,
+                      side_lobe_gain_db=math.nextafter(main, math.inf))
+    with pytest.raises(ValueError, match="side_lobe_gain_db"):
+        p.with_beamwidths(md_beamwidth=md + 0.5)  # a wider lobe is weaker
+
+
 @pytest.mark.parametrize("grids", [
     {"elevation_grid": (5.0,)},
     {"elevation_grid": (0.0, -0.1)},

@@ -411,6 +411,27 @@ def test_plan_rejects_bad_param_value(capsys, tmp_path, toy_path, field,
     assert "Traceback" not in stderr
 
 
+def test_plan_rejects_side_lobe_above_device_main_lobe(capsys, tmp_path,
+                                                     toy_path):
+    # the default device beam (pi / 2) has an 8.3 dB main lobe, a 5.0 rad
+    # one 0.45 dB
+    cases = [({"side_lobe_gain_db": 1e30}, [], 3),
+             ({"side_lobe_gain_db": 3.0}, [], 0),
+             ({"side_lobe_gain_db": 3.0}, ["--beamwidth-md", "5.0"], 3)]
+    for params, extra, want in cases:
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(params))
+        code, stdout, stderr = run(
+            capsys, "plan", "--venue", toy_path, "--params", str(path),
+            "--alpha", "0.9", "--beta", "0.7", *extra,
+        )
+        assert code == want, (params, extra)
+        if want == 3:
+            assert stdout == ""
+            assert "side_lobe_gain_db" in stderr
+            assert "Traceback" not in stderr
+
+
 @pytest.mark.parametrize("section, key", [
     ("grid_positions", "id"), ("blockers", "owner"),
 ])
@@ -524,6 +545,29 @@ def test_render_rejects_deployment_outside_venue(capsys, tmp_path, toy_path,
     assert "Traceback" not in stderr
     assert stdout == ""
     assert not svg_path.exists()
+
+
+@pytest.mark.parametrize("ids", [[0, 77, 2, 3, 4, 5], [0, 0, 2, 3, 4, 5]],
+                         ids=["unknown", "repeated"])
+@pytest.mark.parametrize("command", ["render", "validate"])
+def test_per_gp_ids_must_name_each_seat_once(capsys, tmp_path, toy_path,
+                                             command, ids):
+    def renumber(d):
+        for row, i in zip(d["per_gp"], ids):
+            row["id"] = i
+
+    dep_path = _tampered_deployment(tmp_path, toy_path, renumber)
+    out = {"render": ["--out", str(tmp_path / "plan.svg")],
+           "validate": ["--alpha", "0.9", "--beta", "0.7"]}[command]
+    code, stdout, stderr = run(
+        capsys, command, "--venue", toy_path, "--deployment", str(dep_path),
+        *out,
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "per_gp" in stderr
+    assert "Traceback" not in stderr
+    assert not (tmp_path / "plan.svg").exists()
 
 
 def test_render_venue_only(capsys, tmp_path, toy_path):

@@ -2,7 +2,6 @@
 
 from conftest import random_toy
 from mmwplan import (
-    CoverSet,
     Deployment,
     GreedyIteration,
     GreedyTrace,
@@ -33,8 +32,7 @@ def _ap(candidate, assigned):
 
 def _iteration(candidate, members, newly, weight, running):
     return GreedyIteration(
-        cover=CoverSet(candidate=candidate, theta=0.0, phi=0.0,
-                       members=tuple(members)),
+        cover=_ap(candidate, members),
         newly_satisfied=tuple(newly),
         marginal_weight=weight,
         running_coverage=running,

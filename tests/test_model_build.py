@@ -9,6 +9,7 @@ parameters stress every ring pattern of the reach walk, and random
 (azimuth, reach) rows stress wrapped arcs and shared cell boundaries.
 """
 
+import json
 import math
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from hypothesis import given, strategies as st
 import oracles
 from conftest import random_toy
 from mmwplan import ChannelParams, generate_venue
+from mmwplan.inputs import load_json
 from mmwplan.scenarios import OrientationDistribution, seat_partition
 from mmwplan.solver import PlanningModel
 from mmwplan.venue import (
@@ -165,6 +167,30 @@ def test_built_in_venues_match_oracles_bit_for_bit(name):
     assert model.reach.tobytes() == oracles.model_reach(model).tobytes()
     for got, want in zip(model.partitions, oracles.model_partitions(model)):
         assert oracles.same_partition(got, want), got.gp
+
+
+# steerings off the default grid: both ends of the azimuth range, azimuths
+# and an elevation near them, and a repeated direction (-pi and pi)
+OFF_GRID = {"elevation_grid": [0.0, 0.7, 1.6, 3.0],
+            "azimuth_grid": [-math.pi, math.pi, 3.0, -3.0, 0.1]}
+
+
+@pytest.mark.parametrize("grids", [{}, OFF_GRID], ids=["default", "off-grid"])
+@pytest.mark.parametrize("name", ["toy", "hall", "airport", "stadium"])
+def test_grid_footprints_equal_one_steering_footprints(tmp_path, name, grids):
+    # the broadcast build over the whole steering grid against one
+    # footprint call per (mount, steering), bit for bit
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(grids))
+    params = load_json(str(path), "params", ChannelParams.from_dict)
+    model = PlanningModel(generate_venue(name), params, 0.9)
+    assert len(model.foot_members) == model.L
+    for l, rows in enumerate(model.foot_members):
+        assert len(rows) == model.n_tuples
+        for ti, got in enumerate(rows):
+            want = model.footprint(l, *model.steering_angles(ti))
+            assert got.dtype == want.dtype
+            assert got.tobytes() == want.tobytes(), (l, ti)
 
 
 def test_prism_touching_a_segment_at_the_highest_top_is_kept():

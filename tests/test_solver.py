@@ -192,7 +192,7 @@ def test_greedy_trace_serializes():
     assert len(d["iterations"]) == len(trace.iterations)
     assert d["tuple_evaluations"] == trace.tuple_evaluations
     for row, it in zip(d["iterations"], trace.iterations):
-        assert row["members"] == list(it.cover.members)
+        assert row["members"] == list(it.cover.assigned)
         assert row["running_coverage"] == it.running_coverage
 
 
@@ -259,8 +259,9 @@ def test_iteration_choice_matches_oracle(tight_params):
                 assert best is None
                 break
             assert best is not None
-            assert abs(choice.new_weight - best[0][0]) < 1e-9
-            assert abs(choice.gain_weight - best[0][1]) < 1e-9
+            ap, new_weight, gain_weight = choice
+            assert abs(new_weight - best[0][0]) < 1e-9
+            assert abs(gain_weight - best[0][1]) < 1e-9
             # exact key ties break on the lowest (candidate, steering)
             # pair on both sides; only near-tied distinct keys are float
             # territory where the argmax may legitimately differ
@@ -271,12 +272,13 @@ def test_iteration_choice_matches_oracle(tight_params):
                          and margin <= 1e-6)
             if not ambiguous:
                 strict += 1
-                ti = choice.theta_idx * model.n_phi + choice.phi_idx
-                assert (choice.candidate, ti) == best[1]
-                assert list(choice.members) == best[2]
+                l, ti = best[1]
+                assert ap.candidate == l
+                assert (ap.theta, ap.phi) == model.steering_angles(ti)
+                assert list(ap.assigned) == sorted(best[2])
             # commit the implementation's choice and continue
-            l = choice.candidate
-            for m in choice.members:
+            l = ap.candidate
+            for m in ap.assigned:
                 state.assigned[m, l] = True
                 state.conn[m] = model.conn(m, state.assigned[m])
                 if state.conn[m] >= model.betas[m]:
