@@ -110,6 +110,18 @@ def cmd_generate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _infeasible_line(exc: InfeasibleError) -> str:
+    """The stderr line for a refusal, naming the first ten seats that no
+    deployment can satisfy when the solver found any."""
+    line = f"infeasible: {exc}"
+    unreachable = exc.diagnostics.get("unreachable")
+    if unreachable:
+        ids = ", ".join(map(str, unreachable[:10]))
+        more = ", ..." if len(unreachable) > 10 else ""
+        line += f"; {len(unreachable)} seats unreachable: {ids}{more}"
+    return line
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
     params = _load_params(args)
@@ -148,7 +160,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         achieved = (
             exc.partial.normalized_coverage if exc.partial else float("nan")
         )
-        print(f"infeasible: {exc}", file=sys.stderr)
+        print(_infeasible_line(exc), file=sys.stderr)
         print(
             f"solver={args.solver} infeasible "
             f"normalized={achieved:.4f} target={args.alpha:.4f} "
@@ -413,7 +425,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_LIMIT
     except InfeasibleError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
+        print(_infeasible_line(exc), file=sys.stderr)
         return EXIT_INFEASIBLE
     except (PlanError, OSError, ValueError) as exc:
         if isinstance(exc, DeploymentValidationError):

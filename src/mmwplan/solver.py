@@ -12,7 +12,13 @@ number of targets, solvers and evaluations:
   ties by the connectivity mass it builds toward not-yet-satisfied users
   and then by the lowest candidate and steering indices.
   The ``PlacedAp`` that ``greedy_iteration_best`` returns for a step is
-  both the deployment's beam and the trace's ``GreedyIteration.cover``.
+  both the deployment's beam and the trace's ``GreedyIteration.cover``,
+  and ``GreedyState.commit`` is the one way to apply it. The state keeps
+  the per-(user, candidate) step tables across steps and a commit
+  recomputes only the rows of the beam's users. Each step first scores
+  every pair at once with vectorized bounds and then runs the exact
+  per-pair evaluation only on the pairs that can still win, so it picks
+  what evaluating every pair picks.
 * ``exact_place`` enumerates candidate subsets in increasing size with the
   steering combinations that can win and searches assignments depth-first,
   so the first feasible size is the minimum number of access points. A
@@ -24,9 +30,11 @@ number of targets, solvers and evaluations:
 * ``uniform_place`` is the coverage-oblivious baseline: spread n mounts by
   farthest-point selection and aim every beam straight down.
 
-The model keeps each grid steering's footprint once, in ``foot_members``:
-the usable users inside the beam by descending presence mass. Steerings
-are numbered elevation-major, and only ``steering_angles`` decodes them.
+The model keeps each grid steering's footprint once: the usable users
+inside the beam by descending presence mass, all of them back to back in
+``foot_flat`` and as per-(candidate, steering) views in ``foot_members``.
+Steerings are numbered elevation-major, and only ``steering_angles``
+decodes them.
 
 Satisfaction of a user is always the scenario-partition probability of its
 assigned set meeting the per-user target; all solvers and
@@ -247,16 +255,33 @@ class PlanningModel:
         self.phis = params.azimuth_grid
         self.n_tuples = len(self.thetas) * len(self.phis)
         # gp ids sorted by descending presence mass, ties by id
-        self.gp_order = np.lexsort((np.arange(self.M), -self.q))
+        self.gp_order = np.lexsort((np.arange(self.M), -self.q)).astype(
+            np.int32
+        )
         # foot_members[l][ti] is footprint(l, *steering_angles(ti)), from
-        # one _beam call per candidate over the elevations and azimuths
+        # one _beam call per candidate over the elevations and azimuths.
+        # All footprints lie back to back in foot_flat, footprint
+        # k = l * n_tuples + ti at foot_flat[foot_start[k]:foot_start[k+1]],
+        # and foot_members holds those slices as views.
         thetas = np.asarray(self.thetas)[:, None, None]
         phis = np.asarray(self.phis)[:, None]
-        self.foot_members: List[List[np.ndarray]] = []
+        parts, sizes = [], []
         for l in range(self.L):
             ok = self.usable[:, l] & self._beam(l, thetas, phis)[0]
             rows = ok.reshape(self.n_tuples, self.M)[:, self.gp_order]
-            self.foot_members.append([self.gp_order[row] for row in rows])
+            parts.append(self.gp_order[np.nonzero(rows)[1]])
+            sizes.append(rows.sum(axis=1))
+        self.foot_flat = np.concatenate(parts)
+        self.foot_start = np.zeros(self.L * self.n_tuples + 1, dtype=np.intp)
+        np.cumsum(np.concatenate(sizes), out=self.foot_start[1:])
+        bounds = self.foot_start.tolist()
+        self.foot_members: List[List[np.ndarray]] = [
+            [
+                self.foot_flat[bounds[k]:bounds[k + 1]]
+                for k in range(l * self.n_tuples, (l + 1) * self.n_tuples)
+            ]
+            for l in range(self.L)
+        ]
 
     # -- beam footprints -----------------------------------------------
 
@@ -374,50 +399,90 @@ def evaluate_coverage(
 
 # -- greedy ------------------------------------------------------------
 
+# slack for comparing a screen value, summed in another order, with a key
+_SCREEN_TOL = 1e-9
+
 
 @dataclass
 class GreedyState:
     """Mutable per-user assignment state threaded through iterations.
 
     ``assigned`` is an ``(M, L)`` boolean matrix: row m marks the
-    candidates serving user m.
+    candidates serving user m. ``dp`` and ``pred_sat`` are the step
+    tables over all L candidates: user m's connectivity gain if candidate
+    l were added, and whether that gain would meet m's target. A
+    satisfied user's rows are 0 and False. A row depends only on the
+    user's own assignment, so ``commit`` recomputes just the rows of the
+    beam it commits, and every row equals a fresh recompute bit for bit.
     """
 
     assigned: np.ndarray
     conn: np.ndarray
     satisfied: np.ndarray
     coverage: float
+    dp: np.ndarray
+    pred_sat: np.ndarray
 
     @staticmethod
     def initial(model: PlanningModel) -> "GreedyState":
         conn = np.zeros(model.M)
         satisfied = conn >= model.betas
-        return GreedyState(
+        state = GreedyState(
             assigned=np.zeros((model.M, model.L), dtype=bool),
             conn=conn,
             satisfied=satisfied,
             coverage=model.coverage_of(satisfied),
+            dp=np.zeros((model.M, model.L)),
+            pred_sat=np.zeros((model.M, model.L), dtype=bool),
         )
+        state._refresh(model, range(model.M))
+        return state
+
+    def _refresh(self, model: PlanningModel, rows) -> None:
+        for m in rows:
+            if self.satisfied[m]:
+                self.dp[m] = 0.0
+                self.pred_sat[m] = False
+                continue
+            part = model.partitions[m]
+            uncovered = ~part.visible[:, self.assigned[m]].any(axis=1)
+            gain = part.cell_probs @ (part.visible & uncovered[:, None])
+            self.dp[m] = gain
+            pred = np.where(part.always_on, 1.0, self.conn[m] + gain)
+            self.pred_sat[m] = pred >= model.betas[m]
+
+    def commit(self, model: PlanningModel, ap: PlacedAp) -> List[int]:
+        """Serve ``ap.assigned`` from ``ap.candidate`` and return the
+        users this newly satisfies, in ``ap.assigned`` order."""
+        l = ap.candidate
+        for m in ap.assigned:
+            self.assigned[m, l] = True
+            self.conn[m] = model.conn(m, self.assigned[m])
+        newly = [
+            m
+            for m in ap.assigned
+            if not self.satisfied[m] and self.conn[m] >= model.betas[m]
+        ]
+        self.satisfied[newly] = True
+        self.coverage = model.coverage_of(self.satisfied)
+        self._refresh(model, ap.assigned)
+        return newly
 
 
-def _iteration_tables(
-    model: PlanningModel, state: GreedyState, pool: Sequence[int]
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per (user, pool candidate): connectivity gain and predicted
-    satisfaction if that single candidate were added."""
-    cols = np.asarray(pool, dtype=np.intp)
-    dp = np.zeros((model.M, cols.size))
-    pred_sat = np.zeros((model.M, cols.size), dtype=bool)
-    for m in np.flatnonzero(~state.satisfied):
-        part = model.partitions[m]
-        uncovered = ~part.visible[:, state.assigned[m]].any(axis=1)
-        hit = part.visible[:, cols]
-        gain = part.cell_probs @ (hit & uncovered[:, None])
-        dp[m] = gain
-        pred = state.conn[m] + gain
-        pred = np.where(part.always_on[cols], 1.0, pred)
-        pred_sat[m] = pred >= model.betas[m]
-    return dp, pred_sat
+def _winners(
+    model: PlanningModel,
+    mem: np.ndarray,
+    pred_col: np.ndarray,
+    satisfied: np.ndarray,
+    capacity: int,
+) -> Tuple[np.ndarray, np.ndarray, float]:
+    """Of a footprint's open users: which ones the beam would not
+    satisfy (a mask over ``mem``), the first ``capacity`` it would, and
+    their presence mass."""
+    open_ = ~satisfied[mem]
+    wins = pred_col[mem] & open_
+    winners = mem[wins][:capacity]
+    return open_ & ~wins, winners, float(model.q[winners].sum())
 
 
 def _evaluate_tuple(
@@ -432,15 +497,14 @@ def _evaluate_tuple(
     mem = model.foot_members[l][ti]
     if mem.size == 0:
         return None
-    sat = satisfied[mem]
-    wins = pred_col[mem] & ~sat
-    winners = mem[wins][:capacity]
-    primary = float(model.q[winners].sum())
+    others, winners, primary = _winners(
+        model, mem, pred_col, satisfied, capacity
+    )
     room = capacity - winners.size
     secondary = 0.0
     fillers = winners[:0]
     if room > 0:
-        rest = mem[~wins & ~sat]
+        rest = mem[others]
         gains = dp_col[rest] * model.q[rest]
         pos = gains > 0.0
         rest, gains = rest[pos], gains[pos]
@@ -454,6 +518,59 @@ def _evaluate_tuple(
     return primary, secondary, members
 
 
+def _per_footprint(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Sums of ``x`` over the runs ``offsets[i]:offsets[i + 1]``, with 0
+    for an empty run."""
+    # reduceat reads one element for an empty run: a trailing 0 keeps
+    # every offset in range, and empty runs are zeroed after
+    out = np.add.reduceat(np.append(x, 0), offsets[:-1])
+    out[offsets[:-1] == offsets[1:]] = 0
+    return out
+
+
+def _screen(
+    model: PlanningModel,
+    state: GreedyState,
+    pool: Sequence[int],
+    capacity: int,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per grid footprint k = l * n_tuples + ti of a pool candidate: the
+    mass of its first ``capacity`` winners, an upper bound on its gain
+    mass (the positive mass-weighted gains of all its other open users,
+    or 0 when the winners fill the beam) and its winner count, from a few
+    passes over each candidate's run of ``foot_flat``; other entries are
+    0. Sums run in another order than ``_evaluate_tuple``'s, so they
+    match its key only to within rounding."""
+    n_t = model.n_tuples
+    primary = np.zeros(model.L * n_t)
+    bound = np.zeros(model.L * n_t)
+    n_wins = np.zeros(model.L * n_t, dtype=np.intp)
+    for l in pool:
+        ks = slice(l * n_t, (l + 1) * n_t)
+        start = model.foot_start[l * n_t:(l + 1) * n_t + 1]
+        mem = model.foot_flat[start[0]:start[-1]]
+        offsets = start - start[0]
+        q = model.q[mem]
+        open_ = ~state.satisfied[mem]
+        wins = state.pred_sat[mem, l] & open_
+        counts = n_wins[ks] = _per_footprint(wins, offsets)
+        # the first ``capacity`` winners of each footprint, in member order
+        at = np.flatnonzero(wins)
+        rank = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts,
+                                              counts)
+        kept = rank < capacity
+        primary[ks] = np.bincount(
+            np.repeat(np.arange(n_t), counts)[kept],
+            weights=q[at[kept]], minlength=n_t,
+        )
+        gain = state.dp[mem, l] * q
+        gain[~open_ | wins | ~(gain > 0.0)] = 0.0
+        bound[ks] = np.where(
+            counts >= capacity, 0.0, _per_footprint(gain, offsets)
+        )
+    return primary, bound, n_wins
+
+
 def greedy_iteration_best(
     model: PlanningModel,
     pool: Sequence[int],
@@ -461,35 +578,72 @@ def greedy_iteration_best(
 ) -> Optional[Tuple[PlacedAp, float, float]]:
     """Solve one greedy subproblem over the remaining candidate pool.
 
-    Evaluates every (candidate, steering) pair; each pair serves up to the
-    beam capacity, preferring users it newly satisfies (by presence mass)
-    and filling leftover capacity with the largest mass-weighted
-    connectivity gains. Returns the beam to commit with its newly
-    satisfied mass and its mass-weighted gain, or None when nothing adds
-    value, which a caller must treat as a dead end. The winner is unique:
-    value ties fall back to the lowest (candidate, elevation index,
-    azimuth index).
+    Each (candidate, steering) pair serves up to the beam capacity,
+    preferring users it newly satisfies (by presence mass) and filling
+    leftover capacity with the largest mass-weighted connectivity gains.
+    Returns the beam to commit with its newly satisfied mass and its
+    mass-weighted gain, or None when nothing adds value, which a caller
+    must treat as a dead end. The winner is unique: value ties fall back
+    to the lowest (candidate, elevation index, azimuth index).
+
+    The result is that of running ``_evaluate_tuple`` on every pair, but
+    ``_screen`` first scores all pairs at once. Pairs are visited by
+    descending screen (newly satisfied mass, gain bound), and the scan
+    stops at the first whose mass is out of reach of the best key found.
+    A pair is evaluated in full only when its exact newly satisfied mass
+    and its gain bound leave it a chance to beat that key, so the keys
+    compared and their tie-break are the full scan's.
     """
-    dp, pred_sat = _iteration_tables(model, state, pool)
     capacity = model.params.capacity_per_beam
+    n_t = model.n_tuples
+    primary, bound, n_wins = _screen(model, state, pool, capacity)
+    ks = (np.asarray(pool)[:, None] * n_t + np.arange(n_t)).ravel()
+    order = ks[np.lexsort((ks, -bound[ks], -primary[ks]))]
     best = None
-    for j, l in enumerate(pool):
-        for ti in range(model.n_tuples):
-            r = _evaluate_tuple(
-                model, l, ti, dp[:, j], pred_sat[:, j], state.satisfied,
-                capacity,
-            )
-            # larger weights win, then the lower (candidate, steering)
-            if r is not None and (best is None or r[:2] > best[:2] or (
-                r[:2] == best[:2] and (l, ti) < best[2:4]
-            )):
-                best = (*r[:2], l, ti, r[2])
+    for k in order.tolist():
+        if n_wins[k] == 0 and bound[k] == 0.0:
+            continue  # no winner and no positive gain: no members
+        l, ti = divmod(k, n_t)
+        if best is not None:
+            if primary[k] < best[0] - _SCREEN_TOL:
+                break  # no pair from here on reaches the best mass
+            p = _winners(
+                model, model.foot_members[l][ti], state.pred_sat[:, l],
+                state.satisfied, capacity,
+            )[2]
+            if p < best[0]:
+                continue
+            # on a tie in mass, a full beam's gain mass is exactly 0.0
+            # and any other beam's is at most its bound
+            full = n_wins[k] >= capacity
+            if p == best[0] and (
+                (full and (best[1] > 0.0 or (l, ti) > best[2:4]))
+                or bound[k] < best[1] - _SCREEN_TOL
+            ):
+                continue
+        r = _evaluate_tuple(
+            model, l, ti, state.dp[:, l], state.pred_sat[:, l],
+            state.satisfied, capacity,
+        )
+        # larger weights win, then the lower (candidate, steering)
+        if r is not None and (best is None or r[:2] > best[:2] or (
+            r[:2] == best[:2] and (l, ti) < best[2:4]
+        )):
+            best = (*r[:2], l, ti, r[2])
     if best is None:
         return None
     primary, secondary, l, ti, members = best
     theta, phi = model.steering_angles(ti)
     assigned = tuple(sorted(members.tolist()))
     return PlacedAp(l, theta, phi, assigned), primary, secondary
+
+
+def _reachable(model: PlanningModel) -> np.ndarray:
+    """Whether each user's target is met with every candidate serving it."""
+    return np.array([
+        model.conn(m, model.usable[m]) >= model.betas[m]
+        for m in range(model.M)
+    ])
 
 
 def greedy_place(
@@ -502,7 +656,9 @@ def greedy_place(
     when later beams also serve them; serving a user from several access
     points is exactly how high per-user targets get met. Raises
     ``InfeasibleError`` carrying the best partial deployment when the pool
-    runs out or no remaining beam adds anything.
+    runs out or no remaining beam adds anything; its diagnostics name the
+    users no deployment can satisfy (``unreachable``) and the normalized
+    mass of all the others (``reachable_normalized``).
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
@@ -514,6 +670,7 @@ def greedy_place(
 
     def bail(reason: str) -> InfeasibleError:
         partial = model.finalize(selected)
+        reachable = _reachable(model)
         return InfeasibleError(
             f"greedy placement stopped below target coverage ({reason})",
             partial=partial,
@@ -523,6 +680,10 @@ def greedy_place(
                 "achieved_normalized": partial.normalized_coverage,
                 "selected": len(selected),
                 "unsatisfied": int((~state.satisfied).sum()),
+                "unreachable": np.flatnonzero(~reachable).tolist(),
+                "reachable_normalized": model.normalized(
+                    model.coverage_of(reachable)
+                ),
             },
         )
 
@@ -534,23 +695,12 @@ def greedy_place(
         if choice is None:
             raise bail("stagnated")
         ap = choice[0]
-        l = ap.candidate
-        for m in ap.assigned:
-            state.assigned[m, l] = True
-            state.conn[m] = model.conn(m, state.assigned[m])
-        newly = [
-            m
-            for m in ap.assigned
-            if not state.satisfied[m] and state.conn[m] >= model.betas[m]
-        ]
-        for m in newly:
-            state.satisfied[m] = True
-        state.coverage = model.coverage_of(state.satisfied)
+        newly = state.commit(model, ap)
         # summed in presence order, the order the beam admits its winners
         by_mass = sorted(newly, key=lambda m: (-model.q[m], m))
         marginal = float(model.q[by_mass].sum()) if newly else 0.0
         selected.append(ap)
-        pool.remove(l)
+        pool.remove(ap.candidate)
         iterations.append(
             GreedyIteration(
                 cover=ap,
@@ -704,14 +854,7 @@ def exact_place(
 
     free = model.betas <= 0.0
     base = float(model.q[free].sum())
-    full_ok = np.array(
-        [
-            free[m]
-            or connectivity_probability(model.partitions[m], model.usable[m])
-            >= model.betas[m]
-            for m in range(M)
-        ]
-    )
+    full_ok = _reachable(model)
     reachable = model.coverage_of(full_ok)
     if model.normalized(reachable) < alpha:
         raise InfeasibleError(

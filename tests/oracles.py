@@ -30,6 +30,7 @@ from mmwplan.solver import (
     PlacedAp,
     PlanningModel,
     _assignment_search,
+    _evaluate_tuple,
     _minimal_satisfying_sets,
 )
 from mmwplan.venue import _blocker_arrays
@@ -783,20 +784,44 @@ def iteration_key_oracle(model, l, ti, assigned, conn, satisfied):
     return primary, secondary, members
 
 
-def iteration_best_oracle(model, pool, assigned, conn, satisfied):
-    """Exhaustive argmax over the pool with the documented tie-break."""
+def iteration_best_scan(model, pool, state):
+    """The greedy step without the screen: ``_evaluate_tuple`` on every
+    (candidate, steering) pair of the pool over the state's tables, the
+    larger key winning and then the lower (candidate, steering). Returns
+    what ``greedy_iteration_best`` returns."""
+    capacity = model.params.capacity_per_beam
     best = None
     for l in pool:
         for ti in range(model.n_tuples):
-            r = iteration_key_oracle(model, l, ti, assigned, conn,
-                                     satisfied)
-            if r is None:
-                continue
-            key = (r[0], r[1])
-            if (best is None or key > best[0]
-                    or (key == best[0] and (l, ti) < best[1])):
-                best = (key, (l, ti), r[2])
-    return best
+            r = _evaluate_tuple(
+                model, l, ti, state.dp[:, l], state.pred_sat[:, l],
+                state.satisfied, capacity,
+            )
+            if r is not None and (best is None or r[:2] > best[:2] or (
+                r[:2] == best[:2] and (l, ti) < best[2:4]
+            )):
+                best = (*r[:2], l, ti, r[2])
+    if best is None:
+        return None
+    primary, secondary, l, ti, members = best
+    ap = PlacedAp(l, *model.steering_angles(ti),
+                  tuple(sorted(members.tolist())))
+    return ap, primary, secondary
+
+
+def greedy_tables(model, state):
+    """The greedy step tables rebuilt from scratch: for each open user
+    and every candidate, the cell mass that candidate would add to the
+    user's covered cells and whether that meets the user's target."""
+    dp = np.zeros((model.M, model.L))
+    pred_sat = np.zeros((model.M, model.L), dtype=bool)
+    for m in np.flatnonzero(~state.satisfied):
+        part = model.partitions[m]
+        uncovered = ~part.visible[:, state.assigned[m]].any(axis=1)
+        dp[m] = part.cell_probs @ (part.visible & uncovered[:, None])
+        pred = np.where(part.always_on, 1.0, state.conn[m] + dp[m])
+        pred_sat[m] = pred >= model.betas[m]
+    return dp, pred_sat
 
 
 # ---------------------------------------------------------------------------

@@ -178,6 +178,23 @@ def test_plan_infeasible_writes_partial(capsys, tmp_path, toy_path):
     assert json.loads(dep_path.read_text())["selected"] == []
 
 
+def test_plan_infeasible_names_unreachable_seats(capsys, tmp_path):
+    venue = str(tmp_path / "stadium.json")
+    dep_path = tmp_path / "partial.json"
+    assert main(["generate", "stadium", "--out", venue]) == 0
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", venue, "--alpha", "0.75", "--beta",
+        "0.9", "--out", str(dep_path),
+    )
+    assert code == 2
+    assert "; 319 seats unreachable: 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, ...\n" in (
+        stderr
+    )
+    # stdout and the partial deployment carry no seat list
+    assert "unreachable" not in stdout
+    assert "unreachable" not in dep_path.read_text()
+
+
 def test_plan_uniform(capsys, toy_path):
     code, stdout, _ = run(
         capsys, "plan", "--venue", toy_path, "--solver", "uniform",

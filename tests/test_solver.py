@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_toy
@@ -19,6 +20,7 @@ from mmwplan import (
     PlanningModel,
     SizeLimitError,
     Venue,
+    connectivity_probability,
     evaluate_coverage,
     exact_place,
     generate_venue,
@@ -26,7 +28,7 @@ from mmwplan import (
     greedy_place,
     uniform_place,
 )
-from mmwplan.solver import GreedyState
+from mmwplan.solver import GreedyState, _evaluate_tuple, _screen
 
 WIDE = ChannelParams(ap_beamwidth=2.0 * math.pi / 3.0,
                      md_beamwidth=math.pi / 3.0)
@@ -277,15 +279,91 @@ def test_iteration_choice_matches_oracle(tight_params):
                 assert (ap.theta, ap.phi) == model.steering_angles(ti)
                 assert list(ap.assigned) == sorted(best[2])
             # commit the implementation's choice and continue
-            l = ap.candidate
-            for m in ap.assigned:
-                state.assigned[m, l] = True
-                state.conn[m] = model.conn(m, state.assigned[m])
-                if state.conn[m] >= model.betas[m]:
-                    state.satisfied[m] = True
-            state.coverage = model.coverage_of(state.satisfied)
-            pool.remove(l)
+            state.commit(model, ap)
+            pool.remove(ap.candidate)
     assert strict >= 3
+
+
+def _walk_greedy_checked(model, alpha):
+    """Greedy steps until ``alpha`` through ``GreedyState.commit``,
+    checking before each one that the kept tables equal a fresh rebuild
+    bit for bit, that every screen value is at least the exact key and
+    that the screened step is the exhaustive scan's; returns the number
+    of steps committed."""
+    state = GreedyState.initial(model)
+    pool = list(range(model.L))
+    capacity = model.params.capacity_per_beam
+    steps = 0
+    while True:
+        dp, pred_sat = oracles.greedy_tables(model, state)
+        assert state.dp.tobytes() == dp.tobytes()
+        assert state.pred_sat.tobytes() == pred_sat.tobytes()
+        if model.normalized(state.coverage) >= alpha or not pool:
+            return steps
+        primary, bound, n_wins = _screen(model, state, pool, capacity)
+        for l in pool:
+            for ti in range(model.n_tuples):
+                k = l * model.n_tuples + ti
+                r = _evaluate_tuple(
+                    model, l, ti, state.dp[:, l], state.pred_sat[:, l],
+                    state.satisfied, capacity,
+                )
+                # the screen skips exactly the pairs that serve nobody
+                assert (r is None) == (n_wins[k] == 0 and bound[k] == 0.0)
+                if r is not None:
+                    assert primary[k] >= r[0] - 1e-12
+                    assert bound[k] >= r[1] - 1e-12
+        choice = greedy_iteration_best(model, pool, state)
+        want = oracles.iteration_best_scan(model, pool, state)
+        assert choice == want
+        if choice is not None:
+            assert [w.hex() for w in choice[1:]] == [
+                w.hex() for w in want[1:]
+            ]
+        if choice is None:
+            return steps
+        state.commit(model, choice[0])
+        pool.remove(choice[0].candidate)
+        steps += 1
+
+
+@settings(max_examples=100)
+@given(
+    seed=st.integers(0, 10_000),
+    capacity=st.sampled_from([1, 2, 3, 32]),
+    beta=st.floats(0.05, 0.99),
+)
+def test_screened_step_equals_full_scan_on_random_rooms(seed, capacity, beta):
+    params = replace(ChannelParams(), capacity_per_beam=capacity)
+    model = PlanningModel(random_toy(seed), params, beta)
+    _walk_greedy_checked(model, 0.95)
+
+
+@pytest.mark.parametrize("kind,capacity,steps", [
+    ("hall", 3, 20), ("hall", 32, 4), ("stadium", 32, 16),
+])
+def test_screened_step_equals_full_scan_on_venues(kind, capacity, steps):
+    # hall at capacity 3: most steps tie on newly satisfied mass; the
+    # stadium's seats all weigh the same and its pool runs out
+    params = replace(ChannelParams(), capacity_per_beam=capacity)
+    model = PlanningModel(generate_venue(kind), params, 0.9)
+    assert _walk_greedy_checked(model, 0.75) == steps
+
+
+def test_greedy_infeasible_names_unreachable_seats():
+    model = PlanningModel(generate_venue("stadium"), ChannelParams(), 0.9)
+    with pytest.raises(InfeasibleError) as e:
+        greedy_place(model, 0.75)
+    diag = e.value.diagnostics
+    # connectivity with every candidate of the venue serving the seat
+    full = np.array([
+        connectivity_probability(part, list(range(model.L)))
+        for part in model.partitions
+    ])
+    assert diag["unreachable"] == np.flatnonzero(full < 0.9).tolist()
+    assert len(diag["unreachable"]) == 319
+    assert round(diag["reachable_normalized"], 4) == 0.6933
+    assert round(diag["achieved_normalized"], 4) == 0.4202
 
 
 # -- exact ------------------------------------------------------------------
