@@ -438,7 +438,7 @@ class GreedyState:
         state._refresh(model, range(model.M))
         return state
 
-    def _refresh(self, model: PlanningModel, rows) -> None:
+    def _refresh(self, model: PlanningModel, rows: Sequence[int]) -> None:
         for m in rows:
             if self.satisfied[m]:
                 self.dp[m] = 0.0

@@ -316,12 +316,9 @@ def _walk_greedy_checked(model, alpha):
         choice = greedy_iteration_best(model, pool, state)
         want = oracles.iteration_best_scan(model, pool, state)
         assert choice == want
-        if choice is not None:
-            assert [w.hex() for w in choice[1:]] == [
-                w.hex() for w in want[1:]
-            ]
         if choice is None:
             return steps
+        assert [w.hex() for w in choice[1:]] == [w.hex() for w in want[1:]]
         state.commit(model, choice[0])
         pool.remove(choice[0].candidate)
         steps += 1
