@@ -9,11 +9,11 @@ gain * (1 - cos(W/2)) / 2 == 1 for every beamwidth.
 Path loss in dB is kappa + 10 * alpha * log10(d) + chi with separate
 exponents and shadowing spreads for line-of-sight and blocked links.
 ``_snr`` is the one expression of the budget and ``_clears`` the one
-verdict of a link at a body orientation. Both broadcast, so the scalar
-``snr_db``, ``_active_half_width`` over every (seat, candidate) pair and
-both branches of the Monte Carlo replay evaluate them, with log10(d)
-taken by ``math.log10`` once per distance. Planning evaluates the budget
-at chi = 0; the Monte Carlo validator can draw chi per link and sample.
+verdict of a link at a body orientation. Both broadcast, so
+``_active_half_width`` over every (seat, candidate) pair and both
+branches of the Monte Carlo replay evaluate them, with log10(d) taken by
+``math.log10`` once per distance. Planning evaluates the budget at
+chi = 0; the Monte Carlo validator can draw chi per link and sample.
 A served user always lies inside its beam (``PlanningModel`` holds the
 one beam test), so the transmit side is always the main-lobe gain; the
 side lobe only enters at the device.
@@ -43,9 +43,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .angles import wrap_angle
 from .errors import VenueFormatError
 from .inputs import CHANNEL, check, read, write
+from .scenarios import wrap_angle
 
 _DEF_ELEVATIONS = (0.0, math.pi / 4.0, math.pi / 2.0)
 _DEF_AZIMUTHS = tuple(wrap_angle(n * math.pi / 4.0) for n in range(8))
@@ -143,29 +143,6 @@ def _snr(params: ChannelParams, log_d, tx_db, rx_db, los, shadowing_db=0.0):
     return params.tx_power_dbm + tx_db + rx_db - loss - params.noise_power_dbm
 
 
-def path_loss_db(
-    params: ChannelParams,
-    distance: float,
-    los: bool,
-    shadowing_db: float = 0.0,
-) -> float:
-    """One link's path loss in dB; raises ``ValueError`` unless d > 0."""
-    return float(_path_loss(params, math.log10(distance), los, shadowing_db))
-
-
-def snr_db(
-    params: ChannelParams,
-    distance: float,
-    tx_gain_db: float,
-    rx_gain_db: float,
-    los: bool,
-    shadowing_db: float = 0.0,
-) -> float:
-    """One link's SNR in dB; raises ``ValueError`` unless d > 0."""
-    return float(_snr(params, math.log10(distance), tx_gain_db, rx_gain_db,
-                      los, shadowing_db))
-
-
 def _clears(params: ChannelParams, log_d, psi_rx, vertical_ray, occluded,
             device_tilt, offset, shadow=None) -> np.ndarray:
     """Whether links clear the threshold at a body orientation ``offset``
@@ -206,8 +183,9 @@ def _active_half_width(
     lobe beats side lobe), so the active set is the prefix of rings that
     clear and the answer is a single cut point: 0, the first cut, the
     second or pi. Requires the side-lobe gain not to exceed the main-lobe
-    gain and distances of at least 1 m, both true for any physical
-    configuration.
+    gain, which ``ChannelParams`` checks, and distances of at least 1 m,
+    below which blocked loss falls under line-of-sight loss;
+    ``PlanningModel`` refuses a seat closer than that to a mount.
     """
     log_d = _log10(distance)
     half_cone = params.md_beamwidth / 2.0
@@ -235,6 +213,4 @@ __all__ = [
     "ChannelParams",
     "linear_to_db",
     "main_lobe_gain",
-    "path_loss_db",
-    "snr_db",
 ]

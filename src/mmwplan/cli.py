@@ -27,7 +27,7 @@ from .errors import (
     PlanError,
     SizeLimitError,
 )
-from .generators import generate_venue
+from .generators import VENUE_KINDS, generate_venue
 from .inputs import load_json, save_json
 from .metrics import approximation_bound, location_difference
 from .montecarlo import McConfig, monte_carlo_coverage
@@ -337,9 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="write a built-in venue to JSON")
-    p.add_argument(
-        "kind", choices=("hall", "airport", "stadium", "toy")
-    )
+    p.add_argument("kind", choices=VENUE_KINDS)
     p.add_argument("--out", required=True)
     p.add_argument("--presence-prob", type=float, default=None)
     p.add_argument("--orientation-std", type=float, default=None)

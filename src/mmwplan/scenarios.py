@@ -13,6 +13,9 @@ active half-widths, deciding every cell's membership with one broadcast
 test. Arc endpoints and cell midpoints are wrapped with ``math.atan2`` and
 the masses use ``math.erf``, as a cell-by-cell walk would, so the
 partition has the bits of the scalar walk kept in the test oracles.
+
+All azimuths in the toolkit live in [-pi, pi]; ``wrap_angle`` and
+``wrap_angles`` bring other angles there with ``math.atan2``.
 """
 
 from __future__ import annotations
@@ -23,10 +26,27 @@ from typing import List, Union
 
 import numpy as np
 
-from .angles import TWO_PI, wrap_angles
 from .venue import Venue
 
 _SQRT2 = math.sqrt(2.0)
+TWO_PI = 2.0 * math.pi
+
+
+def wrap_angle(a: float) -> float:
+    """Wrap an angle to [-pi, pi]."""
+    if -math.pi <= a <= math.pi:
+        return a
+    return math.atan2(math.sin(a), math.cos(a))
+
+
+def wrap_angles(a: np.ndarray) -> np.ndarray:
+    """``wrap_angle`` of every element: values in [-pi, pi] pass through
+    and the others are wrapped one by one with ``math.atan2``, whose bits
+    ``np.arctan2`` does not always reproduce."""
+    a = np.array(a, dtype=float)
+    out = np.flatnonzero((a < -math.pi) | (a > math.pi))
+    a[out] = [wrap_angle(v) for v in a[out].tolist()]
+    return a
 
 
 def _std_normal_cdf(x: float) -> float:

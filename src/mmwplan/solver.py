@@ -181,7 +181,8 @@ class PlanningModel:
     a solver, so it is built once per (venue, params, betas) and shared:
     the solvers and ``evaluate_coverage`` take it as their first argument
     and only read it. Every satisfaction decision goes through
-    ``finalize``.
+    ``finalize``. A seat closer than 1 m to a mount raises
+    ``GeometryError``.
 
     This is the one place the package derives link facts, each as an
     (M, L) array over all (seat, candidate) pairs: view-ray azimuths
@@ -216,8 +217,15 @@ class PlanningModel:
         ap_pos = np.array([c.position for c in venue.candidates])
         down = gp_pos[:, None, :] - ap_pos[None, :, :]
         self.dist = np.sqrt((down ** 2).sum(axis=2))
-        if np.any(self.dist == 0.0):
-            raise GeometryError("a device coincides with a candidate mount")
+        # below 1 m blocked loss falls under line-of-sight loss, and the
+        # reach of _active_half_width would miss a link that turns back on
+        close = np.argwhere(self.dist < 1.0)
+        if close.size:
+            m, l = close[0].tolist()
+            raise GeometryError(
+                f"seat {m} is {self.dist[m, l]:.6g} m from mount {l}; a seat "
+                f"must be at least 1 m from every mount"
+            )
         horiz = np.hypot(down[:, :, 0], down[:, :, 1])
         self.vertical = horiz == 0.0
         self.phi_tx = np.where(
@@ -638,12 +646,19 @@ def greedy_iteration_best(
     return PlacedAp(l, theta, phi, assigned), primary, secondary
 
 
-def _reachable(model: PlanningModel) -> np.ndarray:
-    """Whether each user's target is met with every candidate serving it."""
-    return np.array([
+def _reachability(model: PlanningModel) -> Dict[str, object]:
+    """The refusal keys of both solvers: the sorted ids of the users whose
+    target is not met even with every candidate serving them
+    (``unreachable``) and the normalized mass of all the others
+    (``reachable_normalized``)."""
+    ok = np.array([
         model.conn(m, model.usable[m]) >= model.betas[m]
         for m in range(model.M)
     ])
+    return {
+        "unreachable": np.flatnonzero(~ok).tolist(),
+        "reachable_normalized": model.normalized(model.coverage_of(ok)),
+    }
 
 
 def greedy_place(
@@ -656,9 +671,8 @@ def greedy_place(
     when later beams also serve them; serving a user from several access
     points is exactly how high per-user targets get met. Raises
     ``InfeasibleError`` carrying the best partial deployment when the pool
-    runs out or no remaining beam adds anything; its diagnostics name the
-    users no deployment can satisfy (``unreachable``) and the normalized
-    mass of all the others (``reachable_normalized``).
+    runs out or no remaining beam adds anything; its diagnostics carry
+    the keys of ``_reachability``.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
@@ -670,7 +684,6 @@ def greedy_place(
 
     def bail(reason: str) -> InfeasibleError:
         partial = model.finalize(selected)
-        reachable = _reachable(model)
         return InfeasibleError(
             f"greedy placement stopped below target coverage ({reason})",
             partial=partial,
@@ -680,10 +693,7 @@ def greedy_place(
                 "achieved_normalized": partial.normalized_coverage,
                 "selected": len(selected),
                 "unsatisfied": int((~state.satisfied).sum()),
-                "unreachable": np.flatnonzero(~reachable).tolist(),
-                "reachable_normalized": model.normalized(
-                    model.coverage_of(reachable)
-                ),
+                **_reachability(model),
             },
         )
 
@@ -854,16 +864,11 @@ def exact_place(
 
     free = model.betas <= 0.0
     base = float(model.q[free].sum())
-    full_ok = _reachable(model)
-    reachable = model.coverage_of(full_ok)
-    if model.normalized(reachable) < alpha:
+    diag = _reachability(model)
+    if diag["reachable_normalized"] < alpha:
         raise InfeasibleError(
             "target coverage unreachable even with every candidate active",
-            diagnostics={
-                "target_alpha": alpha,
-                "max_normalized": model.normalized(reachable),
-                "unreachable_users": int((~full_ok).sum()),
-            },
+            diagnostics={"target_alpha": alpha, **diag},
         )
 
     choices_all = {m: _minimal_satisfying_sets(model, m) for m in range(M)}

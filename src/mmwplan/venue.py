@@ -69,12 +69,6 @@ class BodyPrism:
     size: Vec3
     owner: Optional[int] = None
 
-    def bounds(self) -> Tuple[Vec3, Vec3]:
-        c, s = self.center, self.size
-        lo = (c[0] - 0.5 * s[0], c[1] - 0.5 * s[1], c[2] - 0.5 * s[2])
-        hi = (c[0] + 0.5 * s[0], c[1] + 0.5 * s[1], c[2] + 0.5 * s[2])
-        return lo, hi
-
 
 @dataclass
 class Venue:

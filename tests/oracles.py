@@ -18,13 +18,15 @@ from typing import List, Tuple
 import numpy as np
 from scipy.special import ndtri
 
-from mmwplan.angles import TWO_PI, wrap_angle
-from mmwplan.channel import linear_to_db, main_lobe_gain, snr_db
+from mmwplan.channel import _snr, linear_to_db, main_lobe_gain
 from mmwplan.errors import GeometryError, InfeasibleError
+from mmwplan.metrics import approximation_bound
 from mmwplan.scenarios import (
+    TWO_PI,
     OrientationDistribution,
     ScenarioPartition,
     connectivity_probability,
+    wrap_angle,
 )
 from mmwplan.solver import (
     PlacedAp,
@@ -310,9 +312,8 @@ def occluded_by_sampling(venue, gp_id, ap_id, n=10000):
     for prism in venue.blockers:
         if prism.owner == gp_id:
             continue
-        lo, hi = prism.bounds()
-        inside = np.all((pts >= np.array(lo)) & (pts <= np.array(hi)),
-                        axis=1)
+        c, half = np.array(prism.center), 0.5 * np.array(prism.size)
+        inside = np.all((pts >= c - half) & (pts <= c + half), axis=1)
         if inside.any():
             return True
     return False
@@ -378,7 +379,7 @@ def occlusion_matrix(venue):
 def active_half_width(params, distance, psi_rx, vertical_ray, occluded,
                       device_tilt, tx_gain_db):
     """Active half-width of one link by walking its rings outward with the
-    scalar budget ``snr_db`` until one fails."""
+    package's own budget ``_snr`` until one fails."""
     gamma = params.snr_threshold_db + params.fade_margin_db
     rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
     rx_side_db = params.side_lobe_gain_db
@@ -399,7 +400,8 @@ def active_half_width(params, distance, psi_rx, vertical_ray, occluded,
         los = half_block is not None and cut <= half_block
         main = half_cone is not None and cut <= half_cone
         rx_db = rx_main_db if main else rx_side_db
-        if snr_db(params, distance, tx_gain_db, rx_db, los) >= gamma:
+        if _snr(params, math.log10(distance), tx_gain_db, rx_db,
+                los) >= gamma:
             reach = cut
         else:
             break
@@ -822,6 +824,95 @@ def greedy_tables(model, state):
         pred = np.where(part.always_on, 1.0, state.conn[m] + dp[m])
         pred_sat[m] = pred >= model.betas[m]
     return dp, pred_sat
+
+
+# ---------------------------------------------------------------------------
+# metrics: the price argument behind the greedy bound
+
+AUDIT_TOL = 1e-9
+
+
+def audit_greedy_prices(greedy, exact, venue):
+    """Numerically re-derive the inequality chain behind the greedy bound.
+
+    Every user first satisfied at iteration i is assigned the price
+    (users first satisfied at i) / (presence mass first satisfied at i);
+    this is the reciprocal of the average mass per newly satisfied user,
+    so check (a) is that it is at least 1 / max mass over the beam's
+    members. Check (b) is that summing prices over users both runs
+    satisfy never exceeds summing them over the exact solution's beams
+    (overlaps only add). Check (c) is the resulting AP-count bound itself,
+    skipped when the runs are not comparable. An iteration that first
+    satisfies users carrying zero total mass would make the price
+    infinite; those are reported in ``flags`` instead of poisoning the
+    checks.
+    """
+    q = [gp.presence_prob for gp in venue.grid_positions]
+    m_star = {m for m, z in enumerate(exact.satisfied) if z}
+
+    prices = {}
+    per_iteration = []
+    flags = []
+    a_violations = []
+    for i, it in enumerate(greedy.iterations):
+        newly = it.newly_satisfied
+        row = {
+            "index": i,
+            "candidate": it.cover.candidate,
+            "newly_satisfied": len(newly),
+            "marginal_weight": it.marginal_weight,
+            "price": None,
+        }
+        if newly:
+            if it.marginal_weight <= 0.0:
+                flags.append(
+                    f"iteration {i} first satisfies {len(newly)} users "
+                    f"with zero presence mass; price undefined"
+                )
+                per_iteration.append(row)
+                continue
+            price = len(newly) / it.marginal_weight
+            row["price"] = price
+            for m in newly:
+                prices[m] = price
+            q_members = [q[m] for m in it.cover.assigned]
+            if q_members and max(q_members) > 0.0:
+                if 1.0 / max(q_members) > price + AUDIT_TOL:
+                    a_violations.append(i)
+        per_iteration.append(row)
+
+    lhs_b = sum(p for m, p in prices.items() if m in m_star)
+    rhs_b = sum(
+        prices.get(m, 0.0)
+        for ap in exact.selected
+        for m in ap.assigned
+    )
+    check_b_ok = lhs_b <= rhs_b + AUDIT_TOL
+
+    bound = approximation_bound(greedy, exact, venue)
+    check_c_ok = None
+    if bound["comparable"] and math.isfinite(bound["analytic_ratio"]):
+        check_c_ok = (
+            bound["l_star_circ"]
+            <= bound["analytic_ratio"] * bound["l_star"] + AUDIT_TOL
+        )
+
+    ok = (
+        not a_violations
+        and check_b_ok
+        and check_c_ok is not False
+        and not flags
+    )
+    return {
+        "ok": ok,
+        "prices": prices,
+        "per_iteration": per_iteration,
+        "check_a": {"ok": not a_violations, "violations": a_violations},
+        "check_b": {"ok": check_b_ok, "lhs": lhs_b, "rhs": rhs_b},
+        "check_c": {"ok": check_c_ok, **bound},
+        "flags": flags,
+    }
+
 
 
 # ---------------------------------------------------------------------------

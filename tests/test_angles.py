@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from mmwplan.angles import wrap_angle
+from mmwplan.scenarios import wrap_angle
 from oracles import AngularInterval, angle_offset
 
 

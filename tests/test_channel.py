@@ -8,15 +8,10 @@ import pytest
 
 import oracles
 from conftest import random_toy, single_link_venue
-from mmwplan import (
-    BodyPrism,
-    ChannelParams,
-    PlanningModel,
-    linear_to_db,
-    main_lobe_gain,
-    path_loss_db,
-    snr_db,
-)
+from mmwplan import ChannelParams, PlanningModel
+from mmwplan.channel import _path_loss, _snr, linear_to_db, main_lobe_gain
+from mmwplan.scenarios import wrap_angle
+from mmwplan.venue import BodyPrism
 from oracles import db_to_linear, flat_top_gain
 
 
@@ -77,40 +72,42 @@ def test_db_converters_inverse():
 
 def test_path_loss_reference_points():
     p = ChannelParams()
-    assert path_loss_db(p, 1.0, True) == 70.0
-    assert abs(path_loss_db(p, 10.0, True) - 90.0) < 1e-12
-    assert abs(path_loss_db(p, 10.0, False) - 110.0) < 1e-12
+    assert _path_loss(p, math.log10(1.0), True) == 70.0
+    assert abs(_path_loss(p, math.log10(10.0), True) - 90.0) < 1e-12
+    assert abs(_path_loss(p, math.log10(10.0), False) - 110.0) < 1e-12
 
 
 def test_path_loss_shadowing_additive():
     p = ChannelParams()
-    assert path_loss_db(p, 5.0, True, 3.3) == path_loss_db(p, 5.0, True) + 3.3
+    log_d = math.log10(5.0)
+    assert _path_loss(p, log_d, True, 3.3) == _path_loss(p, log_d, True) + 3.3
 
 
 def test_path_loss_rejects_nonpositive_distance():
     p = ChannelParams()
     with pytest.raises(ValueError):
-        path_loss_db(p, 0.0, True)
+        _path_loss(p, math.log10(0.0), True)
     with pytest.raises(ValueError):
-        path_loss_db(p, -2.0, False)
+        _path_loss(p, math.log10(-2.0), False)
 
 
 def test_snr_budget_arithmetic():
     p = ChannelParams()
     # 30 dBm + 18 + 18 - 70 + 74
-    assert abs(snr_db(p, 1.0, 18.0, 18.0, True) - 70.0) < 1e-12
+    assert abs(_snr(p, math.log10(1.0), 18.0, 18.0, True) - 70.0) < 1e-12
     # zero gains at 1 m: p - kappa - noise
-    assert abs(snr_db(p, 1.0, 0.0, 0.0, True) - 34.0) < 1e-12
+    assert abs(_snr(p, math.log10(1.0), 0.0, 0.0, True) - 34.0) < 1e-12
     main = linear_to_db(main_lobe_gain(p.ap_beamwidth))
-    drop = (snr_db(p, 7.0, main, main, True)
-            - snr_db(p, 7.0, p.side_lobe_gain_db, p.side_lobe_gain_db, True))
+    log_d = math.log10(7.0)
+    drop = (_snr(p, log_d, main, main, True)
+            - _snr(p, log_d, p.side_lobe_gain_db, p.side_lobe_gain_db, True))
     assert abs(drop - 2.0 * (main - p.side_lobe_gain_db)) < 1e-12
 
 
 def test_snr_strictly_decreasing_in_distance():
     p = ChannelParams()
     ds = np.linspace(1.0, 80.0, 200)
-    vals = [snr_db(p, float(d), 4.0, 4.0, True) for d in ds]
+    vals = [_snr(p, math.log10(d), 4.0, 4.0, True) for d in ds.tolist()]
     assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
@@ -231,7 +228,6 @@ def test_side_lobe_sufficient_interval_is_blockage_window():
     # mid range: a line-of-sight side lobe clears the budget but nothing
     # clears once the body blocks, so the active arc is exactly the
     # self-blockage window
-    from mmwplan import wrap_angle
     v = single_link_venue(dx=9.0, dz=12.0, facing=0.3)
     p = ChannelParams()
     iv = _arc(_model(v, p))
@@ -261,7 +257,7 @@ def test_effective_interval_inside_blockage_window_when_nlos_fails():
                               tilt=float(rng.uniform(0.0, math.pi / 2.0)))
         model = _model(v, p)
         d = float(model.dist[0, 0])
-        if snr_db(p, d, tx_db, rx_db, False) >= p.snr_threshold_db:
+        if _snr(p, math.log10(d), tx_db, rx_db, False) >= p.snr_threshold_db:
             continue  # blocked orientations can clear; no bound applies
         iv = _arc(model)
         if iv.is_empty:

@@ -195,6 +195,41 @@ def test_plan_infeasible_names_unreachable_seats(capsys, tmp_path):
     assert "unreachable" not in dep_path.read_text()
 
 
+def test_plan_exact_infeasible_names_unreachable_seats(capsys, tmp_path,
+                                                      toy_path):
+    params = tmp_path / "deaf.json"
+    params.write_text('{"snr_threshold_db": 60.0}')
+    code, _, stderr = run(
+        capsys, "plan", "--venue", toy_path, "--params", str(params),
+        "--solver", "exact", "--alpha", "0.5", "--beta", "0.7",
+    )
+    assert code == 2
+    assert stderr.endswith("; 6 seats unreachable: 0, 1, 2, 3, 4, 5\n")
+
+
+def test_seat_closer_than_1m_to_a_mount_is_invalid_input(capsys, tmp_path):
+    seat = {"id": 0, "pos": [0.0, 0.0, 1.0], "facing": 0.0,
+            "elevation": 0.5, "q": 1.0, "orientation_std": 0.5}
+    venue = tmp_path / "close.json"
+    venue.write_text(json.dumps({
+        "name": "close", "grid_positions": [seat],
+        "candidates": [{"id": 0, "pos": [0.3, 0.0, 1.4]}],
+    }))
+    dep = tmp_path / "dep.json"
+    dep.write_text(json.dumps({
+        "selected": [], "coverage": 0.0, "normalized_coverage": 0.0,
+        "per_gp": [{"id": 0, "prob": 0.0, "z": False}],
+    }))
+    target = ["--venue", str(venue), "--beta", "0.9"]
+    for argv in (["plan", "--alpha", "0.5"],
+                 ["compare", "--alpha", "0.5"],
+                 ["validate", "--alpha", "0.5", "--deployment", str(dep)]):
+        code, stdout, stderr = run(capsys, *argv, *target)
+        assert code == 3
+        assert stdout == ""
+        assert "seat 0 is 0.5 m from mount 0" in stderr
+
+
 def test_plan_uniform(capsys, toy_path):
     code, stdout, _ = run(
         capsys, "plan", "--venue", toy_path, "--solver", "uniform",

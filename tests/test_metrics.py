@@ -3,16 +3,16 @@
 from conftest import random_toy
 from mmwplan import (
     Deployment,
-    GreedyIteration,
     GreedyTrace,
     PlacedAp,
     PlanningModel,
     approximation_bound,
-    audit_greedy_prices,
     exact_place,
     greedy_place,
     location_difference,
 )
+from mmwplan.solver import GreedyIteration
+from oracles import audit_greedy_prices
 
 
 def _dep(selected, satisfied):

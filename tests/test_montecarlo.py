@@ -14,13 +14,12 @@ from mmwplan import (
     ChannelParams,
     DeploymentValidationError,
     McConfig,
-    OrientationDistribution,
     PlanningModel,
     generate_venue,
     greedy_place,
     monte_carlo_coverage,
 )
-from mmwplan.channel import linear_to_db, main_lobe_gain, snr_db
+from mmwplan.channel import _snr, linear_to_db, main_lobe_gain
 from mmwplan.montecarlo import (
     _replay_success,
     _sample_orientations,
@@ -28,6 +27,7 @@ from mmwplan.montecarlo import (
     _wrapped_offset,
     monte_carlo_connectivity,
 )
+from mmwplan.scenarios import OrientationDistribution
 from mmwplan.solver import Deployment, PlacedAp
 
 MC = McConfig(n_samples=20000, seed=5)
@@ -383,7 +383,7 @@ def test_replay_matches_per_sample_oracle(links, tilt, ap_beamwidth,
         alpha_nlos=alphas[0] + alphas[1],
     )
     tx_db = linear_to_db(main_lobe_gain(ap_beamwidth))
-    los_snr = snr_db(base, links[0][0], tx_db, 0.0, True)
+    los_snr = float(_snr(base, math.log10(links[0][0]), tx_db, 0.0, True))
     params = replace(
         base, fade_margin_db=los_snr - base.snr_threshold_db + offset_db
     )

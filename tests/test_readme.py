@@ -1,9 +1,15 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and the README names the
+package's whole top-level surface."""
 
+import ast
 import pathlib
 import re
 
-README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+import mmwplan
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+INIT = ROOT / "src" / "mmwplan" / "__init__.py"
 
 
 def test_library_example_runs(capsys):
@@ -12,3 +18,21 @@ def test_library_example_runs(capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), {})
     assert capsys.readouterr().out
+
+
+def test_readme_names_every_top_level_name():
+    prose = re.sub(r"```.*?```", "", README.read_text(), flags=re.S)
+    spans = re.findall(r"`([^`\n]+)`", prose)
+    named = {w for span in spans for w in re.findall(r"[A-Za-z_]\w*", span)}
+    missing = set(mmwplan.__all__) - {"__version__"} - named
+    assert not missing, f"README names none of {sorted(missing)} in backticks"
+
+
+def test_init_binds_only_its_exports():
+    bound = set()
+    for node in ast.parse(INIT.read_text()).body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Assign):
+            bound |= {t.id for t in node.targets if isinstance(t, ast.Name)}
+    assert bound - {"__all__"} == set(mmwplan.__all__)

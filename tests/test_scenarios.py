@@ -10,17 +10,14 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from conftest import random_toy
-from mmwplan import (
-    CandidateLocation,
-    ChannelParams,
+from mmwplan import ChannelParams, PlacedAp, PlanningModel, generate_venue
+from mmwplan.scenarios import (
     OrientationDistribution,
-    PlacedAp,
-    PlanningModel,
     ScenarioPartition,
     connectivity_probability,
-    generate_venue,
+    seat_partition,
 )
-from mmwplan.scenarios import seat_partition
+from mmwplan.venue import CandidateLocation
 
 
 def _partition(venue, params, m):

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 import oracles
 from conftest import random_toy
 from mmwplan import (
-    CandidateLocation,
     ChannelParams,
     Deployment,
     DeploymentValidationError,
@@ -20,15 +19,20 @@ from mmwplan import (
     PlanningModel,
     SizeLimitError,
     Venue,
-    connectivity_probability,
     evaluate_coverage,
     exact_place,
     generate_venue,
-    greedy_iteration_best,
     greedy_place,
     uniform_place,
 )
-from mmwplan.solver import GreedyState, _evaluate_tuple, _screen
+from mmwplan.scenarios import connectivity_probability
+from mmwplan.solver import (
+    GreedyState,
+    _evaluate_tuple,
+    _screen,
+    greedy_iteration_best,
+)
+from mmwplan.venue import CandidateLocation
 
 WIDE = ChannelParams(ap_beamwidth=2.0 * math.pi / 3.0,
                      md_beamwidth=math.pi / 3.0)
@@ -502,8 +506,8 @@ def test_exact_infeasible_when_target_unreachable(toy_venue):
     with pytest.raises(InfeasibleError) as e:
         exact_place(PlanningModel(toy_venue, DEAF, 0.7), 0.5)
     diag = e.value.diagnostics
-    assert diag["max_normalized"] == 0.0
-    assert diag["unreachable_users"] == toy_venue.n_grid
+    assert diag["reachable_normalized"] == 0.0
+    assert diag["unreachable"] == list(range(toy_venue.n_grid))
 
 
 # -- uniform baseline -------------------------------------------------------

@@ -7,19 +7,16 @@ import numpy as np
 import pytest
 
 import oracles
-from mmwplan import (
+from mmwplan import GeometryError, PlanningModel, Venue, VenueFormatError
+from mmwplan.channel import ChannelParams
+from mmwplan.scenarios import wrap_angle
+from mmwplan.venue import (
     BodyPrism,
     CandidateLocation,
-    GeometryError,
     GridPosition,
-    PlanningModel,
-    Venue,
-    VenueFormatError,
     occlusion_matrix,
     venue_betas,
-    wrap_angle,
 )
-from mmwplan.channel import ChannelParams
 
 
 def _venue(gp_pos, cand_pos, blockers=(), facing=0.0):
@@ -121,6 +118,18 @@ def test_coincident_positions_raise():
     object.__setattr__(v.candidates[0], "position", (1.0, 1.0, 3.0))
     with pytest.raises(GeometryError):
         PlanningModel(v, ChannelParams(), 0.5)
+
+
+def test_seat_closer_than_1m_to_a_mount_raises():
+    # below 1 m blocked loss falls under line-of-sight loss, so a link
+    # could turn on, off and on again around the circle, which the one
+    # active arc per link cannot hold
+    v = _venue([(5.0, 0.0, 1.0), (0.0, 0.0, 1.0)],
+               [(6.0, 0.0, 4.0), (0.3, 0.0, 1.4)])
+    with pytest.raises(GeometryError, match=r"seat 1 is 0\.5 m from mount 1"):
+        PlanningModel(v, ChannelParams(snr_threshold_db=47.0), 0.5)
+    v = _venue([(0.0, 0.0, 1.0)], [(0.0, 0.0, 2.0)])
+    assert PlanningModel(v, ChannelParams(), 0.5).dist[0, 0] == 1.0
 
 
 # -- occlusion --------------------------------------------------------------
