@@ -33,6 +33,7 @@ from .metrics import approximation_bound, location_difference
 from .montecarlo import McConfig, monte_carlo_coverage
 from .render import render_svg
 from .solver import (
+    EXACT_LIMITS,
     Deployment,
     PlanningModel,
     check_exact_size,
@@ -41,7 +42,7 @@ from .solver import (
     greedy_place,
     uniform_place,
 )
-from .venue import Venue, venue_betas
+from .venue import Venue
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 2
@@ -81,16 +82,21 @@ def _fraction_list(text: str) -> List[float]:
     return _float_list(text, _fraction)
 
 
-def _load_params(args: argparse.Namespace) -> ChannelParams:
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{text!r} is below 1")
+    return value
+
+
+def _load_params(
+    args: argparse.Namespace, ap_beamwidth: Optional[float] = None
+) -> ChannelParams:
     params = (
         load_json(args.params, "params", ChannelParams.from_dict)
-        if getattr(args, "params", None) else ChannelParams()
+        if args.params else ChannelParams()
     )
-    ap = getattr(args, "beamwidth_ap", None)
-    if isinstance(ap, list):
-        # compare sweeps apply each width itself
-        ap = None
-    return params.with_beamwidths(ap, getattr(args, "beamwidth_md", None))
+    return params.with_beamwidths(ap_beamwidth, args.beamwidth_md)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -124,8 +130,7 @@ def _infeasible_line(exc: InfeasibleError) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
-    params = _load_params(args)
-    betas = venue_betas(venue, args.beta)
+    params = _load_params(args, args.beamwidth_ap)
     if args.solver == "exact":
         check_exact_size(
             venue.n_candidates,
@@ -134,7 +139,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
             args.max_exact_m,
         )
     start = time.perf_counter()
-    model = PlanningModel(venue, params, betas)
+    model = PlanningModel(venue, params, args.beta)
     trace = None
     try:
         if args.solver == "greedy":
@@ -194,13 +199,12 @@ def _csv_cell(value) -> str:
 def cmd_compare(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
     base = _load_params(args)
-    betas = venue_betas(venue, args.beta)
     widths = args.beamwidth_ap or [base.ap_beamwidth]
     rows = []
     for w in widths:
         params = base.with_beamwidths(ap_beamwidth=w)
         # one model per width, shared by every target and solver
-        model = PlanningModel(venue, params, betas)
+        model = PlanningModel(venue, params, args.beta)
         for alpha in args.alpha:
             row = dict.fromkeys(_CSV_COLUMNS)
             row.update(W=w, alpha=alpha, beta=args.beta)
@@ -266,7 +270,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         deployment = load_json(
             args.deployment, "deployment", Deployment.from_dict
         )
-    params = _load_params(args)
+    params = _load_params(args, args.beamwidth_ap)
     svg = render_svg(venue, deployment, beamwidth=params.ap_beamwidth)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -276,8 +280,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
-    params = _load_params(args)
-    betas = venue_betas(venue, args.beta)
+    params = _load_params(args, args.beamwidth_ap)
     deployment = load_json(
         args.deployment, "deployment", Deployment.from_dict
     )
@@ -290,7 +293,7 @@ def cmd_validate(args: argparse.Namespace) -> int:
         if args.mc
         else None
     )
-    model = PlanningModel(venue, params, betas)
+    model = PlanningModel(venue, params, args.beta)
     report = evaluate_coverage(model, deployment)
     ok = report.normalized_coverage >= args.alpha
     print(
@@ -366,6 +369,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--beta", type=float, required=True)
         p.add_argument("--beamwidth-md", type=float, default=None)
 
+    def solver_sizes(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--uniform-n", type=int, default=None)
+        for flag, default in zip(("--max-exact-l", "--max-exact-m"),
+                                 EXACT_LIMITS):
+            p.add_argument(flag, type=_positive_int, default=default)
+
     p = sub.add_parser("plan", help="run one solver on a venue")
     common(p, alpha_list=False)
     p.add_argument(
@@ -375,9 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-out", default=None, help="greedy trace JSON path"
     )
-    p.add_argument("--uniform-n", type=int, default=None)
-    p.add_argument("--max-exact-l", type=int, default=6)
-    p.add_argument("--max-exact-m", type=int, default=12)
+    solver_sizes(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(
@@ -385,9 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, alpha_list=True)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    p.add_argument("--uniform-n", type=int, default=None)
-    p.add_argument("--max-exact-l", type=int, default=6)
-    p.add_argument("--max-exact-m", type=int, default=12)
+    solver_sizes(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("render", help="draw a venue and deployment as SVG")

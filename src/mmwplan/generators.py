@@ -42,8 +42,6 @@ def _seat(
     facing: float,
     presence_prob: float,
     orientation_std: float,
-    device_tilt: float,
-    body_size: Tuple[float, float, float],
 ) -> Tuple[GridPosition, BodyPrism]:
     x, y, z = base
     device = (
@@ -55,13 +53,13 @@ def _seat(
         id=gp_id,
         position=device,
         facing=facing,
-        elevation=device_tilt,
+        elevation=DEFAULT_DEVICE_TILT,
         presence_prob=presence_prob,
         orientation_std=orientation_std,
     )
     prism = BodyPrism(
-        center=(x, y, z + 0.5 * body_size[2]),
-        size=body_size,
+        center=(x, y, z + 0.5 * DEFAULT_BODY_SIZE[2]),
+        size=DEFAULT_BODY_SIZE,
         owner=gp_id,
     )
     return gp, prism
@@ -73,16 +71,11 @@ def _build(
     candidates: List[Tuple[float, float, float]],
     presence_prob: float,
     orientation_std: float,
-    device_tilt: float,
-    body_size: Tuple[float, float, float],
 ) -> Venue:
     gps: List[GridPosition] = []
     prisms: List[BodyPrism] = []
     for i, (base, facing) in enumerate(seats):
-        gp, prism = _seat(
-            i, base, facing, presence_prob, orientation_std, device_tilt,
-            body_size,
-        )
+        gp, prism = _seat(i, base, facing, presence_prob, orientation_std)
         gps.append(gp)
         prisms.append(prism)
     cands = [
@@ -178,15 +171,13 @@ def generate_venue(
     *,
     presence_prob: float = 1.0,
     orientation_std: float = DEFAULT_ORIENTATION_STD,
-    device_tilt: float = DEFAULT_DEVICE_TILT,
-    body_size: Tuple[float, float, float] = DEFAULT_BODY_SIZE,
     name: Optional[str] = None,
 ) -> Venue:
     """Build one of the reference venues.
 
-    ``presence_prob``, ``orientation_std``, ``device_tilt`` and
-    ``body_size`` apply uniformly to every seat; callers wanting per-seat
-    variety can edit the returned venue or build one directly.
+    ``presence_prob`` and ``orientation_std`` apply uniformly to every
+    seat; callers wanting per-seat variety can edit the returned venue or
+    build one directly.
     """
     if kind == "hall":
         seats, cands = _hall_seats(), _hall_candidates()
@@ -200,11 +191,7 @@ def generate_venue(
         raise ValueError(
             f"unknown venue kind {kind!r}; expected one of {VENUE_KINDS}"
         )
-    return _build(
-        name or kind, seats, cands, presence_prob, orientation_std,
-        device_tilt, body_size,
-    )
+    return _build(name or kind, seats, cands, presence_prob, orientation_std)
 
 
-__all__ = ["generate_venue", "VENUE_KINDS", "DEFAULT_BODY_SIZE",
-           "DEFAULT_ORIENTATION_STD", "DEFAULT_DEVICE_TILT"]
+__all__ = ["generate_venue", "VENUE_KINDS"]

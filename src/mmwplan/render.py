@@ -118,10 +118,10 @@ def render_svg(
     venue: Venue,
     deployment: Optional[Deployment] = None,
     beamwidth: float = 2.0 * math.pi / 3.0,
-    wedge_radius: Optional[float] = None,
 ) -> str:
     """Render to an SVG string. Without a deployment the venue is drawn
-    alone and users stay a neutral gray.
+    alone and users stay a neutral gray. Beam wedges reach 12% of the
+    larger extent of the drawn points.
 
     Raises ``ValueError`` when the deployment names a candidate id outside
     the venue or carries a probability count other than one per user.
@@ -131,9 +131,8 @@ def render_svg(
     xs += [c.position[0] for c in venue.candidates]
     ys += [c.position[1] for c in venue.candidates]
     frame = _Frame(xs, ys)
-    if wedge_radius is None:
-        span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
-        wedge_radius = 0.12 * span
+    span = max(max(xs) - min(xs), max(ys) - min(ys), 1.0)
+    wedge_radius = 0.12 * span
 
     probs = None
     selected = []

@@ -76,6 +76,7 @@ class OrientationDistribution:
         return OrientationDistribution(mean=gp.facing, std=gp.orientation_std)
 
 
+@dataclass(eq=False, slots=True)
 class ScenarioPartition:
     """Cells covering the circle for one grid position.
 
@@ -89,21 +90,11 @@ class ScenarioPartition:
     columns are set in every row. The arguments are stored as given.
     """
 
-    __slots__ = ("gp", "bounds", "cell_probs", "visible", "always_on")
-
-    def __init__(
-        self,
-        gp: int,
-        bounds: List[float],
-        cell_probs: np.ndarray,
-        visible: np.ndarray,
-        always_on: np.ndarray,
-    ) -> None:
-        self.gp = gp
-        self.bounds = bounds
-        self.cell_probs = cell_probs
-        self.visible = visible
-        self.always_on = always_on
+    gp: int
+    bounds: List[float]
+    cell_probs: np.ndarray
+    visible: np.ndarray
+    always_on: np.ndarray
 
     def __repr__(self) -> str:
         return (

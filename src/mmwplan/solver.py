@@ -1,7 +1,7 @@
 """Access point placement solvers.
 
 Three planners share one precomputed model of the venue. A caller builds
-one ``PlanningModel`` per (venue, params, betas) and passes it as the
+one ``PlanningModel`` per (venue, params, beta) and passes it as the
 first argument of every planner and of ``evaluate_coverage``; none of them
 builds a model or writes to the one it gets, so one model serves any
 number of targets, solvers and evaluations:
@@ -76,7 +76,9 @@ build_scenarios = seat_partition
 
 logger = logging.getLogger(__name__)
 
-BetaLike = Union[float, Sequence[float]]
+# exact_place's size limits (candidates, users), the defaults of its
+# keywords and of the CLI's --max-exact-l/--max-exact-m
+EXACT_LIMITS = (6, 12)
 
 
 @dataclass(frozen=True)
@@ -160,28 +162,16 @@ class GreedyTrace:
         }
 
 
-def _normalize_betas(betas: BetaLike, n: int) -> np.ndarray:
-    if isinstance(betas, (int, float)):
-        arr = np.full(n, float(betas))
-    else:
-        arr = np.asarray([float(b) for b in betas])
-        if arr.shape != (n,):
-            raise ValueError(
-                f"expected {n} per-user targets, got shape {arr.shape}"
-            )
-    if not np.all((arr >= 0.0) & (arr <= 1.0)):
-        raise ValueError("per-user targets must lie in [0, 1]")
-    return arr
-
-
 class PlanningModel:
     """Precomputed geometry, link reach, partitions and beam footprints.
 
-    Depends only on (venue, params, betas), never on a coverage target or
-    a solver, so it is built once per (venue, params, betas) and shared:
+    Depends only on (venue, params, beta), never on a coverage target or
+    a solver, so it is built once per (venue, params, beta) and shared:
     the solvers and ``evaluate_coverage`` take it as their first argument
     and only read it. Every satisfaction decision goes through
-    ``finalize``. A seat closer than 1 m to a mount raises
+    ``finalize``. ``beta`` is the venue-wide per-user target in [0, 1];
+    a seat's own ``beta`` wins over it, and ``betas`` holds the target
+    of every seat. A seat closer than 1 m to a mount raises
     ``GeometryError``.
 
     This is the one place the package derives link facts, each as an
@@ -203,13 +193,18 @@ class PlanningModel:
     """
 
     def __init__(
-        self, venue: Venue, params: ChannelParams, betas: BetaLike
+        self, venue: Venue, params: ChannelParams, beta: float
     ) -> None:
+        if not 0.0 <= beta <= 1.0:  # NaN fails as well
+            raise ValueError("per-user targets must lie in [0, 1]")
         self.venue = venue
         self.params = params
         self.M = venue.n_grid
         self.L = venue.n_candidates
-        self.betas = _normalize_betas(betas, self.M)
+        self.betas = np.array([
+            float(beta if gp.beta is None else gp.beta)
+            for gp in venue.grid_positions
+        ])
         self.q = np.array([gp.presence_prob for gp in venue.grid_positions])
         self.total_mass = float(self.q.sum())
 
@@ -835,8 +830,8 @@ def check_exact_size(
 def exact_place(
     model: PlanningModel,
     alpha: float,
-    max_candidates: int = 6,
-    max_positions: int = 12,
+    max_candidates: int = EXACT_LIMITS[0],
+    max_positions: int = EXACT_LIMITS[1],
 ) -> Deployment:
     """Minimum access point count by exhaustive enumeration.
 

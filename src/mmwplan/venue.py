@@ -137,23 +137,15 @@ class Venue:
         return load_json(path, "venue", Venue.from_dict)
 
 
-# -- per-seat targets and occlusion ---------------------------------------
-
-
-def venue_betas(venue: Venue, default: float) -> List[float]:
-    """Per-user connectivity targets: the venue's per-seat overrides where
-    present, ``default`` everywhere else."""
-    return [
-        default if gp.beta is None else gp.beta
-        for gp in venue.grid_positions
-    ]
+# -- occlusion -------------------------------------------------------------
 
 
 def _blocker_arrays(
     venue: Venue,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lower corners, upper corners and owners (-1 for none) of the
-    prisms, with the corners computed as in ``BodyPrism.bounds``."""
+    """Lower corners ``center - size / 2``, upper corners
+    ``center + size / 2`` and owners (-1 for none) of the prisms, one
+    row each."""
     if not venue.blockers:
         empty = np.zeros((0, 3))
         return empty, empty, np.zeros(0, dtype=np.int64)
@@ -252,6 +244,5 @@ __all__ = [
     "CandidateLocation",
     "BodyPrism",
     "Venue",
-    "venue_betas",
     "occlusion_matrix",
 ]

@@ -3,12 +3,21 @@
 import json
 import math
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import pytest
 
 import mmwplan.montecarlo
 import oracles
-from mmwplan import Deployment, PlanningModel, Venue, evaluate_coverage
+from mmwplan import (
+    ChannelParams,
+    Deployment,
+    PlanningModel,
+    Venue,
+    evaluate_coverage,
+    generate_venue,
+    greedy_place,
+)
 from mmwplan.cli import main
 
 
@@ -67,7 +76,6 @@ def test_plan_greedy_round_trip(capsys, tmp_path, toy_path):
     assert "solver=greedy" in stdout
     dep = Deployment.from_dict(json.loads(dep_path.read_text()))
     venue = Venue.load(toy_path)
-    from mmwplan import ChannelParams
     rep = evaluate_coverage(PlanningModel(venue, ChannelParams(), 0.7), dep)
     assert rep.normalized_coverage >= 0.9
     trace = json.loads(trace_path.read_text())
@@ -418,6 +426,41 @@ def test_plan_rejects_nan_beta(capsys, toy_path, solver):
     assert stdout == ""
 
 
+def _hall_with_seat_betas(path, beta, seats):
+    """The hall with its own ``beta`` on the given seats, saved to path."""
+    hall = generate_venue("hall")
+    gps = [replace(gp, beta=beta) if gp.id in seats else gp
+           for gp in hall.grid_positions]
+    replace(hall, grid_positions=gps).save(str(path))
+    return Venue.load(str(path))
+
+
+def test_library_model_applies_per_seat_targets(capsys, tmp_path):
+    # the per-seat value wins over the venue-wide beta in the library as
+    # on the command line
+    path = tmp_path / "hall.json"
+    venue = _hall_with_seat_betas(path, 0.5, range(15))
+    dep, _ = greedy_place(PlanningModel(venue, ChannelParams(), 0.9), 0.75)
+    code, stdout, _ = run(capsys, "plan", "--venue", str(path),
+                          "--alpha", "0.75", "--beta", "0.9")
+    assert code == 0
+    assert (len(dep.selected), round(dep.coverage, 4),
+            round(dep.normalized_coverage, 4)) == (4, 119.0, 0.8815)
+    assert stdout.startswith("solver=greedy aps=4 coverage=119.0000 "
+                             "normalized=0.8815 ")
+
+
+def test_out_of_range_beta_is_invalid_even_when_every_seat_has_its_own(
+        capsys, tmp_path):
+    path = tmp_path / "hall.json"
+    _hall_with_seat_betas(path, 0.5, range(135))
+    code, stdout, stderr = run(capsys, "plan", "--venue", str(path),
+                               "--alpha", "0.75", "--beta", "1.5")
+    assert code == 3
+    assert "targets" in stderr
+    assert stdout == ""
+
+
 @pytest.mark.parametrize("grids", [
     {"elevation_grid": [5.0]},
     {"azimuth_grid": [float("nan")]},
@@ -684,9 +727,13 @@ def test_compare_stdout_when_no_out(capsys, toy_path):
     ("compare", ["--alpha", "0.5,nan"]),
     ("compare", ["--alpha", "0.5,1.5"]),
     ("compare", ["--alpha", "0.5", "--beamwidth-ap", ","]),
+    ("plan", ["--alpha", "0.5", "--solver", "exact", "--max-exact-l", "-1"]),
+    ("plan", ["--alpha", "0.5", "--solver", "exact", "--max-exact-m", "0"]),
+    ("compare", ["--alpha", "0.5", "--max-exact-l", "0"]),
 ], ids=["validate-nan", "validate-1.5", "validate-minus-1",
         "compare-empty", "compare-nan", "compare-1.5",
-        "compare-empty-widths"])
+        "compare-empty-widths", "plan-exact-l-minus-1", "plan-exact-m-0",
+        "compare-exact-l-0"])
 def test_bad_alpha_and_empty_lists_are_usage_errors(capsys, tmp_path,
                                                     toy_path, command,
                                                     extra):

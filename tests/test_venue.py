@@ -15,7 +15,6 @@ from mmwplan.venue import (
     CandidateLocation,
     GridPosition,
     occlusion_matrix,
-    venue_betas,
 )
 
 
@@ -297,7 +296,7 @@ def test_per_gp_beta_round_trip_and_vector():
                         orientation_std=0.5)]
     v = Venue(name="b", grid_positions=gps,
               candidates=[CandidateLocation(id=0, position=(0.5, 0.0, 4.0))])
-    assert venue_betas(v, 0.9) == [0.8, 0.9]
+    assert PlanningModel(v, ChannelParams(), 0.9).betas.tolist() == [0.8, 0.9]
     back = Venue.from_dict(v.to_dict())
     assert back.grid_positions[0].beta == 0.8
     assert back.grid_positions[1].beta is None
