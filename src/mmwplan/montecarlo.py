@@ -12,12 +12,17 @@ draw.
 Without shadowing a link's verdict changes only at its window edges
 (torso blockage, the receive cone) on the offset from the
 device-to-candidate azimuth, so it is decided once per arc between them,
-before any draw, and the samples are only compared with the edges;
-samples within ``_EDGE_TOL`` of an edge take the exact ``arctan2``
-offset, so every boolean is the one the per-sample chain gives. A seat
-with a link that clears on every arc has rate 1.0 and draws nothing.
-With shadowing each sample draws its own deviate and the chain runs
-sample by sample.
+before any draw. A seat's verdict then depends on its orientation alone,
+and the sampler's map from a uniform to an orientation is monotone, so
+each edge, and the seam at +-pi, is a threshold in uniform space. Every
+uniform is compared with those thresholds; only the uniforms inside a
+certified band around one (a band whose ends the sampler's own chain
+puts farther than ``_EDGE_TOL + _BAND_MARGIN`` from the edge) run
+``ndtri`` and the edge test, where samples within ``_EDGE_TOL`` of an
+edge take the exact ``arctan2`` offset. So every boolean is the one the
+per-sample chain gives. A seat with a link that clears on every arc has
+rate 1.0 and draws nothing. With shadowing each sample draws its own
+deviate and the chain runs sample by sample.
 
 Reproducibility contract: the generator is Philox (counter-based); the
 per-user substream is seeded with key = [seed, gp_id], so a user's stream
@@ -32,7 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -50,10 +55,16 @@ _GENERATOR = "philox4x64"
 _SUBSTREAM_RULE = "key = [seed, gp_id]"
 # samples this close to a window edge take the exact arctan2 offset
 _EDGE_TOL = 1e-9
+# a band in uniform space ends where the sampler puts the orientation this
+# much farther than _EDGE_TOL from its edge
+_BAND_MARGIN = 1e-7
 
 # a seat's link rows, one element per link: (dist, phi_rx, psi_rx,
 # vertical, occluded), each the model's array of that name at the seat
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# a link whose verdict changes at an edge: (phi_rx, the offsets below pi
+# where it changes, its verdict past every one of them)
+Window = Tuple[float, List[float], bool]
 
 
 @dataclass(frozen=True)
@@ -71,21 +82,43 @@ def _substream(seed: int, gp_id: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
+    """A seat's block of orientation uniforms, the first draw of its
+    stream. Raises ``ValueError`` when n of them do not fit in memory."""
+    try:
+        return rng.random(n)
+    except MemoryError:
+        raise ValueError(
+            f"n_samples={n} orientation draws do not fit in memory; "
+            "lower --samples"
+        ) from None
+
+
+def _cdf_range(dist: OrientationDistribution) -> Tuple[float, float]:
+    """The untruncated Gaussian's CDF at -pi and at pi."""
+    return (_std_normal_cdf((-math.pi - dist.mean) / dist.std),
+            _std_normal_cdf((math.pi - dist.mean) / dist.std))
+
+
+def _orientations(u: np.ndarray, dist: OrientationDistribution) -> np.ndarray:
+    """The sampler's map from uniforms to orientations, in u's buffer:
+    ``mean + std * ndtri(lo + u * (hi - lo))``, clipped to [-pi, pi]. IEEE
+    addition and multiplication commute, so the bits match that
+    expression; every step is monotone in u."""
+    lo, hi = _cdf_range(dist)
+    u *= hi - lo
+    u += lo
+    ndtri(u, out=u)
+    u *= dist.std
+    u += dist.mean
+    return np.clip(u, -math.pi, math.pi, out=u)
+
+
 def _sample_orientations(
     rng: np.random.Generator, dist: OrientationDistribution, n: int
 ) -> np.ndarray:
     """Inverse-CDF draws from the Gaussian renormalized to [-pi, pi]."""
-    lo = _std_normal_cdf((-math.pi - dist.mean) / dist.std)
-    hi = _std_normal_cdf((math.pi - dist.mean) / dist.std)
-    # mean + std * ndtri(lo + u * (hi - lo)), clipped, in the uniforms'
-    # buffer; IEEE addition and multiplication commute, so the bits match
-    draws = rng.random(n)
-    draws *= hi - lo
-    draws += lo
-    ndtri(draws, out=draws)
-    draws *= dist.std
-    draws += dist.mean
-    return np.clip(draws, -math.pi, math.pi, out=draws)
+    return _orientations(_uniforms(rng, n), dist)
 
 
 def _wrapped_offset(phis: np.ndarray, phi_rx: float) -> np.ndarray:
@@ -94,20 +127,27 @@ def _wrapped_offset(phis: np.ndarray, phi_rx: float) -> np.ndarray:
     return np.abs(np.arctan2(np.sin(d), np.cos(d)))
 
 
-def _within(phis: np.ndarray, phi_rx: float, half: float) -> np.ndarray:
-    """``_wrapped_offset(phis, phi_rx) <= half`` for ``half < pi``.
-
-    The window's edges ``phi_rx -/+ half``, wrapped into [-pi, pi], decide
-    every sample farther than ``_EDGE_TOL`` from both; the samples near an
-    edge, or near the seam at +-pi when an edge lies by it, take the exact
-    offset, so each boolean is the one the offset itself gives.
-    """
+def _window_edges(phi_rx: float, half: float) -> Tuple[float, float, bool]:
+    """The edges ``phi_rx -/+ half`` of a window with ``half < pi``,
+    wrapped into [-pi, pi], and whether the window holds the seam."""
     lo, hi = phi_rx - half, phi_rx + half
     wraps = lo < -math.pi or hi > math.pi
     if lo < -math.pi:
         lo += 2.0 * math.pi
     elif hi > math.pi:
         hi -= 2.0 * math.pi
+    return lo, hi, wraps
+
+
+def _within(phis: np.ndarray, phi_rx: float, half: float) -> np.ndarray:
+    """``_wrapped_offset(phis, phi_rx) <= half`` for ``half < pi``.
+
+    The window's edges decide every sample farther than ``_EDGE_TOL`` from
+    both; the samples near an edge, or near the seam at +-pi when an edge
+    lies by it, take the exact offset, so each boolean is the one the
+    offset itself gives.
+    """
+    lo, hi, wraps = _window_edges(phi_rx, half)
 
     def window(pad: float) -> np.ndarray:
         # the samples inside the window widened by pad at both edges
@@ -150,49 +190,140 @@ def _arc_outcomes(
     return edges, np.array(on)
 
 
-def _replay_success(
+def _flip_windows(
+    params: ChannelParams, device_tilt: float, rows: Rows
+) -> Optional[List[Window]]:
+    """The windows of the links whose verdict changes at an edge, or None
+    when a link clears at every offset. Links that never clear are left
+    out."""
+    edges, on = _arc_outcomes(params, device_tilt, rows)
+    if on.all(axis=0).any():
+        return None
+    windows = []
+    for i in range(on.shape[1]):
+        flips = [h for k, h in enumerate(edges) if on[k, i] != on[k + 1, i]]
+        if flips:
+            windows.append((float(rows[1][i]), flips, bool(on[-1, i])))
+    return windows
+
+
+def _decide(phis: np.ndarray, windows: List[Window]) -> np.ndarray:
+    """Per-sample connectivity without shadowing at orientations ``phis``,
+    the analytic classifier's verdict with window boundaries inclusive: a
+    link clears where its verdict past every edge, flipped at each edge a
+    sample is within, holds."""
+    ok = np.zeros(phis.shape[0], dtype=bool)
+    for phi_rx, flips, past in windows:
+        link_ok = _within(phis, phi_rx, flips[0])
+        for h in flips[1:]:
+            link_ok ^= _within(phis, phi_rx, h)
+        if past:
+            np.logical_not(link_ok, out=link_ok)
+        ok |= link_ok
+    return ok
+
+
+def _replay_shadowed(
     params: ChannelParams,
-    mc: McConfig,
     rng: np.random.Generator,
     phis: np.ndarray,
     device_tilt: float,
     rows: Rows,
 ) -> np.ndarray:
-    """Per-sample connectivity of a seat's links for given orientations.
-
-    Mirrors the analytic classifier exactly at zero shadowing: torso
-    blockage and the receive cone are both windows around the
-    device-to-candidate azimuth, boundaries inclusive. With shadowing the
-    SNR chain runs per sample; without it, once per arc between window
-    edges, and a link whose verdict changes at an edge is decided per
-    sample by comparing with that edge.
+    """Per-sample connectivity of a seat's links for given orientations,
+    each link drawing its own shadowing deviates: the whole SNR chain runs
+    per sample. Torso blockage and the receive cone are both windows
+    around the device-to-candidate azimuth, boundaries inclusive.
     """
     n, (dist, phi_rx, psi_rx, vertical, occluded) = phis.shape[0], rows
     ok = np.zeros(n, dtype=bool)
-    if mc.sample_shadowing:
-        log_d = _log10(dist)
-        for i in range(dist.shape[0]):
-            chi = (rng.normal(0.0, params.sigma_los_db, n),
-                   rng.normal(0.0, params.sigma_nlos_db, n))
-            ok |= _clears(params, log_d[i], psi_rx[i], vertical[i],
-                          occluded[i], device_tilt,
-                          _wrapped_offset(phis, phi_rx[i]), chi)
-        return ok
-    edges, on = _arc_outcomes(params, device_tilt, rows)
-    for i in range(on.shape[1]):
-        flips = [h for k, h in enumerate(edges) if on[k, i] != on[k + 1, i]]
-        if not flips:
-            if on[0, i]:
-                ok[:] = True
-                return ok
-            continue
-        # the verdict past every edge, flipped at each edge a sample is within
-        link_ok = _within(phis, phi_rx[i], flips[0])
-        for h in flips[1:]:
-            link_ok ^= _within(phis, phi_rx[i], h)
-        if on[-1, i]:
-            np.logical_not(link_ok, out=link_ok)
-        ok |= link_ok
+    log_d = _log10(dist)
+    for i in range(dist.shape[0]):
+        chi = (rng.normal(0.0, params.sigma_los_db, n),
+               rng.normal(0.0, params.sigma_nlos_db, n))
+        ok |= _clears(params, log_d[i], psi_rx[i], vertical[i], occluded[i],
+                      device_tilt, _wrapped_offset(phis, phi_rx[i]), chi)
+    return ok
+
+
+def _bands(
+    dist: OrientationDistribution, edges: Sequence[float]
+) -> List[List[float]]:
+    """Certified bands in uniform space around the edges' thresholds,
+    merged where they overlap, ascending: [lower end, upper end].
+
+    An edge e's threshold is the uniform the sampler maps to e, through
+    the truncated-normal CDF the partitions use. Its band starts at twice
+    the width the map's slope there asks for and widens fourfold until
+    the sampler's chain puts the lower end more than ``_EDGE_TOL +
+    _BAND_MARGIN`` below e and the upper end as far above it; an end past
+    0 or 1, where no uniform is, needs no check, so the widening stops.
+    The chain is monotone, up to rounding far below ``_BAND_MARGIN``, so
+    no uniform outside every band maps within ``_EDGE_TOL`` of an edge.
+    """
+    lo, hi = _cdf_range(dist)
+    span = hi - lo
+    e = np.array(edges)
+    z = (e - dist.mean) / dist.std
+    t = (np.array([_std_normal_cdf(x) for x in z.tolist()]) - lo) / span
+    clear = _EDGE_TOL + _BAND_MARGIN
+    z = np.minimum(np.abs(z), 40.0)  # the density is 0.0 from about 38.5
+    slope = np.exp(-0.5 * z * z) / (
+        math.sqrt(2.0 * math.pi) * dist.std * span
+    )
+    d = np.fmax(2.0 * clear * slope, 2.0 ** -52)
+    while True:
+        a, b = t - d, t + d
+        phi = _orientations(np.clip(np.concatenate([a, b]), 0.0, 1.0), dist)
+        done = (a <= 0.0) | (phi[: e.size] < e - clear)
+        done &= (b >= 1.0) | (phi[e.size:] > e + clear)
+        if done.all():
+            break
+        d = np.where(done, d, 4.0 * d)
+    merged: List[List[float]] = []
+    for lo_u, hi_u in sorted(zip(a.tolist(), b.tolist())):
+        if merged and lo_u <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi_u)
+        else:
+            merged.append([lo_u, hi_u])
+    return merged
+
+
+def _replay_uniforms(
+    u: np.ndarray, dist: OrientationDistribution, windows: List[Window]
+) -> np.ndarray:
+    """``_decide(_orientations(u, dist), windows)``, decided in uniform
+    space; u may be overwritten.
+
+    Bands around the thresholds of every window edge and of -pi and pi
+    (see ``_bands``) split the block. Between two bands no uniform maps
+    near an edge, so all of them share the verdict of the lower band's
+    upper end. Only the uniforms inside a band run the chain and the edge
+    test.
+    """
+    edges = [-math.pi, math.pi]
+    for phi_rx, flips, _ in windows:
+        for h in flips:
+            edges.extend(_window_edges(phi_rx, h)[:2])
+    bands = _bands(dist, edges)
+    if len(bands) == 1:  # one band over the whole block
+        return _decide(_orientations(u, dist), windows)
+    upper = np.array([b for _, b in bands[:-1]])
+    gaps = _decide(_orientations(upper, dist), windows)
+    ok = np.full(u.shape[0], gaps[0])
+    near = u <= bands[0][1]
+    near |= u >= bands[-1][0]
+    above, inside = np.empty_like(near), np.empty_like(near)
+    for j, (a, b) in enumerate(bands[1:-1], 1):
+        np.greater(u, b, out=above)
+        if gaps[j] != gaps[j - 1]:
+            ok ^= above
+        np.greater_equal(u, a, out=inside)
+        inside ^= above
+        near |= inside
+    idx = np.flatnonzero(near)
+    if idx.size:
+        ok[idx] = _decide(_orientations(u[idx], dist), windows)
     return ok
 
 
@@ -212,16 +343,18 @@ def _seat_rate(
         for a in (model.dist, model.phi_rx, model.psi_rx, model.vertical,
                   model.occluded)
     )
-    if not mc.sample_shadowing:
-        _, on = _arc_outcomes(params, tilt, rows)
-        if on.all(axis=0).any():
+    dist = OrientationDistribution.for_gp(model.venue, m)
+    if mc.sample_shadowing:
+        rng = _substream(mc.seed, m)
+        phis = _sample_orientations(rng, dist, mc.n_samples)
+        ok = _replay_shadowed(params, rng, phis, tilt, rows)
+    else:
+        windows = _flip_windows(params, tilt, rows)
+        if windows is None:
             return 1.0
-    rng = _substream(mc.seed, m)
-    phis = _sample_orientations(
-        rng, OrientationDistribution.for_gp(model.venue, m), mc.n_samples
-    )
-    ok = _replay_success(params, mc, rng, phis, tilt, rows)
-    return float(ok.sum()) / mc.n_samples
+        u = _uniforms(_substream(mc.seed, m), mc.n_samples)
+        ok = _replay_uniforms(u, dist, windows)
+    return float(np.count_nonzero(ok)) / mc.n_samples
 
 
 def _compare(

@@ -975,3 +975,25 @@ def replay_success(params, mc, rng, phis, device_tilt, rows):
         )
         ok |= snr >= gamma
     return ok
+
+
+def seat_rate(model, mc, m, aps):
+    """Empirical connectivity of seat m over its links to the candidates
+    ``aps``: the seat's Philox stream keyed by [seed, m], every draw
+    through ``sample_orientations`` and ``replay_success``, always-on links
+    included."""
+    if not aps:
+        return 0.0
+    gp = model.venue.grid_positions[m]
+    rng = np.random.Generator(
+        np.random.Philox(key=np.array([mc.seed, m], dtype=np.uint64))
+    )
+    dist = OrientationDistribution(mean=gp.facing, std=gp.orientation_std)
+    phis = sample_orientations(rng, dist, mc.n_samples)
+    rows = tuple(
+        a[m, list(aps)]
+        for a in (model.dist, model.phi_rx, model.psi_rx, model.vertical,
+                  model.occluded)
+    )
+    ok = replay_success(model.params, mc, rng, phis, gp.elevation, rows)
+    return float(ok.sum()) / mc.n_samples

@@ -310,8 +310,8 @@ def test_validate_with_monte_carlo(capsys, tmp_path, toy_path):
 @pytest.mark.parametrize("shadowing", [[], ["--shadowing"]])
 def test_validate_mc_matches_per_sample_replay(capsys, tmp_path, monkeypatch,
                                                shadowing):
-    # the report must not change by a byte when the sampler and the replay
-    # are the one-expression, every-sample oracles
+    # the report must not change by a byte when each seat's rate comes from
+    # the one-expression sampler and the every-sample replay oracles
     hall = tmp_path / "hall.json"
     dep_path = tmp_path / "dep.json"
     assert main(["generate", "hall", "--out", str(hall)]) == 0
@@ -329,11 +329,28 @@ def test_validate_mc_matches_per_sample_replay(capsys, tmp_path, monkeypatch,
         return stdout, out.read_bytes()
 
     got = validate(tmp_path / "mc.json")
-    monkeypatch.setattr(mmwplan.montecarlo, "_sample_orientations",
-                        oracles.sample_orientations)
-    monkeypatch.setattr(mmwplan.montecarlo, "_replay_success",
-                        oracles.replay_success)
+    monkeypatch.setattr(mmwplan.montecarlo, "_seat_rate", oracles.seat_rate)
     assert got == validate(tmp_path / "mc_oracle.json")
+
+
+@pytest.mark.parametrize("shadowing", [[], ["--shadowing"]])
+def test_validate_mc_sample_count_too_large_to_draw(capsys, tmp_path,
+                                                   toy_path, shadowing):
+    # 10**13 uniforms (80 TB) fail to allocate at once and touch no memory;
+    # that used to end in numpy's memory-error traceback
+    dep_path = tmp_path / "dep.json"
+    assert main(["plan", "--venue", toy_path, "--alpha", "0.9",
+                 "--beta", "0.7", "--out", str(dep_path)]) == 0
+    mc_path = tmp_path / "mc.json"
+    code, stdout, stderr = run(
+        capsys, "validate", "--venue", toy_path, "--deployment",
+        str(dep_path), "--alpha", "0.9", "--beta", "0.7", "--mc",
+        "--samples", str(10 ** 13), "--out", str(mc_path), *shadowing,
+    )
+    assert code == 3
+    assert "--samples" in stderr and "n_samples" in stderr
+    assert "Traceback" not in stderr
+    assert not mc_path.exists()
 
 
 @pytest.mark.parametrize("seed", ["-1", str(1 << 64)])

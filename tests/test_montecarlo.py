@@ -6,6 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from scipy.special import ndtri
 
 import mmwplan.montecarlo
 import oracles
@@ -21,8 +22,16 @@ from mmwplan import (
 )
 from mmwplan.channel import _snr, linear_to_db, main_lobe_gain
 from mmwplan.montecarlo import (
-    _replay_success,
+    _BAND_MARGIN,
+    _EDGE_TOL,
+    _bands,
+    _decide,
+    _flip_windows,
+    _replay_shadowed,
+    _replay_uniforms,
     _sample_orientations,
+    _uniforms,
+    _window_edges,
     _within,
     _wrapped_offset,
     monte_carlo_connectivity,
@@ -240,17 +249,40 @@ def test_always_on_seats_draw_nothing(monkeypatch, shadowing):
     assert always and len(always) < len(serving)
     calls = []
 
-    def counted(rng, dist, n):
+    def counted(rng, n):
         calls.append(n)
-        return _sample_orientations(rng, dist, n)
+        return _uniforms(rng, n)
 
-    monkeypatch.setattr(mmwplan.montecarlo, "_sample_orientations", counted)
+    # every seat's stream starts with its block of orientation uniforms
+    monkeypatch.setattr(mmwplan.montecarlo, "_uniforms", counted)
     mc = McConfig(n_samples=2000, seed=3, sample_shadowing=shadowing)
     report = monte_carlo_coverage(model, mc, dep)
     skipped = set() if shadowing else always
-    assert len(calls) == len(serving) - len(skipped)
+    assert calls == [mc.n_samples] * (len(serving) - len(skipped))
     for m in skipped:
         assert report["per_gp"][m]["empirical_prob"] == 1.0
+
+
+def test_few_uniforms_reach_ndtri(monkeypatch):
+    # without shadowing only the uniforms inside a band around an edge's
+    # threshold, and each band's ends, run the sampler's ndtri
+    model = PlanningModel(generate_venue("hall"), ChannelParams(), 0.9)
+    dep, _ = greedy_place(model, 0.75)
+    drawn, inverted = [], []
+
+    def counted_uniforms(rng, n):
+        drawn.append(n)
+        return _uniforms(rng, n)
+
+    def counted_ndtri(x, out=None):
+        inverted.append(np.size(x))
+        return ndtri(x, out=out)
+
+    monkeypatch.setattr(mmwplan.montecarlo, "_uniforms", counted_uniforms)
+    monkeypatch.setattr(mmwplan.montecarlo, "ndtri", counted_ndtri)
+    monte_carlo_coverage(model, McConfig(n_samples=200_000, seed=7), dep)
+    assert len(drawn) > 50
+    assert sum(inverted) < 0.01 * sum(drawn)
 
 
 def test_coverage_report_reproducible(tight_params):
@@ -329,6 +361,30 @@ def _around(points, k):
     return np.clip(near, -math.pi, math.pi)
 
 
+def _channel(links, ap_beamwidth, md_beamwidth, block, side_lobe_db,
+             alphas, offset_db, rx_db=0.0):
+    """Channel parameters whose threshold lands within 25 dB of the first
+    link's line-of-sight SNR at receive gain ``rx_db``, so its outcome can
+    change between windows; links shorter than 1 m make the outcome past
+    the edges the better one. A side lobe drawn above the device main
+    lobe, which ChannelParams refuses, is held at the main lobe."""
+    side_lobe_db = min(side_lobe_db,
+                       linear_to_db(main_lobe_gain(md_beamwidth)))
+    base = ChannelParams(
+        ap_beamwidth=ap_beamwidth,
+        md_beamwidth=md_beamwidth,
+        self_block_half_angle=block,
+        side_lobe_gain_db=side_lobe_db,
+        alpha_los=alphas[0],
+        alpha_nlos=alphas[0] + alphas[1],
+    )
+    tx_db = linear_to_db(main_lobe_gain(ap_beamwidth))
+    los_snr = float(_snr(base, math.log10(links[0][0]), tx_db, rx_db, True))
+    return replace(
+        base, fade_margin_db=los_snr - base.snr_threshold_db + offset_db
+    )
+
+
 def _example(distance, block, md_beamwidth, side_lobe_db, offset_db):
     """One link facing the device's tilt, as a hypothesis example."""
     return example(
@@ -367,26 +423,8 @@ def test_replay_matches_per_sample_oracle(links, tilt, ap_beamwidth,
                                           md_beamwidth, block, side_lobe_db,
                                           alphas, offset_db, shadowing,
                                           seed):
-    # the threshold lands within 25 dB of the first link's line-of-sight
-    # SNR before antenna gain at the device, so its outcome can change
-    # between windows; links shorter than 1 m make the outcome past the
-    # edges the better one. A side lobe drawn above the device main lobe,
-    # which ChannelParams refuses, is held at the main lobe.
-    side_lobe_db = min(side_lobe_db,
-                       linear_to_db(main_lobe_gain(md_beamwidth)))
-    base = ChannelParams(
-        ap_beamwidth=ap_beamwidth,
-        md_beamwidth=md_beamwidth,
-        self_block_half_angle=block,
-        side_lobe_gain_db=side_lobe_db,
-        alpha_los=alphas[0],
-        alpha_nlos=alphas[0] + alphas[1],
-    )
-    tx_db = linear_to_db(main_lobe_gain(ap_beamwidth))
-    los_snr = float(_snr(base, math.log10(links[0][0]), tx_db, 0.0, True))
-    params = replace(
-        base, fade_margin_db=los_snr - base.snr_threshold_db + offset_db
-    )
+    params = _channel(links, ap_beamwidth, md_beamwidth, block,
+                      side_lobe_db, alphas, offset_db)
     mc = McConfig(n_samples=1, seed=seed, sample_shadowing=shadowing)
     # every window edge and two doubles to either side, both ends and the
     # middle of the circle, and uniform draws
@@ -399,11 +437,177 @@ def test_replay_matches_per_sample_oracle(links, tilt, ap_beamwidth,
     a = np.random.Generator(np.random.Philox(key=[seed, 0]))
     b = np.random.Generator(np.random.Philox(key=[seed, 0]))
     rows = _rows(links)
-    got = _replay_success(params, mc, a, phis, tilt, rows)
+    if shadowing:
+        got = _replay_shadowed(params, a, phis, tilt, rows)
+    else:
+        windows = _flip_windows(params, tilt, rows)
+        got = (np.ones(phis.size, dtype=bool) if windows is None
+               else _decide(phis, windows))
     want = oracles.replay_success(params, mc, b, phis, tilt, rows)
     assert got.dtype == want.dtype == bool
     assert got.tobytes() == want.tobytes()
     assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used
+
+
+def _edge_on(p, h, side, shift):
+    """An azimuth whose window of half-width h has its edge on side -1
+    (``phi_rx - h``) or +1 (``phi_rx + h``) at orientation p, as exactly
+    as the doubles near ``p - side * h`` allow, then moved shift doubles."""
+    start = _wrapped(p - side * h)
+
+    def miss(phi_rx):
+        lo, hi, _ = _window_edges(phi_rx, h)
+        return abs((hi if side > 0 else lo) - p)
+
+    near = [c for c in (_ulps(start, k) for k in range(-4, 5))
+            if -math.pi <= c <= math.pi]
+    best = min(near, key=miss)
+    return min(max(_ulps(best, shift), -math.pi), math.pi)
+
+
+@settings(max_examples=300, deadline=None)
+# a line-of-sight window 1e-7 rad wide whose upper edge is the first draw:
+# the link clears only inside it, within one band around both edges
+@example(
+    distance=10.0, links=[(0.0, False, False, 0, True, 1, 0)], mean=0.0,
+    std=40.0, n=64, tilt=1.0, ap_beamwidth=2.0 * math.pi / 3.0,
+    md_beamwidth=math.pi / 2.0, block=5e-8, side_lobe_db=-2.0,
+    alphas=(2.0, 1.0), offset_db=-5.0, seed=3,
+)
+@given(
+    distance=st.floats(0.5, 100.0),
+    # per link: (psi_rx - tilt, vertical, occluded), then which drawn
+    # orientation an edge lies on (-1: pi, -2: -pi), whether it is the
+    # line-of-sight edge or the cone's, which side of the window, and how
+    # many doubles it moves; an occluded link never clears at this
+    # threshold, so it is rarer
+    links=st.lists(
+        st.tuples(st.one_of(st.just(0.0), st.floats(-1.0, 1.0)),
+                  st.booleans(), st.sampled_from([False, False, True]),
+                  st.integers(-2, 10 ** 6), st.booleans(),
+                  st.sampled_from([-1, 1]), st.integers(-3, 3)),
+        min_size=1, max_size=3,
+    ),
+    mean=st.one_of(st.sampled_from([-math.pi, math.pi]),
+                   st.floats(-math.pi, math.pi)),
+    std=st.sampled_from([1e-9, 0.05, 40.0, 1e6]),
+    n=st.sampled_from([1, 64, 3000]),
+    tilt=st.floats(0.0, math.pi),
+    ap_beamwidth=st.floats(0.05, 2.0 * math.pi, exclude_max=True),
+    # a cone of 1e-7 rad and a block of 2 * 5e-8 rad: windows narrower
+    # than a band, both edges in one
+    md_beamwidth=st.one_of(
+        st.sampled_from([math.pi / 2.0, math.pi, 1e-7]),
+        st.floats(1e-6, 2.0 * math.pi, exclude_max=True),
+    ),
+    block=st.one_of(
+        st.sampled_from([math.pi / 2.0, 3.0, 5e-8]),
+        st.floats(1e-6, math.pi, exclude_max=True),
+    ),
+    side_lobe_db=st.floats(-10.0, 6.0),
+    alphas=st.tuples(st.floats(1.5, 3.0), st.floats(0.0, 2.0)),
+    offset_db=st.floats(-20.0, 2.0),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_uniform_replay_matches_per_sample_oracle(distance, links, mean,
+                                                  std, n, tilt, ap_beamwidth,
+                                                  md_beamwidth, block,
+                                                  side_lobe_db, alphas,
+                                                  offset_db, seed):
+    # links of one length, each with a window edge (line of sight or
+    # receive cone, either side) on an orientation the seat's stream draws,
+    # on -pi or pi, or a few doubles beside it; the threshold lies at most
+    # 20 dB below the best arc's SNR, so links mostly change at an edge
+    dist = OrientationDistribution(mean=mean, std=std)
+    drawn = oracles.sample_orientations(
+        np.random.Generator(np.random.Philox(key=[seed, 0])), dist, n
+    )
+    placed = [
+        (distance,
+         _edge_on(float(drawn[k % n]) if k >= 0 else math.pi * (2 * k + 3),
+                  block if on_block else md_beamwidth / 2.0, side, shift),
+         min(max(tilt + elevation, 0.0), math.pi), vertical, occluded)
+        for elevation, vertical, occluded, k, on_block, side, shift in links
+    ]
+    # the threshold is set by the receive main lobe, which a narrow
+    # device beam makes strong
+    params = _channel(placed, ap_beamwidth, md_beamwidth, block,
+                      side_lobe_db, alphas, offset_db,
+                      linear_to_db(main_lobe_gain(md_beamwidth)))
+    rows = _rows(placed)
+
+    def oracle(rng, size):
+        return oracles.replay_success(
+            params, McConfig(n_samples=size), rng,
+            oracles.sample_orientations(rng, dist, size), tilt, rows,
+        )
+
+    a = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    b = np.random.Generator(np.random.Philox(key=[seed, 0]))
+    want = oracle(b, n)
+    windows = _flip_windows(params, tilt, rows)
+    if windows is None:
+        # a link clears at every offset: rate 1.0, nothing drawn
+        assert want.all()
+        return
+    got = _replay_uniforms(_uniforms(a, n), dist, windows)
+    assert got.dtype == want.dtype == bool
+    assert got.tobytes() == want.tobytes()
+    assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used
+    # uniforms a few doubles from each edge's threshold and from 0 and 1,
+    # where the bands lie, decided as the chain decides them
+    lo, hi = (oracles._std_cdf((x - mean) / std) for x in (-math.pi, math.pi))
+    thresholds = [
+        (oracles._std_cdf((e - mean) / std) - lo) / (hi - lo)
+        for phi_rx, flips, _ in windows for h in flips
+        for e in _window_edges(phi_rx, h)[:2]
+    ]
+    u = np.clip(_around([0.0, 1.0] + thresholds, 3), 0.0, _ulps(1.0, -1))
+    got = _replay_uniforms(u.copy(), dist, windows)
+    assert got.tobytes() == oracle(_Fixed(u), u.size).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    mean=st.one_of(st.sampled_from([-math.pi, 0.0, math.pi]),
+                   st.floats(-math.pi, math.pi)),
+    std=st.one_of(st.sampled_from([1e-9, 1e-8, 0.05, 40.0, 1e6]),
+                  st.floats(1e-9, 10.0)),
+    # edges as offsets from the mean in standard deviations, or anywhere
+    offsets=st.lists(st.floats(-6.0, 6.0), max_size=4),
+    anywhere=st.lists(st.floats(-math.pi, math.pi), max_size=3),
+    seed=st.integers(0, 2 ** 32),
+)
+def test_uniforms_outside_bands_map_clear_of_every_edge(mean, std, offsets,
+                                                        anywhere, seed):
+    # the doubles just outside each band and random uniforms outside every
+    # band, pushed through the sampler, land farther than the edge test's
+    # reach from every edge, with half the margin to spare for rounding
+    dist = OrientationDistribution(mean=mean, std=std)
+    edges = [-math.pi, math.pi] + anywhere + [
+        min(max(mean + k * std, -math.pi), math.pi) for k in offsets
+    ]
+    bands = _bands(dist, edges)
+    probes = [x for a, b in bands for x in (_ulps(a, -1), _ulps(b, 1))]
+    u = np.concatenate([probes, np.random.default_rng(seed).random(500)])
+    outside = (u >= 0.0) & (u < 1.0)
+    for a, b in bands:
+        outside &= (u < a) | (u > b)
+    u = u[outside]
+    phis = oracles.sample_orientations(_Fixed(u), dist, u.size)
+    clear = np.abs(phis[:, None] - np.array(edges)[None, :]).min(axis=1)
+    assert (clear > _EDGE_TOL + _BAND_MARGIN / 2.0).all()
+
+
+class _Fixed:
+    """A stand-in generator whose uniforms are given."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
 
 
 @pytest.mark.parametrize("center, half", [
