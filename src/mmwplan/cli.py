@@ -296,6 +296,11 @@ def cmd_validate(args: argparse.Namespace) -> int:
     model = PlanningModel(venue, params, args.beta)
     report = evaluate_coverage(model, deployment)
     ok = report.normalized_coverage >= args.alpha
+    # the replay runs before anything is printed, so one that fails on its
+    # input leaves stdout empty
+    mc_report = (
+        None if mc is None else monte_carlo_coverage(model, mc, deployment)
+    )
     print(
         f"aps={len(deployment.selected)} "
         f"coverage={report.coverage:.4f} "
@@ -303,7 +308,6 @@ def cmd_validate(args: argparse.Namespace) -> int:
         f"target={args.alpha:.4f} {'ok' if ok else 'below target'}"
     )
     if mc is not None:
-        mc_report = monte_carlo_coverage(model, mc, deployment)
         outside = [
             row["id"]
             for row in mc_report["per_gp"]

@@ -40,7 +40,6 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channel import ChannelParams, _clears, _log10
 from .inputs import MC_CONFIG, check
@@ -92,6 +91,14 @@ def _uniforms(rng: np.random.Generator, n: int) -> np.ndarray:
             f"n_samples={n} orientation draws do not fit in memory; "
             "lower --samples"
         ) from None
+
+
+def ndtri(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``scipy.special.ndtri``, imported on the first call: the replay is
+    scipy's only user, so ``plan`` and ``compare`` start without it."""
+    from scipy.special import ndtri as scipy_ndtri
+
+    return scipy_ndtri(x, out=out)
 
 
 def _cdf_range(dist: OrientationDistribution) -> Tuple[float, float]:

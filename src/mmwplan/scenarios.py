@@ -8,11 +8,14 @@ set of active links is constant. Those cells, weighted by their Gaussian
 mass, are the only scenarios with non-zero probability; the probability
 that any link in an assigned set is active is a plain sum of cell masses.
 
-``seat_partition`` builds a seat's partition from its links' azimuths and
-active half-widths, deciding every cell's membership with one broadcast
-test. Arc endpoints and cell midpoints are wrapped with ``math.atan2`` and
-the masses use ``math.erf``, as a cell-by-cell walk would, so the
-partition has the bits of the scalar walk kept in the test oracles.
+``seat_partitions`` builds the partitions of a whole venue from its
+links' azimuths and active half-widths, many seats at a time: one sort
+finds every seat's boundaries, and one test over all (cell, arc) pairs of
+the batch decides every cell's membership. ``seat_partition`` is the same
+build for one seat. Arc endpoints and cell midpoints are wrapped with
+``math.atan2`` and the masses use ``math.erf``, as a cell-by-cell walk
+would, so the partition has the bits of the scalar walk kept in the test
+oracles.
 
 All azimuths in the toolkit live in [-pi, pi]; ``wrap_angle`` and
 ``wrap_angles`` bring other angles there with ``math.atan2``.
@@ -22,11 +25,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Union
+from typing import List, Sequence, Tuple, Union
 
 import numpy as np
 
-from .venue import Venue
+from .venue import Venue, _runs
 
 _SQRT2 = math.sqrt(2.0)
 TWO_PI = 2.0 * math.pi
@@ -103,58 +106,119 @@ class ScenarioPartition:
         )
 
 
-def _partition(
-    gp_id: int,
-    dist: OrientationDistribution,
-    always: np.ndarray,
-    arc_ap: np.ndarray,
-    arc_lo: np.ndarray,
-    arc_hi: np.ndarray,
-) -> ScenarioPartition:
-    """Cut the circle at the endpoints of the proper arcs (candidate
-    ``arc_ap[k]`` active from ``arc_lo[k]`` to ``arc_hi[k]``) and weigh
-    each cell by its mass under ``dist``.
+# (cell, arc) pairs per batch of seat_partitions, counted as the bound
+# 2 x arcs^2 of each seat; the batch's temporaries are a few dozen bytes
+# per pair
+_PARTITION_PAIRS = 1 << 15
 
-    A cell's membership is decided at its midpoint, which is safely
-    interior because boundaries are exactly the arc endpoints; one
-    broadcast wrapped-arc test of shape (cells, arcs) covers every pair.
-    Lengths, midpoints and masses use the operations of the scalar
-    cell-by-cell walk (arc length, ``wrap_angle``, erf masses): the
-    normal CDF is evaluated once per boundary and once at each of -pi and
-    pi, and each cell's mass is the sum, from 0, over its one or two
-    segments, with the empty segment at +-pi worth 0.0.
+
+def _boundaries(
+    ends: np.ndarray, seat: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each seat's distinct arc endpoints, ascending, and their seats.
+
+    ``ends`` lists the endpoints in arc order, ``seat`` their seats. A
+    stable sort by (seat, value) keeps the first of each run of equal
+    values, so a seat gets ``sorted(set(its ends))``, which keeps the
+    first seen of 0.0 and -0.0.
     """
-    # endpoints in arc order, so a tie between 0.0 and -0.0 keeps the
-    # first one seen
-    ends = np.column_stack((arc_lo, arc_hi)).ravel().tolist()
-    bounds = sorted(set(ends))
-    if not bounds:
-        return ScenarioPartition(
-            gp_id, bounds, np.array([1.0]), always[None, :], always
-        )
+    order = np.lexsort((ends, seat))
+    ends, seat = ends[order], seat[order]
+    first = np.ones(len(ends), dtype=bool)
+    first[1:] = (seat[1:] != seat[:-1]) | (ends[1:] != ends[:-1])
+    return ends[first], seat[first]
 
-    b = np.array(bounds)
-    # cells 0..n-2 run upward; the last wraps through +-pi and splits into
-    # [b[-1], pi] and [-pi, b[0]]
-    length = np.append(b[1:] - b[:-1], (b[0] - b[-1]) + TWO_PI)
-    x = wrap_angles(b + 0.5 * length)[:, None]
-    lo, hi = arc_lo[None, :], arc_hi[None, :]
-    inside = np.where(lo < hi, (lo <= x) & (x <= hi), (x >= lo) | (x <= hi))
-    visible = np.repeat(always[None, :], len(bounds), axis=0)
-    np.logical_or.at(visible, (slice(None), arc_ap), inside)
 
-    mean, std = dist.mean, dist.std
-    cdf = np.array([_std_normal_cdf((e - mean) / std) for e in bounds])
-    cdf_hi = _std_normal_cdf((math.pi - mean) / std)
-    cdf_lo = _std_normal_cdf((-math.pi - mean) / std)
+def _partitions(
+    gp_ids: Sequence[int],
+    mean: np.ndarray,
+    std: np.ndarray,
+    phi_rx: np.ndarray,
+    reach: np.ndarray,
+) -> List[ScenarioPartition]:
+    """The partitions of a batch of seats: row i of ``phi_rx`` and
+    ``reach`` holds the links of seat ``gp_ids[i]``, whose orientation
+    has mean ``mean[i]`` and deviation ``std[i]``.
+
+    The proper arcs (reach above 0 and below pi) of every seat are wrapped
+    at once, and ``_boundaries`` gives each seat's boundaries. A cell's
+    membership is decided at its midpoint, safely interior because
+    boundaries are exactly the arc endpoints, by one wrapped-arc test over
+    every (cell, arc) pair of the batch that share a seat. Lengths,
+    midpoints and masses use the operations of the scalar cell-by-cell
+    walk (arc length, ``wrap_angle``, erf masses): the normal CDF is
+    evaluated once per boundary and once at each of -pi and pi, and each
+    cell's mass is the sum, from 0, over its one or two segments, with the
+    empty segment at +-pi worth 0.0. A seat without boundaries has one
+    cell, the whole circle, of mass 1.0. Each seat's ``visible``,
+    ``cell_probs`` and ``always_on`` are row slices of batch arrays.
+    """
+    n = reach.shape[0]
+    always = reach >= math.pi
+    seat, arc_ap = np.nonzero((reach > 0.0) & ~always)
+    center, half = phi_rx[seat, arc_ap], reach[seat, arc_ap]
+    arc_lo = wrap_angles(center - half)
+    arc_hi = wrap_angles(center + half)
+    if np.any(arc_lo == arc_hi):
+        raise ValueError("arc endpoints coincide")
+
+    b, b_seat = _boundaries(
+        np.column_stack((arc_lo, arc_hi)).ravel(), np.repeat(seat, 2)
+    )
+    n_b = np.bincount(b_seat, minlength=n)
+    b_first = np.cumsum(n_b) - n_b
+    n_cells = np.maximum(n_b, 1)
+    row_first = np.cumsum(n_cells) - n_cells
+    # cell k of a seat with boundaries runs from its k-th boundary; the
+    # last one wraps through +-pi and splits into [b[-1], pi] and [-pi, b[0]]
+    row = row_first[b_seat] + (np.arange(len(b)) - b_first[b_seat])
+    has = n_b > 0
+    first, last = b_first[has], b_first[has] + n_b[has] - 1
+    length = np.append(b[1:], 0.0) - b
+    length[last] = (b[first] - b[last]) + TWO_PI
+    x = wrap_angles(b + 0.5 * length)
+
+    n_arcs = np.bincount(seat, minlength=n)
+    cell, at = _runs((np.cumsum(n_arcs) - n_arcs)[b_seat], n_arcs[b_seat])
+    xc = x[cell]
+    # the wrapped-arc test: lo <= x <= hi, or x >= lo or x <= hi for an
+    # arc through +-pi (lo > hi). Outside an arc exactly one of lo <= x
+    # and x <= hi holds when lo < hi, and neither when lo > hi.
+    inside = (arc_lo[at] <= xc) ^ (xc <= arc_hi[at]) ^ (arc_lo < arc_hi)[at]
+    cell, at = cell[inside], at[inside]
+    visible = always[np.repeat(np.arange(n), n_cells)]
+    visible.reshape(-1)[row[cell] * reach.shape[1] + arc_ap[at]] = True
+
+    z = np.concatenate((
+        (b - mean[b_seat]) / std[b_seat],
+        (math.pi - mean) / std,
+        (-math.pi - mean) / std,
+    )) / _SQRT2
+    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z.tolist()]))
+    cdf, cdf_hi, cdf_lo = cdf[:len(b)], cdf[len(b):-n], cdf[-n:]
     trunc = cdf_hi - cdf_lo
-    probs = np.empty(len(bounds))
-    probs[:-1] = (cdf[1:] - cdf[:-1]) / trunc
-    upper = 0.0 if math.pi <= bounds[-1] else (cdf_hi - cdf[-1]) / trunc
-    lower = 0.0 if bounds[0] <= -math.pi else (cdf[0] - cdf_lo) / trunc
-    probs[-1] = 0 + upper + lower
+    probs = np.ones(len(visible))
+    # every cell's upward segment; a seat's last cell is then replaced by
+    # its segments [b[-1], pi] and [-pi, b[0]]
+    probs[row[:-1]] = (cdf[1:] - cdf[:-1]) / trunc[b_seat[:-1]]
+    t = trunc[has]
+    upper = np.where(math.pi <= b[last], 0.0, (cdf_hi[has] - cdf[last]) / t)
+    lower = np.where(b[first] <= -math.pi, 0.0, (cdf[first] - cdf_lo[has]) / t)
+    probs[row[last]] = 0.0 + upper + lower
 
-    return ScenarioPartition(gp_id, bounds, probs, visible, always)
+    bounds = b.tolist()
+    return [
+        ScenarioPartition(
+            gp,
+            bounds[f:f + k],
+            probs[r:r + c],
+            visible[r:r + c],
+            always[i],
+        )
+        for i, (gp, f, k, r, c) in enumerate(zip(
+            gp_ids, b_first.tolist(), n_b.tolist(), row_first.tolist(),
+            n_cells.tolist()))
+    ]
 
 
 def seat_partition(
@@ -169,18 +233,42 @@ def seat_partition(
     Column l of ``phi_rx`` and ``reach`` is the link to candidate l. A
     reach of 0 is never active, a reach of pi or more is always on, and any
     other reach is the closed arc from ``phi_rx - reach`` to
-    ``phi_rx + reach``, wrapped into [-pi, pi], for all links at once.
-    Raises ``ValueError`` when an arc is too narrow for its wrapped
-    endpoints to differ.
+    ``phi_rx + reach``, wrapped into [-pi, pi]. Raises ``ValueError`` when
+    an arc is too narrow for its wrapped endpoints to differ.
     """
-    always = reach >= math.pi
-    arc_ap = np.flatnonzero((reach > 0.0) & ~always)
-    center, half = phi_rx[arc_ap], reach[arc_ap]
-    arc_lo = wrap_angles(center - half)
-    arc_hi = wrap_angles(center + half)
-    if np.any(arc_lo == arc_hi):
-        raise ValueError("arc endpoints coincide")
-    return _partition(gp_id, dist, always, arc_ap, arc_lo, arc_hi)
+    return _partitions(
+        [gp_id],
+        np.array([dist.mean], dtype=float),
+        np.array([dist.std], dtype=float),
+        np.asarray(phi_rx, dtype=float)[None, :],
+        np.asarray(reach, dtype=float)[None, :],
+    )[0]
+
+
+def seat_partitions(
+    venue: Venue, phi_rx: np.ndarray, reach: np.ndarray
+) -> List[ScenarioPartition]:
+    """``seat_partition`` of every seat of the venue, from the (n_grid,
+    n_candidates) arrays of its links. Consecutive seats share a batch
+    while their (cell, arc) pairs, at most twice their arcs squared, stay
+    within ``_PARTITION_PAIRS``."""
+    mean = np.array([gp.facing for gp in venue.grid_positions], dtype=float)
+    std = np.array(
+        [gp.orientation_std for gp in venue.grid_positions], dtype=float
+    )
+    n_arcs = ((reach > 0.0) & (reach < math.pi)).sum(axis=1)
+    starts, pairs = [], 0
+    for m, cost in enumerate((2 * n_arcs * n_arcs).tolist()):
+        if m == 0 or pairs + cost > _PARTITION_PAIRS:
+            starts.append(m)
+            pairs = 0
+        pairs += cost
+    out: List[ScenarioPartition] = []
+    for s, e in zip(starts, starts[1:] + [venue.n_grid]):
+        out += _partitions(
+            range(s, e), mean[s:e], std[s:e], phi_rx[s:e], reach[s:e]
+        )
+    return out
 
 
 def connectivity_probability(
@@ -217,5 +305,6 @@ __all__ = [
     "OrientationDistribution",
     "ScenarioPartition",
     "seat_partition",
+    "seat_partitions",
     "connectivity_probability",
 ]

@@ -63,10 +63,10 @@ from .errors import (
 )
 from .inputs import DEPLOYMENT, read, write
 from .scenarios import (
-    OrientationDistribution,
     ScenarioPartition,
     connectivity_probability,
     seat_partition,
+    seat_partitions,
 )
 from .venue import Venue, occlusion_matrix
 
@@ -178,11 +178,12 @@ class PlanningModel:
     (M, L) array over all (seat, candidate) pairs: view-ray azimuths
     ``phi_tx``/``phi_rx``, the steering elevation ``nadir_tx`` (angle
     from straight down), the receive elevation ``psi_rx``, ``dist`` and
-    ``vertical``; ``occluded`` from ``occlusion_matrix`` (one batched slab
-    test per seat); the active half-widths ``reach`` from
-    ``_active_half_width`` at the aligned transmit gain, where 0 is never
-    on and pi is always on; and one ``seat_partition`` per seat straight
-    from its rows of ``phi_rx`` and ``reach``. ``_beam`` is the one test
+    ``vertical``; ``occluded`` from ``occlusion_matrix`` (batches of
+    seats, each prism pruned by its own top); the active half-widths
+    ``reach`` from ``_active_half_width`` at the aligned transmit gain,
+    where 0 is never on and pi is always on; and every seat's partition
+    from ``seat_partitions``, many seats at a time, straight from the
+    rows of ``phi_rx`` and ``reach``. ``_beam`` is the one test
     of users against a steered beam, read by the footprints and by
     ``evaluate_coverage``. Where a value's bits reach the outputs the
     scalar ``math`` functions stay: ``math.log10`` per distance,
@@ -232,6 +233,9 @@ class PlanningModel:
             self.vertical, 0.0, np.arctan2(-down[:, :, 1], -down[:, :, 0])
         )
         self.psi_rx = np.arccos(np.clip(-down[:, :, 2] / self.dist, -1.0, 1.0))
+        # the build's peak memory is set after this point, so free the
+        # (M, L, 3) offsets and the (M, L) temporaries first
+        del down, horiz, psi_tx
         self.occluded = occlusion_matrix(venue)
 
         tilt = np.array([gp.elevation for gp in venue.grid_positions])
@@ -244,15 +248,9 @@ class PlanningModel:
             tilt[:, None],
         )
         self.usable = self.reach > 0.0
-        self.partitions: List[ScenarioPartition] = [
-            seat_partition(
-                m,
-                OrientationDistribution.for_gp(venue, m),
-                self.phi_rx[m],
-                self.reach[m],
-            )
-            for m in range(self.M)
-        ]
+        self.partitions: List[ScenarioPartition] = seat_partitions(
+            venue, self.phi_rx, self.reach
+        )
 
         self.thetas = params.elevation_grid
         self.phis = params.azimuth_grid

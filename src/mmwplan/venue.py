@@ -161,26 +161,27 @@ def _blocker_arrays(
 def _segment_hits_boxes(
     p0: np.ndarray, p1: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Slab test of the open segments (p0, p1) against closed boxes.
+    """Slab test of open segments (p0, p1) against closed boxes [lo, hi].
 
-    ``p1`` is one end point of shape (3,) or a stack of shape (..., 3);
-    the result holds one boolean per (segment, box), shape (..., B).
-    Touching a box face counts as a hit. An axis along which a segment
-    does not move cannot bound its parameter; the segment then misses
-    every box whose slab on that axis does not contain it.
+    The four arguments are points of shape (..., 3) that broadcast
+    together; the result holds one boolean per segment-box pair, shape
+    (...). Touching a box face counts as a hit. An axis along which a
+    segment does not move cannot bound its parameter; the segment then
+    misses every box whose slab on that axis does not contain it.
     """
-    d = (np.asarray(p1, dtype=float) - p0)[..., None, :]
-    shape = d.shape[:-2] + (lo.shape[0],)
+    p0 = np.asarray(p0, dtype=float)
+    d = np.asarray(p1, dtype=float) - p0
+    shape = np.broadcast_shapes(d.shape, lo.shape, hi.shape)[:-1]
     t_near = np.full(shape, -np.inf)
     t_far = np.full(shape, np.inf)
     miss = np.zeros(shape, dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for ax in range(3):
-            d_ax = d[..., ax]
+            s_ax, d_ax = p0[..., ax], d[..., ax]
             flat = d_ax == 0.0
-            miss |= flat & ((p0[ax] < lo[:, ax]) | (p0[ax] > hi[:, ax]))
-            ta = (lo[:, ax] - p0[ax]) / d_ax
-            tb = (hi[:, ax] - p0[ax]) / d_ax
+            miss |= flat & ((s_ax < lo[..., ax]) | (s_ax > hi[..., ax]))
+            ta = (lo[..., ax] - s_ax) / d_ax
+            tb = (hi[..., ax] - s_ax) / d_ax
             t_near = np.where(
                 flat, t_near, np.maximum(t_near, np.minimum(ta, tb))
             )
@@ -188,44 +189,130 @@ def _segment_hits_boxes(
     return ~miss & (t_near <= t_far) & (t_far > 0.0) & (t_near < 1.0)
 
 
-# margin around the region a prism must reach to be tested at all, in m
+# margin around the region a prism must reach to be tested at all, in m,
+# and around the azimuths a prism spans as seen from a seat, in rad
 _PRUNE_PAD = 1e-6
+_AZIMUTH_PAD = 1e-9
+# seats per batch of occlusion_matrix; its temporaries grow with
+# batch x prisms and with the (seat, prism, mount) triples of a batch
+_OCCLUSION_BATCH = 32
+# row stride of the batch's azimuth table, more than its 4 pi per row
+_AZIMUTH_STRIDE = 16.0
 
 
-def _seat_occlusion(
-    p0: np.ndarray, mounts: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Which open segments from ``p0`` to each mount cut one of the boxes.
+def _runs(first: np.ndarray, count: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Run index and position of every element of the runs
+    ``[first[i], first[i] + count[i])``, run after run."""
+    run = np.repeat(np.arange(len(count)), count)
+    at = np.arange(len(run)) + np.repeat(first - (np.cumsum(count) - count), count)
+    return run, at
 
-    A box can only be cut where a segment runs below the highest box top,
-    so boxes whose xy extent misses the xy bounding box of those parts
-    (padded by ``_PRUNE_PAD``) are dropped first; a box that is kept gets
-    the exact slab test.
+
+def _near_pairs(
+    p0: np.ndarray, ids: np.ndarray, d: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray, owner: np.ndarray, width: float,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The (seat, prism) pairs of a batch that any segment from the seat
+    can meet: seat ``p0[i]`` (id ``ids[i]``) with rays ``d[i]`` to every
+    mount, against prisms sorted by ``lo[:, 0]`` and at most ``width``
+    wide in x.
+
+    Every segment rises (``Venue.validate`` puts every mount above every
+    seat), so it can only meet prism k along its part below k's top. That
+    part lies in the seat's xy box of every segment's part below the
+    highest top, and within ``max(top_k - z_seat, 0)`` times the steepest
+    horizontal-to-rise ratio of the seat's segments from the seat. The
+    prisms whose x range can meet that region are one run of the sorted
+    prisms; a pair is kept when the prism's xy box meets the region for
+    its own top, padded by ``_PRUNE_PAD``, and the prism is not the
+    seat's own.
     """
-    out = np.zeros(mounts.shape[0], dtype=bool)
-    if lo.shape[0] == 0:
-        return out
-    d = mounts - p0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_top = np.clip((hi[:, 2].max() - p0[2]) / d[:, 2], 0.0, 1.0)
-    # a segment that does not rise keeps its whole length
-    t_top = np.where(d[:, 2] > 0.0, t_top, 1.0)
-    ends = p0[:2] + t_top[:, None] * d[:, :2]
-    xy_lo = np.minimum(ends.min(axis=0), p0[:2]) - _PRUNE_PAD
-    xy_hi = np.maximum(ends.max(axis=0), p0[:2]) + _PRUNE_PAD
-    near = np.all((hi[:, :2] >= xy_lo) & (lo[:, :2] <= xy_hi), axis=1)
-    if near.any():
-        out = _segment_hits_boxes(p0, mounts, lo[near], hi[near]).any(axis=1)
-    return out
+    rise = d[..., 2]
+    top = hi[:, 2].max()
+    t = np.clip((top - p0[:, 2:3]) / rise, 0.0, 1.0)
+    ends = p0[:, None, :2] + t[..., None] * d[..., :2]
+    slope = (np.hypot(d[..., 0], d[..., 1]) / rise).max(axis=1)
+    reach = np.maximum(top - p0[:, 2], 0.0) * slope + _PRUNE_PAD
+    box_lo = np.maximum(
+        np.minimum(ends.min(axis=1), p0[:, :2]) - _PRUNE_PAD,
+        p0[:, :2] - reach[:, None],
+    )
+    box_hi = np.minimum(
+        np.maximum(ends.max(axis=1), p0[:, :2]) + _PRUNE_PAD,
+        p0[:, :2] + reach[:, None],
+    )
+    # the batch's run of prisms whose x range can meet one of its boxes
+    a = int(np.searchsorted(lo[:, 0], box_lo[:, 0].min() - width, "left"))
+    b = int(np.searchsorted(lo[:, 0], box_hi[:, 0].max(), "right"))
+    lo, hi = lo[a:b], hi[a:b]
+    radius = (
+        np.maximum(hi[None, :, 2] - p0[:, 2:3], 0.0) * slope[:, None]
+        + _PRUNE_PAD
+    )
+    near = owner[None, a:b] != ids[:, None]
+    for ax in (0, 1):
+        c = p0[:, ax:ax + 1]
+        near &= hi[None, :, ax] >= np.maximum(box_lo[:, ax:ax + 1], c - radius)
+        near &= lo[None, :, ax] <= np.minimum(box_hi[:, ax:ax + 1], c + radius)
+    seat, k = np.nonzero(near)
+    return seat, k + a
+
+
+def _window_mounts(
+    p0: np.ndarray, d: np.ndarray, seat: np.ndarray,
+    lo: np.ndarray, hi: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """For each pair (seat ``seat[j]`` of the batch, box ``lo[j]``,
+    ``hi[j]``), the mounts whose segment from the seat heads into the
+    box's azimuths, as (pair index, mount) rows.
+
+    A segment meets a box only where its xy shadow, a ray from the seat
+    along its azimuth, meets the box's. A seat at least ``_PRUNE_PAD``
+    outside the box padded by ``_PRUNE_PAD`` sees that padded box span an
+    azimuth window clearly narrower than pi, widened by ``_AZIMUTH_PAD``;
+    a seat nearer gets every mount. Each seat's mounts are sorted by
+    azimuth twice round the circle, so a window is one run of them.
+    """
+    n_rows, n_mounts = d.shape[:2]
+    az = np.arctan2(d[..., 1], d[..., 0])
+    order = np.argsort(az, axis=1)
+    ring = np.take_along_axis(az, order, axis=1)
+    offset = _AZIMUTH_STRIDE * np.arange(n_rows)[:, None]
+    keys = (np.concatenate((ring, ring + 2.0 * np.pi), axis=1) + offset).ravel()
+    mount_at = np.concatenate((order, order), axis=1).ravel()
+
+    xy = p0[seat, :2]
+    x0, y0 = (lo[:, :2] - _PRUNE_PAD - xy).T
+    x1, y1 = (hi[:, :2] + _PRUNE_PAD - xy).T
+    inside = (
+        (x0 <= _PRUNE_PAD) & (x1 >= -_PRUNE_PAD)
+        & (y0 <= _PRUNE_PAD) & (y1 >= -_PRUNE_PAD)
+    )
+    corner = np.arctan2(np.stack((y0, y0, y1, y1)), np.stack((x0, x1, x0, x1)))
+    rel = np.remainder(corner - corner[0] + np.pi, 2.0 * np.pi) - np.pi
+    start = corner[0] + rel.min(axis=0) - _AZIMUTH_PAD
+    width = rel.max(axis=0) - rel.min(axis=0) + 2.0 * _AZIMUTH_PAD
+    start = np.remainder(start + np.pi, 2.0 * np.pi) - np.pi
+    base = _AZIMUTH_STRIDE * seat
+    first = np.searchsorted(keys, start + base, side="left")
+    count = np.searchsorted(keys, start + width + base, side="right") - first
+    first = np.where(inside, 2 * n_mounts * seat, first)
+    count = np.where(inside, n_mounts, np.minimum(count, n_mounts))
+    pair, at = _runs(first, count)
+    return pair, mount_at[at]
 
 
 def occlusion_matrix(venue: Venue) -> np.ndarray:
     """Boolean (n_grid, n_candidates) matrix: whether a blocker not owned
     by the seat cuts the open segment from the seat to the candidate.
 
-    One batched slab test per seat over all (candidate, prism) pairs, after
-    the prune of ``_seat_occlusion``; peak memory is one (L, B) array per
-    seat, never (M, L, B).
+    Seats go in batches of ``_OCCLUSION_BATCH``. A batch keeps the
+    (seat, prism) pairs of ``_near_pairs``, then for each pair the mounts
+    of ``_window_mounts`` whose segment's part below that prism's own top
+    has an xy box meeting the prism, padded by ``_PRUNE_PAD``. One slab
+    test runs on the surviving (seat, prism, mount) triples, and its hits
+    are scattered into the matrix. The prunes drop only triples the slab
+    test misses, so the matrix is that of testing every triple.
     """
     lo, hi, owner = _blocker_arrays(venue)
     occ = np.zeros((venue.n_grid, venue.n_candidates), dtype=bool)
@@ -233,9 +320,29 @@ def occlusion_matrix(venue: Venue) -> np.ndarray:
         return occ
     seats = np.array([gp.position for gp in venue.grid_positions], dtype=float)
     mounts = np.array([c.position for c in venue.candidates], dtype=float)
-    for m in range(venue.n_grid):
-        keep = owner != m
-        occ[m] = _seat_occlusion(seats[m], mounts, lo[keep], hi[keep])
+    by_x = np.argsort(lo[:, 0])
+    lo, hi, owner = lo[by_x], hi[by_x], owner[by_x]
+    width = float((hi[:, 0] - lo[:, 0]).max()) + _PRUNE_PAD
+    for s in range(0, venue.n_grid, _OCCLUSION_BATCH):
+        ids = np.arange(s, min(s + _OCCLUSION_BATCH, venue.n_grid))
+        p0 = seats[ids]
+        d = mounts[None, :, :] - p0[:, None, :]
+        seat, k = _near_pairs(p0, ids, d, lo, hi, owner, width)
+        pair, l = _window_mounts(p0, d, seat, lo[k], hi[k])
+        seat, k = seat[pair], k[pair]
+        # the part of each segment below its prism's top, by xy box
+        dd = d[seat, l]
+        t = np.clip((hi[k, 2] - p0[seat, 2]) / dd[:, 2], 0.0, 1.0)
+        xy = p0[seat, :2]
+        ends = xy + t[:, None] * dd[:, :2]
+        near = np.all(
+            (hi[k, :2] >= np.minimum(ends, xy) - _PRUNE_PAD)
+            & (lo[k, :2] <= np.maximum(ends, xy) + _PRUNE_PAD),
+            axis=1,
+        )
+        seat, k, l = seat[near], k[near], l[near]
+        hit = _segment_hits_boxes(p0[seat], mounts[l], lo[k], hi[k])
+        occ[ids[seat[hit]], l[hit]] = True
     return occ
 
 

@@ -12,9 +12,14 @@ from mmwplan import ChannelParams, generate_venue
 from mmwplan.venue import BodyPrism, CandidateLocation, GridPosition, Venue
 
 # Property tests replay the same examples on every run, never time out on a
-# loaded host, and keep no example database on disk.
+# loaded host, and keep no example database on disk. "mmwplan-deep" runs
+# 2000 examples per test; select it with --hypothesis-profile, which the
+# hypothesis plugin applies after this module has loaded "mmwplan".
 settings.register_profile(
     "mmwplan", deadline=None, derandomize=True, database=None
+)
+settings.register_profile(
+    "mmwplan-deep", settings.get_profile("mmwplan"), max_examples=2000
 )
 settings.load_profile("mmwplan")
 

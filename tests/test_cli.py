@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import replace
 
@@ -348,6 +351,7 @@ def test_validate_mc_sample_count_too_large_to_draw(capsys, tmp_path,
         "--samples", str(10 ** 13), "--out", str(mc_path), *shadowing,
     )
     assert code == 3
+    assert stdout == ""
     assert "--samples" in stderr and "n_samples" in stderr
     assert "Traceback" not in stderr
     assert not mc_path.exists()
@@ -370,6 +374,17 @@ def test_validate_mc_rejects_seed_outside_64_bits(capsys, tmp_path, toy_path,
     assert stdout == ""
     assert "seed" in stderr
     assert not mc_path.exists()
+
+
+def test_cli_imports_without_scipy():
+    # only the Monte Carlo replay needs scipy; it imports it on first use
+    src = os.path.dirname(os.path.dirname(mmwplan.montecarlo.__file__))
+    code = ("import sys, mmwplan.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "[]\n"
 
 
 def test_validate_rejects_garbage(capsys, tmp_path, toy_path):

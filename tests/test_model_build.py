@@ -4,9 +4,12 @@
 arrays; ``tests/oracles.py`` keeps the one-pair, one-link and one-cell
 versions. Random toy rooms stress the slab test's edge cases (vertical
 rays, segments parallel to a coordinate plane, prism faces on a quarter
-metre grid that meet segments and each other exactly), random channel
-parameters stress every ring pattern of the reach walk, and random
-(azimuth, reach) rows stress wrapped arcs and shared cell boundaries.
+metre grid that meet segments and each other exactly), tiered rooms
+stress the occlusion prunes, which cut each prism by its own top,
+random channel parameters stress every ring pattern of the reach walk,
+and random (azimuth, reach) rows stress wrapped arcs and shared cell
+boundaries. Occlusion and partitions are built many seats at a time, so
+the tests also shrink the batches until every seat lies on a batch edge.
 """
 
 import json
@@ -21,7 +24,14 @@ import oracles
 from conftest import random_toy
 from mmwplan import ChannelParams, generate_venue
 from mmwplan.inputs import load_json
-from mmwplan.scenarios import OrientationDistribution, seat_partition
+import mmwplan.scenarios
+import mmwplan.venue
+from mmwplan.scenarios import (
+    OrientationDistribution,
+    _boundaries,
+    seat_partition,
+    seat_partitions,
+)
 from mmwplan.solver import PlanningModel
 from mmwplan.venue import (
     BodyPrism,
@@ -205,3 +215,166 @@ def test_prism_touching_a_segment_at_the_highest_top_is_kept():
                                   size=(1.0, 2.0, 2.0))])
     assert oracles.ray_occluded(v, 0, 0)
     assert occlusion_matrix(v)[0, 0]
+
+
+def test_prism_touching_a_segment_at_its_own_top_is_kept():
+    # as above, but a taller pillar off the segment lifts the venue's
+    # highest top to 6 m, so only the touching prism's own top ends the
+    # part of the segment it is tested against
+    gp = GridPosition(id=0, position=(0.0, 0.0, 1.0), facing=0.0,
+                      elevation=math.pi / 4.0, presence_prob=1.0,
+                      orientation_std=0.5)
+    touch = BodyPrism(center=(1.5, 0.0, 1.0), size=(1.0, 2.0, 2.0))
+    pillar = BodyPrism(center=(-3.0, 4.0, 3.0), size=(1.0, 1.0, 6.0))
+    v = Venue(name="touch-own-top", grid_positions=[gp],
+              candidates=[CandidateLocation(id=0, position=(4.0, 0.0, 5.0)),
+                          CandidateLocation(id=1, position=(0.0, -4.0, 5.0))],
+              blockers=[pillar, touch])
+    assert oracles.ray_occluded(v, 0, 0)
+    assert not oracles.ray_occluded(v, 0, 1)
+    assert occlusion_matrix(v).tolist() == [[True, False]]
+
+
+def test_prism_the_slab_test_meets_past_the_rounded_top_is_kept():
+    # the part of this segment below the prism's top ends, rounded, one
+    # double short of the prism's x face, yet the slab test counts a
+    # touch of the top edge; only the prune's pad keeps the prism
+    gp = GridPosition(id=0, position=(0.76, 0.0, 0.98), facing=0.0,
+                      elevation=math.pi / 4.0, presence_prob=1.0,
+                      orientation_std=0.5)
+    prism = BodyPrism(center=(3.655729537366548, 0.0, 1.17),
+                      size=(1.0, 1.0, 2.34))
+    pillar = BodyPrism(center=(-3.0, 4.0, 3.0), size=(1.0, 1.0, 6.0))
+    mount = (5.71, 0.0, 3.79)
+    v = Venue(name="rounded-top", grid_positions=[gp],
+              candidates=[CandidateLocation(id=0, position=mount)],
+              blockers=[prism, pillar])
+    t = (2.34 - 0.98) / (3.79 - 0.98)
+    assert 0.76 + t * (5.71 - 0.76) < 3.655729537366548 - 0.5
+    assert oracles.ray_occluded(v, 0, 0)
+    assert occlusion_matrix(v)[0, 0]
+
+
+@st.composite
+def tiered_rooms(draw):
+    """Seats on tiers that rise from row to row, each with its own body
+    prism, so the bodies of the front rows end below the devices behind
+    them; furniture of any height; mounts at least 1 m above every
+    device; and, when drawn, a prism whose top face holds a point of a
+    seat-mount segment, below a pillar that is the venue's highest top."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    rise = draw(st.sampled_from((0.0, 0.5, 1.25)))
+    seats, prisms = [], []
+    for r in range(rows):
+        for c in range(cols):
+            x, y, z = float(c), 1.0 + r, rise * r
+            m = len(seats)
+            seats.append(GridPosition(
+                id=m, position=(x, y - 0.3, z + 0.7),
+                facing=draw(st.sampled_from((-math.pi / 2.0, math.pi / 2.0))),
+                elevation=math.pi / 4.0, presence_prob=1.0,
+                orientation_std=0.5))
+            prisms.append(BodyPrism(center=(x, y, z + 0.65),
+                                    size=(0.5, 0.3, 1.3), owner=m))
+    for _ in range(draw(st.integers(0, 4))):
+        top = draw(st.integers(1, 20).map(lambda k: k / 4.0))
+        prisms.append(BodyPrism(
+            center=(draw(QUARTER) - 3.0, draw(QUARTER) - 3.0, top / 2.0),
+            size=(draw(SIDE), draw(SIDE), top)))
+    floor = max(gp.position[2] for gp in seats) + 1.0
+    mounts = [
+        CandidateLocation(id=l, position=(
+            draw(QUARTER) - 3.0, draw(QUARTER) - 3.0,
+            floor + draw(st.integers(0, 24).map(lambda k: k / 4.0))))
+        for l in range(draw(st.integers(1, 5)))
+    ]
+    if draw(st.booleans()):
+        m = draw(st.integers(0, len(seats) - 1))
+        l = draw(st.integers(0, len(mounts) - 1))
+        t = draw(st.sampled_from((0.1, 0.25, 0.5)))
+        p0 = np.array(seats[m].position)
+        p = p0 + t * (np.array(mounts[l].position) - p0)
+        dx, dy = draw(st.sampled_from(((0.0, 0.0), (0.25, 0.0), (0.25, 0.25))))
+        prisms.append(BodyPrism(
+            center=(float(p[0]) + dx, float(p[1]) + dy, float(p[2]) / 2.0),
+            size=(0.5, 0.5, float(p[2]))))
+        prisms.append(BodyPrism(center=(-9.0, -9.0, 25.0),
+                                size=(1.0, 1.0, 50.0)))
+    return Venue(name="tiers", grid_positions=seats, candidates=mounts,
+                 blockers=prisms)
+
+
+@given(rooms() | tiered_rooms(), st.integers(1, 7))
+def test_occlusion_in_any_batch_equals_per_pair_slab_test(v, batch):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmwplan.venue, "_OCCLUSION_BATCH", batch)
+        occ = occlusion_matrix(v)
+    assert (occ == oracles.occlusion_matrix(v)).all()
+
+
+@given(tiered_rooms(), channels(), st.integers(0, 400))
+def test_partitions_in_any_batch_equal_cell_by_cell_build(v, params, pairs):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmwplan.scenarios, "_PARTITION_PAIRS", pairs)
+        model = PlanningModel(v, params, 0.5)
+    assert (model.occluded == oracles.occlusion_matrix(v)).all()
+    for got, want in zip(model.partitions, oracles.model_partitions(model)):
+        assert oracles.same_partition(got, want), got.gp
+
+
+ENDS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, math.pi, -math.pi))
+
+
+@given(st.lists(st.lists(ENDS, max_size=8), min_size=1, max_size=5))
+def test_boundaries_are_each_seats_sorted_set(groups):
+    # 0.0 == -0.0, so set() keeps whichever of the two comes first
+    ends = np.array([e for g in groups for e in g], dtype=float)
+    seat = np.repeat(np.arange(len(groups)), [len(g) for g in groups])
+    b, b_seat = _boundaries(ends, seat)
+    for s, g in enumerate(groups):
+        assert [x.hex() for x in b[b_seat == s].tolist()] == [
+            x.hex() for x in sorted(set(g))], s
+
+
+# arcs that end at 0.0 from above and from below, and at +-1
+TIES = st.sampled_from(((0.5, 0.5), (-0.5, 0.5), (1.0, 1.0), (-1.0, 1.0),
+                        (0.0, 1.0)))
+ROW = st.integers(1, 6).flatmap(lambda n: st.one_of(
+    st.lists(st.tuples(AZIMUTH, REACH) | TIES, min_size=n, max_size=n),
+    # no arcs at all, and links that are always on or never on
+    st.lists(st.tuples(AZIMUTH, st.sampled_from((0.0, math.pi, 4.0))),
+             min_size=n, max_size=n),
+))
+
+
+@given(st.lists(ROW, min_size=1, max_size=6), st.integers(0, 200),
+       st.sampled_from((0.0, 3.0, -math.pi, math.pi)))
+def test_seat_partitions_equal_cell_by_cell_build(rows, pairs, facing):
+    """Seats in one or many batches: rows with arcs that share endpoints,
+    including 0.0 reached from either side, rows without arcs, and rows
+    whose links are all always on or never on."""
+    n = max(len(r) for r in rows)
+    rows = [r + [(0.0, 0.0)] * (n - len(r)) for r in rows]
+    gps = [GridPosition(id=m, position=(0.0, float(m), 1.0),
+                        facing=facing, elevation=math.pi / 4.0,
+                        presence_prob=1.0, orientation_std=0.05 + m)
+           for m in range(len(rows))]
+    v = Venue(name="seats", grid_positions=gps, candidates=[
+        CandidateLocation(id=l, position=(float(l), 1.0, 5.0))
+        for l in range(n)])
+    phi = np.array([[a for a, _ in r] for r in rows])
+    reach = np.array([[h for _, h in r] for r in rows])
+    try:
+        arcs = [[oracles.AngularInterval.from_center(a, h) for a, h in r]
+                for r in rows]
+    except ValueError:
+        with pytest.raises(ValueError):
+            seat_partitions(v, phi, reach)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mmwplan.scenarios, "_PARTITION_PAIRS", pairs)
+        got = seat_partitions(v, phi, reach)
+    assert len(got) == len(rows)
+    for m, part in enumerate(got):
+        want = oracles.build_scenarios(v, m, arcs[m])
+        assert oracles.same_partition(part, want), m
