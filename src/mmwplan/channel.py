@@ -10,10 +10,11 @@ Path loss in dB is kappa + 10 * alpha * log10(d) + chi with separate
 exponents and shadowing spreads for line-of-sight and blocked links.
 ``_snr`` is the one expression of the budget and ``_clears`` the one
 verdict of a link at a body orientation. Both broadcast, so
-``_active_half_width`` over every (seat, candidate) pair and both
-branches of the Monte Carlo replay evaluate them, with log10(d) taken by
+``_active_half_width`` over every (seat, candidate) pair and the
+shadowed Monte Carlo replay evaluate them, with log10(d) taken by
 ``math.log10`` once per distance. Planning evaluates the budget at
 chi = 0; the Monte Carlo validator can draw chi per link and sample.
+Without shadowing the replay reads the model's ``reach`` instead.
 A served user always lies inside its beam (``PlanningModel`` holds the
 one beam test), so the transmit side is always the main-lobe gain; the
 side lobe only enters at the device.

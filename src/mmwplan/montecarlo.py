@@ -2,27 +2,27 @@
 
 Samples device orientations (and optionally per-link shadowing), replays
 the link budget on them, and compares the empirical success rates against
-the closed-form scenario probabilities. The replay reads a seat's rows of
-the planning model's ``dist``, ``phi_rx``, ``psi_rx``, ``vertical`` and
-``occluded`` and decides each link with ``channel._clears``, the verdict
-behind the model's ``reach``, at the main-lobe transmit gain: a served
-user lies inside its beam, as ``evaluate_coverage`` checks before any
-draw.
+the closed-form scenario probabilities.
 
-Without shadowing a link's verdict changes only at its window edges
-(torso blockage, the receive cone) on the offset from the
-device-to-candidate azimuth, so it is decided once per arc between them,
-before any draw. A seat's verdict then depends on its orientation alone,
-and the sampler's map from a uniform to an orientation is monotone, so
-each edge, and the seam at +-pi, is a threshold in uniform space. Every
+Without shadowing the replay reads a seat's rows of the planning model's
+``phi_rx`` and ``reach``. The link budget never rises as the offset from
+the device-to-candidate azimuth grows (line of sight beats blocked from
+1 m, the main lobe beats the side lobe), so a link is on exactly where
+that offset is at most its reach. A seat with an always-on link (reach
+pi) has rate 1.0 and draws nothing. Otherwise the sampler's map from a
+uniform to an orientation is monotone, so each window edge ``phi_rx -/+
+reach``, and the seam at +-pi, is a threshold in uniform space. Every
 uniform is compared with those thresholds; only the uniforms inside a
-certified band around one (a band whose ends the sampler's own chain
-puts farther than ``_EDGE_TOL + _BAND_MARGIN`` from the edge) run
-``ndtri`` and the edge test, where samples within ``_EDGE_TOL`` of an
-edge take the exact ``arctan2`` offset. So every boolean is the one the
-per-sample chain gives. A seat with a link that clears on every arc has
-rate 1.0 and draws nothing. With shadowing each sample draws its own
-deviate and the chain runs sample by sample.
+certified band around one (a band whose ends the sampler's own chain puts
+farther than ``_BAND_MARGIN`` from the edge) run ``ndtri`` and the exact
+offset test ``_wrapped_offset(phis, phi_rx) <= reach``. So every boolean
+is the one the per-sample chain gives.
+
+With shadowing each sample draws its own deviate, and the chain runs
+sample by sample: ``channel._clears`` on the seat's rows of ``dist``,
+``phi_rx``, ``psi_rx``, ``vertical`` and ``occluded``. Either way the
+transmit gain is the main lobe's: a served user lies inside its beam, as
+``evaluate_coverage`` checks before any draw.
 
 Reproducibility contract: the generator is Philox (counter-based); the
 per-user substream is seeded with key = [seed, gp_id], so a user's stream
@@ -52,18 +52,16 @@ from .solver import Deployment, PlanningModel, evaluate_coverage
 
 _GENERATOR = "philox4x64"
 _SUBSTREAM_RULE = "key = [seed, gp_id]"
-# samples this close to a window edge take the exact arctan2 offset
-_EDGE_TOL = 1e-9
 # a band in uniform space ends where the sampler puts the orientation this
-# much farther than _EDGE_TOL from its edge
+# far from its edge
 _BAND_MARGIN = 1e-7
 
 # a seat's link rows, one element per link: (dist, phi_rx, psi_rx,
 # vertical, occluded), each the model's array of that name at the seat
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-# a link whose verdict changes at an edge: (phi_rx, the offsets below pi
-# where it changes, its verdict past every one of them)
-Window = Tuple[float, List[float], bool]
+# a link on for offsets up to its reach and off past it: (phi_rx, reach),
+# with 0 < reach < pi
+Window = Tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -134,99 +132,35 @@ def _wrapped_offset(phis: np.ndarray, phi_rx: float) -> np.ndarray:
     return np.abs(np.arctan2(np.sin(d), np.cos(d)))
 
 
-def _window_edges(phi_rx: float, half: float) -> Tuple[float, float, bool]:
+def _window_edges(phi_rx: float, half: float) -> Tuple[float, float]:
     """The edges ``phi_rx -/+ half`` of a window with ``half < pi``,
-    wrapped into [-pi, pi], and whether the window holds the seam."""
+    wrapped into [-pi, pi]."""
     lo, hi = phi_rx - half, phi_rx + half
-    wraps = lo < -math.pi or hi > math.pi
     if lo < -math.pi:
         lo += 2.0 * math.pi
     elif hi > math.pi:
         hi -= 2.0 * math.pi
-    return lo, hi, wraps
+    return lo, hi
 
 
-def _within(phis: np.ndarray, phi_rx: float, half: float) -> np.ndarray:
-    """``_wrapped_offset(phis, phi_rx) <= half`` for ``half < pi``.
-
-    The window's edges decide every sample farther than ``_EDGE_TOL`` from
-    both; the samples near an edge, or near the seam at +-pi when an edge
-    lies by it, take the exact offset, so each boolean is the one the
-    offset itself gives.
-    """
-    lo, hi, wraps = _window_edges(phi_rx, half)
-
-    def window(pad: float) -> np.ndarray:
-        # the samples inside the window widened by pad at both edges
-        above, below = phis >= lo - pad, phis <= hi + pad
-        return np.logical_or(above, below, out=above) if wraps else (
-            np.logical_and(above, below, out=above)
-        )
-
-    inside = window(-_EDGE_TOL)
-    near = window(_EDGE_TOL)
-    near ^= inside
-    if max(abs(lo), abs(hi)) >= math.pi - _EDGE_TOL:
-        near |= np.abs(phis) >= math.pi - _EDGE_TOL
-    idx = np.flatnonzero(near)
-    if idx.size:
-        inside[idx] = _wrapped_offset(phis[idx], phi_rx) <= half
-    return inside
-
-
-def _arc_outcomes(
-    params: ChannelParams, device_tilt: float, rows: Rows
-) -> Tuple[List[float], np.ndarray]:
-    """Window edges and each link's verdict between them.
-
-    Line of sight and the main lobe each end at an offset edge
-    (``self_block_half_angle``, half the device beamwidth), so a link's
-    SNR takes one value per arc between the edges below pi. Returns those
-    edges, ascending, and an (arcs, links) boolean array: row k holds the
-    verdicts on the arc that ends at edge k, or at pi.
-    """
-    block, half_cone = params.self_block_half_angle, params.md_beamwidth / 2.0
-    # no offset exceeds pi, so an edge at pi is never crossed
-    edges = sorted({h for h in (block, half_cone) if h < math.pi})
-    dist, _, psi_rx, vertical, occluded = rows
-    log_d = _log10(dist)
-    on = [
-        _clears(params, log_d, psi_rx, vertical, occluded, device_tilt, end)
-        for end in edges + [math.pi]
-    ]
-    return edges, np.array(on)
-
-
-def _flip_windows(
-    params: ChannelParams, device_tilt: float, rows: Rows
+def _windows(
+    phi_rx: np.ndarray, reach: np.ndarray
 ) -> Optional[List[Window]]:
-    """The windows of the links whose verdict changes at an edge, or None
-    when a link clears at every offset. Links that never clear are left
-    out."""
-    edges, on = _arc_outcomes(params, device_tilt, rows)
-    if on.all(axis=0).any():
+    """The windows of a seat's links from their azimuths and active
+    half-widths, or None when a link is always on. Links that are never
+    on are left out."""
+    if (reach >= math.pi).any():
         return None
-    windows = []
-    for i in range(on.shape[1]):
-        flips = [h for k, h in enumerate(edges) if on[k, i] != on[k + 1, i]]
-        if flips:
-            windows.append((float(rows[1][i]), flips, bool(on[-1, i])))
-    return windows
+    return [(p, r) for p, r in zip(phi_rx.tolist(), reach.tolist())
+            if r > 0.0]
 
 
 def _decide(phis: np.ndarray, windows: List[Window]) -> np.ndarray:
-    """Per-sample connectivity without shadowing at orientations ``phis``,
-    the analytic classifier's verdict with window boundaries inclusive: a
-    link clears where its verdict past every edge, flipped at each edge a
-    sample is within, holds."""
+    """Per-sample connectivity without shadowing at orientations
+    ``phis``: a link clears where the offset is at most its reach."""
     ok = np.zeros(phis.shape[0], dtype=bool)
-    for phi_rx, flips, past in windows:
-        link_ok = _within(phis, phi_rx, flips[0])
-        for h in flips[1:]:
-            link_ok ^= _within(phis, phi_rx, h)
-        if past:
-            np.logical_not(link_ok, out=link_ok)
-        ok |= link_ok
+    for phi_rx, reach in windows:
+        ok |= _wrapped_offset(phis, phi_rx) <= reach
     return ok
 
 
@@ -262,28 +196,27 @@ def _bands(
     An edge e's threshold is the uniform the sampler maps to e, through
     the truncated-normal CDF the partitions use. Its band starts at twice
     the width the map's slope there asks for and widens fourfold until
-    the sampler's chain puts the lower end more than ``_EDGE_TOL +
-    _BAND_MARGIN`` below e and the upper end as far above it; an end past
-    0 or 1, where no uniform is, needs no check, so the widening stops.
-    The chain is monotone, up to rounding far below ``_BAND_MARGIN``, so
-    no uniform outside every band maps within ``_EDGE_TOL`` of an edge.
+    the sampler's chain puts the lower end more than ``_BAND_MARGIN``
+    below e and the upper end as far above it; an end past 0 or 1, where
+    no uniform is, needs no check, so the widening stops. The chain is
+    monotone, up to rounding far below ``_BAND_MARGIN``, so no uniform
+    outside every band maps near an edge.
     """
     lo, hi = _cdf_range(dist)
     span = hi - lo
     e = np.array(edges)
     z = (e - dist.mean) / dist.std
     t = (np.array([_std_normal_cdf(x) for x in z.tolist()]) - lo) / span
-    clear = _EDGE_TOL + _BAND_MARGIN
     z = np.minimum(np.abs(z), 40.0)  # the density is 0.0 from about 38.5
     slope = np.exp(-0.5 * z * z) / (
         math.sqrt(2.0 * math.pi) * dist.std * span
     )
-    d = np.fmax(2.0 * clear * slope, 2.0 ** -52)
+    d = np.fmax(2.0 * _BAND_MARGIN * slope, 2.0 ** -52)
     while True:
         a, b = t - d, t + d
         phi = _orientations(np.clip(np.concatenate([a, b]), 0.0, 1.0), dist)
-        done = (a <= 0.0) | (phi[: e.size] < e - clear)
-        done &= (b >= 1.0) | (phi[e.size:] > e + clear)
+        done = (a <= 0.0) | (phi[: e.size] < e - _BAND_MARGIN)
+        done &= (b >= 1.0) | (phi[e.size:] > e + _BAND_MARGIN)
         if done.all():
             break
         d = np.where(done, d, 4.0 * d)
@@ -304,14 +237,13 @@ def _replay_uniforms(
 
     Bands around the thresholds of every window edge and of -pi and pi
     (see ``_bands``) split the block. Between two bands no uniform maps
-    near an edge, so all of them share the verdict of the lower band's
-    upper end. Only the uniforms inside a band run the chain and the edge
-    test.
+    near an edge or across the seam, so all of them share the verdict of
+    the lower band's upper end. Only the uniforms inside a band run the
+    chain and the offset test.
     """
     edges = [-math.pi, math.pi]
-    for phi_rx, flips, _ in windows:
-        for h in flips:
-            edges.extend(_window_edges(phi_rx, h)[:2])
+    for phi_rx, reach in windows:
+        edges.extend(_window_edges(phi_rx, reach))
     bands = _bands(dist, edges)
     if len(bands) == 1:  # one band over the whole block
         return _decide(_orientations(u, dist), windows)
@@ -338,25 +270,24 @@ def _seat_rate(
     model: PlanningModel, mc: McConfig, m: int, aps: Sequence[int]
 ) -> float:
     """Empirical connectivity of seat m over its links to the candidates
-    ``aps``, in ascending order. Without shadowing, the links' verdicts
-    are decided before any draw, so a seat with a link that clears at
-    every offset gets 1.0 without drawing."""
+    ``aps``, in ascending order. Without shadowing the links are the
+    model's windows, so a seat with an always-on link gets 1.0 without
+    drawing."""
     if not aps:
         return 0.0
-    params = model.params
-    tilt = model.venue.grid_positions[m].elevation
-    rows = tuple(
-        a[m, aps]
-        for a in (model.dist, model.phi_rx, model.psi_rx, model.vertical,
-                  model.occluded)
-    )
     dist = OrientationDistribution.for_gp(model.venue, m)
     if mc.sample_shadowing:
+        rows = tuple(
+            a[m, aps]
+            for a in (model.dist, model.phi_rx, model.psi_rx,
+                      model.vertical, model.occluded)
+        )
         rng = _substream(mc.seed, m)
         phis = _sample_orientations(rng, dist, mc.n_samples)
-        ok = _replay_shadowed(params, rng, phis, tilt, rows)
+        tilt = model.venue.grid_positions[m].elevation
+        ok = _replay_shadowed(model.params, rng, phis, tilt, rows)
     else:
-        windows = _flip_windows(params, tilt, rows)
+        windows = _windows(model.phi_rx[m, aps], model.reach[m, aps])
         if windows is None:
             return 1.0
         u = _uniforms(_substream(mc.seed, m), mc.n_samples)

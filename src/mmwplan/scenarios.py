@@ -83,9 +83,10 @@ class OrientationDistribution:
 class ScenarioPartition:
     """Cells covering the circle for one grid position.
 
-    Cell i runs counterclockwise from ``bounds[i]`` to the next boundary,
-    the last one wrapping through +-pi back to the first; with no
-    boundaries the one cell is the whole circle. ``cell_probs`` holds the
+    ``bounds`` is the float64 array of the boundaries, ascending. Cell i
+    runs counterclockwise from ``bounds[i]`` to the next boundary, the
+    last one wrapping through +-pi back to the first; with no boundaries
+    the one cell is the whole circle. ``cell_probs`` holds the
     cell masses. ``visible`` is an ``(n_cells, L)`` boolean matrix over
     the venue's candidates: row i, column l is set when the link to
     candidate l is active anywhere in cell i. ``always_on`` is the
@@ -94,7 +95,7 @@ class ScenarioPartition:
     """
 
     gp: int
-    bounds: List[float]
+    bounds: np.ndarray
     cell_probs: np.ndarray
     visible: np.ndarray
     always_on: np.ndarray
@@ -150,8 +151,9 @@ def _partitions(
     evaluated once per boundary and once at each of -pi and pi, and each
     cell's mass is the sum, from 0, over its one or two segments, with the
     empty segment at +-pi worth 0.0. A seat without boundaries has one
-    cell, the whole circle, of mass 1.0. Each seat's ``visible``,
-    ``cell_probs`` and ``always_on`` are row slices of batch arrays.
+    cell, the whole circle, of mass 1.0. Each seat's ``bounds``,
+    ``visible``, ``cell_probs`` and ``always_on`` are slices of batch
+    arrays.
     """
     n = reach.shape[0]
     always = reach >= math.pi
@@ -206,11 +208,10 @@ def _partitions(
     lower = np.where(b[first] <= -math.pi, 0.0, (cdf[first] - cdf_lo[has]) / t)
     probs[row[last]] = 0.0 + upper + lower
 
-    bounds = b.tolist()
     return [
         ScenarioPartition(
             gp,
-            bounds[f:f + k],
+            b[f:f + k],
             probs[r:r + c],
             visible[r:r + c],
             always[i],

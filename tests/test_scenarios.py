@@ -96,7 +96,7 @@ def test_single_always_on_link_single_cell():
     only_first = np.where(np.arange(model.L) == 0, model.reach[0], 0.0)
     part = seat_partition(0, OrientationDistribution.for_gp(v, 0),
                           model.phi_rx[0], only_first)
-    assert part.bounds == []
+    assert part.bounds.size == 0
     assert part.cell_probs.tolist() == [1.0]
     assert part.always_on.tolist() == [True, False, False, False]
     assert part.visible.tolist() == [[True, False, False, False]]
@@ -122,7 +122,7 @@ def test_widest_allowed_spread_is_uniform(default_params):
     venue = generate_venue("toy", orientation_std=1e6)
     model = PlanningModel(venue, default_params, 0.5)
     for part in model.partitions:
-        assert part.bounds
+        assert part.bounds.size
         for prob, arc in zip(part.cell_probs, oracles.cell_arcs(part)):
             assert abs(prob - arc.length() / (2.0 * math.pi)) <= 1e-9
 
@@ -279,8 +279,8 @@ def test_refinement_invariance():
             probs += [oracles.circular_mass(dist, left),
                       oracles.circular_mass(dist, right)]
             rows += [row, row]
-        fine = ScenarioPartition(m, bounds, np.array(probs), np.array(rows),
-                                 part.always_on)
+        fine = ScenarioPartition(m, np.array(bounds), np.array(probs),
+                                 np.array(rows), part.always_on)
         for s in range(16):
             a = connectivity_probability(part, _ids(s))
             b = connectivity_probability(fine, _ids(s))
