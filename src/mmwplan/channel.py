@@ -39,8 +39,8 @@ alpha_nlos``, and a side lobe no stronger than the device main lobe, which
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
@@ -58,10 +58,10 @@ class ChannelParams:
 
     Power, noise and threshold defaults (30 dBm, -74 dBm over a 1 GHz
     channel with a 10 dB noise figure, 10 dB) are engineering assumptions,
-    as are ``capacity_per_beam``, ``self_block_half_angle`` and
-    ``fade_margin_db``; the 70 dB reference loss, the 2/4 exponents, the
-    5.2/7.6 dB shadowing spreads and the -2 dB side lobe are typical 60 GHz
-    indoor measurement values.
+    as are ``capacity_per_beam`` and ``self_block_half_angle``; the 70 dB
+    reference loss, the 2/4 exponents, the 5.2/7.6 dB shadowing spreads
+    and the -2 dB side lobe are typical 60 GHz indoor measurement values.
+    A fade margin is a higher ``snr_threshold_db``.
 
     Steering elevations in ``elevation_grid`` are measured from straight
     down (0 aims at the floor); azimuths in ``azimuth_grid`` use the shared
@@ -83,7 +83,6 @@ class ChannelParams:
     azimuth_grid: Tuple[float, ...] = _DEF_AZIMUTHS
     capacity_per_beam: int = 32
     self_block_half_angle: float = math.pi / 2.0
-    fade_margin_db: float = 0.0
 
     def __post_init__(self) -> None:
         check(CHANNEL, self)
@@ -96,15 +95,6 @@ class ChannelParams:
                 f"device main lobe of {main_db:.4g} dB at md_beamwidth "
                 f"{self.md_beamwidth!r}"
             )
-
-    def with_beamwidths(
-        self,
-        ap_beamwidth: Optional[float] = None,
-        md_beamwidth: Optional[float] = None,
-    ) -> "ChannelParams":
-        widths = {"ap_beamwidth": ap_beamwidth, "md_beamwidth": md_beamwidth}
-        kw = {k: v for k, v in widths.items() if v is not None}
-        return replace(self, **kw) if kw else self
 
     def to_dict(self) -> dict:
         return write(CHANNEL, self)
@@ -163,7 +153,7 @@ def _clears(params: ChannelParams, log_d, psi_rx, vertical_ray, occluded,
     tx_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
     chi = 0.0 if shadow is None else np.where(los, *shadow)
     snr = _snr(params, log_d, tx_db, rx_db, los, chi)
-    return snr >= params.snr_threshold_db + params.fade_margin_db
+    return snr >= params.snr_threshold_db
 
 
 def _active_half_width(

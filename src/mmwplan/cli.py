@@ -18,6 +18,7 @@ import argparse
 import math
 import sys
 import time
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 from .channel import ChannelParams
@@ -89,14 +90,12 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _load_params(
-    args: argparse.Namespace, ap_beamwidth: Optional[float] = None
-) -> ChannelParams:
-    params = (
-        load_json(args.params, "params", ChannelParams.from_dict)
-        if args.params else ChannelParams()
-    )
-    return params.with_beamwidths(ap_beamwidth, args.beamwidth_md)
+def _load_params(args: argparse.Namespace) -> ChannelParams:
+    """The ``--params`` file, the only route to a channel setting, or the
+    defaults without one."""
+    if args.params:
+        return load_json(args.params, "params", ChannelParams.from_dict)
+    return ChannelParams()
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -130,7 +129,7 @@ def _infeasible_line(exc: InfeasibleError) -> str:
 
 def cmd_plan(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
-    params = _load_params(args, args.beamwidth_ap)
+    params = _load_params(args)
     if args.solver == "exact":
         check_exact_size(
             venue.n_candidates,
@@ -202,9 +201,9 @@ def cmd_compare(args: argparse.Namespace) -> int:
     widths = args.beamwidth_ap or [base.ap_beamwidth]
     rows = []
     for w in widths:
-        params = base.with_beamwidths(ap_beamwidth=w)
-        # one model per width, shared by every target and solver
-        model = PlanningModel(venue, params, args.beta)
+        # one model per width, shared by every target and solver; replace
+        # re-runs the checks that tie the width to the other fields
+        model = PlanningModel(venue, replace(base, ap_beamwidth=w), args.beta)
         for alpha in args.alpha:
             row = dict.fromkeys(_CSV_COLUMNS)
             row.update(W=w, alpha=alpha, beta=args.beta)
@@ -270,7 +269,7 @@ def cmd_render(args: argparse.Namespace) -> int:
         deployment = load_json(
             args.deployment, "deployment", Deployment.from_dict
         )
-    params = _load_params(args, args.beamwidth_ap)
+    params = _load_params(args)
     svg = render_svg(venue, deployment, beamwidth=params.ap_beamwidth)
     with open(args.out, "w") as fh:
         fh.write(svg)
@@ -280,7 +279,7 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
-    params = _load_params(args, args.beamwidth_ap)
+    params = _load_params(args)
     deployment = load_json(
         args.deployment, "deployment", Deployment.from_dict
     )
@@ -369,9 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
             )
         else:
             p.add_argument("--alpha", type=_fraction, required=True)
-            p.add_argument("--beamwidth-ap", type=float, default=None)
         p.add_argument("--beta", type=float, required=True)
-        p.add_argument("--beamwidth-md", type=float, default=None)
 
     def solver_sizes(p: argparse.ArgumentParser) -> None:
         p.add_argument("--uniform-n", type=int, default=None)
@@ -402,9 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("render", help="draw a venue and deployment as SVG")
     p.add_argument("--venue", required=True)
     p.add_argument("--deployment", default=None)
-    p.add_argument("--params", default=None)
-    p.add_argument("--beamwidth-ap", type=float, default=None)
-    p.add_argument("--beamwidth-md", type=float, default=None)
+    p.add_argument("--params", default=None, help="ChannelParams JSON")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render)
 
@@ -414,8 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, alpha_list=False)
     p.add_argument("--deployment", required=True)
     p.add_argument("--mc", action="store_true", help="Monte Carlo check")
-    p.add_argument("--samples", type=int, default=20000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=int, default=McConfig.n_samples)
+    p.add_argument("--seed", type=int, default=McConfig.seed)
     p.add_argument("--shadowing", action="store_true")
     p.add_argument("--out", default=None, help="MC report JSON path")
     p.set_defaults(func=cmd_validate)

@@ -247,8 +247,11 @@ CHANNEL = tuple(Field(key, key, kind, lo, hi, _OMIT) for key, kind, lo, hi in (
     ("azimuth_grid", "angles", -_INF, _INF),
     ("capacity_per_beam", "int", 1, _INF),
     ("self_block_half_angle", "float", _ABOVE_0, _PI),
-    ("fade_margin_db", "float", -_INF, _INF),
-))
+)) + (
+    # a fade margin is a higher snr_threshold_db; files still carry the key,
+    # and only its old default reads
+    Field("fade_margin_db", None, "float", 0.0, 0.0, default=0.0),
+)
 
 PLACED_AP = (
     Field("loc", "candidate", "int"),

@@ -66,7 +66,7 @@ Window = Tuple[float, float]
 
 @dataclass(frozen=True)
 class McConfig:
-    n_samples: int = 100_000
+    n_samples: int = 20_000
     seed: int = 0
     sample_shadowing: bool = False
 

@@ -13,6 +13,7 @@ import math
 from html import escape
 from typing import List, Optional, Tuple
 
+from .channel import ChannelParams
 from .solver import Deployment
 from .venue import Venue
 
@@ -117,7 +118,7 @@ def _legend(frame: _Frame) -> List[str]:
 def render_svg(
     venue: Venue,
     deployment: Optional[Deployment] = None,
-    beamwidth: float = 2.0 * math.pi / 3.0,
+    beamwidth: float = ChannelParams.ap_beamwidth,
 ) -> str:
     """Render to an SVG string. Without a deployment the venue is drawn
     alone and users stay a neutral gray. Beam wedges reach 12% of the

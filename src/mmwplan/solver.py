@@ -32,7 +32,7 @@ number of targets, solvers and evaluations:
 
 The model keeps each grid steering's footprint once: the usable users
 inside the beam by descending presence mass, all of them back to back in
-``foot_flat`` and as per-(candidate, steering) views in ``foot_members``.
+``foot_flat``; ``PlanningModel.members`` returns one as a view.
 Steerings are numbered elevation-major, and only ``steering_angles``
 decodes them.
 
@@ -259,11 +259,10 @@ class PlanningModel:
         self.gp_order = np.lexsort((np.arange(self.M), -self.q)).astype(
             np.int32
         )
-        # foot_members[l][ti] is footprint(l, *steering_angles(ti)), from
-        # one _beam call per candidate over the elevations and azimuths.
-        # All footprints lie back to back in foot_flat, footprint
-        # k = l * n_tuples + ti at foot_flat[foot_start[k]:foot_start[k+1]],
-        # and foot_members holds those slices as views.
+        # members(l, ti) is footprint(l, *steering_angles(ti)), from one
+        # _beam call per candidate over the elevations and azimuths. All
+        # footprints lie back to back in foot_flat, footprint
+        # k = l * n_tuples + ti at foot_flat[foot_start[k]:foot_start[k+1]].
         thetas = np.asarray(self.thetas)[:, None, None]
         phis = np.asarray(self.phis)[:, None]
         parts, sizes = [], []
@@ -275,14 +274,6 @@ class PlanningModel:
         self.foot_flat = np.concatenate(parts)
         self.foot_start = np.zeros(self.L * self.n_tuples + 1, dtype=np.intp)
         np.cumsum(np.concatenate(sizes), out=self.foot_start[1:])
-        bounds = self.foot_start.tolist()
-        self.foot_members: List[List[np.ndarray]] = [
-            [
-                self.foot_flat[bounds[k]:bounds[k + 1]]
-                for k in range(l * self.n_tuples, (l + 1) * self.n_tuples)
-            ]
-            for l in range(self.L)
-        ]
 
     # -- beam footprints -----------------------------------------------
 
@@ -305,6 +296,11 @@ class PlanningModel:
         """Users inside a beam, ordered by descending presence mass."""
         ok = self.usable[:, l] & self._beam(l, theta, phi)[0]
         return self.gp_order[ok[self.gp_order]]
+
+    def members(self, l: int, ti: int) -> np.ndarray:
+        """``footprint(l, *steering_angles(ti))``, a view of ``foot_flat``."""
+        k = l * self.n_tuples + ti
+        return self.foot_flat[self.foot_start[k]:self.foot_start[k + 1]]
 
     def steering_angles(self, ti: int) -> Tuple[float, float]:
         """The angles of grid steering ``ti``, numbered elevation-major."""
@@ -400,8 +396,9 @@ def evaluate_coverage(
 
 # -- greedy ------------------------------------------------------------
 
-# slack for comparing a screen value, summed in another order, with a key
-_SCREEN_TOL = 1e-9
+# slack for comparing a mass summed in one order with one summed in another:
+# a screen value with a key, a search's sum with ``coverage_of``
+_SUM_TOL = 1e-9
 
 
 @dataclass
@@ -495,7 +492,7 @@ def _evaluate_tuple(
     satisfied: np.ndarray,
     capacity: int,
 ) -> Optional[Tuple[float, float, np.ndarray]]:
-    mem = model.foot_members[l][ti]
+    mem = model.members(l, ti)
     if mem.size == 0:
         return None
     others, winners, primary = _winners(
@@ -606,10 +603,10 @@ def greedy_iteration_best(
             continue  # no winner and no positive gain: no members
         l, ti = divmod(k, n_t)
         if best is not None:
-            if primary[k] < best[0] - _SCREEN_TOL:
+            if primary[k] < best[0] - _SUM_TOL:
                 break  # no pair from here on reaches the best mass
             p = _winners(
-                model, model.foot_members[l][ti], state.pred_sat[:, l],
+                model, model.members(l, ti), state.pred_sat[:, l],
                 state.satisfied, capacity,
             )[2]
             if p < best[0]:
@@ -619,7 +616,7 @@ def greedy_iteration_best(
             full = n_wins[k] >= capacity
             if p == best[0] and (
                 (full and (best[1] > 0.0 or (l, ti) > best[2:4]))
-                or bound[k] < best[1] - _SCREEN_TOL
+                or bound[k] < best[1] - _SUM_TOL
             ):
                 continue
         r = _evaluate_tuple(
@@ -797,11 +794,12 @@ def _assignment_search(
 
 
 def _useful_steerings(
-    members: List[np.ndarray], matters: np.ndarray
+    model: PlanningModel, l: int, matters: np.ndarray
 ) -> List[int]:
-    """Indices of the footprints, cut to the users ``matters`` marks, that
-    no lower-index footprint contains."""
-    cut = [set(mem[matters[mem]].tolist()) for mem in members]
+    """Steerings of candidate l whose footprints, cut to the users
+    ``matters`` marks, no lower-index steering's contains."""
+    feet = (model.members(l, ti) for ti in range(model.n_tuples))
+    cut = [set(mem[matters[mem]].tolist()) for mem in feet]
     return [t for t, r in enumerate(cut) if not any(r <= p for p in cut[:t])]
 
 
@@ -870,21 +868,17 @@ def exact_place(
         for m in model.gp_order
         if not free[m] and choices_all[m]
     ]
-    # capacity lower bound on the subset size
-    k_min = 0
-    if alpha > 0.0:
-        acc = base
-        n_needed = None
-        for i, m in enumerate(demanding):
-            if model.normalized(acc) >= alpha:
-                n_needed = i
-                break
-            acc += float(model.q[m])
-        if n_needed is None:
-            n_needed = len(demanding)
-            if model.normalized(acc) < alpha:
-                n_needed += 1  # unreachable; defensive, caught above
-        k_min = max(0, math.ceil(n_needed / capacity))
+    # capacity lower bound on the subset size: the fewest demanding users,
+    # heaviest first, whose mass can reach alpha; the slack keeps rounding
+    # from overstating the count
+    n_needed = len(demanding)
+    acc = base
+    for i, m in enumerate(demanding):
+        if model.normalized(acc) >= alpha - _SUM_TOL:
+            n_needed = i
+            break
+        acc += float(model.q[m])
+    k_min = math.ceil(n_needed / capacity)
 
     n_t = model.n_tuples
     # whether user m may use mount l is read only through m's minimal sets
@@ -892,9 +886,12 @@ def exact_place(
     for m, sets in choices_all.items():
         for ms in sets:
             matters[list(ms), m] = True
-    reps = [
-        _useful_steerings(model.foot_members[l], matters[l]) for l in range(L)
-    ]
+    reps = [_useful_steerings(model, l, matters[l]) for l in range(L)]
+    # the kept footprints as lists, read once per steering configuration
+    feet = {
+        (l, ti): model.members(l, ti).tolist()
+        for l in range(L) for ti in reps[l]
+    }
     for l in range(L):
         logger.debug(
             "exact: candidate %d keeps %d of %d steerings %s",
@@ -910,7 +907,7 @@ def exact_place(
         for steer in product(*[reps[l] for l in subset]):
             allowed: List[set] = [set() for _ in range(M)]
             for l, ti in zip(subset, steer):
-                for m in model.foot_members[l][ti]:
+                for m in feet[l, ti]:
                     allowed[m].add(l)
             order = []
             choices: Dict[int, List[Tuple[int, ...]]] = {}
@@ -923,20 +920,27 @@ def exact_place(
                     order.append(m)
                     choices[m] = opts
                     potential += float(model.q[m])
-            if model.normalized(potential) < alpha:
+            # the sums run in another order than coverage_of, so they only
+            # prune, with a slack that keeps a borderline configuration
+            if model.normalized(potential) < alpha - _SUM_TOL:
                 continue
             val, assign = _assignment_search(
                 order, choices, model.q, subset, capacity, base
             )
-            if assign is None or model.normalized(val) < alpha:
+            if assign is None or model.normalized(val) < alpha - _SUM_TOL:
                 continue
-            if best is None or val > best[0]:
+            if best is not None and val <= best[0]:
+                continue
+            # accepted on the coverage finalize will report
+            z = free.copy()
+            z[[m for m, ms in zip(order, assign) if ms]] = True
+            if model.normalized(model.coverage_of(z)) >= alpha:
                 best = (val, subset, steer, order, assign)
         return best
 
     found = None
     searched = full = 0
-    for k in range(max(k_min, 0), L + 1):
+    for k in range(k_min, L + 1):
         subsets = list(combinations(range(L), k))
         searched += sum(math.prod(len(reps[l]) for l in s) for s in subsets)
         full += len(subsets) * n_t ** k

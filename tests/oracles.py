@@ -274,7 +274,7 @@ def active_at_orientation(venue, params, gp_id, ap_id, phi_body,
     exponent = params.alpha_los if los else params.alpha_nlos
     pl = params.kappa_db + 10.0 * exponent * math.log10(d)
     snr = params.tx_power_dbm + tx_db + rx_db - pl - params.noise_power_dbm
-    return snr >= params.snr_threshold_db + params.fade_margin_db
+    return snr >= params.snr_threshold_db
 
 
 def sweep_mismatches(venue, params, gp_id, ap_id, n=3600, margin=1e-6,
@@ -380,7 +380,7 @@ def active_half_width(params, distance, psi_rx, vertical_ray, occluded,
                       device_tilt, tx_gain_db):
     """Active half-width of one link by walking its rings outward with the
     package's own budget ``_snr`` until one fails."""
-    gamma = params.snr_threshold_db + params.fade_margin_db
+    gamma = params.snr_threshold_db
     rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
     rx_side_db = params.side_lobe_gain_db
     elev_ok = abs(device_tilt - psi_rx) <= params.md_beamwidth / 2.0
@@ -713,19 +713,26 @@ def exact_place_unpruned(model, alpha):
                 for l, ti in zip(subset, steer):
                     for m in np.flatnonzero(reach[l, ti]):
                         allowed[m].add(l)
-                order, choices, potential = [], {}, base
+                order, choices = [], {}
                 for m in demanding:
                     opts = [ms for ms in choices_all[m]
                             if set(ms) <= allowed[m]]
                     if opts:
                         order.append(m)
                         choices[m] = opts
-                        potential += float(model.q[m])
-                if model.normalized(potential) < alpha:
+                # every threshold test reads coverage_of of a seat mask;
+                # the mass of a mask never exceeds that of a superset
+                z = free.copy()
+                z[order] = True
+                if model.normalized(model.coverage_of(z)) < alpha:
                     continue
                 val, assign = _assignment_search(
                     order, choices, model.q, subset, T, base)
-                if assign is None or model.normalized(val) < alpha:
+                if assign is None:
+                    continue
+                z = free.copy()
+                z[[m for m, ms in zip(order, assign) if ms]] = True
+                if model.normalized(model.coverage_of(z)) < alpha:
                     continue
                 if found is None or val > found[0]:
                     found = (val, subset, steer, order, assign)
@@ -938,7 +945,7 @@ def replay_success(params, mc, rng, phis, device_tilt, rows):
     blockage and the receive cone are both windows around the
     device-to-candidate azimuth, boundaries inclusive.
     """
-    gamma = params.snr_threshold_db + params.fade_margin_db
+    gamma = params.snr_threshold_db
     tx_gain_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
     rx_main_db = linear_to_db(main_lobe_gain(params.md_beamwidth))
     half_cone = params.md_beamwidth / 2.0

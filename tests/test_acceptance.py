@@ -121,9 +121,7 @@ def sweep():
     for alpha in (0.55, 0.65, 0.75, 0.85, 0.95):
         for beta in (0.7, 0.9):
             for wi in (8, 10, 12):
-                params = ChannelParams().with_beamwidths(
-                    ap_beamwidth=wi * math.pi / 15.0
-                )
+                params = ChannelParams(ap_beamwidth=wi * math.pi / 15.0)
                 for venue in venues:
                     model = PlanningModel(venue, params, beta)
                     try:

@@ -21,7 +21,9 @@ from mmwplan import (
     generate_venue,
     greedy_place,
 )
-from mmwplan.cli import main
+from mmwplan.cli import build_parser, main
+from mmwplan.montecarlo import McConfig
+from mmwplan.solver import EXACT_LIMITS
 
 
 def run(capsys, *argv):
@@ -542,17 +544,17 @@ def test_plan_rejects_side_lobe_above_device_main_lobe(capsys, tmp_path,
                                                      toy_path):
     # the default device beam (pi / 2) has an 8.3 dB main lobe, a 5.0 rad
     # one 0.45 dB
-    cases = [({"side_lobe_gain_db": 1e30}, [], 3),
-             ({"side_lobe_gain_db": 3.0}, [], 0),
-             ({"side_lobe_gain_db": 3.0}, ["--beamwidth-md", "5.0"], 3)]
-    for params, extra, want in cases:
+    cases = [({"side_lobe_gain_db": 1e30}, 3),
+             ({"side_lobe_gain_db": 3.0}, 0),
+             ({"side_lobe_gain_db": 3.0, "md_beamwidth": 5.0}, 3)]
+    for params, want in cases:
         path = tmp_path / "params.json"
         path.write_text(json.dumps(params))
         code, stdout, stderr = run(
             capsys, "plan", "--venue", toy_path, "--params", str(path),
-            "--alpha", "0.9", "--beta", "0.7", *extra,
+            "--alpha", "0.9", "--beta", "0.7",
         )
-        assert code == want, (params, extra)
+        assert code == want, params
         if want == 3:
             assert stdout == ""
             assert "side_lobe_gain_db" in stderr
@@ -622,6 +624,65 @@ def test_validate_flags_malformed_deployment(capsys, tmp_path, toy_path):
     )
     assert code == 3
     assert "violation" in stderr
+
+
+# -- channel settings -------------------------------------------------------
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("plan", "--beamwidth-ap"),
+    ("plan", "--beamwidth-md"),
+    ("validate", "--beamwidth-ap"),
+    ("validate", "--beamwidth-md"),
+    ("render", "--beamwidth-ap"),
+    ("render", "--beamwidth-md"),
+    ("compare", "--beamwidth-md"),
+])
+def test_channel_flags_are_usage_errors(capsys, tmp_path, toy_path, command,
+                                        flag):
+    # channel settings come from the --params file alone
+    argv = {
+        "plan": ["--alpha", "0.9", "--beta", "0.7"],
+        "validate": ["--alpha", "0.9", "--beta", "0.7",
+                     "--deployment", str(tmp_path / "dep.json")],
+        "render": ["--out", str(tmp_path / "v.svg")],
+        "compare": ["--alpha", "0.9", "--beta", "0.7"],
+    }[command]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as e:
+        main([command, "--venue", toy_path, *argv, flag, "1.0"])
+    assert e.value.code == 3
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("margin, want", [(0.0, 0), (3.0, 3)])
+def test_fade_margin_key_reads_only_at_zero(capsys, tmp_path, toy_path,
+                                            margin, want):
+    # a fade margin is a higher snr_threshold_db; files that still carry
+    # the key at its old default read as before
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps({"fade_margin_db": margin}))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", toy_path, "--params", str(path),
+        "--alpha", "0.9", "--beta", "0.7",
+    )
+    assert code == want
+    if want == 3:
+        assert stdout == ""
+        assert "fade_margin_db" in stderr
+        assert "Traceback" not in stderr
+
+
+def test_parser_defaults_read_their_owners(toy_path):
+    parser = build_parser()
+    common = ["--venue", toy_path, "--alpha", "0.9", "--beta", "0.7"]
+    args = parser.parse_args(["validate", *common, "--deployment", "d"])
+    assert (args.samples, args.seed) == (McConfig.n_samples, McConfig.seed)
+    for command in ("plan", "compare"):
+        args = parser.parse_args([command, *common])
+        assert (args.max_exact_l, args.max_exact_m) == EXACT_LIMITS
 
 
 # -- render -----------------------------------------------------------------

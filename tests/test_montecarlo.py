@@ -396,9 +396,7 @@ def _channel(links, ap_beamwidth, md_beamwidth, block, side_lobe_db,
     )
     tx_db = linear_to_db(main_lobe_gain(ap_beamwidth))
     los_snr = float(_snr(base, math.log10(links[0][0]), tx_db, rx_db, True))
-    return replace(
-        base, fade_margin_db=los_snr - base.snr_threshold_db + offset_db
-    )
+    return replace(base, snr_threshold_db=los_snr + offset_db)
 
 
 def _example(distance, block, md_beamwidth, side_lobe_db, offset_db,

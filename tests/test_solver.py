@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from conftest import random_toy
@@ -386,6 +386,36 @@ def test_exact_matches_flat_enumeration(tight_params):
         assert abs(dep.normalized_coverage - want_cov) < 1e-12
 
 
+def test_exact_meets_a_full_target_that_greedy_meets():
+    # the search's own sums of the seat masses used to land one ulp under
+    # the total here, so the one-beam answer was refused as infeasible
+    model = PlanningModel(random_toy(0), ChannelParams(), 0.3)
+    assert len(greedy_place(model, 1.0)[0].selected) == 1
+    dep = exact_place(model, 1.0)
+    assert len(dep.selected) == 1
+    assert dep.normalized_coverage == 1.0
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    capacity=st.sampled_from([1, 2, 3, 32]),
+    beta=st.sampled_from([0.3, 0.7]),
+    alpha=st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+@example(seed=6, capacity=2, beta=0.3, alpha=1.0)
+@example(seed=30, capacity=2, beta=0.7, alpha=1.0)
+def test_exact_never_needs_more_aps_than_greedy(seed, capacity, beta, alpha):
+    params = replace(ChannelParams(), capacity_per_beam=capacity)
+    model = PlanningModel(random_toy(seed), params, beta)
+    try:
+        greedy = greedy_place(model, alpha)[0]
+    except InfeasibleError:
+        return
+    exact = exact_place(model, alpha)
+    assert len(exact.selected) <= len(greedy.selected)
+    assert exact.normalized_coverage >= alpha
+
+
 def _exact_or_none(solve, model, alpha):
     try:
         return solve(model, alpha).to_dict()
@@ -563,8 +593,7 @@ def _model_bytes(model):
          p.cell_probs.tobytes())
         for p in model.partitions
     ]
-    feet = [[mem.tobytes() for mem in row] for row in model.foot_members]
-    return arrays, parts, feet, model.total_mass
+    return arrays, parts, model.total_mass
 
 
 def test_solvers_and_evaluation_leave_the_model_unchanged(tight_params):
