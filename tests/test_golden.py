@@ -10,23 +10,30 @@ that digest and says why.
 
 import hashlib
 import json
+import math
+import random
 import re
+from dataclasses import replace
 
 import pytest
 
+from mmwplan import generate_venue
 from mmwplan.cli import main
+from mmwplan.venue import BodyPrism, CandidateLocation, Venue
 
 _RUNTIME = re.compile(r" runtime=\S+")
 
-# name -> (argv, output files); {toy}, {hall}, {airport} and {stadium}
-# are venue files, {hall_dep} is a greedy hall plan, {cap3} a params file with
-# capacity_per_beam 3, and the output names are paths in a per-test
-# directory; a path that a case prints is hashed as its name
+# name -> (argv, output files); {toy}, {hall}, {airport}, {stadium} and
+# {guard} are venue files, {hall_dep} is a greedy hall plan, {cap3} a params
+# file with capacity_per_beam 3, and the output names are paths in a
+# per-test directory; a path that a case prints is hashed as its name
 CASES = {
     "toy-greedy": (
         "plan --venue {toy} --alpha 0.9 --beta 0.7 --out {dep} "
         "--trace-out {trace}", ("dep", "trace"),
     ),
+    "guard-compare-cap3":
+        "cf748cecd9e6b66a9f4b9af0fd94ebb52e8de621a2f34140d2a0339ce93ed059",
     "hall-greedy": (
         "plan --venue {hall} --alpha 0.75 --beta 0.9 --out {dep} "
         "--trace-out {trace}", ("dep", "trace"),
@@ -63,6 +70,10 @@ CASES = {
         "compare --venue {toy} --alpha 0.6,0.9 --beta 0.7 --params {cap3}",
         (),
     ),
+    "guard-compare-cap3": (
+        "compare --venue {guard} --alpha 0.6,0.75 --beta 0.9 --params {cap3}",
+        (),
+    ),
     "hall-render": (
         "render --venue {hall} --deployment {hall_dep} --out {svg}",
         ("svg",),
@@ -87,6 +98,8 @@ DIGESTS = {
         "6af47a50a50c077035efa438380a71826d9c3ec555c7f2747aedb9d3d10bcf4c",
     "airport-uniform":
         "b0100990c4b7b234b3c59e4dc4a8e11de42a1710dd84039d2bfac89520bba74e",
+    "guard-compare-cap3":
+        "cf748cecd9e6b66a9f4b9af0fd94ebb52e8de621a2f34140d2a0339ce93ed059",
     "hall-greedy":
         "2e4cf039b9a2396439b2ea0772ba0b594c139e4d38a135b113badf5d5b2947b1",
     "hall-render":
@@ -112,6 +125,38 @@ DIGESTS = {
 }
 
 
+def guard_venue() -> Venue:
+    """Two toy rooms back to back, 12 seats under 6 mounts, with seeded
+    presence masses and furniture. Rows face +y and -y in turn, so at
+    capacity 3 the exact optimum takes 3 access points."""
+    rng = random.Random("golden-guard")
+    toy = generate_venue("toy")
+    gps, prisms = [], []
+    for t, dy in enumerate((0.0, 4.0)):
+        for gp, body in zip(toy.grid_positions, toy.blockers):
+            i = t * toy.n_grid + gp.id
+            x, y, z = gp.position
+            gps.append(replace(
+                gp, id=i, position=(x, y + dy, z),
+                facing=math.pi / 2.0 if (i // 3) % 2 == 0 else -math.pi / 2.0,
+                presence_prob=rng.uniform(0.4, 1.0),
+            ))
+            x, y, z = body.center
+            prisms.append(replace(body, center=(x, y + dy, z), owner=i))
+    for _ in range(rng.randint(2, 4)):
+        h = rng.uniform(0.8, 2.2)
+        prisms.append(BodyPrism(
+            center=(rng.uniform(2.0, 8.0), rng.uniform(2.0, 11.0), h / 2.0),
+            size=(rng.uniform(0.3, 1.0), rng.uniform(0.3, 1.0), h),
+        ))
+    cands = [
+        CandidateLocation(id=2 * r + c, position=(x, y, 5.0))
+        for r, y in enumerate((2.5, 6.5, 10.5))
+        for c, x in enumerate((2.5, 7.5))
+    ]
+    return Venue("guard", gps, cands, prisms)
+
+
 @pytest.fixture(scope="module")
 def venues(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
@@ -119,6 +164,8 @@ def venues(tmp_path_factory):
     for kind in ("toy", "hall", "airport", "stadium"):
         paths[kind] = str(root / f"{kind}.json")
         assert main(["generate", kind, "--out", paths[kind]]) == 0
+    paths["guard"] = str(root / "guard.json")
+    guard_venue().save(paths["guard"])
     paths["cap3"] = str(root / "cap3.json")
     with open(paths["cap3"], "w") as fh:
         json.dump({"capacity_per_beam": 3}, fh)

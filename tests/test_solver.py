@@ -438,6 +438,13 @@ def _with_twin_mount(venue):
     return replace(venue, candidates=venue.candidates + [cand])
 
 
+def _with_free_seats(venue, seats):
+    """The venue with the given seats at per-seat target 0."""
+    gps = [replace(gp, beta=0.0) if gp.id in seats else gp
+           for gp in venue.grid_positions]
+    return replace(venue, grid_positions=gps)
+
+
 def test_exact_matches_unpruned_scan():
     # Steering pruning must not change the lexicographically first
     # optimum. The full 24-steering grid keeps the unpruned scan cheap only
@@ -463,6 +470,19 @@ def test_exact_matches_unpruned_scan():
                   ChannelParams(capacity_per_beam=2, **grids[1]), 0.7))
     cases.append((_with_twin_mount(random_toy(3101)),
                   ChannelParams(capacity_per_beam=2, **grids[1]), 0.7))
+    # free seats count toward the coverage without an access point
+    for i in range(6):
+        cap = 1 + i % 3
+        grid = grids[0] if cap == 3 else grids[1 + i % 2]
+        cases.append((_with_free_seats(random_toy(3200 + i),
+                                       {i, (i + 3 + i // 3) % 6}),
+                      ChannelParams(capacity_per_beam=cap, **grid),
+                      (0.6, 0.8, 1.0)[i % 3]))
+    # a venue without presence mass is covered by no access point at all
+    empty = random_toy(3300)
+    empty = replace(empty, grid_positions=[
+        replace(gp, presence_prob=0.0) for gp in empty.grid_positions])
+    cases.append((empty, ChannelParams(capacity_per_beam=2, **grids[1]), 1.0))
     placed = 0
     for venue, params, alpha in cases:
         model = PlanningModel(venue, params, 0.65)
@@ -470,7 +490,8 @@ def test_exact_matches_unpruned_scan():
         assert _exact_or_none(exact_place, model, alpha) == want, (
             venue.name, params.capacity_per_beam, alpha)
         placed += want is not None
-    assert placed >= 30
+    assert placed >= 36
+    assert want["selected"] == []
 
 
 def test_exact_logs_pruned_search_at_debug(tight_params, caplog):
