@@ -21,7 +21,9 @@ number of targets, solvers and evaluations:
   what evaluating every pair picks.
 * ``exact_place`` enumerates candidate subsets in increasing size with the
   steering combinations that can win and searches assignments depth-first,
-  so the first feasible size is the minimum number of access points. A
+  so the first feasible size is the minimum number of access points. One
+  incumbent spans the whole scan: its mass, or the target's if higher, is
+  the floor every assignment search starts from. A
   steering is skipped when a lower-index steering of the same mount reaches
   every user it reaches that could use the mount; coverage only grows with
   the reached set, so the lexicographically first optimum never uses a
@@ -744,21 +746,25 @@ def _assignment_search(
     qv: np.ndarray,
     subset: Sequence[int],
     capacity: int,
-    base: float,
-) -> Tuple[float, Optional[List[int]]]:
-    """Depth-first max-coverage assignment for one configuration.
+    floor: float,
+) -> Optional[Tuple[float, List[Tuple[int, ...]]]]:
+    """Depth-first max-mass assignment for one configuration, as
+    ``(mass, assignment)``, or None when no assignment's mass exceeds
+    ``floor``.
 
     Walks users in fixed order; each either takes one of its minimal
-    satisfying sets (capacity permitting) or stays unassigned. The
-    remaining-mass bound prunes branches that cannot beat the incumbent,
-    and the first assignment reaching the maximum is kept, which makes the
-    result independent of pruning strength. An unassigned user gets the
-    empty set.
+    satisfying sets (capacity permitting) or stays unassigned with the
+    empty set. The remaining-mass bound prunes branches that cannot beat
+    the incumbent, which starts at ``floor``, and the first assignment
+    reaching the maximum is kept, which makes the result independent of
+    pruning strength.
     """
     n = len(order)
     suffix = np.zeros(n + 1)
     for j in range(n - 1, -1, -1):
         suffix[j] = suffix[j + 1] + qv[order[j]]
+    if suffix[0] <= floor:
+        return None
     pos_of = {l: p for p, l in enumerate(subset)}
     needs = {
         m: [(ms, [pos_of[l] for l in ms]) for ms in choices[m]]
@@ -766,7 +772,7 @@ def _assignment_search(
     }
     cap = [capacity] * len(subset)
     cur: List[Tuple[int, ...]] = [()] * n
-    best_val = -1.0
+    best_val = floor
     best_assign: Optional[List[Tuple[int, ...]]] = None
 
     def rec(j: int, val: float) -> None:
@@ -790,7 +796,7 @@ def _assignment_search(
         rec(j + 1, val)
 
     rec(0, 0.0)
-    return base + best_val if best_val >= 0.0 else -1.0, best_assign
+    return None if best_assign is None else (best_val, best_assign)
 
 
 def _useful_steerings(
@@ -831,10 +837,14 @@ def exact_place(
 ) -> Deployment:
     """Minimum access point count by exhaustive enumeration.
 
-    Scans subset sizes in increasing order; within the first feasible size
-    every configuration is searched and the one with the largest coverage
-    wins, ties resolved toward the lexicographically first subset and
-    steering tuple.
+    Scans subset sizes in increasing order, then subsets, then steering
+    tuples; within the first feasible size the configuration with the
+    largest coverage wins, ties resolved toward the lexicographically
+    first subset and steering tuple. One incumbent is kept: a
+    configuration's assignment search starts from the incumbent's mass,
+    or the target's if higher, so a configuration that cannot strictly
+    beat both is cut at the search's root, and one that does replaces the
+    incumbent once ``coverage_of`` confirms it reaches ``alpha``.
 
     Only useful steerings enter the product. A mount's footprint matters
     only on the users whose minimal satisfying sets contain that mount; a
@@ -898,58 +908,45 @@ def exact_place(
             l, len(reps[l]), n_t, reps[l],
         )
 
-    def scan_subset(
-        subset: Tuple[int, ...]
-    ) -> Optional[
-        Tuple[float, Tuple, Tuple, List[int], List[Tuple[int, ...]]]
-    ]:
-        best = None
-        for steer in product(*[reps[l] for l in subset]):
-            allowed: List[set] = [set() for _ in range(M)]
-            for l, ti in zip(subset, steer):
-                for m in feet[l, ti]:
-                    allowed[m].add(l)
-            order = []
-            choices: Dict[int, List[Tuple[int, ...]]] = {}
-            potential = base
-            for m in demanding:
-                opts = [
-                    ms for ms in choices_all[m] if allowed[m].issuperset(ms)
-                ]
-                if opts:
-                    order.append(m)
-                    choices[m] = opts
-                    potential += float(model.q[m])
-            # the sums run in another order than coverage_of, so they only
-            # prune, with a slack that keeps a borderline configuration
-            if model.normalized(potential) < alpha - _SUM_TOL:
-                continue
-            val, assign = _assignment_search(
-                order, choices, model.q, subset, capacity, base
-            )
-            if assign is None or model.normalized(val) < alpha - _SUM_TOL:
-                continue
-            if best is not None and val <= best[0]:
-                continue
-            # accepted on the coverage finalize will report
-            z = free.copy()
-            z[[m for m, ms in zip(order, assign) if ms]] = True
-            if model.normalized(model.coverage_of(z)) >= alpha:
-                best = (val, subset, steer, order, assign)
-        return best
-
-    found = None
+    # one incumbent over every configuration: a search must beat both the
+    # target and the incumbent's mass, each less a slack toward keeping,
+    # because its sums run in another order than coverage_of
+    alpha_floor = alpha * model.total_mass - base - _SUM_TOL
+    found, found_total = None, -math.inf
     searched = full = 0
     for k in range(k_min, L + 1):
         subsets = list(combinations(range(L), k))
         searched += sum(math.prod(len(reps[l]) for l in s) for s in subsets)
         full += len(subsets) * n_t ** k
-        for s in subsets:
-            r = scan_subset(s)
-            if r is None:
-                continue
-            if found is None or r[0] > found[0]:
-                found = r
+        for subset in subsets:
+            for steer in product(*[reps[l] for l in subset]):
+                allowed: List[set] = [set() for _ in range(M)]
+                for l, ti in zip(subset, steer):
+                    for m in feet[l, ti]:
+                        allowed[m].add(l)
+                order = []
+                choices: Dict[int, List[Tuple[int, ...]]] = {}
+                for m in demanding:
+                    opts = [
+                        ms for ms in choices_all[m]
+                        if allowed[m].issuperset(ms)
+                    ]
+                    if opts:
+                        order.append(m)
+                        choices[m] = opts
+                floor = max(alpha_floor, found_total - base - _SUM_TOL)
+                r = _assignment_search(
+                    order, choices, model.q, subset, capacity, floor
+                )
+                if r is None or base + r[0] <= found_total:
+                    continue
+                mass, assign = r
+                # accepted on the coverage finalize will report
+                z = free.copy()
+                z[[m for m, ms in zip(order, assign) if ms]] = True
+                if model.normalized(model.coverage_of(z)) >= alpha:
+                    found_total = base + mass
+                    found = (subset, steer, order, assign)
         if found is not None:
             break
     logger.debug(
@@ -960,7 +957,7 @@ def exact_place(
             "no candidate subset reaches the target coverage",
             diagnostics={"target_alpha": alpha, "candidates": L},
         )
-    _, subset, steer, order, assign = found
+    subset, steer, order, assign = found
     by_ap: Dict[int, List[int]] = {l: [] for l in subset}
     for j, m in enumerate(order):
         for l in assign[j]:

@@ -726,10 +726,10 @@ def exact_place_unpruned(model, alpha):
                 z[order] = True
                 if model.normalized(model.coverage_of(z)) < alpha:
                     continue
-                val, assign = _assignment_search(
-                    order, choices, model.q, subset, T, base)
-                if assign is None:
-                    continue
+                # a floor of -1 keeps every assignment, the empty one too
+                mass, assign = _assignment_search(
+                    order, choices, model.q, subset, T, -1.0)
+                val = base + mass
                 z = free.copy()
                 z[[m for m, ms in zip(order, assign) if ms]] = True
                 if model.normalized(model.coverage_of(z)) < alpha:
