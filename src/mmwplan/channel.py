@@ -86,6 +86,13 @@ class ChannelParams:
 
     def __post_init__(self) -> None:
         check(CHANNEL, self)
+        for key in ("ap_beamwidth", "md_beamwidth"):
+            # below about 2.1e-8 rad cos(W/2) rounds to 1 and the gain is 2 / 0
+            if 1.0 - math.cos(getattr(self, key) / 2.0) == 0.0:
+                raise VenueFormatError(
+                    f"{key} {getattr(self, key)!r} is too narrow: its "
+                    f"main-lobe gain 2 / (1 - cos(W/2)) has no finite value"
+                )
         if self.alpha_los > self.alpha_nlos:
             raise VenueFormatError("alpha_los must not exceed alpha_nlos")
         main_db = linear_to_db(main_lobe_gain(self.md_beamwidth))

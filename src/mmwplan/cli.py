@@ -228,10 +228,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
                 )
                 row["L_exact"] = len(exact.selected)
                 row["coverage_exact"] = exact.normalized_coverage
-            except SizeLimitError:
-                pass
-            except InfeasibleError:
-                pass
+            except (SizeLimitError, InfeasibleError) as exc:
+                reason = (
+                    "refused" if isinstance(exc, SizeLimitError)
+                    else "infeasible"
+                )
+                print(
+                    f"W={w:.4f} alpha={alpha:.2f}: exact {reason} ({exc})",
+                    file=sys.stderr,
+                )
             if greedy is not None:
                 n = (
                     args.uniform_n

@@ -143,6 +143,23 @@ def test_side_lobe_may_reach_but_not_pass_the_device_main_lobe(md):
         replace(p, md_beamwidth=md + 0.5)  # a wider lobe is weaker
 
 
+@pytest.mark.parametrize("key", ["ap_beamwidth", "md_beamwidth"])
+def test_params_refuse_a_beamwidth_whose_gain_divides_by_zero(key):
+    # bisect to the two adjacent doubles where cos(W/2) stops rounding to 1
+    lo, hi = 1e-9, 1e-7
+    while math.nextafter(lo, hi) < hi:
+        mid = (lo + hi) / 2.0
+        if 1.0 - math.cos(mid / 2.0) == 0.0:
+            lo = mid
+        else:
+            hi = mid
+    with pytest.raises(ValueError, match=key):
+        ChannelParams(**{key: lo})
+    p = ChannelParams(**{key: hi})
+    assert getattr(p, key) == hi
+    assert math.isfinite(linear_to_db(main_lobe_gain(hi)))
+
+
 @pytest.mark.parametrize("grids", [
     {"elevation_grid": (5.0,)},
     {"elevation_grid": (0.0, -0.1)},

@@ -561,6 +561,33 @@ def test_plan_rejects_side_lobe_above_device_main_lobe(capsys, tmp_path,
             assert "Traceback" not in stderr
 
 
+@pytest.mark.parametrize("field, width", [("ap_beamwidth", 2e-8),
+                                          ("md_beamwidth", 1e-12)])
+def test_plan_rejects_beamwidth_without_finite_gain(capsys, tmp_path,
+                                                    toy_path, field, width):
+    # cos(W/2) rounds to 1 below about 2.1e-8 rad, so the main-lobe gain
+    # 2 / (1 - cos(W/2)) would divide by zero
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({field: width}))
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", toy_path, "--params", str(params),
+        "--alpha", "0.9", "--beta", "0.7",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert field in stderr and str(params) in stderr
+
+
+def test_compare_rejects_beamwidth_without_finite_gain(capsys, toy_path):
+    code, stdout, stderr = run(
+        capsys, "compare", "--venue", toy_path, "--alpha", "0.5",
+        "--beta", "0.7", "--beamwidth-ap", "2.0,1e-12",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "ap_beamwidth 1e-12" in stderr
+
+
 @pytest.mark.parametrize("section, key", [
     ("grid_positions", "id"), ("blockers", "owner"),
 ])
@@ -807,6 +834,38 @@ def test_compare_stdout_when_no_out(capsys, toy_path):
     )
     assert code == 0
     assert stdout.startswith("W,alpha,beta,")
+
+
+def test_compare_says_why_exact_is_blank(capsys, tmp_path, toy_path):
+    hall = tmp_path / "hall.json"
+    assert main(["generate", "hall", "--out", str(hall)]) == 0
+    code, stdout, stderr = run(
+        capsys, "compare", "--venue", str(hall), "--alpha", "0.5,0.75",
+        "--beta", "0.9",
+    )
+    assert code == 0
+    rows = [dict(zip(stdout.splitlines()[0].split(","), line.split(",")))
+            for line in stdout.splitlines()[1:]]
+    assert [r["L_exact"] for r in rows] == ["", ""]
+    assert all(r["L_greedy"] for r in rows)
+    assert stderr.splitlines() == [
+        f"W=2.0944 alpha={a}: exact refused (instance size 20 candidates x "
+        f"135 users exceeds exact solver limits (6 x 12); use the greedy "
+        f"solver or raise the limits explicitly)"
+        for a in ("0.50", "0.75")
+    ]
+    params = tmp_path / "deaf.json"
+    params.write_text('{"snr_threshold_db": 60.0}')
+    code, stdout, stderr = run(
+        capsys, "compare", "--venue", toy_path, "--params", str(params),
+        "--alpha", "0.5", "--beta", "0.7",
+    )
+    assert code == 0
+    assert stdout.splitlines()[1] == "2.094395,0.500000,0.700000" + "," * 8
+    assert stderr.splitlines()[1] == (
+        "W=2.0944 alpha=0.50: exact infeasible (target coverage unreachable "
+        "even with every candidate active)"
+    )
 
 
 # -- argument checks ----------------------------------------------------------
