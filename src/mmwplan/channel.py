@@ -87,11 +87,12 @@ class ChannelParams:
     def __post_init__(self) -> None:
         check(CHANNEL, self)
         for key in ("ap_beamwidth", "md_beamwidth"):
+            width = getattr(self, key)
             # below about 2.1e-8 rad cos(W/2) rounds to 1 and the gain is 2 / 0
-            if 1.0 - math.cos(getattr(self, key) / 2.0) == 0.0:
+            if 1.0 - math.cos(width / 2.0) == 0.0:
                 raise VenueFormatError(
-                    f"{key} {getattr(self, key)!r} is too narrow: its "
-                    f"main-lobe gain 2 / (1 - cos(W/2)) has no finite value"
+                    f"{key} {width!r} is too narrow: its main-lobe gain "
+                    f"2 / (1 - cos(W/2)) has no finite value"
                 )
         if self.alpha_los > self.alpha_nlos:
             raise VenueFormatError("alpha_los must not exceed alpha_nlos")

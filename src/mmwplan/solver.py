@@ -23,12 +23,12 @@ number of targets, solvers and evaluations:
   steering combinations that can win and searches assignments depth-first,
   so the first feasible size is the minimum number of access points. One
   incumbent spans the whole scan: its mass, or the target's if higher, is
-  the floor every assignment search starts from. A
-  steering is skipped when a lower-index steering of the same mount reaches
-  every user it reaches that could use the mount; coverage only grows with
-  the reached set, so the lexicographically first optimum never uses a
-  skipped steering and the result is the one a full scan returns. Intended
-  for small instances only and guarded by hard size limits.
+  the floor every assignment search starts from. A steering is skipped
+  when a lower-index steering of the same mount reaches every user it
+  reaches that could use the mount; coverage only grows with the reached
+  set, so the lexicographically first optimum never uses a skipped
+  steering and the result is the one a full scan returns. Intended for
+  small instances only and guarded by hard size limits.
 * ``uniform_place`` is the coverage-oblivious baseline: spread n mounts by
   farthest-point selection and aim every beam straight down.
 
