@@ -127,8 +127,17 @@ def _infeasible_line(exc: InfeasibleError) -> str:
     return line
 
 
+def _check_uniform_n(args: argparse.Namespace, venue: Venue) -> None:
+    """``uniform_place``'s check of ``--uniform-n``, before any model."""
+    n, top = args.uniform_n, venue.n_candidates
+    if n is not None and not 1 <= n <= top:
+        raise ValueError(f"count must lie in [1, {top}], got {n}")
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
+    if args.solver == "uniform":
+        _check_uniform_n(args, venue)
     params = _load_params(args)
     if args.solver == "exact":
         check_exact_size(
@@ -151,11 +160,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 max_positions=args.max_exact_m,
             )
         else:
-            n = (
-                args.uniform_n
-                if args.uniform_n is not None
-                else venue.n_candidates
-            )
+            # checked above: None or a count in range
+            n = args.uniform_n or venue.n_candidates
             deployment = uniform_place(model, n)
     except InfeasibleError as exc:
         elapsed = time.perf_counter() - start
@@ -197,13 +203,16 @@ def _csv_cell(value) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
+    _check_uniform_n(args, venue)
     base = _load_params(args)
     widths = args.beamwidth_ap or [base.ap_beamwidth]
+    # every width is checked before the first model is built: replace
+    # re-runs the checks that tie the width to the other fields
+    channels = [replace(base, ap_beamwidth=w) for w in widths]
     rows = []
-    for w in widths:
-        # one model per width, shared by every target and solver; replace
-        # re-runs the checks that tie the width to the other fields
-        model = PlanningModel(venue, replace(base, ap_beamwidth=w), args.beta)
+    for w, params in zip(widths, channels):
+        # one model per width, shared by every target and solver
+        model = PlanningModel(venue, params, args.beta)
         for alpha in args.alpha:
             row = dict.fromkeys(_CSV_COLUMNS)
             row.update(W=w, alpha=alpha, beta=args.beta)
@@ -238,11 +247,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
                     file=sys.stderr,
                 )
             if greedy is not None:
-                n = (
-                    args.uniform_n
-                    if args.uniform_n is not None
-                    else max(len(greedy.selected), 1)
-                )
+                n = args.uniform_n or max(len(greedy.selected), 1)
                 uniform = uniform_place(model, n)
                 row["coverage_uniform"] = uniform.normalized_coverage
             if greedy is not None and exact is not None:

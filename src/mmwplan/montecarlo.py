@@ -147,8 +147,8 @@ def _windows(
     phi_rx: np.ndarray, reach: np.ndarray
 ) -> Optional[List[Window]]:
     """The windows of a seat's links from their azimuths and active
-    half-widths, or None when a link is always on. Links that are never
-    on are left out."""
+    half-widths, or None when a link is always on (the replay's own rule,
+    kept apart from the partition it checks). Never-on links are left out."""
     if (reach >= math.pi).any():
         return None
     return [(p, r) for p, r in zip(phi_rx.tolist(), reach.tolist())

@@ -6,7 +6,8 @@ is active on a fixed arc of orientations, so the arc endpoints of all
 usable links cut the circle into at most 2 * n_links cells on which the
 set of active links is constant. Those cells, weighted by their Gaussian
 mass, are the only scenarios with non-zero probability; the probability
-that any link in an assigned set is active is a plain sum of cell masses.
+that any link in an assigned set is active is a plain sum of cell masses,
+and exactly 1.0 when the set's links hit every cell.
 
 ``seat_partitions`` builds the partitions of a whole venue from its
 links' azimuths and active half-widths, many seats at a time: one sort
@@ -89,22 +90,18 @@ class ScenarioPartition:
     the one cell is the whole circle. ``cell_probs`` holds the
     cell masses. ``visible`` is an ``(n_cells, L)`` boolean matrix over
     the venue's candidates: row i, column l is set when the link to
-    candidate l is active anywhere in cell i. ``always_on`` is the
-    ``(L,)`` boolean row of links active for every orientation; those
-    columns are set in every row. The arguments are stored as given.
+    candidate l is active anywhere in cell i, so a link active for every
+    orientation has its column set in every row. The arguments are stored
+    as given.
     """
 
     gp: int
     bounds: np.ndarray
     cell_probs: np.ndarray
     visible: np.ndarray
-    always_on: np.ndarray
 
     def __repr__(self) -> str:
-        return (
-            f"ScenarioPartition(gp={self.gp}, cells={len(self.cell_probs)}, "
-            f"always_on={np.flatnonzero(self.always_on).tolist()})"
-        )
+        return f"ScenarioPartition(gp={self.gp}, cells={len(self.cell_probs)})"
 
 
 # (cell, arc) pairs per batch of seat_partitions, counted as the bound
@@ -152,8 +149,7 @@ def _partitions(
     cell's mass is the sum, from 0, over its one or two segments, with the
     empty segment at +-pi worth 0.0. A seat without boundaries has one
     cell, the whole circle, of mass 1.0. Each seat's ``bounds``,
-    ``visible``, ``cell_probs`` and ``always_on`` are slices of batch
-    arrays.
+    ``visible`` and ``cell_probs`` are slices of batch arrays.
     """
     n = reach.shape[0]
     always = reach >= math.pi
@@ -209,16 +205,10 @@ def _partitions(
     probs[row[last]] = 0.0 + upper + lower
 
     return [
-        ScenarioPartition(
-            gp,
-            b[f:f + k],
-            probs[r:r + c],
-            visible[r:r + c],
-            always[i],
-        )
-        for i, (gp, f, k, r, c) in enumerate(zip(
+        ScenarioPartition(gp, b[f:f + k], probs[r:r + c], visible[r:r + c])
+        for gp, f, k, r, c in zip(
             gp_ids, b_first.tolist(), n_b.tolist(), row_first.tolist(),
-            n_cells.tolist()))
+            n_cells.tolist())
     ]
 
 
@@ -278,11 +268,12 @@ def connectivity_probability(
     """Probability that at least one link in the set is active.
 
     ``aps`` indexes the candidate columns: a list or integer array of
-    candidate ids, or a boolean row over candidates. A set containing an
-    always-on link returns exactly 1.0. Raises ``ValueError`` for an id
-    outside ``[0, L)`` or a boolean row whose length is not ``L``.
+    candidate ids, or a boolean row over candidates. A set whose links
+    hit every cell, as an always-on link does, returns exactly 1.0.
+    Raises ``ValueError`` for an id outside ``[0, L)`` or a boolean row
+    whose length is not ``L``.
     """
-    n = partition.always_on.shape[0]
+    n = partition.visible.shape[1]
     idx = np.asarray(aps)
     if idx.dtype == bool:
         if idx.shape != (n,):
@@ -296,9 +287,9 @@ def connectivity_probability(
         raise ValueError(
             f"assigned ids must lie in [0, {n - 1}], got {idx.tolist()}"
         )
-    if partition.always_on[idx].any():
-        return 1.0
     hit = partition.visible[:, idx].any(axis=1)
+    if hit.all():
+        return 1.0
     return float(partition.cell_probs[hit].sum())
 
 

@@ -399,7 +399,8 @@ def evaluate_coverage(
 # -- greedy ------------------------------------------------------------
 
 # slack for comparing a mass summed in one order with one summed in another:
-# a screen value with a key, a search's sum with ``coverage_of``
+# a screen value with a key, a search's sum with ``coverage_of``, a step
+# table's ``conn + dp`` with ``model.conn``
 _SUM_TOL = 1e-9
 
 
@@ -410,10 +411,13 @@ class GreedyState:
     ``assigned`` is an ``(M, L)`` boolean matrix: row m marks the
     candidates serving user m. ``dp`` and ``pred_sat`` are the step
     tables over all L candidates: user m's connectivity gain if candidate
-    l were added, and whether that gain would meet m's target. A
-    satisfied user's rows are 0 and False. A row depends only on the
-    user's own assignment, so ``commit`` recomputes just the rows of the
-    beam it commits, and every row equals a fresh recompute bit for bit.
+    l were added, and whether adding l would meet m's target. That
+    verdict is ``conn + dp >= beta`` except within ``_SUM_TOL`` of the
+    target, where the two sums may round to either side and it is the
+    test ``commit`` applies: ``model.conn`` with l added. A satisfied
+    user's rows are 0 and False. A row depends only on the user's own
+    assignment, so ``commit`` recomputes just the rows of the beam it
+    commits, and every row equals a fresh recompute bit for bit.
     """
 
     assigned: np.ndarray
@@ -439,17 +443,22 @@ class GreedyState:
         return state
 
     def _refresh(self, model: PlanningModel, rows: Sequence[int]) -> None:
-        for m in rows:
-            if self.satisfied[m]:
-                self.dp[m] = 0.0
-                self.pred_sat[m] = False
-                continue
+        rows = np.asarray(rows, dtype=np.intp)
+        self.dp[rows] = 0.0
+        self.pred_sat[rows] = False
+        rows = rows[~self.satisfied[rows]]
+        for m in rows.tolist():
             part = model.partitions[m]
             uncovered = ~part.visible[:, self.assigned[m]].any(axis=1)
-            gain = part.cell_probs @ (part.visible & uncovered[:, None])
-            self.dp[m] = gain
-            pred = np.where(part.always_on, 1.0, self.conn[m] + gain)
-            self.pred_sat[m] = pred >= model.betas[m]
+            self.dp[m] = part.cell_probs @ (part.visible & uncovered[:, None])
+        pred = self.conn[rows, None] + self.dp[rows]
+        beta = model.betas[rows, None]
+        self.pred_sat[rows] = pred >= beta
+        for i, l in np.argwhere(np.abs(pred - beta) <= _SUM_TOL).tolist():
+            m = int(rows[i])
+            row = self.assigned[m].copy()
+            row[l] = True
+            self.pred_sat[m, l] = model.conn(m, row) >= beta[i, 0]
 
     def commit(self, model: PlanningModel, ap: PlacedAp) -> List[int]:
         """Serve ``ap.assigned`` from ``ap.candidate`` and return the

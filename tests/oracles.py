@@ -487,7 +487,7 @@ def build_scenarios(venue, gp_id, arcs):
     boundaries = sorted({e for _, arc in proper for e in arc.endpoints()})
     if not boundaries:
         return ScenarioPartition(gp_id, boundaries, np.array([1.0]),
-                                 always[None, :], always)
+                                 always[None, :])
 
     n = len(boundaries)
     probs = []
@@ -501,8 +501,7 @@ def build_scenarios(venue, gp_id, arcs):
             if arc.contains(mid):
                 visible[i, ap] = True
         probs.append(circular_mass(dist, cell_arc))
-    return ScenarioPartition(gp_id, boundaries, np.array(probs), visible,
-                             always)
+    return ScenarioPartition(gp_id, boundaries, np.array(probs), visible)
 
 
 def model_partitions(model):
@@ -528,14 +527,13 @@ def cell_arcs(part):
 
 
 def same_partition(a, b):
-    """Bit-equal boundaries and cell masses, and equal visibility and
-    always-on rows."""
+    """Bit-equal boundaries and cell masses, and equal visibility rows
+    (an always-on link's column is set in every one)."""
     return (a.gp == b.gp
             and [float(x).hex() for x in a.bounds]
             == [float(x).hex() for x in b.bounds]
             and a.visible.shape == b.visible.shape
             and (a.visible == b.visible).all()
-            and (a.always_on == b.always_on).all()
             and a.cell_probs.tobytes() == b.cell_probs.tobytes())
 
 
@@ -604,8 +602,7 @@ def pattern_connectivity(partition, ap_ids):
     ids = list(ap_ids)
     masses = {}
     for prob, row in zip(partition.cell_probs.tolist(), partition.visible):
-        vis = row | partition.always_on
-        pat = tuple(bool(vis[l]) for l in ids)
+        pat = tuple(bool(row[l]) for l in ids)
         masses[pat] = masses.get(pat, 0.0) + prob
     return sum(p for pat, p in masses.items() if any(pat))
 
@@ -821,15 +818,20 @@ def iteration_best_scan(model, pool, state):
 def greedy_tables(model, state):
     """The greedy step tables rebuilt from scratch: for each open user
     and every candidate, the cell mass that candidate would add to the
-    user's covered cells and whether that meets the user's target."""
+    user's covered cells, and whether the user's assigned set with that
+    candidate added meets the user's target by ``connectivity_probability``,
+    the test a commit applies."""
     dp = np.zeros((model.M, model.L))
     pred_sat = np.zeros((model.M, model.L), dtype=bool)
     for m in np.flatnonzero(~state.satisfied):
         part = model.partitions[m]
         uncovered = ~part.visible[:, state.assigned[m]].any(axis=1)
         dp[m] = part.cell_probs @ (part.visible & uncovered[:, None])
-        pred = np.where(part.always_on, 1.0, state.conn[m] + dp[m])
-        pred_sat[m] = pred >= model.betas[m]
+        for l in range(model.L):
+            row = state.assigned[m].copy()
+            row[l] = True
+            pred_sat[m, l] = (connectivity_probability(part, row)
+                              >= model.betas[m])
     return dp, pred_sat
 
 

@@ -579,13 +579,27 @@ def test_plan_rejects_beamwidth_without_finite_gain(capsys, tmp_path,
 
 
 def test_compare_rejects_beamwidth_without_finite_gain(capsys, toy_path):
+    # --max-exact-l 1 makes exact print a refusal for any width it runs,
+    # so a stderr without one shows no width ran before the bad one exited
     code, stdout, stderr = run(
         capsys, "compare", "--venue", toy_path, "--alpha", "0.5",
-        "--beta", "0.7", "--beamwidth-ap", "2.0,1e-12",
+        "--beta", "0.7", "--beamwidth-ap", "2.0,1e-12", "--max-exact-l", "1",
     )
     assert code == 3
     assert stdout == ""
     assert "ap_beamwidth 1e-12" in stderr
+    assert "greedy" not in stderr and "exact" not in stderr
+
+
+def test_compare_rejects_uniform_n_before_any_solver(capsys, toy_path):
+    code, stdout, stderr = run(
+        capsys, "compare", "--venue", toy_path, "--alpha", "0.5",
+        "--beta", "0.7", "--uniform-n", "9", "--max-exact-l", "1",
+    )
+    assert code == 3
+    assert stdout == ""
+    assert "count must lie in [1, 4], got 9" in stderr
+    assert "greedy" not in stderr and "exact" not in stderr
 
 
 @pytest.mark.parametrize("section, key", [

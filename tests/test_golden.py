@@ -32,8 +32,6 @@ CASES = {
         "plan --venue {toy} --alpha 0.9 --beta 0.7 --out {dep} "
         "--trace-out {trace}", ("dep", "trace"),
     ),
-    "guard-compare-cap3":
-        "cf748cecd9e6b66a9f4b9af0fd94ebb52e8de621a2f34140d2a0339ce93ed059",
     "hall-greedy": (
         "plan --venue {hall} --alpha 0.75 --beta 0.9 --out {dep} "
         "--trace-out {trace}", ("dep", "trace"),
@@ -48,6 +46,10 @@ CASES = {
     ),
     "airport-greedy": (
         "plan --venue {airport} --alpha 0.8 --beta 0.7 --out {dep} "
+        "--trace-out {trace}", ("dep", "trace"),
+    ),
+    "airport-greedy-beta1": (
+        "plan --venue {airport} --alpha 0.5 --beta 1.0 --out {dep} "
         "--trace-out {trace}", ("dep", "trace"),
     ),
     "toy-exact": (
@@ -96,6 +98,8 @@ EXIT_CODES = {"stadium-greedy": 2}
 DIGESTS = {
     "airport-greedy":
         "6af47a50a50c077035efa438380a71826d9c3ec555c7f2747aedb9d3d10bcf4c",
+    "airport-greedy-beta1":
+        "d7f731d1020ea730176ca0185f4b5c16ad82869fed4ac55e9987a66da95d7489",
     "airport-uniform":
         "b0100990c4b7b234b3c59e4dc4a8e11de42a1710dd84039d2bfac89520bba74e",
     "guard-compare-cap3":

@@ -98,13 +98,13 @@ def test_single_always_on_link_single_cell():
                           model.phi_rx[0], only_first)
     assert part.bounds.size == 0
     assert part.cell_probs.tolist() == [1.0]
-    assert part.always_on.tolist() == [True, False, False, False]
     assert part.visible.tolist() == [[True, False, False, False]]
 
 
 def test_partition_invariants(toy_venue, default_params):
+    model = PlanningModel(toy_venue, default_params, 0.5)
     for m in range(toy_venue.n_grid):
-        part = _partition(toy_venue, default_params, m)
+        part = model.partitions[m]
         n_links = toy_venue.n_candidates
         n_cells = len(part.cell_probs)
         assert n_cells <= 2 * n_links + 1
@@ -113,7 +113,8 @@ def test_partition_invariants(toy_venue, default_params):
         total = sum(c.length() for c in oracles.cell_arcs(part))
         assert abs(total - 2.0 * math.pi) < 1e-9
         assert part.visible.shape == (n_cells, n_links)
-        assert part.visible[:, part.always_on].all()
+        # an always-on link is active in every cell
+        assert part.visible[:, model.reach[m] >= math.pi].all()
 
 
 def test_widest_allowed_spread_is_uniform(default_params):
@@ -180,9 +181,22 @@ def test_connectivity_empty_set_zero(toy_venue, default_params):
 
 def test_connectivity_full_interval_link_is_one(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 0)
-    assert part.always_on.any()
-    l = int(np.flatnonzero(part.always_on)[-1])
+    always_on = part.visible.all(axis=0)
+    assert always_on.any()
+    l = int(np.flatnonzero(always_on)[-1])
     assert connectivity_probability(part, [l]) == 1.0
+
+
+def test_links_hitting_every_cell_connect_exactly_one():
+    # hall seat 16 has no always-on link, but its usable links together
+    # hit every cell, whose masses sum to one ulp under 1
+    m = 16
+    model = PlanningModel(generate_venue("hall"), ChannelParams(), 1.0)
+    part = model.partitions[m]
+    assert not (model.reach[m] >= math.pi).any()
+    assert part.visible[:, model.usable[m]].any(axis=1).all()
+    assert part.cell_probs.sum() < 1.0
+    assert model.conn(m, model.usable[m]) == 1.0
 
 
 def test_connectivity_mask_and_iterable_agree(toy_venue, default_params):
@@ -280,7 +294,7 @@ def test_refinement_invariance():
                       oracles.circular_mass(dist, right)]
             rows += [row, row]
         fine = ScenarioPartition(m, np.array(bounds), np.array(probs),
-                                 np.array(rows), part.always_on)
+                                 np.array(rows))
         for s in range(16):
             a = connectivity_probability(part, _ids(s))
             b = connectivity_probability(fine, _ids(s))
@@ -296,13 +310,14 @@ def test_satisfied_zero_beta_always(toy_venue, default_params):
 
 
 def test_satisfied_beta_one_needs_always_on():
-    # long-range venue: no always-on links, partial unions stay short of 1
+    # long-range venue: the one link is on a proper arc, so some
+    # orientations leave the seat dark and beta 1.0 is out of reach
     from conftest import single_link_venue
     v = single_link_venue(dx=0.0, dz=40.0, tilt=0.0)
     p = ChannelParams()
     serve = [PlacedAp(candidate=0, theta=0.0, phi=0.0, assigned=(0,))]
     strict = PlanningModel(v, p, 1.0)
-    assert not strict.partitions[0].always_on.any()
+    assert not strict.partitions[0].visible.all(axis=0).any()
     assert strict.finalize(serve).satisfied == [False]
     assert PlanningModel(v, p, 0.3).finalize(serve).satisfied == [True]
 

@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, strategies as st
 
 import oracles
 from conftest import random_toy
@@ -29,7 +29,9 @@ from mmwplan.scenarios import connectivity_probability
 from mmwplan.solver import (
     GreedyState,
     _evaluate_tuple,
+    _reachability,
     _screen,
+    _winners,
     greedy_iteration_best,
 )
 from mmwplan.venue import CandidateLocation
@@ -290,10 +292,11 @@ def test_iteration_choice_matches_oracle(tight_params):
 
 def _walk_greedy_checked(model, alpha):
     """Greedy steps until ``alpha`` through ``GreedyState.commit``,
-    checking before each one that the kept tables equal a fresh rebuild
+    checking before each one that the kept tables equal their definition
     bit for bit, that every screen value is at least the exact key and
-    that the screened step is the exhaustive scan's; returns the number
-    of steps committed."""
+    that the screened step is the exhaustive scan's, and after each one
+    that the users it newly satisfied are the winners its key counted;
+    returns the number of steps committed."""
     state = GreedyState.initial(model)
     pool = list(range(model.L))
     capacity = model.params.capacity_per_beam
@@ -323,16 +326,22 @@ def _walk_greedy_checked(model, alpha):
         if choice is None:
             return steps
         assert [w.hex() for w in choice[1:]] == [w.hex() for w in want[1:]]
-        state.commit(model, choice[0])
-        pool.remove(choice[0].candidate)
+        ap = choice[0]
+        ti = next(ti for ti in range(model.n_tuples)
+                  if model.steering_angles(ti) == (ap.theta, ap.phi))
+        winners = _winners(
+            model, model.members(ap.candidate, ti),
+            state.pred_sat[:, ap.candidate], state.satisfied, capacity,
+        )[1]
+        assert sorted(state.commit(model, ap)) == sorted(winners.tolist())
+        pool.remove(ap.candidate)
         steps += 1
 
 
-@settings(max_examples=100)
 @given(
     seed=st.integers(0, 10_000),
     capacity=st.sampled_from([1, 2, 3, 32]),
-    beta=st.floats(0.05, 0.99),
+    beta=st.one_of(st.floats(0.05, 0.99), st.just(1.0)),
 )
 def test_screened_step_equals_full_scan_on_random_rooms(seed, capacity, beta):
     params = replace(ChannelParams(), capacity_per_beam=capacity)
@@ -340,14 +349,23 @@ def test_screened_step_equals_full_scan_on_random_rooms(seed, capacity, beta):
     _walk_greedy_checked(model, 0.95)
 
 
-@pytest.mark.parametrize("kind,capacity,steps", [
-    ("hall", 3, 20), ("hall", 32, 4), ("stadium", 32, 16),
+@pytest.mark.parametrize("kind,capacity,beta,steps", [
+    pytest.param("hall", 3, 0.9, 20, id="hall-3-20"),
+    pytest.param("hall", 32, 0.9, 4, id="hall-32-4"),
+    pytest.param("stadium", 32, 0.9, 16, id="stadium-32-16"),
+    pytest.param("hall", 3, 1.0, 20, id="hall-3-20-beta1"),
+    pytest.param("hall", 32, 1.0, 12, id="hall-32-12-beta1"),
+    pytest.param("airport", 3, 1.0, 16, id="airport-3-16-beta1"),
+    pytest.param("airport", 32, 1.0, 16, id="airport-32-16-beta1"),
 ])
-def test_screened_step_equals_full_scan_on_venues(kind, capacity, steps):
+def test_screened_step_equals_full_scan_on_venues(kind, capacity, beta,
+                                                  steps):
     # hall at capacity 3: most steps tie on newly satisfied mass; the
-    # stadium's seats all weigh the same and its pool runs out
+    # stadium's seats all weigh the same and its pool runs out. At beta
+    # 1.0 a seat is met exactly when its links hit every cell, and
+    # conn + dp lands within rounding of the target for every such link.
     params = replace(ChannelParams(), capacity_per_beam=capacity)
-    model = PlanningModel(generate_venue(kind), params, 0.9)
+    model = PlanningModel(generate_venue(kind), params, beta)
     assert _walk_greedy_checked(model, 0.75) == steps
 
 
@@ -365,6 +383,20 @@ def test_greedy_infeasible_names_unreachable_seats():
     assert len(diag["unreachable"]) == 319
     assert round(diag["reachable_normalized"], 4) == 0.6933
     assert round(diag["achieved_normalized"], 4) == 0.4202
+
+
+@pytest.mark.parametrize("kind,unreachable", [
+    ("hall", []), ("airport", [0, 20, 40, 60, 80, 100, 120, 140]),
+])
+def test_beta_one_refuses_only_seats_some_cell_leaves_dark(kind,
+                                                          unreachable):
+    # every other seat's usable links together hit every cell, which is
+    # exactly 1.0 whatever the masses would sum to
+    model = PlanningModel(generate_venue(kind), ChannelParams(), 1.0)
+    assert _reachability(model)["unreachable"] == unreachable
+    for m in unreachable:
+        part = model.partitions[m]
+        assert not part.visible[:, model.usable[m]].any(axis=1).all()
 
 
 # -- exact ------------------------------------------------------------------
@@ -610,8 +642,7 @@ def _model_bytes(model):
         if isinstance(value, np.ndarray)
     }
     parts = [
-        (p.gp, p.visible.tobytes(), p.always_on.tobytes(),
-         p.cell_probs.tobytes())
+        (p.gp, p.visible.tobytes(), p.cell_probs.tobytes())
         for p in model.partitions
     ]
     return arrays, parts, model.total_mass
