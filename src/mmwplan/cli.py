@@ -134,10 +134,23 @@ def _check_uniform_n(args: argparse.Namespace, venue: Venue) -> None:
         raise ValueError(f"count must lie in [1, {top}], got {n}")
 
 
+# plan's options that one solver alone reads, by argparse dest: the flag
+# and that solver
+_ONE_SOLVER_OPTIONS = {
+    "trace_out": ("--trace-out", "greedy"),
+    "uniform_n": ("--uniform-n", "uniform"),
+}
+
+
 def cmd_plan(args: argparse.Namespace) -> int:
+    for dest, (flag, solver) in _ONE_SOLVER_OPTIONS.items():
+        if getattr(args, dest) is not None and args.solver != solver:
+            raise ValueError(
+                f"{flag} is read by --solver {solver} only, not by "
+                f"--solver {args.solver}"
+            )
     venue = Venue.load(args.venue)
-    if args.solver == "uniform":
-        _check_uniform_n(args, venue)
+    _check_uniform_n(args, venue)
     params = _load_params(args)
     if args.solver == "exact":
         check_exact_size(
@@ -180,7 +193,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - start
     if args.out:
         save_json(args.out, deployment.to_dict())
-    if trace is not None and args.trace_out:
+    if args.trace_out:
         save_json(args.trace_out, trace.to_dict())
     print(
         f"solver={args.solver} aps={len(deployment.selected)} "

@@ -15,7 +15,7 @@ reach``, and the seam at +-pi, is a threshold in uniform space. Every
 uniform is compared with those thresholds; only the uniforms inside a
 certified band around one (a band whose ends the sampler's own chain puts
 farther than ``_BAND_MARGIN`` from the edge) run ``ndtri`` and the exact
-offset test ``_wrapped_offset(phis, phi_rx) <= reach``. So every boolean
+offset test ``wrapped_offset(phis, phi_rx) <= reach``. So every boolean
 is the one the per-sample chain gives.
 
 With shadowing each sample draws its own deviate, and the chain runs
@@ -47,6 +47,7 @@ from .scenarios import (
     OrientationDistribution,
     _std_normal_cdf,
     connectivity_probability,
+    wrapped_offset,
 )
 from .solver import Deployment, PlanningModel, evaluate_coverage
 
@@ -126,12 +127,6 @@ def _sample_orientations(
     return _orientations(_uniforms(rng, n), dist)
 
 
-def _wrapped_offset(phis: np.ndarray, phi_rx: float) -> np.ndarray:
-    """Azimuth offset of each orientation from ``phi_rx``, in [0, pi]."""
-    d = phis - phi_rx
-    return np.abs(np.arctan2(np.sin(d), np.cos(d)))
-
-
 def _window_edges(phi_rx: float, half: float) -> Tuple[float, float]:
     """The edges ``phi_rx -/+ half`` of a window with ``half < pi``,
     wrapped into [-pi, pi]."""
@@ -160,7 +155,7 @@ def _decide(phis: np.ndarray, windows: List[Window]) -> np.ndarray:
     ``phis``: a link clears where the offset is at most its reach."""
     ok = np.zeros(phis.shape[0], dtype=bool)
     for phi_rx, reach in windows:
-        ok |= _wrapped_offset(phis, phi_rx) <= reach
+        ok |= wrapped_offset(phis, phi_rx) <= reach
     return ok
 
 
@@ -183,7 +178,7 @@ def _replay_shadowed(
         chi = (rng.normal(0.0, params.sigma_los_db, n),
                rng.normal(0.0, params.sigma_nlos_db, n))
         ok |= _clears(params, log_d[i], psi_rx[i], vertical[i], occluded[i],
-                      device_tilt, _wrapped_offset(phis, phi_rx[i]), chi)
+                      device_tilt, wrapped_offset(phis, phi_rx[i]), chi)
     return ok
 
 

@@ -12,14 +12,14 @@ and exactly 1.0 when the set's links hit every cell.
 ``seat_partitions`` builds the partitions of a whole venue from its
 links' azimuths and active half-widths, many seats at a time: one sort
 finds every seat's boundaries, and one test over all (cell, arc) pairs of
-the batch decides every cell's membership. ``seat_partition`` is the same
-build for one seat. Arc endpoints and cell midpoints are wrapped with
-``math.atan2`` and the masses use ``math.erf``, as a cell-by-cell walk
-would, so the partition has the bits of the scalar walk kept in the test
-oracles.
+the batch decides every cell's membership. Arc endpoints and cell
+midpoints are wrapped with ``math.atan2`` and the masses use ``math.erf``,
+as a cell-by-cell walk would, so the partition has the bits of the scalar
+walk kept in the test oracles.
 
 All azimuths in the toolkit live in [-pi, pi]; ``wrap_angle`` and
-``wrap_angles`` bring other angles there with ``math.atan2``.
+``wrap_angles`` bring other angles there with ``math.atan2``, and
+``wrapped_offset`` gives the distance between two azimuths in [0, pi].
 """
 
 from __future__ import annotations
@@ -51,6 +51,13 @@ def wrap_angles(a: np.ndarray) -> np.ndarray:
     out = np.flatnonzero((a < -math.pi) | (a > math.pi))
     a[out] = [wrap_angle(v) for v in a[out].tolist()]
     return a
+
+
+def wrapped_offset(a, b) -> np.ndarray:
+    """Azimuth offset of ``a`` from ``b`` round the circle, in [0, pi];
+    array arguments broadcast."""
+    d = a - b
+    return np.abs(np.arctan2(np.sin(d), np.cos(d)))
 
 
 def _std_normal_cdf(x: float) -> float:
@@ -212,37 +219,21 @@ def _partitions(
     ]
 
 
-def seat_partition(
-    gp_id: int,
-    dist: OrientationDistribution,
-    phi_rx: np.ndarray,
-    reach: np.ndarray,
-) -> ScenarioPartition:
-    """Partition the orientation circle for one grid position from its
-    links' device-to-candidate azimuths and active half-widths.
-
-    Column l of ``phi_rx`` and ``reach`` is the link to candidate l. A
-    reach of 0 is never active, a reach of pi or more is always on, and any
-    other reach is the closed arc from ``phi_rx - reach`` to
-    ``phi_rx + reach``, wrapped into [-pi, pi]. Raises ``ValueError`` when
-    an arc is too narrow for its wrapped endpoints to differ.
-    """
-    return _partitions(
-        [gp_id],
-        np.array([dist.mean], dtype=float),
-        np.array([dist.std], dtype=float),
-        np.asarray(phi_rx, dtype=float)[None, :],
-        np.asarray(reach, dtype=float)[None, :],
-    )[0]
-
-
 def seat_partitions(
     venue: Venue, phi_rx: np.ndarray, reach: np.ndarray
 ) -> List[ScenarioPartition]:
-    """``seat_partition`` of every seat of the venue, from the (n_grid,
-    n_candidates) arrays of its links. Consecutive seats share a batch
-    while their (cell, arc) pairs, at most twice their arcs squared, stay
-    within ``_PARTITION_PAIRS``."""
+    """Partition the orientation circle of every seat of the venue from its
+    links' device-to-candidate azimuths and active half-widths.
+
+    Row m, column l of the (n_grid, n_candidates) arrays ``phi_rx`` and
+    ``reach`` is the link from seat m to candidate l. A reach of 0 is never
+    active, a reach of pi or more is always on, and any other reach is the
+    closed arc from ``phi_rx - reach`` to ``phi_rx + reach``, wrapped into
+    [-pi, pi]. Raises ``ValueError`` when an arc is too narrow for its
+    wrapped endpoints to differ. Consecutive seats share a batch while
+    their (cell, arc) pairs, at most twice their arcs squared, stay within
+    ``_PARTITION_PAIRS``.
+    """
     mean = np.array([gp.facing for gp in venue.grid_positions], dtype=float)
     std = np.array(
         [gp.orientation_std for gp in venue.grid_positions], dtype=float
@@ -296,7 +287,6 @@ def connectivity_probability(
 __all__ = [
     "OrientationDistribution",
     "ScenarioPartition",
-    "seat_partition",
     "seat_partitions",
     "connectivity_probability",
 ]

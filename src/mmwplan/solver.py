@@ -67,14 +67,14 @@ from .inputs import DEPLOYMENT, read, write
 from .scenarios import (
     ScenarioPartition,
     connectivity_probability,
-    seat_partition,
     seat_partitions,
+    wrapped_offset,
 )
 from .venue import Venue, occlusion_matrix
 
 # never called: the benchmark's span wraps this name and reads 0 until the
 # in-package stage recorder (ROADMAP item 1) replaces it
-build_scenarios = seat_partition
+build_scenarios = seat_partitions
 
 logger = logging.getLogger(__name__)
 
@@ -289,8 +289,7 @@ class PlanningModel:
         against the user axis, which comes last."""
         half = self.params.ap_beamwidth / 2.0
         el = np.abs(theta - self.nadir_tx[:, l])
-        d = phi - self.phi_tx[:, l]
-        az = np.abs(np.arctan2(np.sin(d), np.cos(d)))
+        az = wrapped_offset(phi, self.phi_tx[:, l])
         inside = (el <= half) & (self.vertical[:, l] | (az <= half))
         return inside, az, el
 
@@ -774,12 +773,7 @@ def _assignment_search(
         suffix[j] = suffix[j + 1] + qv[order[j]]
     if suffix[0] <= floor:
         return None
-    pos_of = {l: p for p, l in enumerate(subset)}
-    needs = {
-        m: [(ms, [pos_of[l] for l in ms]) for ms in choices[m]]
-        for m in order
-    }
-    cap = [capacity] * len(subset)
+    cap = dict.fromkeys(subset, capacity)
     cur: List[Tuple[int, ...]] = [()] * n
     best_val = floor
     best_assign: Optional[List[Tuple[int, ...]]] = None
@@ -793,14 +787,14 @@ def _assignment_search(
             best_assign = cur.copy()
             return
         m = order[j]
-        for ms, need in needs[m]:
-            if all(cap[p] > 0 for p in need):
-                for p in need:
-                    cap[p] -= 1
+        for ms in choices[m]:
+            if all(cap[l] > 0 for l in ms):
+                for l in ms:
+                    cap[l] -= 1
                 cur[j] = ms
                 rec(j + 1, val + qv[m])
-                for p in need:
-                    cap[p] += 1
+                for l in ms:
+                    cap[l] += 1
         cur[j] = ()
         rec(j + 1, val)
 

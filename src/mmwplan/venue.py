@@ -221,26 +221,19 @@ def _near_pairs(
     seat), so it can only meet prism k along its part below k's top. That
     part lies in the seat's xy box of every segment's part below the
     highest top, and within ``max(top_k - z_seat, 0)`` times the steepest
-    horizontal-to-rise ratio of the seat's segments from the seat. The
-    prisms whose x range can meet that region are one run of the sorted
-    prisms; a pair is kept when the prism's xy box meets the region for
-    its own top, padded by ``_PRUNE_PAD``, and the prism is not the
-    seat's own.
+    horizontal-to-rise ratio of the seat's segments from the seat (the
+    prism's ``radius``). The prisms whose x range can meet the box are one
+    run of the sorted prisms; a pair is kept when the prism's xy box meets
+    the seat's box cut to the square of that radius around the seat, each
+    padded by ``_PRUNE_PAD``, and the prism is not the seat's own.
     """
     rise = d[..., 2]
     top = hi[:, 2].max()
     t = np.clip((top - p0[:, 2:3]) / rise, 0.0, 1.0)
     ends = p0[:, None, :2] + t[..., None] * d[..., :2]
     slope = (np.hypot(d[..., 0], d[..., 1]) / rise).max(axis=1)
-    reach = np.maximum(top - p0[:, 2], 0.0) * slope + _PRUNE_PAD
-    box_lo = np.maximum(
-        np.minimum(ends.min(axis=1), p0[:, :2]) - _PRUNE_PAD,
-        p0[:, :2] - reach[:, None],
-    )
-    box_hi = np.minimum(
-        np.maximum(ends.max(axis=1), p0[:, :2]) + _PRUNE_PAD,
-        p0[:, :2] + reach[:, None],
-    )
+    box_lo = np.minimum(ends.min(axis=1), p0[:, :2]) - _PRUNE_PAD
+    box_hi = np.maximum(ends.max(axis=1), p0[:, :2]) + _PRUNE_PAD
     # the batch's run of prisms whose x range can meet one of its boxes
     a = int(np.searchsorted(lo[:, 0], box_lo[:, 0].min() - width, "left"))
     b = int(np.searchsorted(lo[:, 0], box_hi[:, 0].max(), "right"))
@@ -307,12 +300,11 @@ def occlusion_matrix(venue: Venue) -> np.ndarray:
     by the seat cuts the open segment from the seat to the candidate.
 
     Seats go in batches of ``_OCCLUSION_BATCH``. A batch keeps the
-    (seat, prism) pairs of ``_near_pairs``, then for each pair the mounts
-    of ``_window_mounts`` whose segment's part below that prism's own top
-    has an xy box meeting the prism, padded by ``_PRUNE_PAD``. One slab
-    test runs on the surviving (seat, prism, mount) triples, and its hits
-    are scattered into the matrix. The prunes drop only triples the slab
-    test misses, so the matrix is that of testing every triple.
+    (seat, prism) pairs of ``_near_pairs`` and, for each pair, the mounts
+    of ``_window_mounts``. One slab test runs on those (seat, prism,
+    mount) triples, and its hits are scattered into the matrix. The two
+    prunes drop only triples the slab test misses, so the matrix is that
+    of testing every triple.
     """
     lo, hi, owner = _blocker_arrays(venue)
     occ = np.zeros((venue.n_grid, venue.n_candidates), dtype=bool)
@@ -330,17 +322,6 @@ def occlusion_matrix(venue: Venue) -> np.ndarray:
         seat, k = _near_pairs(p0, ids, d, lo, hi, owner, width)
         pair, l = _window_mounts(p0, d, seat, lo[k], hi[k])
         seat, k = seat[pair], k[pair]
-        # the part of each segment below its prism's top, by xy box
-        dd = d[seat, l]
-        t = np.clip((hi[k, 2] - p0[seat, 2]) / dd[:, 2], 0.0, 1.0)
-        xy = p0[seat, :2]
-        ends = xy + t[:, None] * dd[:, :2]
-        near = np.all(
-            (hi[k, :2] >= np.minimum(ends, xy) - _PRUNE_PAD)
-            & (lo[k, :2] <= np.maximum(ends, xy) + _PRUNE_PAD),
-            axis=1,
-        )
-        seat, k, l = seat[near], k[near], l[near]
         hit = _segment_hits_boxes(p0[seat], mounts[l], lo[k], hi[k])
         occ[ids[seat[hit]], l[hit]] = True
     return occ

@@ -252,6 +252,33 @@ def test_plan_uniform(capsys, toy_path):
     assert "aps=2" in stdout
 
 
+@pytest.mark.parametrize("solver, flag, value, reader", [
+    ("exact", "--trace-out", "t.json", "greedy"),
+    ("uniform", "--trace-out", "t.json", "greedy"),
+    ("greedy", "--uniform-n", "0", "uniform"),
+    ("exact", "--uniform-n", "2", "uniform"),
+], ids=["exact-trace-out", "uniform-trace-out", "greedy-uniform-n",
+        "exact-uniform-n"])
+def test_plan_rejects_options_its_solver_never_reads(capsys, tmp_path,
+                                                     solver, flag, value,
+                                                     reader):
+    """Refused before the venue loads: the venue file does not exist."""
+    if value.endswith(".json"):
+        value = str(tmp_path / value)
+    code, stdout, stderr = run(
+        capsys, "plan", "--venue", str(tmp_path / "absent.json"),
+        "--solver", solver, "--alpha", "0.5", "--beta", "0.7",
+        "--out", str(tmp_path / "dep.json"), flag, value,
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == (
+        f"error: {flag} is read by --solver {reader} only, not by "
+        f"--solver {solver}\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("command, n", [
     ("plan", "0"), ("compare", "0"), ("compare", "-2"), ("compare", "99"),
 ])

@@ -5,9 +5,9 @@ arrays; ``tests/oracles.py`` keeps the one-pair, one-link and one-cell
 versions. Random toy rooms stress the slab test's edge cases (vertical
 rays, segments parallel to a coordinate plane, prism faces on a quarter
 metre grid that meet segments and each other exactly), tiered rooms
-stress the occlusion prunes, which cut each prism by its own top,
-random channel parameters stress every ring pattern of the reach walk,
-and random (azimuth, reach) rows stress wrapped arcs and shared cell
+stress the occlusion prunes, which bound each prism's reach by its own
+top, random channel parameters stress every ring pattern of the reach
+walk, and random (azimuth, reach) rows stress wrapped arcs and shared cell
 boundaries. Occlusion and partitions are built many seats at a time, so
 the tests also shrink the batches until every seat lies on a batch edge.
 """
@@ -26,12 +26,7 @@ from mmwplan import ChannelParams, generate_venue
 from mmwplan.inputs import load_json
 import mmwplan.scenarios
 import mmwplan.venue
-from mmwplan.scenarios import (
-    OrientationDistribution,
-    _boundaries,
-    seat_partition,
-    seat_partitions,
-)
+from mmwplan.scenarios import _boundaries, seat_partitions
 from mmwplan.solver import PlanningModel
 from mmwplan.venue import (
     BodyPrism,
@@ -159,17 +154,16 @@ def test_seat_partition_equals_cell_by_cell_build(rows, facing, std):
     """Rows repeat azimuths and reaches, so arcs share endpoints, wrap
     through +-pi, end exactly at +-pi, and cover or miss the circle."""
     v = _seat_venue(len(rows), facing, std)
-    phi = np.array([r[0] for r in rows])
-    reach = np.array([r[1] for r in rows])
-    dist = OrientationDistribution.for_gp(v, 0)
+    phi = np.array([[r[0] for r in rows]])
+    reach = np.array([[r[1] for r in rows]])
     try:
         arcs = [oracles.AngularInterval.from_center(a, h) for a, h in rows]
     except ValueError:
         with pytest.raises(ValueError):
-            seat_partition(0, dist, phi, reach)
+            seat_partitions(v, phi, reach)
         return
     want = oracles.build_scenarios(v, 0, arcs)
-    assert oracles.same_partition(seat_partition(0, dist, phi, reach), want)
+    assert oracles.same_partition(seat_partitions(v, phi, reach)[0], want)
 
 
 @pytest.mark.parametrize("name", ["hall", "airport", "stadium"])
@@ -222,8 +216,8 @@ def test_prism_touching_a_segment_at_the_highest_top_is_kept():
 
 def test_prism_touching_a_segment_at_its_own_top_is_kept():
     # as above, but a taller pillar off the segment lifts the venue's
-    # highest top to 6 m, so only the touching prism's own top ends the
-    # part of the segment it is tested against
+    # highest top to 6 m, so only the touching prism's own top bounds the
+    # region around the seat in which it is kept
     gp = GridPosition(id=0, position=(0.0, 0.0, 1.0), facing=0.0,
                       elevation=math.pi / 4.0, presence_prob=1.0,
                       orientation_std=0.5)
@@ -241,7 +235,8 @@ def test_prism_touching_a_segment_at_its_own_top_is_kept():
 def test_prism_the_slab_test_meets_past_the_rounded_top_is_kept():
     # the part of this segment below the prism's top ends, rounded, one
     # double short of the prism's x face, yet the slab test counts a
-    # touch of the top edge; only the prune's pad keeps the prism
+    # touch of the top edge; only the pad of the prism's radius around
+    # the seat keeps it
     gp = GridPosition(id=0, position=(0.76, 0.0, 0.98), facing=0.0,
                       elevation=math.pi / 4.0, presence_prob=1.0,
                       orientation_std=0.5)

@@ -9,13 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from conftest import random_toy
+from conftest import random_toy, single_link_venue
 from mmwplan import ChannelParams, PlacedAp, PlanningModel, generate_venue
 from mmwplan.scenarios import (
     OrientationDistribution,
     ScenarioPartition,
     connectivity_probability,
-    seat_partition,
+    seat_partitions,
 )
 from mmwplan.venue import CandidateLocation
 
@@ -27,7 +27,8 @@ def _partition(venue, params, m):
 def _arc_mass(dist, center, half):
     """Mass the planner gives the arc of half-width ``half`` around
     ``center``: the connectivity of one link active on exactly that arc."""
-    part = seat_partition(0, dist, np.array([center]), np.array([half]))
+    v = single_link_venue(facing=dist.mean, std=dist.std)
+    part, = seat_partitions(v, np.array([[center]]), np.array([[half]]))
     return connectivity_probability(part, [0])
 
 
@@ -93,9 +94,9 @@ def test_single_always_on_link_single_cell():
     model = PlanningModel(v, ChannelParams(), 0.5)
     # toy links are short enough to be always on
     assert model.reach[0, 0] >= math.pi
-    only_first = np.where(np.arange(model.L) == 0, model.reach[0], 0.0)
-    part = seat_partition(0, OrientationDistribution.for_gp(v, 0),
-                          model.phi_rx[0], only_first)
+    reach = model.reach.copy()
+    reach[0, 1:] = 0.0
+    part = seat_partitions(v, model.phi_rx, reach)[0]
     assert part.bounds.size == 0
     assert part.cell_probs.tolist() == [1.0]
     assert part.visible.tolist() == [[True, False, False, False]]
