@@ -139,6 +139,8 @@ def _check_uniform_n(args: argparse.Namespace, venue: Venue) -> None:
 _ONE_SOLVER_OPTIONS = {
     "trace_out": ("--trace-out", "greedy"),
     "uniform_n": ("--uniform-n", "uniform"),
+    "max_exact_l": ("--max-exact-l", "exact"),
+    "max_exact_m": ("--max-exact-m", "exact"),
 }
 
 
@@ -153,12 +155,11 @@ def cmd_plan(args: argparse.Namespace) -> int:
     _check_uniform_n(args, venue)
     params = _load_params(args)
     if args.solver == "exact":
-        check_exact_size(
-            venue.n_candidates,
-            venue.n_grid,
-            args.max_exact_l,
-            args.max_exact_m,
-        )
+        # None unless given, so that the other solvers can refuse them;
+        # a given limit is positive
+        limits = (args.max_exact_l or EXACT_LIMITS[0],
+                  args.max_exact_m or EXACT_LIMITS[1])
+        check_exact_size(venue.n_candidates, venue.n_grid, *limits)
     start = time.perf_counter()
     model = PlanningModel(venue, params, args.beta)
     trace = None
@@ -166,12 +167,7 @@ def cmd_plan(args: argparse.Namespace) -> int:
         if args.solver == "greedy":
             deployment, trace = greedy_place(model, args.alpha)
         elif args.solver == "exact":
-            deployment = exact_place(
-                model,
-                args.alpha,
-                max_candidates=args.max_exact_l,
-                max_positions=args.max_exact_m,
-            )
+            deployment = exact_place(model, args.alpha, *limits)
         else:
             # checked above: None or a count in range
             n = args.uniform_n or venue.n_candidates
@@ -301,20 +297,24 @@ def cmd_render(args: argparse.Namespace) -> int:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
+    # the Monte Carlo check's options are None unless given
+    if not args.mc:
+        for flag in ("--samples", "--seed", "--shadowing", "--out"):
+            if getattr(args, flag[2:]) is not None:
+                raise ValueError(f"{flag} is read by --mc only")
     venue = Venue.load(args.venue)
     params = _load_params(args)
     deployment = load_json(
         args.deployment, "deployment", Deployment.from_dict
     )
-    mc = (
-        McConfig(
-            n_samples=args.samples,
-            seed=args.seed,
-            sample_shadowing=args.shadowing,
-        )
-        if args.mc
-        else None
-    )
+    mc = None
+    if args.mc:
+        given = {
+            "n_samples": args.samples,
+            "seed": args.seed,
+            "sample_shadowing": args.shadowing,
+        }
+        mc = McConfig(**{k: v for k, v in given.items() if v is not None})
     model = PlanningModel(venue, params, args.beta)
     report = evaluate_coverage(model, deployment)
     ok = report.normalized_coverage >= args.alpha
@@ -393,10 +393,12 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=_fraction, required=True)
         p.add_argument("--beta", type=float, required=True)
 
-    def solver_sizes(p: argparse.ArgumentParser) -> None:
+    def solver_sizes(
+        p: argparse.ArgumentParser, limits: Sequence[Optional[int]]
+    ) -> None:
         p.add_argument("--uniform-n", type=int, default=None)
         for flag, default in zip(("--max-exact-l", "--max-exact-m"),
-                                 EXACT_LIMITS):
+                                 limits):
             p.add_argument(flag, type=_positive_int, default=default)
 
     p = sub.add_parser("plan", help="run one solver on a venue")
@@ -408,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--trace-out", default=None, help="greedy trace JSON path"
     )
-    solver_sizes(p)
+    solver_sizes(p, (None, None))
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser(
@@ -416,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     common(p, alpha_list=True)
     p.add_argument("--out", default=None, help="CSV path (default stdout)")
-    solver_sizes(p)
+    solver_sizes(p, EXACT_LIMITS)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("render", help="draw a venue and deployment as SVG")
@@ -432,9 +434,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, alpha_list=False)
     p.add_argument("--deployment", required=True)
     p.add_argument("--mc", action="store_true", help="Monte Carlo check")
-    p.add_argument("--samples", type=int, default=McConfig.n_samples)
-    p.add_argument("--seed", type=int, default=McConfig.seed)
-    p.add_argument("--shadowing", action="store_true")
+    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--shadowing", action="store_true", default=None)
     p.add_argument("--out", default=None, help="MC report JSON path")
     p.set_defaults(func=cmd_validate)
 

@@ -47,6 +47,7 @@ from .scenarios import (
     OrientationDistribution,
     _std_normal_cdf,
     connectivity_probability,
+    wrap_angles,
     wrapped_offset,
 )
 from .solver import Deployment, PlanningModel, evaluate_coverage
@@ -125,17 +126,6 @@ def _sample_orientations(
 ) -> np.ndarray:
     """Inverse-CDF draws from the Gaussian renormalized to [-pi, pi]."""
     return _orientations(_uniforms(rng, n), dist)
-
-
-def _window_edges(phi_rx: float, half: float) -> Tuple[float, float]:
-    """The edges ``phi_rx -/+ half`` of a window with ``half < pi``,
-    wrapped into [-pi, pi]."""
-    lo, hi = phi_rx - half, phi_rx + half
-    if lo < -math.pi:
-        lo += 2.0 * math.pi
-    elif hi > math.pi:
-        hi -= 2.0 * math.pi
-    return lo, hi
 
 
 def _windows(
@@ -234,11 +224,12 @@ def _replay_uniforms(
     (see ``_bands``) split the block. Between two bands no uniform maps
     near an edge or across the seam, so all of them share the verdict of
     the lower band's upper end. Only the uniforms inside a band run the
-    chain and the offset test.
+    chain and the offset test. A window's edges are wrapped as the
+    partitions wrap the same arc's endpoints.
     """
     edges = [-math.pi, math.pi]
     for phi_rx, reach in windows:
-        edges.extend(_window_edges(phi_rx, reach))
+        edges.extend(wrap_angles([phi_rx - reach, phi_rx + reach]).tolist())
     bands = _bands(dist, edges)
     if len(bands) == 1:  # one band over the whole block
         return _decide(_orientations(u, dist), windows)

@@ -13,12 +13,13 @@ number of targets, solvers and evaluations:
   and then by the lowest candidate and steering indices.
   The ``PlacedAp`` that ``greedy_iteration_best`` returns for a step is
   both the deployment's beam and the trace's ``GreedyIteration.cover``,
-  and ``GreedyState.commit`` is the one way to apply it. The state keeps
-  the per-(user, candidate) step tables across steps and a commit
-  recomputes only the rows of the beam's users. Each step first scores
-  every pair at once with vectorized bounds and then runs the exact
-  per-pair evaluation only on the pairs that can still win, so it picks
-  what evaluating every pair picks.
+  and ``GreedyState.commit`` is the one way to apply it. The state is the
+  one record of a run: it keeps the pool of mounts without a beam and the
+  per-(user, candidate) step tables across steps, and a commit takes the
+  mount out of the pool and recomputes only the rows of the beam's users.
+  Each step first scores every pair at once with vectorized bounds and
+  then runs the exact per-pair evaluation only on the pairs that can
+  still win, so it picks what evaluating every pair picks.
 * ``exact_place`` enumerates candidate subsets in increasing size with the
   steering combinations that can win and searches assignments depth-first,
   so the first feasible size is the minimum number of access points. One
@@ -407,11 +408,11 @@ _SUM_TOL = 1e-9
 class GreedyState:
     """Mutable per-user assignment state threaded through iterations.
 
-    ``assigned`` is an ``(M, L)`` boolean matrix: row m marks the
-    candidates serving user m. ``dp`` and ``pred_sat`` are the step
-    tables over all L candidates: user m's connectivity gain if candidate
-    l were added, and whether adding l would meet m's target. That
-    verdict is ``conn + dp >= beta`` except within ``_SUM_TOL`` of the
+    ``pool`` holds the candidates without a beam, ascending. ``assigned``
+    is an ``(M, L)`` boolean matrix: row m marks the candidates serving
+    user m. ``dp`` and ``pred_sat`` are the step tables over all L
+    candidates: user m's connectivity gain if candidate l were added, and
+    whether adding l would meet m's target. That verdict is ``conn + dp >= beta`` except within ``_SUM_TOL`` of the
     target, where the two sums may round to either side and it is the
     test ``commit`` applies: ``model.conn`` with l added. A satisfied
     user's rows are 0 and False. A row depends only on the user's own
@@ -419,6 +420,7 @@ class GreedyState:
     commits, and every row equals a fresh recompute bit for bit.
     """
 
+    pool: List[int]
     assigned: np.ndarray
     conn: np.ndarray
     satisfied: np.ndarray
@@ -431,6 +433,7 @@ class GreedyState:
         conn = np.zeros(model.M)
         satisfied = conn >= model.betas
         state = GreedyState(
+            pool=list(range(model.L)),
             assigned=np.zeros((model.M, model.L), dtype=bool),
             conn=conn,
             satisfied=satisfied,
@@ -460,9 +463,11 @@ class GreedyState:
             self.pred_sat[m, l] = model.conn(m, row) >= beta[i, 0]
 
     def commit(self, model: PlanningModel, ap: PlacedAp) -> List[int]:
-        """Serve ``ap.assigned`` from ``ap.candidate`` and return the
-        users this newly satisfies, in ``ap.assigned`` order."""
+        """Serve ``ap.assigned`` from ``ap.candidate``, take it out of the
+        pool and return the users this newly satisfies, in ``ap.assigned``
+        order."""
         l = ap.candidate
+        self.pool.remove(l)
         for m in ap.assigned:
             self.assigned[m, l] = True
             self.conn[m] = model.conn(m, self.assigned[m])
@@ -478,42 +483,30 @@ class GreedyState:
 
 
 def _winners(
-    model: PlanningModel,
-    mem: np.ndarray,
-    pred_col: np.ndarray,
-    satisfied: np.ndarray,
-    capacity: int,
+    model: PlanningModel, state: GreedyState, l: int, mem: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Of a footprint's open users: which ones the beam would not
-    satisfy (a mask over ``mem``), the first ``capacity`` it would, and
-    their presence mass."""
-    open_ = ~satisfied[mem]
-    wins = pred_col[mem] & open_
-    winners = mem[wins][:capacity]
+    """Of the open users in candidate l's footprint ``mem``: which ones
+    the beam would not satisfy (a mask over ``mem``), the first
+    ``capacity`` it would, and their presence mass."""
+    open_ = ~state.satisfied[mem]
+    wins = state.pred_sat[mem, l] & open_
+    winners = mem[wins][:model.params.capacity_per_beam]
     return open_ & ~wins, winners, float(model.q[winners].sum())
 
 
 def _evaluate_tuple(
-    model: PlanningModel,
-    l: int,
-    ti: int,
-    dp_col: np.ndarray,
-    pred_col: np.ndarray,
-    satisfied: np.ndarray,
-    capacity: int,
+    model: PlanningModel, state: GreedyState, l: int, ti: int
 ) -> Optional[Tuple[float, float, np.ndarray]]:
     mem = model.members(l, ti)
     if mem.size == 0:
         return None
-    others, winners, primary = _winners(
-        model, mem, pred_col, satisfied, capacity
-    )
-    room = capacity - winners.size
+    others, winners, primary = _winners(model, state, l, mem)
+    room = model.params.capacity_per_beam - winners.size
     secondary = 0.0
     fillers = winners[:0]
     if room > 0:
         rest = mem[others]
-        gains = dp_col[rest] * model.q[rest]
+        gains = state.dp[rest, l] * model.q[rest]
         pos = gains > 0.0
         rest, gains = rest[pos], gains[pos]
         if rest.size:
@@ -537,10 +530,7 @@ def _per_footprint(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _screen(
-    model: PlanningModel,
-    state: GreedyState,
-    pool: Sequence[int],
-    capacity: int,
+    model: PlanningModel, state: GreedyState
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per grid footprint k = l * n_tuples + ti of a pool candidate: the
     mass of its first ``capacity`` winners, an upper bound on its gain
@@ -549,11 +539,12 @@ def _screen(
     passes over each candidate's run of ``foot_flat``; other entries are
     0. Sums run in another order than ``_evaluate_tuple``'s, so they
     match its key only to within rounding."""
+    capacity = model.params.capacity_per_beam
     n_t = model.n_tuples
     primary = np.zeros(model.L * n_t)
     bound = np.zeros(model.L * n_t)
     n_wins = np.zeros(model.L * n_t, dtype=np.intp)
-    for l in pool:
+    for l in state.pool:
         ks = slice(l * n_t, (l + 1) * n_t)
         start = model.foot_start[l * n_t:(l + 1) * n_t + 1]
         mem = model.foot_flat[start[0]:start[-1]]
@@ -580,11 +571,9 @@ def _screen(
 
 
 def greedy_iteration_best(
-    model: PlanningModel,
-    pool: Sequence[int],
-    state: GreedyState,
+    model: PlanningModel, state: GreedyState
 ) -> Optional[Tuple[PlacedAp, float, float]]:
-    """Solve one greedy subproblem over the remaining candidate pool.
+    """Solve one greedy subproblem over the state's candidate pool.
 
     Each (candidate, steering) pair serves up to the beam capacity,
     preferring users it newly satisfies (by presence mass) and filling
@@ -604,8 +593,8 @@ def greedy_iteration_best(
     """
     capacity = model.params.capacity_per_beam
     n_t = model.n_tuples
-    primary, bound, n_wins = _screen(model, state, pool, capacity)
-    ks = (np.asarray(pool)[:, None] * n_t + np.arange(n_t)).ravel()
+    primary, bound, n_wins = _screen(model, state)
+    ks = (np.asarray(state.pool)[:, None] * n_t + np.arange(n_t)).ravel()
     order = ks[np.lexsort((ks, -bound[ks], -primary[ks]))]
     best = None
     for k in order.tolist():
@@ -615,10 +604,7 @@ def greedy_iteration_best(
         if best is not None:
             if primary[k] < best[0] - _SUM_TOL:
                 break  # no pair from here on reaches the best mass
-            p = _winners(
-                model, model.members(l, ti), state.pred_sat[:, l],
-                state.satisfied, capacity,
-            )[2]
+            p = _winners(model, state, l, model.members(l, ti))[2]
             if p < best[0]:
                 continue
             # on a tie in mass, a full beam's gain mass is exactly 0.0
@@ -629,10 +615,7 @@ def greedy_iteration_best(
                 or bound[k] < best[1] - _SUM_TOL
             ):
                 continue
-        r = _evaluate_tuple(
-            model, l, ti, state.dp[:, l], state.pred_sat[:, l],
-            state.satisfied, capacity,
-        )
+        r = _evaluate_tuple(model, state, l, ti)
         # larger weights win, then the lower (candidate, steering)
         if r is not None and (best is None or r[:2] > best[:2] or (
             r[:2] == best[:2] and (l, ti) < best[2:4]
@@ -677,13 +660,11 @@ def greedy_place(
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
     state = GreedyState.initial(model)
-    pool = list(range(model.L))
-    selected: List[PlacedAp] = []
     iterations: List[GreedyIteration] = []
     evaluations = 0
 
     def bail(reason: str) -> InfeasibleError:
-        partial = model.finalize(selected)
+        partial = model.finalize([it.cover for it in iterations])
         return InfeasibleError(
             f"greedy placement stopped below target coverage ({reason})",
             partial=partial,
@@ -691,26 +672,23 @@ def greedy_place(
                 "reason": reason,
                 "target_alpha": alpha,
                 "achieved_normalized": partial.normalized_coverage,
-                "selected": len(selected),
+                "selected": len(iterations),
                 "unsatisfied": int((~state.satisfied).sum()),
                 **_reachability(model),
             },
         )
 
     while model.normalized(state.coverage) < alpha:
-        if not pool:
+        if not state.pool:
             raise bail("pool_exhausted")
-        evaluations += len(pool) * model.n_tuples
-        choice = greedy_iteration_best(model, pool, state)
+        evaluations += len(state.pool) * model.n_tuples
+        choice = greedy_iteration_best(model, state)
         if choice is None:
             raise bail("stagnated")
-        ap = choice[0]
+        # the commit newly satisfies exactly the winners whose mass the
+        # step returned
+        ap, marginal, _ = choice
         newly = state.commit(model, ap)
-        # summed in presence order, the order the beam admits its winners
-        by_mass = sorted(newly, key=lambda m: (-model.q[m], m))
-        marginal = float(model.q[by_mass].sum()) if newly else 0.0
-        selected.append(ap)
-        pool.remove(ap.candidate)
         iterations.append(
             GreedyIteration(
                 cover=ap,
@@ -719,7 +697,7 @@ def greedy_place(
                 running_coverage=float(state.coverage),
             )
         )
-    deployment = model.finalize(selected)
+    deployment = model.finalize([it.cover for it in iterations])
     return deployment, GreedyTrace(
         iterations=iterations, tuple_evaluations=evaluations
     )

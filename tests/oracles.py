@@ -790,19 +790,15 @@ def iteration_key_oracle(model, l, ti, assigned, conn, satisfied):
     return primary, secondary, members
 
 
-def iteration_best_scan(model, pool, state):
+def iteration_best_scan(model, state):
     """The greedy step without the screen: ``_evaluate_tuple`` on every
-    (candidate, steering) pair of the pool over the state's tables, the
+    (candidate, steering) pair of the state's pool over its tables, the
     larger key winning and then the lower (candidate, steering). Returns
     what ``greedy_iteration_best`` returns."""
-    capacity = model.params.capacity_per_beam
     best = None
-    for l in pool:
+    for l in state.pool:
         for ti in range(model.n_tuples):
-            r = _evaluate_tuple(
-                model, l, ti, state.dp[:, l], state.pred_sat[:, l],
-                state.satisfied, capacity,
-            )
+            r = _evaluate_tuple(model, state, l, ti)
             if r is not None and (best is None or r[:2] > best[:2] or (
                 r[:2] == best[:2] and (l, ti) < best[2:4]
             )):

@@ -257,8 +257,10 @@ def test_plan_uniform(capsys, toy_path):
     ("uniform", "--trace-out", "t.json", "greedy"),
     ("greedy", "--uniform-n", "0", "uniform"),
     ("exact", "--uniform-n", "2", "uniform"),
+    ("greedy", "--max-exact-l", "9", "exact"),
+    ("uniform", "--max-exact-m", "1", "exact"),
 ], ids=["exact-trace-out", "uniform-trace-out", "greedy-uniform-n",
-        "exact-uniform-n"])
+        "exact-uniform-n", "greedy-max-exact-l", "uniform-max-exact-m"])
 def test_plan_rejects_options_its_solver_never_reads(capsys, tmp_path,
                                                      solver, flag, value,
                                                      reader):
@@ -403,6 +405,25 @@ def test_validate_mc_rejects_seed_outside_64_bits(capsys, tmp_path, toy_path,
     assert stdout == ""
     assert "seed" in stderr
     assert not mc_path.exists()
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--samples", ["5"]), ("--seed", ["0"]), ("--shadowing", []),
+    ("--out", ["mc.json"]),
+], ids=["samples", "seed", "shadowing", "out"])
+def test_validate_rejects_mc_options_without_mc(capsys, tmp_path, flag,
+                                                value):
+    """Refused before the venue loads: the venue file does not exist."""
+    value = [str(tmp_path / v) if v.endswith(".json") else v for v in value]
+    code, stdout, stderr = run(
+        capsys, "validate", "--venue", str(tmp_path / "absent.json"),
+        "--deployment", str(tmp_path / "dep.json"), "--alpha", "0.5",
+        "--beta", "0.7", flag, *value,
+    )
+    assert code == 3
+    assert stdout == ""
+    assert stderr == f"error: {flag} is read by --mc only\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_cli_imports_without_scipy():
@@ -743,14 +764,28 @@ def test_fade_margin_key_reads_only_at_zero(capsys, tmp_path, toy_path,
         assert "Traceback" not in stderr
 
 
-def test_parser_defaults_read_their_owners(toy_path):
+def test_parser_defaults_read_their_owners(capsys, tmp_path, toy_path):
+    # compare always runs exact and holds the limits' defaults; plan and
+    # validate leave their one-reader options unset, so they can refuse
+    # them, and take the defaults from their owners
     parser = build_parser()
     common = ["--venue", toy_path, "--alpha", "0.9", "--beta", "0.7"]
+    args = parser.parse_args(["compare", *common])
+    assert (args.max_exact_l, args.max_exact_m) == EXACT_LIMITS
+    args = parser.parse_args(["plan", *common])
+    assert (args.max_exact_l, args.max_exact_m) == (None, None)
     args = parser.parse_args(["validate", *common, "--deployment", "d"])
-    assert (args.samples, args.seed) == (McConfig.n_samples, McConfig.seed)
-    for command in ("plan", "compare"):
-        args = parser.parse_args([command, *common])
-        assert (args.max_exact_l, args.max_exact_m) == EXACT_LIMITS
+    assert (args.samples, args.seed, args.shadowing, args.out) == (
+        None, None, None, None
+    )
+    dep_path, mc_path = tmp_path / "dep.json", tmp_path / "mc.json"
+    assert main(["plan", *common, "--out", str(dep_path)]) == 0
+    assert main(["validate", *common, "--deployment", str(dep_path),
+                 "--mc", "--out", str(mc_path)]) == 0
+    report = json.loads(mc_path.read_text())
+    assert (report["n_samples"], report["seed"]) == (
+        McConfig.n_samples, McConfig.seed
+    )
 
 
 # -- render -----------------------------------------------------------------

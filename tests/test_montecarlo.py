@@ -35,11 +35,10 @@ from mmwplan.montecarlo import (
     _sample_orientations,
     _seat_rate,
     _uniforms,
-    _window_edges,
     _windows,
     monte_carlo_connectivity,
 )
-from mmwplan.scenarios import OrientationDistribution
+from mmwplan.scenarios import OrientationDistribution, wrap_angles
 from mmwplan.solver import Deployment, PlacedAp
 
 MC = McConfig(n_samples=20000, seed=5)
@@ -474,7 +473,7 @@ def _edge_on(p, h, side, shift):
     start = _wrapped(p - side * h)
 
     def miss(phi_rx):
-        lo, hi = _window_edges(phi_rx, h)
+        lo, hi = wrap_angles([phi_rx - h, phi_rx + h]).tolist()
         return abs((hi if side > 0 else lo) - p)
 
     near = [c for c in (_ulps(start, k) for k in range(-4, 5))
@@ -577,7 +576,8 @@ def test_uniform_replay_matches_per_sample_oracle(distance, links, mean,
     lo, hi = (oracles._std_cdf((x - mean) / std) for x in (-math.pi, math.pi))
     thresholds = [
         (oracles._std_cdf((e - mean) / std) - lo) / (hi - lo)
-        for phi_rx, reach in windows for e in _window_edges(phi_rx, reach)
+        for phi_rx, reach in windows
+        for e in wrap_angles([phi_rx - reach, phi_rx + reach]).tolist()
     ]
     u = np.clip(_around([0.0, 1.0] + thresholds, 3), 0.0, _ulps(1.0, -1))
     got = _replay_uniforms(u.copy(), dist, windows)

@@ -256,11 +256,11 @@ def test_iteration_choice_matches_oracle(tight_params):
         v = random_toy(seed)
         model = PlanningModel(v, tight_params, 0.7)
         state = GreedyState.initial(model)
-        pool = list(range(model.L))
-        while model.normalized(state.coverage) < 0.95 and pool:
-            choice = greedy_iteration_best(model, pool, state)
+        while model.normalized(state.coverage) < 0.95 and state.pool:
+            choice = greedy_iteration_best(model, state)
             best, second = _oracle_top_two(
-                model, pool, state.assigned, state.conn, state.satisfied
+                model, state.pool, state.assigned, state.conn,
+                state.satisfied,
             )
             if choice is None:
                 # stagnation must be mutual
@@ -286,7 +286,6 @@ def test_iteration_choice_matches_oracle(tight_params):
                 assert list(ap.assigned) == sorted(best[2])
             # commit the implementation's choice and continue
             state.commit(model, ap)
-            pool.remove(ap.candidate)
     assert strict >= 3
 
 
@@ -295,33 +294,29 @@ def _walk_greedy_checked(model, alpha):
     checking before each one that the kept tables equal their definition
     bit for bit, that every screen value is at least the exact key and
     that the screened step is the exhaustive scan's, and after each one
-    that the users it newly satisfied are the winners its key counted;
-    returns the number of steps committed."""
+    that the users it newly satisfied are the winners its key counted and
+    that their mass summed by descending presence is the step's mass bit
+    for bit; returns the number of steps committed."""
     state = GreedyState.initial(model)
-    pool = list(range(model.L))
-    capacity = model.params.capacity_per_beam
     steps = 0
     while True:
         dp, pred_sat = oracles.greedy_tables(model, state)
         assert state.dp.tobytes() == dp.tobytes()
         assert state.pred_sat.tobytes() == pred_sat.tobytes()
-        if model.normalized(state.coverage) >= alpha or not pool:
+        if model.normalized(state.coverage) >= alpha or not state.pool:
             return steps
-        primary, bound, n_wins = _screen(model, state, pool, capacity)
-        for l in pool:
+        primary, bound, n_wins = _screen(model, state)
+        for l in state.pool:
             for ti in range(model.n_tuples):
                 k = l * model.n_tuples + ti
-                r = _evaluate_tuple(
-                    model, l, ti, state.dp[:, l], state.pred_sat[:, l],
-                    state.satisfied, capacity,
-                )
+                r = _evaluate_tuple(model, state, l, ti)
                 # the screen skips exactly the pairs that serve nobody
                 assert (r is None) == (n_wins[k] == 0 and bound[k] == 0.0)
                 if r is not None:
                     assert primary[k] >= r[0] - 1e-12
                     assert bound[k] >= r[1] - 1e-12
-        choice = greedy_iteration_best(model, pool, state)
-        want = oracles.iteration_best_scan(model, pool, state)
+        choice = greedy_iteration_best(model, state)
+        want = oracles.iteration_best_scan(model, state)
         assert choice == want
         if choice is None:
             return steps
@@ -330,11 +325,13 @@ def _walk_greedy_checked(model, alpha):
         ti = next(ti for ti in range(model.n_tuples)
                   if model.steering_angles(ti) == (ap.theta, ap.phi))
         winners = _winners(
-            model, model.members(ap.candidate, ti),
-            state.pred_sat[:, ap.candidate], state.satisfied, capacity,
+            model, state, ap.candidate, model.members(ap.candidate, ti)
         )[1]
-        assert sorted(state.commit(model, ap)) == sorted(winners.tolist())
-        pool.remove(ap.candidate)
+        newly = state.commit(model, ap)
+        assert sorted(newly) == sorted(winners.tolist())
+        by_mass = sorted(newly, key=lambda m: (-model.q[m], m))
+        assert choice[1].hex() == float(model.q[by_mass].sum()).hex()
+        assert ap.candidate not in state.pool
         steps += 1
 
 
