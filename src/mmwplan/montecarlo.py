@@ -4,13 +4,15 @@ Samples device orientations (and optionally per-link shadowing), replays
 the link budget on them, and compares the empirical success rates against
 the closed-form scenario probabilities.
 
-Without shadowing the replay reads a seat's rows of the planning model's
-``phi_rx`` and ``reach``. The link budget never rises as the offset from
-the device-to-candidate azimuth grows (line of sight beats blocked from
-1 m, the main lobe beats the side lobe), so a link is on exactly where
-that offset is at most its reach. A seat with an always-on link (reach
-pi) has rate 1.0 and draws nothing. Otherwise the sampler's map from a
-uniform to an orientation is monotone, so each window edge ``phi_rx -/+
+A seat's links are the candidates its row of ``PlanningModel.serving``
+holds, in ascending order. Without shadowing the replay reads the
+planning model's ``phi_rx`` and ``reach`` at those links. The link budget
+never rises as the offset from the device-to-candidate azimuth grows
+(line of sight beats blocked from 1 m, the main lobe beats the side
+lobe), so a link is on exactly where that offset is at most its reach.
+A seat with an always-on link (reach pi) has rate 1.0 and draws nothing,
+and a never-on link (reach 0) drops out. Otherwise the sampler's map from
+a uniform to an orientation is monotone, so each window edge ``phi_rx -/+
 reach``, and the seam at +-pi, is a threshold in uniform space. Every
 uniform is compared with those thresholds; only the uniforms inside a
 certified band around one (a band whose ends the sampler's own chain puts
@@ -37,7 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -46,7 +48,6 @@ from .inputs import MC_CONFIG, check
 from .scenarios import (
     OrientationDistribution,
     _std_normal_cdf,
-    connectivity_probability,
     wrap_angles,
     wrapped_offset,
 )
@@ -61,9 +62,6 @@ _BAND_MARGIN = 1e-7
 # a seat's link rows, one element per link: (dist, phi_rx, psi_rx,
 # vertical, occluded), each the model's array of that name at the seat
 Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-# a link on for offsets up to its reach and off past it: (phi_rx, reach),
-# with 0 < reach < pi
-Window = Tuple[float, float]
 
 
 @dataclass(frozen=True)
@@ -121,31 +119,16 @@ def _orientations(u: np.ndarray, dist: OrientationDistribution) -> np.ndarray:
     return np.clip(u, -math.pi, math.pi, out=u)
 
 
-def _sample_orientations(
-    rng: np.random.Generator, dist: OrientationDistribution, n: int
+def _decide(
+    phis: np.ndarray, phi_rx: np.ndarray, reach: np.ndarray
 ) -> np.ndarray:
-    """Inverse-CDF draws from the Gaussian renormalized to [-pi, pi]."""
-    return _orientations(_uniforms(rng, n), dist)
-
-
-def _windows(
-    phi_rx: np.ndarray, reach: np.ndarray
-) -> Optional[List[Window]]:
-    """The windows of a seat's links from their azimuths and active
-    half-widths, or None when a link is always on (the replay's own rule,
-    kept apart from the partition it checks). Never-on links are left out."""
-    if (reach >= math.pi).any():
-        return None
-    return [(p, r) for p, r in zip(phi_rx.tolist(), reach.tolist())
-            if r > 0.0]
-
-
-def _decide(phis: np.ndarray, windows: List[Window]) -> np.ndarray:
     """Per-sample connectivity without shadowing at orientations
-    ``phis``: a link clears where the offset is at most its reach."""
+    ``phis`` over links with azimuths ``phi_rx`` and active half-widths
+    ``reach``, each in (0, pi): a link clears where the offset is at most
+    its reach."""
     ok = np.zeros(phis.shape[0], dtype=bool)
-    for phi_rx, reach in windows:
-        ok |= wrapped_offset(phis, phi_rx) <= reach
+    for p, r in zip(phi_rx.tolist(), reach.tolist()):
+        ok |= wrapped_offset(phis, p) <= r
     return ok
 
 
@@ -215,10 +198,13 @@ def _bands(
 
 
 def _replay_uniforms(
-    u: np.ndarray, dist: OrientationDistribution, windows: List[Window]
+    u: np.ndarray,
+    dist: OrientationDistribution,
+    phi_rx: np.ndarray,
+    reach: np.ndarray,
 ) -> np.ndarray:
-    """``_decide(_orientations(u, dist), windows)``, decided in uniform
-    space; u may be overwritten.
+    """``_decide(_orientations(u, dist), phi_rx, reach)``, decided in
+    uniform space; u may be overwritten.
 
     Bands around the thresholds of every window edge and of -pi and pi
     (see ``_bands``) split the block. Between two bands no uniform maps
@@ -227,14 +213,12 @@ def _replay_uniforms(
     chain and the offset test. A window's edges are wrapped as the
     partitions wrap the same arc's endpoints.
     """
-    edges = [-math.pi, math.pi]
-    for phi_rx, reach in windows:
-        edges.extend(wrap_angles([phi_rx - reach, phi_rx + reach]).tolist())
-    bands = _bands(dist, edges)
+    edges = wrap_angles(np.concatenate([phi_rx - reach, phi_rx + reach]))
+    bands = _bands(dist, [-math.pi, math.pi, *edges.tolist()])
     if len(bands) == 1:  # one band over the whole block
-        return _decide(_orientations(u, dist), windows)
+        return _decide(_orientations(u, dist), phi_rx, reach)
     upper = np.array([b for _, b in bands[:-1]])
-    gaps = _decide(_orientations(upper, dist), windows)
+    gaps = _decide(_orientations(upper, dist), phi_rx, reach)
     ok = np.full(u.shape[0], gaps[0])
     near = u <= bands[0][1]
     near |= u >= bands[-1][0]
@@ -248,36 +232,38 @@ def _replay_uniforms(
         near |= inside
     idx = np.flatnonzero(near)
     if idx.size:
-        ok[idx] = _decide(_orientations(u[idx], dist), windows)
+        ok[idx] = _decide(_orientations(u[idx], dist), phi_rx, reach)
     return ok
 
 
 def _seat_rate(
-    model: PlanningModel, mc: McConfig, m: int, aps: Sequence[int]
+    model: PlanningModel, mc: McConfig, m: int, row: np.ndarray
 ) -> float:
     """Empirical connectivity of seat m over its links to the candidates
-    ``aps``, in ascending order. Without shadowing the links are the
-    model's windows, so a seat with an always-on link gets 1.0 without
-    drawing."""
-    if not aps:
+    of the boolean row ``row``, in ascending order. Without shadowing a
+    seat with an always-on link gets 1.0 without drawing (the replay's own
+    rule, kept apart from the partition it checks), and never-on links are
+    left out."""
+    if not row.any():
         return 0.0
     dist = OrientationDistribution.for_gp(model.venue, m)
+    rng = _substream(mc.seed, m)
     if mc.sample_shadowing:
         rows = tuple(
-            a[m, aps]
+            a[m, row]
             for a in (model.dist, model.phi_rx, model.psi_rx,
                       model.vertical, model.occluded)
         )
-        rng = _substream(mc.seed, m)
-        phis = _sample_orientations(rng, dist, mc.n_samples)
+        phis = _orientations(_uniforms(rng, mc.n_samples), dist)
         tilt = model.venue.grid_positions[m].elevation
         ok = _replay_shadowed(model.params, rng, phis, tilt, rows)
     else:
-        windows = _windows(model.phi_rx[m, aps], model.reach[m, aps])
-        if windows is None:
+        phi_rx, reach = model.phi_rx[m, row], model.reach[m, row]
+        if (reach >= math.pi).any():
             return 1.0
-        u = _uniforms(_substream(mc.seed, m), mc.n_samples)
-        ok = _replay_uniforms(u, dist, windows)
+        on = reach > 0.0
+        ok = _replay_uniforms(_uniforms(rng, mc.n_samples), dist,
+                              phi_rx[on], reach[on])
     return float(np.count_nonzero(ok)) / mc.n_samples
 
 
@@ -289,45 +275,6 @@ def _compare(
     return err, err <= 3.0 * se
 
 
-def _stream(mc: McConfig) -> Dict[str, object]:
-    """The draws behind a report, as every report records them."""
-    return {
-        "n_samples": mc.n_samples,
-        "seed": mc.seed,
-        "sample_shadowing": mc.sample_shadowing,
-        "generator": _GENERATOR,
-        "substream_rule": _SUBSTREAM_RULE,
-    }
-
-
-def monte_carlo_connectivity(
-    model: PlanningModel, m: int, assigned: Iterable[int], mc: McConfig
-) -> Dict[str, object]:
-    """Empirical probability that any assigned link is active for user m.
-
-    Transmit gain is taken at the main lobe, matching what the analytic
-    partition assumes for assigned links. With shadowing off the empirical
-    rate should land within three binomial standard errors of the analytic
-    value; with shadowing on there is no such target and the analytic
-    column is reference only. The model's per-user targets are not read.
-    Raises ``ValueError`` for an assigned id outside the venue's
-    candidates.
-    """
-    aps = sorted(set(int(l) for l in assigned))
-    analytic = connectivity_probability(model.partitions[m], aps)
-    empirical = _seat_rate(model, mc, m, aps)
-    err, within = _compare(empirical, analytic, mc.n_samples)
-    return {
-        "gp": m,
-        **_stream(mc),
-        "assigned": aps,
-        "empirical_prob": empirical,
-        "analytic_prob": analytic,
-        "abs_error": err,
-        "within_3sigma": within,
-    }
-
-
 def monte_carlo_coverage(
     model: PlanningModel, mc: McConfig, deployment: Deployment
 ) -> Dict[str, object]:
@@ -335,21 +282,19 @@ def monte_carlo_coverage(
     of ``evaluate_coverage``.
 
     Each served link is inside its beam, as the evaluation checks, so it
-    is replayed at the main-lobe transmit gain, like every link of
-    ``monte_carlo_connectivity``; a seat's rate is the one that function
-    reports for the seat's serving set. Validation errors from the
+    is replayed at the main-lobe transmit gain. With shadowing off a
+    seat's empirical rate should land within three binomial standard
+    errors of the analytic one; with shadowing on there is no such target
+    and the analytic column is reference only. Validation errors from the
     analytic evaluation propagate unchanged.
     """
     analytic = evaluate_coverage(model, deployment)
-    serving: List[List[int]] = [[] for _ in range(model.M)]
-    for ap in deployment.selected:
-        for m in ap.assigned:
-            serving[m].append(ap.candidate)
+    serving = model.serving(deployment.selected)
 
     per_gp = []
     z_emp = np.zeros(model.M, dtype=bool)
     for m in range(model.M):
-        empirical = _seat_rate(model, mc, m, sorted(serving[m]))
+        empirical = _seat_rate(model, mc, m, serving[m])
         ana = analytic.per_gp_prob[m]
         err, within = _compare(empirical, ana, mc.n_samples)
         z_emp[m] = empirical >= model.betas[m]
@@ -366,7 +311,11 @@ def monte_carlo_coverage(
         )
     coverage_emp = model.coverage_of(z_emp)
     return {
-        **_stream(mc),
+        "n_samples": mc.n_samples,
+        "seed": mc.seed,
+        "sample_shadowing": mc.sample_shadowing,
+        "generator": _GENERATOR,
+        "substream_rule": _SUBSTREAM_RULE,
         "per_gp": per_gp,
         "coverage_analytic": analytic.coverage,
         "coverage_empirical": coverage_emp,
@@ -377,6 +326,5 @@ def monte_carlo_coverage(
 
 __all__ = [
     "McConfig",
-    "monte_carlo_connectivity",
     "monte_carlo_coverage",
 ]

@@ -6,8 +6,9 @@ is active on a fixed arc of orientations, so the arc endpoints of all
 usable links cut the circle into at most 2 * n_links cells on which the
 set of active links is constant. Those cells, weighted by their Gaussian
 mass, are the only scenarios with non-zero probability; the probability
-that any link in an assigned set is active is a plain sum of cell masses,
-and exactly 1.0 when the set's links hit every cell.
+that any link in an assigned set, a boolean row over the candidates, is
+active is a plain sum of cell masses, and exactly 1.0 when the set's links
+hit every cell.
 
 ``seat_partitions`` builds the partitions of a whole venue from its
 links' azimuths and active half-widths, many seats at a time: one sort
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -254,31 +255,23 @@ def seat_partitions(
 
 
 def connectivity_probability(
-    partition: ScenarioPartition, aps: Union[List[int], np.ndarray]
+    partition: ScenarioPartition, row: np.ndarray
 ) -> float:
     """Probability that at least one link in the set is active.
 
-    ``aps`` indexes the candidate columns: a list or integer array of
-    candidate ids, or a boolean row over candidates. A set whose links
-    hit every cell, as an always-on link does, returns exactly 1.0.
-    Raises ``ValueError`` for an id outside ``[0, L)`` or a boolean row
-    whose length is not ``L``.
+    ``row`` is the set as a boolean row over the venue's candidates. A
+    set whose links hit every cell, as an always-on link does, returns
+    exactly 1.0. Raises ``ValueError`` for anything but a boolean row of
+    length ``L``.
     """
     n = partition.visible.shape[1]
-    idx = np.asarray(aps)
-    if idx.dtype == bool:
-        if idx.shape != (n,):
-            raise ValueError(
-                f"a boolean row of assigned ids needs {n} entries, got "
-                f"shape {idx.shape}"
-            )
-    elif idx.size == 0:
-        return 0.0
-    elif not (0 <= idx.min() and idx.max() < n):
+    row = np.asarray(row)
+    if row.dtype != bool or row.shape != (n,):
         raise ValueError(
-            f"assigned ids must lie in [0, {n - 1}], got {idx.tolist()}"
+            f"assigned ids must be a boolean row of {n} entries, got "
+            f"{row.dtype} of shape {row.shape}"
         )
-    hit = partition.visible[:, idx].any(axis=1)
+    hit = partition.visible[:, row].any(axis=1)
     if hit.all():
         return 1.0
     return float(partition.cell_probs[hit].sum())

@@ -52,7 +52,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -311,8 +311,17 @@ class PlanningModel:
 
     # -- satisfaction --------------------------------------------------
 
-    def conn(self, m: int, aps: Union[List[int], np.ndarray]) -> float:
-        return connectivity_probability(self.partitions[m], aps)
+    def conn(self, m: int, row: np.ndarray) -> float:
+        """User m's probability over the links of a boolean candidate row."""
+        return connectivity_probability(self.partitions[m], row)
+
+    def serving(self, selected: Sequence[PlacedAp]) -> np.ndarray:
+        """The (M, L) serving matrix of the beams ``selected``: entry
+        (m, l) says whether candidate l serves user m."""
+        out = np.zeros((self.M, self.L), dtype=bool)
+        for ap in selected:
+            out[list(ap.assigned), ap.candidate] = True
+        return out
 
     def coverage_of(self, z: np.ndarray) -> float:
         return float(np.dot(self.q, z.astype(float)))
@@ -323,10 +332,7 @@ class PlanningModel:
         return coverage / self.total_mass
 
     def finalize(self, selected: Sequence[PlacedAp]) -> Deployment:
-        assigned = np.zeros((self.M, self.L), dtype=bool)
-        for ap in selected:
-            for m in ap.assigned:
-                assigned[m, ap.candidate] = True
+        assigned = self.serving(selected)
         probs = np.array(
             [self.conn(m, assigned[m]) for m in range(self.M)]
         )
@@ -720,8 +726,9 @@ def _minimal_satisfying_sets(
         for combo in combinations(ids, size):
             if any(set(prev).issubset(combo) for prev in found):
                 continue
-            prob = connectivity_probability(model.partitions[m], list(combo))
-            if prob >= beta:
+            row = np.zeros(model.L, dtype=bool)
+            row[list(combo)] = True
+            if model.conn(m, row) >= beta:
                 found.append(combo)
     return found
 

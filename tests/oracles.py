@@ -44,6 +44,14 @@ def _std_cdf(x):
     return 0.5 * (1.0 + math.erf(x / SQRT2))
 
 
+def ids_row(n, ids):
+    """The boolean row over n candidates that holds the ids ``ids``, the
+    one form of a set of links that the package reads."""
+    out = np.zeros(n, dtype=bool)
+    out[list(ids)] = True
+    return out
+
+
 # ---------------------------------------------------------------------------
 # angles: closed arcs on the circle
 
@@ -663,7 +671,7 @@ def flat_minimum_count(venue, params, alpha, beta, kmax=3):
                         ids = [cand_subset[i] for i in range(k)
                                if s >> i & 1]
                         probs[s] = connectivity_probability(
-                            model.partitions[m], ids)
+                            model.partitions[m], ids_row(L, ids))
                     opts.append(probs)
                 for choice in itertools.product(*[sorted(o) for o in opts]):
                     load = [0] * k
@@ -769,7 +777,7 @@ def iteration_key_oracle(model, l, ti, assigned, conn, satisfied):
     for m in mem:
         part = model.partitions[m]
         ids = sorted({int(k) for k in np.flatnonzero(assigned[m])} | {l})
-        after = connectivity_probability(part, ids)
+        after = connectivity_probability(part, ids_row(model.L, ids))
         gain = after - conn[m]
         if after >= beta[m]:
             winners.append(m)
@@ -982,12 +990,12 @@ def replay_success(params, mc, rng, phis, device_tilt, rows):
     return ok
 
 
-def seat_rate(model, mc, m, aps):
+def seat_rate(model, mc, m, links):
     """Empirical connectivity of seat m over its links to the candidates
-    ``aps``: the seat's Philox stream keyed by [seed, m], every draw
-    through ``sample_orientations`` and ``replay_success``, always-on links
-    included."""
-    if not aps:
+    of the boolean row ``links``: the seat's Philox stream keyed by
+    [seed, m], every draw through ``sample_orientations`` and
+    ``replay_success``, always-on links included."""
+    if not links.any():
         return 0.0
     gp = model.venue.grid_positions[m]
     rng = np.random.Generator(
@@ -996,7 +1004,7 @@ def seat_rate(model, mc, m, aps):
     dist = OrientationDistribution(mean=gp.facing, std=gp.orientation_std)
     phis = sample_orientations(rng, dist, mc.n_samples)
     rows = tuple(
-        a[m, list(aps)]
+        a[m, links]
         for a in (model.dist, model.phi_rx, model.psi_rx, model.vertical,
                   model.occluded)
     )

@@ -26,7 +26,7 @@ from mmwplan import (
     monte_carlo_coverage,
 )
 from mmwplan.channel import _path_loss, main_lobe_gain
-from mmwplan.montecarlo import monte_carlo_connectivity
+from mmwplan.montecarlo import _compare, _seat_rate
 from mmwplan.scenarios import connectivity_probability
 from oracles import audit_greedy_prices
 
@@ -42,8 +42,8 @@ def _verdict(num, label, ok, detail):
     assert ok, line
 
 
-def _ids(bits):
-    return [l for l in range(4) if bits >> l & 1]
+def _bits_row(bits):
+    return oracles.ids_row(4, [l for l in range(4) if bits >> l & 1])
 
 
 # -- 1: exact solver vs unpruned enumeration --------------------------------
@@ -95,14 +95,13 @@ def test_criterion_2_connectivity_probabilities():
             .tolist()
         )
         model = PlanningModel(venue, TIGHT, 0.65)
-        part = model.partitions[m]
-        got = connectivity_probability(part, s)
-        want = oracles.pattern_connectivity(part, s)
+        row = oracles.ids_row(venue.n_candidates, s)
+        got = model.conn(m, row)
+        want = oracles.pattern_connectivity(model.partitions[m], s)
         enum_ok += abs(got - want) < 1e-12
-        mc = monte_carlo_connectivity(
-            model, m, s, McConfig(n_samples=100000, seed=900 + j),
-        )
-        sampled_ok += bool(mc["within_3sigma"])
+        mc = McConfig(n_samples=100000, seed=900 + j)
+        empirical = _seat_rate(model, mc, m, row)
+        sampled_ok += _compare(empirical, got, mc.n_samples)[1]
     _verdict(
         2, "closed-form connectivity",
         enum_ok == 20 and sampled_ok >= 19,
@@ -222,8 +221,8 @@ def test_criterion_5_monotone_in_targets():
         small = int(rng.integers(0, full + 1))
         big = small | int(rng.integers(0, full + 1))
         grew += (
-            connectivity_probability(part, _ids(small))
-            <= connectivity_probability(part, _ids(big)) + 1e-15
+            connectivity_probability(part, _bits_row(small))
+            <= connectivity_probability(part, _bits_row(big)) + 1e-15
         )
         cases += 1
     _verdict(
@@ -320,8 +319,9 @@ def test_criterion_8_determinism():
 
     mc = McConfig(n_samples=30000, seed=13)
     model = PlanningModel(toy, params, 0.7)
-    mc_a = monte_carlo_connectivity(model, 1, [0, 2], mc)
-    mc_b = monte_carlo_connectivity(model, 1, [0, 2], mc)
+    row = oracles.ids_row(model.L, [0, 2])
+    mc_a = _seat_rate(model, mc, 1, row)
+    mc_b = _seat_rate(model, mc, 1, row)
     dep, _ = greedy_place(model, 0.75)
     cov_a = monte_carlo_coverage(model, mc, dep)
     cov_b = monte_carlo_coverage(model, mc, dep)

@@ -29,14 +29,13 @@ from mmwplan.channel import (
 from mmwplan.montecarlo import (
     _BAND_MARGIN,
     _bands,
+    _compare,
     _decide,
+    _orientations,
     _replay_shadowed,
     _replay_uniforms,
-    _sample_orientations,
     _seat_rate,
     _uniforms,
-    _windows,
-    monte_carlo_connectivity,
 )
 from mmwplan.scenarios import OrientationDistribution, wrap_angles
 from mmwplan.solver import Deployment, PlacedAp
@@ -55,21 +54,22 @@ def test_draws_stay_on_circle():
     rng = _rng()
     for mean, std in ((0.0, 0.5), (3.0, 2.0), (-2.5, 1.0)):
         dist = OrientationDistribution(mean=mean, std=std)
-        draws = _sample_orientations(rng, dist, 1000)
+        draws = _orientations(_uniforms(rng, 1000), dist)
         assert ((-math.pi <= draws) & (draws <= math.pi)).all()
 
 
 def test_tiny_spread_collapses_to_mean():
     dist = OrientationDistribution(mean=1.1, std=1e-9)
     rng = _rng(2)
-    assert (np.abs(_sample_orientations(rng, dist, 10) - 1.1) < 1e-6).all()
+    draws = _orientations(_uniforms(rng, 10), dist)
+    assert (np.abs(draws - 1.1) < 1e-6).all()
 
 
 def test_sample_mean_matches_truncated_mean():
     mean, std = 0.4, 0.7
     dist = OrientationDistribution(mean=mean, std=std)
     rng = _rng(3)
-    draws = _sample_orientations(rng, dist, 20000)
+    draws = _orientations(_uniforms(rng, 20000), dist)
     a = (-math.pi - mean) / std
     b = (math.pi - mean) / std
 
@@ -87,7 +87,7 @@ def test_sample_mean_matches_truncated_mean():
 def test_one_uniform_per_draw():
     dist = OrientationDistribution(mean=0.2, std=0.6)
     a, b = _rng(4), _rng(4)
-    xs = [float(_sample_orientations(a, dist, 1)[0]) for _ in range(5)]
+    xs = [float(_orientations(_uniforms(a, 1), dist)[0]) for _ in range(5)]
     us = b.random(5)
     lo = 0.5 * (1.0 + math.erf((-math.pi - 0.2) / (0.6 * math.sqrt(2.0))))
     hi = 0.5 * (1.0 + math.erf((math.pi - 0.2) / (0.6 * math.sqrt(2.0))))
@@ -105,7 +105,7 @@ def test_sampler_matches_one_expression(mean, std, n):
     # the sampler works in the uniforms' buffer, with the same bits
     dist = OrientationDistribution(mean=mean, std=std)
     a, b = _rng(7), _rng(7)
-    got = _sample_orientations(a, dist, n)
+    got = _orientations(_uniforms(a, n), dist)
     want = oracles.sample_orientations(b, dist, n)
     assert got.tobytes() == want.tobytes()
     assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used
@@ -139,36 +139,33 @@ def test_seed_range_ends_accepted():
 # -- per-user connectivity --------------------------------------------------
 
 
+def _seat(model, m, ids, mc=MC):
+    """Seat m served by the candidates ``ids``: its analytic and empirical
+    probabilities and whether they lie within three standard errors."""
+    row = oracles.ids_row(model.L, ids)
+    analytic = model.conn(m, row)
+    empirical = _seat_rate(model, mc, m, row)
+    return analytic, empirical, _compare(empirical, analytic,
+                                         mc.n_samples)[1]
+
+
 def test_always_on_link_is_exact(tight_params):
     model = PlanningModel(random_toy(61), tight_params, 0.7)
-    r = monte_carlo_connectivity(model, 0, [0], MC)
-    assert r["analytic_prob"] == 1.0
-    assert r["empirical_prob"] == 1.0
-    assert r["within_3sigma"]
+    assert _seat(model, 0, [0]) == (1.0, 1.0, True)
 
 
 def test_empty_set_is_exact_zero(tight_params):
     model = PlanningModel(random_toy(61), tight_params, 0.7)
-    r = monte_carlo_connectivity(model, 2, [], MC)
-    assert r["analytic_prob"] == 0.0
-    assert r["empirical_prob"] == 0.0
-
-
-@pytest.mark.parametrize("assigned", [[-1], [0, 4]])
-def test_connectivity_rejects_unknown_ids(toy_venue, default_params,
-                                          assigned):
-    with pytest.raises(ValueError, match="assigned ids"):
-        monte_carlo_connectivity(
-            PlanningModel(toy_venue, default_params, 0.7), 0, assigned, MC
-        )
+    assert _seat(model, 2, [])[:2] == (0.0, 0.0)
 
 
 def test_orientation_dependent_link_within_3sigma():
     v = single_link_venue(dx=0.0, dz=40.0, tilt=0.0)
-    r = monte_carlo_connectivity(PlanningModel(v, ChannelParams(), 0.7), 0,
-                                 [0], MC)
-    assert 0.0 < r["analytic_prob"] < 1.0
-    assert r["within_3sigma"], r
+    analytic, empirical, within = _seat(
+        PlanningModel(v, ChannelParams(), 0.7), 0, [0]
+    )
+    assert 0.0 < analytic < 1.0
+    assert within, (analytic, empirical)
 
 
 def test_random_rooms_within_3sigma(tight_params):
@@ -179,40 +176,35 @@ def test_random_rooms_within_3sigma(tight_params):
         size = int(rng.integers(1, 3))
         s = sorted(rng.choice(v.n_candidates, size=size,
                               replace=False).tolist())
-        r = monte_carlo_connectivity(PlanningModel(v, tight_params, 0.7), m,
-                                     s, MC)
-        assert r["within_3sigma"], r
+        r = _seat(PlanningModel(v, tight_params, 0.7), m, s)
+        assert r[2], r
 
 
 def test_report_names_stream_layout(tight_params):
     model = PlanningModel(random_toy(61), tight_params, 0.7)
-    r = monte_carlo_connectivity(model, 1, [0, 2], MC)
+    dep, _ = greedy_place(model, 0.9)
+    r = monte_carlo_coverage(model, MC, dep)
+    assert list(r)[:5] == ["n_samples", "seed", "sample_shadowing",
+                           "generator", "substream_rule"]
     assert r["generator"] == "philox4x64"
     assert "gp_id" in r["substream_rule"]
-    assert r["assigned"] == [0, 2]
     assert r["seed"] == MC.seed
 
 
 def test_connectivity_report_reproducible(tight_params):
     model = PlanningModel(random_toy(62), tight_params, 0.7)
-    a = monte_carlo_connectivity(model, 4, [1, 3], MC)
-    b = monte_carlo_connectivity(model, 4, [1, 3], MC)
-    assert a == b
-    c = monte_carlo_connectivity(
-        model, 4, [1, 3], McConfig(n_samples=20000, seed=6)
-    )
-    assert c["empirical_prob"] != a["empirical_prob"] or \
-        c["analytic_prob"] == 1.0
+    a = _seat(model, 4, [1, 3])
+    assert a == _seat(model, 4, [1, 3])
+    c = _seat(model, 4, [1, 3], McConfig(n_samples=20000, seed=6))
+    assert c[1] != a[1] or c[0] == 1.0
 
 
 def test_shadowing_replay_runs_and_reproduces(tight_params):
     model = PlanningModel(random_toy(61), tight_params, 0.7)
     mc = McConfig(n_samples=5000, seed=9, sample_shadowing=True)
-    a = monte_carlo_connectivity(model, 4, [2], mc)
-    b = monte_carlo_connectivity(model, 4, [2], mc)
-    assert a == b
-    assert a["sample_shadowing"]
-    assert isinstance(a["within_3sigma"], bool)
+    a = _seat(model, 4, [2], mc)
+    assert a == _seat(model, 4, [2], mc)
+    assert isinstance(a[2], bool)
 
 
 # -- whole deployment -------------------------------------------------------
@@ -227,11 +219,11 @@ def test_coverage_matches_per_user_replay(tight_params):
     cov = monte_carlo_coverage(model, MC, dep)
     checked = 0
     for m in range(v.n_grid):
-        s = sorted(ap.candidate for ap in dep.selected if m in ap.assigned)
+        s = [ap.candidate for ap in dep.selected if m in ap.assigned]
         if not s:
             continue
-        r = monte_carlo_connectivity(model, m, s, MC)
-        assert r["empirical_prob"] == cov["per_gp"][m]["empirical_prob"]
+        _, empirical, _ = _seat(model, m, s)
+        assert empirical == cov["per_gp"][m]["empirical_prob"]
         checked += 1
     assert checked >= 3
 
@@ -348,11 +340,16 @@ def _rows(links):
 
 
 def _model_windows(params, tilt, rows):
-    """The windows the replay reads off a model holding these links."""
+    """The azimuths and active half-widths that ``_seat_rate`` replays off
+    a model holding these links: None when a link is always on, and
+    never-on links left out."""
     dist, phi_rx, psi_rx, vertical, occluded = rows
     reach = _active_half_width(params, dist, psi_rx, vertical, occluded,
                                tilt)
-    return _windows(phi_rx, reach)
+    if (reach >= math.pi).any():
+        return None
+    on = reach > 0.0
+    return phi_rx[on], reach[on]
 
 
 def _wrapped(x):
@@ -459,7 +456,7 @@ def test_replay_matches_per_sample_oracle(case, tilt, ap_beamwidth,
     else:
         windows = _model_windows(params, tilt, rows)
         got = (np.ones(phis.size, dtype=bool) if windows is None
-               else _decide(phis, windows))
+               else _decide(phis, *windows))
     want = oracles.replay_success(params, mc, b, phis, tilt, rows)
     assert got.dtype == want.dtype == bool
     assert got.tobytes() == want.tobytes()
@@ -567,7 +564,7 @@ def test_uniform_replay_matches_per_sample_oracle(distance, links, mean,
         # a link clears at every offset: rate 1.0, nothing drawn
         assert want.all()
         return
-    got = _replay_uniforms(_uniforms(a, n), dist, windows)
+    got = _replay_uniforms(_uniforms(a, n), dist, *windows)
     assert got.dtype == want.dtype == bool
     assert got.tobytes() == want.tobytes()
     assert a.random(4).tobytes() == b.random(4).tobytes()  # same draws used
@@ -576,11 +573,11 @@ def test_uniform_replay_matches_per_sample_oracle(distance, links, mean,
     lo, hi = (oracles._std_cdf((x - mean) / std) for x in (-math.pi, math.pi))
     thresholds = [
         (oracles._std_cdf((e - mean) / std) - lo) / (hi - lo)
-        for phi_rx, reach in windows
+        for phi_rx, reach in zip(*windows)
         for e in wrap_angles([phi_rx - reach, phi_rx + reach]).tolist()
     ]
     u = np.clip(_around([0.0, 1.0] + thresholds, 3), 0.0, _ulps(1.0, -1))
-    got = _replay_uniforms(u.copy(), dist, windows)
+    got = _replay_uniforms(u.copy(), dist, *windows)
     assert got.tobytes() == oracle(_Fixed(u), u.size).tobytes()
 
 
@@ -655,8 +652,8 @@ def test_window_matches_exact_offset_at_the_seam(center, half):
                 params = ChannelParams(self_block_half_angle=h)
                 rows = _rows([(10.0, c, tilt, False, False)])
                 windows = _model_windows(params, tilt, rows)
-                assert windows == [(c, h)]
-                got = _replay_uniforms(u.copy(), dist, windows)
+                assert [w.tolist() for w in windows] == [[c], [h]]
+                got = _replay_uniforms(u.copy(), dist, *windows)
                 want = oracles.replay_success(
                     params, McConfig(n_samples=u.size), None, phis, tilt,
                     rows,
@@ -667,7 +664,7 @@ def test_window_matches_exact_offset_at_the_seam(center, half):
 # -- the model's hand-off to the replay --------------------------------------
 
 
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None)
 @given(
     seed=st.integers(0, 10 ** 6),
     snr_threshold_db=st.floats(-10.0, 50.0),
@@ -704,6 +701,7 @@ def test_seat_rate_matches_per_sample_oracle(seed, snr_threshold_db,
                       sample_shadowing=shadowing)
         for m in range(model.M):
             usable = np.flatnonzero(model.usable[m]).tolist()
-            for aps in [usable] + [[l] for l in usable]:
-                want = oracles.seat_rate(model, mc, m, aps)
-                assert _seat_rate(model, mc, m, aps) == want, (m, aps)
+            for ids in [usable] + [[l] for l in usable]:
+                row = oracles.ids_row(model.L, ids)
+                want = oracles.seat_rate(model, mc, m, row)
+                assert _seat_rate(model, mc, m, row) == want, (m, ids)

@@ -29,12 +29,15 @@ def _arc_mass(dist, center, half):
     ``center``: the connectivity of one link active on exactly that arc."""
     v = single_link_venue(facing=dist.mean, std=dist.std)
     part, = seat_partitions(v, np.array([[center]]), np.array([[half]]))
-    return connectivity_probability(part, [0])
+    return connectivity_probability(part, np.ones(1, dtype=bool))
 
 
-def _ids(bits):
-    """Candidate ids of the set bits of a small integer, lowest first."""
-    return [l for l in range(bits.bit_length()) if bits >> l & 1]
+def _bits_row(bits, n):
+    """The boolean row over n candidates that holds the set bits of a
+    small integer."""
+    return oracles.ids_row(
+        n, [l for l in range(bits.bit_length()) if bits >> l & 1]
+    )
 
 
 # -- distribution -----------------------------------------------------------
@@ -175,7 +178,6 @@ def test_cell_frequencies_match_sampling():
 
 def test_connectivity_empty_set_zero(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 0)
-    assert connectivity_probability(part, []) == 0.0
     none = np.zeros(toy_venue.n_candidates, dtype=bool)
     assert connectivity_probability(part, none) == 0.0
 
@@ -185,7 +187,9 @@ def test_connectivity_full_interval_link_is_one(toy_venue, default_params):
     always_on = part.visible.all(axis=0)
     assert always_on.any()
     l = int(np.flatnonzero(always_on)[-1])
-    assert connectivity_probability(part, [l]) == 1.0
+    assert connectivity_probability(
+        part, oracles.ids_row(toy_venue.n_candidates, [l])
+    ) == 1.0
 
 
 def test_links_hitting_every_cell_connect_exactly_one():
@@ -200,25 +204,21 @@ def test_links_hitting_every_cell_connect_exactly_one():
     assert model.conn(m, model.usable[m]) == 1.0
 
 
-def test_connectivity_mask_and_iterable_agree(toy_venue, default_params):
-    part = _partition(toy_venue, default_params, 3)
-    for s in ([0], [1, 2], [0, 3], [1, 2, 3]):
-        row = np.zeros(toy_venue.n_candidates, dtype=bool)
-        row[s] = True
-        assert connectivity_probability(part, s) == \
-            connectivity_probability(part, row)
-
-
 @pytest.mark.parametrize("make", [
     lambda L: [-1],
     lambda L: [L],
     lambda L: [0, L],
     lambda L: np.ones(L - 1, dtype=bool),
     lambda L: np.ones(L + 1, dtype=bool),
-], ids=["minus-one", "L", "zero-and-L", "short-row", "long-row"])
+    lambda L: [0],
+    lambda L: np.arange(L),
+    lambda L: np.ones(L),
+], ids=["minus-one", "L", "zero-and-L", "short-row", "long-row", "id-list",
+        "int-array", "float-row"])
 def test_connectivity_rejects_ids_outside_candidates(toy_venue,
                                                      default_params, make):
-    # a negative id used to read a mount from the end of the row
+    # a set of links is a boolean row over the candidates and nothing
+    # else; a negative id used to read a mount from the end of the row
     part = _partition(toy_venue, default_params, 3)
     aps = make(toy_venue.n_candidates)
     with pytest.raises(ValueError, match="assigned ids"):
@@ -236,7 +236,9 @@ def test_connectivity_matches_union_arithmetic():
             s = sorted(rng.choice(v.n_candidates, size=size,
                                   replace=False).tolist())
             part = _partition(v, p, m)
-            got = connectivity_probability(part, s)
+            got = connectivity_probability(
+                part, oracles.ids_row(v.n_candidates, s)
+            )
             want = oracles.union_probability(v, p, m, s)
             assert abs(got - want) < 1e-12
 
@@ -252,7 +254,9 @@ def test_connectivity_matches_pattern_enumeration():
             s = sorted(rng.choice(v.n_candidates, size=size,
                                   replace=False).tolist())
             part = _partition(v, p, m)
-            got = connectivity_probability(part, s)
+            got = connectivity_probability(
+                part, oracles.ids_row(v.n_candidates, s)
+            )
             want = oracles.pattern_connectivity(part, s)
             assert abs(got - want) < 1e-12
 
@@ -262,13 +266,14 @@ def test_connectivity_monotone_under_growth():
     rng = np.random.default_rng(35)
     v = random_toy(16)
     parts = [_partition(v, p, m) for m in range(v.n_grid)]
+    L = v.n_candidates
     for _ in range(300):
         m = int(rng.integers(0, v.n_grid))
         small = int(rng.integers(0, 16))
         extra = int(rng.integers(0, 16))
         big = small | extra
-        assert connectivity_probability(parts[m], _ids(small)) <= \
-            connectivity_probability(parts[m], _ids(big)) + 1e-15
+        assert connectivity_probability(parts[m], _bits_row(small, L)) <= \
+            connectivity_probability(parts[m], _bits_row(big, L)) + 1e-15
 
 
 def test_refinement_invariance():
@@ -297,8 +302,8 @@ def test_refinement_invariance():
         fine = ScenarioPartition(m, np.array(bounds), np.array(probs),
                                  np.array(rows))
         for s in range(16):
-            a = connectivity_probability(part, _ids(s))
-            b = connectivity_probability(fine, _ids(s))
+            a = connectivity_probability(part, _bits_row(s, v.n_candidates))
+            b = connectivity_probability(fine, _bits_row(s, v.n_candidates))
             assert abs(a - b) < 1e-12
 
 
@@ -380,7 +385,8 @@ def test_connectivity_past_64_candidates_matches_patterns(data):
     if always and data.draw(st.booleans(), label="add an always-on id"):
         ids.add(data.draw(st.sampled_from(always), label="always-on id"))
     ids = sorted(ids)
-    got = connectivity_probability(parts[m], ids)
+    got = connectivity_probability(parts[m],
+                                   oracles.ids_row(n_candidates, ids))
     assert abs(got - oracles.pattern_connectivity(parts[m], ids)) <= 1e-12
     if set(ids) & set(always):
         assert got == 1.0

@@ -373,7 +373,7 @@ def test_greedy_infeasible_names_unreachable_seats():
     diag = e.value.diagnostics
     # connectivity with every candidate of the venue serving the seat
     full = np.array([
-        connectivity_probability(part, list(range(model.L)))
+        connectivity_probability(part, np.ones(model.L, dtype=bool))
         for part in model.partitions
     ])
     assert diag["unreachable"] == np.flatnonzero(full < 0.9).tolist()
