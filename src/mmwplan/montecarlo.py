@@ -173,12 +173,15 @@ def _bands(
     lo, hi = _cdf_range(dist)
     span = hi - lo
     e = np.array(edges)
-    z = (e - dist.mean) / dist.std
-    t = (np.array([_std_normal_cdf(x) for x in z.tolist()]) - lo) / span
-    z = np.minimum(np.abs(z), 40.0)  # the density is 0.0 from about 38.5
-    slope = np.exp(-0.5 * z * z) / (
-        math.sqrt(2.0 * math.pi) * dist.std * span
-    )
+    # a spread too small to divide by gives +-inf: the point-mass limit,
+    # a step at the mean with an infinite slope there
+    with np.errstate(over="ignore"):
+        z = (e - dist.mean) / dist.std
+        t = (np.array([_std_normal_cdf(x) for x in z.tolist()]) - lo) / span
+        z = np.minimum(np.abs(z), 40.0)  # the density is 0.0 from about 38.5
+        slope = np.exp(-0.5 * z * z) / (
+            math.sqrt(2.0 * math.pi) * dist.std * span
+        )
     d = np.fmax(2.0 * _BAND_MARGIN * slope, 2.0 ** -52)
     while True:
         a, b = t - d, t + d

@@ -195,11 +195,14 @@ def _partitions(
     visible = always[np.repeat(np.arange(n), n_cells)]
     visible.reshape(-1)[row[cell] * reach.shape[1] + arc_ap[at]] = True
 
-    z = np.concatenate((
-        (b - mean[b_seat]) / std[b_seat],
-        (math.pi - mean) / std,
-        (-math.pi - mean) / std,
-    )) / _SQRT2
+    # a spread too small to divide by gives +-inf: the point-mass limit,
+    # whose erf is +-1
+    with np.errstate(over="ignore"):
+        z = np.concatenate((
+            (b - mean[b_seat]) / std[b_seat],
+            (math.pi - mean) / std,
+            (-math.pi - mean) / std,
+        )) / _SQRT2
     cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z.tolist()]))
     cdf, cdf_hi, cdf_lo = cdf[:len(b)], cdf[len(b):-n], cdf[-n:]
     trunc = cdf_hi - cdf_lo

@@ -491,21 +491,19 @@ class GreedyState:
 def _winners(
     model: PlanningModel, state: GreedyState, l: int, mem: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Of the open users in candidate l's footprint ``mem``: which ones
-    the beam would not satisfy (a mask over ``mem``), the first
-    ``capacity`` it would, and their presence mass."""
-    open_ = ~state.satisfied[mem]
-    wins = state.pred_sat[mem, l] & open_
+    """Of the users in candidate l's footprint ``mem``: which ones the
+    beam would not satisfy (a mask over ``mem``), the first ``capacity``
+    it would, and their presence mass. A satisfied user's table entries
+    are False and 0, so it never wins and never fills."""
+    wins = state.pred_sat[mem, l]
     winners = mem[wins][:model.params.capacity_per_beam]
-    return open_ & ~wins, winners, float(model.q[winners].sum())
+    return ~wins, winners, float(model.q[winners].sum())
 
 
 def _evaluate_tuple(
     model: PlanningModel, state: GreedyState, l: int, ti: int
 ) -> Optional[Tuple[float, float, np.ndarray]]:
     mem = model.members(l, ti)
-    if mem.size == 0:
-        return None
     others, winners, primary = _winners(model, state, l, mem)
     room = model.params.capacity_per_beam - winners.size
     secondary = 0.0
@@ -515,10 +513,9 @@ def _evaluate_tuple(
         gains = state.dp[rest, l] * model.q[rest]
         pos = gains > 0.0
         rest, gains = rest[pos], gains[pos]
-        if rest.size:
-            take = np.lexsort((rest, -gains))[:room]
-            fillers = rest[take]
-            secondary = float(gains[take].sum())
+        take = np.lexsort((rest, -gains))[:room]
+        fillers = rest[take]
+        secondary = float(gains[take].sum())
     members = np.concatenate([winners, fillers])
     if members.size == 0:
         return None
@@ -540,11 +537,11 @@ def _screen(
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per grid footprint k = l * n_tuples + ti of a pool candidate: the
     mass of its first ``capacity`` winners, an upper bound on its gain
-    mass (the positive mass-weighted gains of all its other open users,
-    or 0 when the winners fill the beam) and its winner count, from a few
-    passes over each candidate's run of ``foot_flat``; other entries are
-    0. Sums run in another order than ``_evaluate_tuple``'s, so they
-    match its key only to within rounding."""
+    mass (the mass-weighted gains of all its other users, or 0 when the
+    winners fill the beam) and its winner count, from a few passes over
+    each candidate's run of ``foot_flat``; other entries are 0. Sums run
+    in another order than ``_evaluate_tuple``'s, so they match its key
+    only to within rounding."""
     capacity = model.params.capacity_per_beam
     n_t = model.n_tuples
     primary = np.zeros(model.L * n_t)
@@ -556,20 +553,17 @@ def _screen(
         mem = model.foot_flat[start[0]:start[-1]]
         offsets = start - start[0]
         q = model.q[mem]
-        open_ = ~state.satisfied[mem]
-        wins = state.pred_sat[mem, l] & open_
+        wins = state.pred_sat[mem, l]
         counts = n_wins[ks] = _per_footprint(wins, offsets)
         # the first ``capacity`` winners of each footprint, in member order
-        at = np.flatnonzero(wins)
-        rank = np.arange(at.size) - np.repeat(np.cumsum(counts) - counts,
-                                              counts)
-        kept = rank < capacity
-        primary[ks] = np.bincount(
-            np.repeat(np.arange(n_t), counts)[kept],
-            weights=q[at[kept]], minlength=n_t,
+        rank = np.cumsum(wins) - np.repeat(np.cumsum(counts) - counts,
+                                           np.diff(offsets))
+        primary[ks] = _per_footprint(
+            np.where(wins & (rank <= capacity), q, 0.0), offsets
         )
+        # gains are never negative, and a satisfied user's are 0
         gain = state.dp[mem, l] * q
-        gain[~open_ | wins | ~(gain > 0.0)] = 0.0
+        gain[wins] = 0.0
         bound[ks] = np.where(
             counts >= capacity, 0.0, _per_footprint(gain, offsets)
         )
@@ -602,7 +596,9 @@ def greedy_iteration_best(
     primary, bound, n_wins = _screen(model, state)
     ks = (np.asarray(state.pool)[:, None] * n_t + np.arange(n_t)).ravel()
     order = ks[np.lexsort((ks, -bound[ks], -primary[ks]))]
-    best = None
+    # the incumbent's key (mass, gain mass, -k): larger weights win, then
+    # the lower (candidate, steering)
+    best = members = None
     for k in order.tolist():
         if n_wins[k] == 0 and bound[k] == 0.0:
             continue  # no winner and no positive gain: no members
@@ -610,26 +606,20 @@ def greedy_iteration_best(
         if best is not None:
             if primary[k] < best[0] - _SUM_TOL:
                 break  # no pair from here on reaches the best mass
+            # the best key this pair can reach: its exact mass, and a gain
+            # mass of exactly 0.0 when its winners fill the beam, at most
+            # its bound otherwise
             p = _winners(model, state, l, model.members(l, ti))[2]
-            if p < best[0]:
-                continue
-            # on a tie in mass, a full beam's gain mass is exactly 0.0
-            # and any other beam's is at most its bound
-            full = n_wins[k] >= capacity
-            if p == best[0] and (
-                (full and (best[1] > 0.0 or (l, ti) > best[2:4]))
-                or bound[k] < best[1] - _SUM_TOL
-            ):
+            most = 0.0 if n_wins[k] >= capacity else bound[k] + _SUM_TOL
+            if (p, most, -k) < best:
                 continue
         r = _evaluate_tuple(model, state, l, ti)
-        # larger weights win, then the lower (candidate, steering)
-        if r is not None and (best is None or r[:2] > best[:2] or (
-            r[:2] == best[:2] and (l, ti) < best[2:4]
-        )):
-            best = (*r[:2], l, ti, r[2])
+        if r is not None and (best is None or (*r[:2], -k) > best):
+            best, members = (*r[:2], -k), r[2]
     if best is None:
         return None
-    primary, secondary, l, ti, members = best
+    primary, secondary, k = best
+    l, ti = divmod(-k, n_t)
     theta, phi = model.steering_angles(ti)
     assigned = tuple(sorted(members.tolist()))
     return PlacedAp(l, theta, phi, assigned), primary, secondary

@@ -903,6 +903,23 @@ def test_compare_sweep_csv(capsys, tmp_path, toy_path):
             assert cells["coverage_uniform"] != ""
 
 
+def test_compare_uniform_gets_one_ap_when_greedy_chose_none(capsys,
+                                                           toy_path):
+    rows = {}
+    for extra in ((), ("--uniform-n", "1")):
+        code, stdout, _ = run(
+            capsys, "compare", "--venue", toy_path, "--alpha", "0",
+            "--beta", "0.9", *extra,
+        )
+        assert code == 0
+        header, line = stdout.strip().split("\n")
+        rows[extra] = dict(zip(header.split(","), line.split(",")))
+    row = rows[()]
+    assert row["L_greedy"] == "0"
+    assert row["coverage_uniform"] == "0.166667"
+    assert rows[("--uniform-n", "1")] == row
+
+
 def test_compare_stdout_when_no_out(capsys, toy_path):
     code, stdout, _ = run(
         capsys, "compare", "--venue", toy_path, "--alpha", "0.5",

@@ -149,7 +149,8 @@ REACH = st.sampled_from(
 
 @given(st.lists(st.tuples(AZIMUTH, REACH), min_size=1, max_size=8),
        st.sampled_from((0.0, 3.0, -math.pi, math.pi, -1.0)),
-       st.sampled_from((math.pi / 6.0, 0.05, 2.0)))
+       st.sampled_from((math.pi / 6.0, 0.05, 2.0, math.ulp(0.0), 1e-310,
+                        1e6)))
 def test_seat_partition_equals_cell_by_cell_build(rows, facing, std):
     """Rows repeat azimuths and reaches, so arcs share endpoints, wrap
     through +-pi, end exactly at +-pi, and cover or miss the circle."""

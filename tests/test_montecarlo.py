@@ -585,7 +585,8 @@ def test_uniform_replay_matches_per_sample_oracle(distance, links, mean,
 @given(
     mean=st.one_of(st.sampled_from([-math.pi, 0.0, math.pi]),
                    st.floats(-math.pi, math.pi)),
-    std=st.one_of(st.sampled_from([1e-9, 1e-8, 0.05, 40.0, 1e6]),
+    std=st.one_of(st.sampled_from([1e-9, 1e-8, 0.05, 40.0, 1e6,
+                                   math.ulp(0.0), 1e-310]),
                   st.floats(1e-9, 10.0)),
     # edges as offsets from the mean in standard deviations, or anywhere
     offsets=st.lists(st.floats(-6.0, 6.0), max_size=4),

@@ -1,5 +1,5 @@
-"""The README's library example runs as written, and the README names the
-package's whole top-level surface."""
+"""The README's library example runs as written, the README names the
+package's whole top-level surface, and its deep-run command is CI's."""
 
 import ast
 import pathlib
@@ -10,6 +10,7 @@ import mmwplan
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 INIT = ROOT / "src" / "mmwplan" / "__init__.py"
+WORKFLOW = ROOT / ".github" / "workflows" / "tests.yml"
 
 
 def test_library_example_runs(capsys):
@@ -26,6 +27,20 @@ def test_readme_names_every_top_level_name():
     named = {w for span in spans for w in re.findall(r"[A-Za-z_]\w*", span)}
     missing = set(mmwplan.__all__) - {"__version__"} - named
     assert not missing, f"README names none of {sorted(missing)} in backticks"
+
+
+def test_deep_run_command_matches_ci():
+    def targets(command):
+        return sorted(re.findall(r"tests/\S+", command))
+
+    deep = "--hypothesis-profile mmwplan-deep"
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", README.read_text(),
+                        re.S | re.M)
+    readme = [block for block in blocks if deep in block]
+    assert len(readme) == 1
+    step = WORKFLOW.read_text().split(deep)[0]
+    ci = step.rsplit("python -m pytest", 1)[1]
+    assert targets(readme[0]) == targets(ci)
 
 
 def test_init_binds_only_its_exports():
