@@ -173,19 +173,19 @@ def cmd_plan(args: argparse.Namespace) -> int:
             n = args.uniform_n or venue.n_candidates
             deployment = uniform_place(model, n)
     except InfeasibleError as exc:
+        # the partial result and the summary line; main reports the refusal
         elapsed = time.perf_counter() - start
         if exc.partial is not None and args.out:
             save_json(args.out, exc.partial.to_dict())
         achieved = (
             exc.partial.normalized_coverage if exc.partial else float("nan")
         )
-        print(_infeasible_line(exc), file=sys.stderr)
         print(
             f"solver={args.solver} infeasible "
             f"normalized={achieved:.4f} target={args.alpha:.4f} "
             f"runtime={elapsed:.2f}s"
         )
-        return EXIT_INFEASIBLE
+        raise
     elapsed = time.perf_counter() - start
     if args.out:
         save_json(args.out, deployment.to_dict())

@@ -33,7 +33,8 @@ def approximation_bound(
     union contains every user the exact solution satisfies; when the full
     trace never gets there (the two solvers satisfied different users, or
     a user is satisfied with no assignment at all and so never appears in
-    the trace) the instances are reported as not comparable and the
+    the trace), or when the exact solution uses no AP and the ratio would
+    divide by zero, the instances are reported as not comparable and the
     observed ratio is None.
     """
     q = [gp.presence_prob for gp in venue.grid_positions]
@@ -65,17 +66,12 @@ def approximation_bound(
             min(c_greedy) * min(q_star)
         )
 
-    observed: Optional[float] = None
-    if l_star_circ is not None:
-        if l_star_circ == 0:
-            observed = 0.0
-        elif l_star > 0:
-            observed = l_star_circ / l_star
+    comparable = l_star_circ is not None and l_star > 0
     return {
         "analytic_ratio": analytic,
-        "observed_ratio": observed,
+        "observed_ratio": l_star_circ / l_star if comparable else None,
         "l_star_circ": l_star_circ,
-        "comparable": l_star_circ is not None and l_star > 0,
+        "comparable": comparable,
         "l_greedy": len(greedy.iterations),
         "l_star": l_star,
     }

@@ -178,22 +178,24 @@ class PlanningModel:
     ``GeometryError``.
 
     This is the one place the package derives link facts, each as an
-    (M, L) array over all (seat, candidate) pairs: view-ray azimuths
-    ``phi_tx``/``phi_rx``, the steering elevation ``nadir_tx`` (angle
-    from straight down), the receive elevation ``psi_rx``, ``dist`` and
-    ``vertical``; ``occluded`` from ``occlusion_matrix`` (batches of
+    (M, L) array over all (seat, candidate) pairs, from one ray per link,
+    the device's view of the mount: its azimuth ``phi_rx`` (0 where it
+    is ``vertical``), its elevation ``psi_rx`` from straight up and its
+    length ``dist``; ``occluded`` from ``occlusion_matrix`` (batches of
     seats, each prism pruned by its own top); the active half-widths
     ``reach`` from ``_active_half_width`` at the aligned transmit gain,
     where 0 is never on and pi is always on; and every seat's partition
     from ``seat_partitions``, many seats at a time, straight from the
-    rows of ``phi_rx`` and ``reach``. ``_beam`` is the one test
-    of users against a steered beam, read by the footprints and by
-    ``evaluate_coverage``. Where a value's bits reach the outputs the
-    scalar ``math`` functions stay: ``math.log10`` per distance,
-    ``math.atan2`` for angles that leave [-pi, pi], and ``math.erf`` per
-    cell boundary, because their numpy counterparts differ from them in
-    the last bit for some inputs. So the model is bit-identical to the
-    one-link, one-cell walks kept as oracles in the tests.
+    rows of ``phi_rx`` and ``reach``. ``_beam``, the one test of users
+    against a steered beam, read by the footprints and by
+    ``evaluate_coverage``, turns that view around: the mount sees the
+    seat at azimuth ``phi_rx + pi`` and ``psi_rx`` from straight down.
+    Where a value's bits reach the outputs the scalar ``math`` functions
+    stay: ``math.log10`` per distance, ``math.atan2`` for angles that
+    leave [-pi, pi], and ``math.erf`` per cell boundary, because their
+    numpy counterparts differ from them in the last bit for some inputs.
+    So the model is bit-identical to the one-link, one-cell walks kept as
+    oracles in the tests.
     """
 
     def __init__(
@@ -214,8 +216,9 @@ class PlanningModel:
 
         gp_pos = np.array([gp.position for gp in venue.grid_positions])
         ap_pos = np.array([c.position for c in venue.candidates])
-        down = gp_pos[:, None, :] - ap_pos[None, :, :]
-        self.dist = np.sqrt((down ** 2).sum(axis=2))
+        # one ray per link, from the seat's device up to the mount
+        up = ap_pos[None, :, :] - gp_pos[:, None, :]
+        self.dist = np.sqrt((up ** 2).sum(axis=2))
         # below 1 m blocked loss falls under line-of-sight loss, and the
         # reach of _active_half_width would miss a link that turns back on
         close = np.argwhere(self.dist < 1.0)
@@ -225,20 +228,14 @@ class PlanningModel:
                 f"seat {m} is {self.dist[m, l]:.6g} m from mount {l}; a seat "
                 f"must be at least 1 m from every mount"
             )
-        horiz = np.hypot(down[:, :, 0], down[:, :, 1])
-        self.vertical = horiz == 0.0
-        self.phi_tx = np.where(
-            self.vertical, 0.0, np.arctan2(down[:, :, 1], down[:, :, 0])
-        )
-        psi_tx = np.arccos(np.clip(down[:, :, 2] / self.dist, -1.0, 1.0))
-        self.nadir_tx = math.pi - psi_tx
+        self.vertical = (up[..., 0] == 0.0) & (up[..., 1] == 0.0)
         self.phi_rx = np.where(
-            self.vertical, 0.0, np.arctan2(-down[:, :, 1], -down[:, :, 0])
+            self.vertical, 0.0, np.arctan2(up[..., 1], up[..., 0])
         )
-        self.psi_rx = np.arccos(np.clip(-down[:, :, 2] / self.dist, -1.0, 1.0))
+        self.psi_rx = np.arccos(np.clip(up[..., 2] / self.dist, -1.0, 1.0))
         # the build's peak memory is set after this point, so free the
-        # (M, L, 3) offsets and the (M, L) temporaries first
-        del down, horiz, psi_tx
+        # (M, L, 3) rays first
+        del up
         self.occluded = occlusion_matrix(venue)
 
         tilt = np.array([gp.elevation for gp in venue.grid_positions])
@@ -285,13 +282,14 @@ class PlanningModel:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Whether each user lies inside the beam of candidate l steered
         to (theta, phi), boundaries inclusive, with its azimuth and
-        elevation offsets from the boresight. A vertical ray has no
-        azimuth, so only its elevation counts. Array angles broadcast
-        against the user axis, which comes last."""
+        elevation offsets from the boresight on the device's view turned
+        around. A vertical ray has no azimuth: its azimuth offset is 0.
+        Array angles broadcast against the user axis, which comes last."""
         half = self.params.ap_beamwidth / 2.0
-        el = np.abs(theta - self.nadir_tx[:, l])
-        az = wrapped_offset(phi, self.phi_tx[:, l])
-        inside = (el <= half) & (self.vertical[:, l] | (az <= half))
+        el = np.abs(theta - self.psi_rx[:, l])
+        turned = wrapped_offset(phi + math.pi, self.phi_rx[:, l])
+        az = np.where(self.vertical[:, l], 0.0, turned)
+        inside = (el <= half) & (az <= half)
         return inside, az, el
 
     def footprint(self, l: int, theta: float, phi: float) -> np.ndarray:
@@ -961,11 +959,11 @@ def uniform_place(model: PlanningModel, count: int) -> Deployment:
     centroid = xy.mean(axis=0)
     d0 = np.hypot(*(xy - centroid).T)
     chosen = [int(np.argmin(d0))]
+    dmin = np.full(model.L, np.inf)  # to the nearest chosen, -inf if chosen
     while len(chosen) < count:
-        dmin = np.full(model.L, np.inf)
-        for l in chosen:
-            dmin = np.minimum(dmin, np.hypot(*(xy - xy[l]).T))
-        dmin[chosen] = -np.inf
+        l = chosen[-1]
+        dmin = np.minimum(dmin, np.hypot(*(xy - xy[l]).T))
+        dmin[l] = -np.inf
         chosen.append(int(np.argmax(dmin)))
     capacity = model.params.capacity_per_beam
     return model.finalize([

@@ -357,6 +357,8 @@ def test_steering_at_exact_boresight_matches_unsteered():
     model = _model(v, p)
     for m in (1, 4):
         for l in (1, 3):
-            aligned = (float(model.nadir_tx[m, l]), float(model.phi_tx[m, l]))
+            # the beam looks down the device's view of the mount
+            aligned = (float(model.psi_rx[m, l]),
+                       wrap_angle(float(model.phi_rx[m, l]) + math.pi))
             _, reach = oracles.link_reach(v, p, m, l, steering=aligned)
             assert reach == model.reach[m, l]

@@ -917,6 +917,9 @@ def test_compare_uniform_gets_one_ap_when_greedy_chose_none(capsys,
     row = rows[()]
     assert row["L_greedy"] == "0"
     assert row["coverage_uniform"] == "0.166667"
+    # exact needs no AP either, and a ratio to zero APs is left blank
+    assert row["L_exact"] == "0"
+    assert row["observed_ratio"] == ""
     assert rows[("--uniform-n", "1")] == row
 
 

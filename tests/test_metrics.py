@@ -121,6 +121,17 @@ def test_bound_trivial_exact_solution(toy_venue):
     assert out["comparable"]
 
 
+def test_bound_exact_solution_without_aps_has_no_ratio(toy_venue):
+    # an exact deployment of no AP meets its target with nothing: the
+    # ratio to zero APs is undefined, not 0/0 read as 0
+    exact = _dep([], [False] * 6)
+    out = approximation_bound(GreedyTrace(iterations=[]), exact, toy_venue)
+    assert out["l_star_circ"] == 0
+    assert out["l_star"] == 0
+    assert out["observed_ratio"] is None
+    assert not out["comparable"]
+
+
 def test_bound_on_solver_pair(tight_params):
     for seed in (21, 22, 23):
         v = random_toy(seed)

@@ -201,6 +201,31 @@ def test_grid_footprints_equal_one_steering_footprints(tmp_path, name, grids):
             assert got.tobytes() == want.tobytes(), (l, ti)
 
 
+@given(rooms(), st.sampled_from((2.0 * math.pi / 3.0, math.pi / 2.0, 1.0, 0.3)))
+def test_footprints_equal_first_principles_beam_test(v, width):
+    # every grid footprint holds exactly the usable seats whose offsets
+    # from the boresight, taken on the mount's own view of the seat, lie
+    # within half the width; a vertical ray has no azimuth, so its azimuth
+    # offset is 0. A seat within 1e-9 of either edge may round to either
+    # side and is left out
+    model = PlanningModel(v, ChannelParams(ap_beamwidth=width), 0.5)
+    half = width / 2.0
+    for l in range(model.L):
+        usable = np.flatnonzero(model.usable[:, l]).tolist()
+        for ti in range(model.n_tuples):
+            theta, phi = model.steering_angles(ti)
+            got = set(model.members(l, ti).tolist())
+            assert got <= set(usable), (l, ti)
+            for m in usable:
+                phi_tx, psi_tx = oracles.tx_angles(v, l, m)
+                vertical = oracles.horizontal_distance(v, m, l) == 0.0
+                az = 0.0 if vertical else oracles.angle_offset(phi, phi_tx)
+                el = abs(theta - (math.pi - psi_tx))
+                if min(abs(az - half), abs(el - half)) <= 1e-9:
+                    continue
+                assert (m in got) == (az <= half and el <= half), (l, ti, m)
+
+
 def test_prism_touching_a_segment_at_the_highest_top_is_kept():
     # the segment (0,0,1)-(4,0,5) meets the top edge of the only prism at
     # (1,0,2), which is also where the prune's search box ends

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import oracles
-from conftest import random_toy
+from conftest import random_toy, single_link_venue
 from mmwplan import (
     ChannelParams,
     Deployment,
@@ -135,10 +135,10 @@ def test_validation_outside_footprint(toy_venue, default_params):
     model = PlanningModel(toy_venue, default_params, 0.7)
     m, l = 0, 0
     assert not model.vertical[m, l]
-    theta = float(model.nadir_tx[m, l])
-    # aim the azimuth at the opposite side of the room
-    phi = math.atan2(math.sin(model.phi_tx[m, l] + math.pi),
-                     math.cos(model.phi_tx[m, l] + math.pi))
+    theta = float(model.psi_rx[m, l])
+    # aim the azimuth at the opposite side of the room: the device's view
+    # of the mount, where the beam would look along the ray turned around
+    phi = float(model.phi_rx[m, l])
     with pytest.raises(DeploymentValidationError) as e:
         evaluate_coverage(model, _dep(_ap(l, theta, phi, (m,))))
     assert any("outside the beam" in v for v in e.value.violations)
@@ -163,9 +163,25 @@ def test_validation_beam_test_is_the_footprint(default_params):
                 flagged = {int(v.split()[1]) for v in e.violations}
             assert flagged == set(users) - inside
             for m in inside:
-                az = 0.0 if model.vertical[m, l] else phi - model.phi_tx[m, l]
-                el = theta - model.nadir_tx[m, l]
+                phi_tx, psi_tx = oracles.tx_angles(model.venue, l, m)
+                az = 0.0 if model.vertical[m, l] else phi - phi_tx
+                el = theta - (math.pi - psi_tx)
                 assert oracles.flat_top_gain(az, el, W, side) == main
+
+
+def test_validation_vertical_ray_has_no_azimuth_offset():
+    # a seat straight below its mount lies on every beam azimuth, so a
+    # beam aimed at the horizon misses it by elevation alone
+    model = PlanningModel(single_link_venue(dx=0.0, dz=4.0), ChannelParams(),
+                          0.7)
+    assert model.vertical[0, 0]
+    with pytest.raises(DeploymentValidationError) as e:
+        evaluate_coverage(model, _dep(_ap(0, math.pi / 2.0, 1.0, (0,))))
+    assert any(
+        "outside the beam of candidate 0 (azimuth offset 0.000, elevation "
+        "offset 1.571" in v
+        for v in e.value.violations
+    )
 
 
 # -- greedy -----------------------------------------------------------------

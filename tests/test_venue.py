@@ -31,24 +31,33 @@ def _venue(gp_pos, cand_pos, blockers=(), facing=0.0):
 
 # -- direction angles -------------------------------------------------------
 # Hand-computed angles check the scalar oracle, and ``_view_angles`` checks
-# the model's arrays against it.
+# the model's arrays and its beam test against it.
 
 
 def _view_angles(v, m=0, l=0):
-    """The model's view-ray arrays at one link, after checking them
-    against the scalar oracle at 1e-12: (phi_tx, psi_tx, phi_rx, psi_rx)
-    with psi_tx the +z-referenced elevation of the downward ray."""
+    """The model's view of one link, after checking it against the scalar
+    oracles at 1e-12: (phi_tx, psi_tx, phi_rx, psi_rx). The model keeps
+    only the device's view (phi_rx, psi_rx); the mount's is that view
+    turned around, the azimuth by pi and psi_tx = pi - psi_rx the
+    +z-referenced elevation of the downward ray. A vertical ray has no
+    azimuth, and the model reads 0.0 for it. A beam steered at the
+    oracle's mount view must see the link at offsets within 1e-12."""
     model = PlanningModel(v, ChannelParams(), 0.5)
     phi_tx, psi_tx = oracles.tx_angles(v, l, m)
     phi_rx, psi_rx = oracles.rx_angles(v, m, l)
-    got = (model.phi_tx[m, l], math.pi - model.nadir_tx[m, l],
-           model.phi_rx[m, l], model.psi_rx[m, l])
+    vertical = bool(model.vertical[m, l])
+    assert vertical == (oracles.horizontal_distance(v, m, l) == 0.0)
+    rx = (float(model.phi_rx[m, l]), float(model.psi_rx[m, l]))
+    tx = (0.0 if vertical else wrap_angle(rx[0] + math.pi), math.pi - rx[1])
+    got = (tx[0], tx[1], rx[0], rx[1])
     for a, b in zip(got[::2], (phi_tx, phi_rx)):
         assert abs(math.remainder(a - b, 2.0 * math.pi)) <= 1e-12
     for a, b in zip(got[1::2], (psi_tx, psi_rx)):
         assert abs(a - b) <= 1e-12
+    _, az, el = model._beam(l, math.pi - psi_tx, phi_tx)
+    assert az[m] <= 1e-12 and el[m] <= 1e-12
     assert abs(model.dist[m, l] - oracles.link_distance(v, m, l)) <= 1e-12
-    return tuple(float(x) for x in got)
+    return got
 
 
 def test_tx_angles_straight_down():
@@ -59,6 +68,10 @@ def test_tx_angles_straight_down():
     model_phi, model_psi, _, _ = _view_angles(v)
     assert model_phi == 0.0
     assert abs(model_psi - math.pi) < 1e-12
+    # a vertical ray has no azimuth: every beam azimuth is on it
+    model = PlanningModel(v, ChannelParams(), 0.5)
+    for phi in (-math.pi, -1.0, 0.0, 2.5, math.pi):
+        assert model._beam(0, 0.0, phi)[1][0] == 0.0
 
 
 def test_tx_angles_diagonal():
