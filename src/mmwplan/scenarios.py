@@ -11,7 +11,8 @@ active is a plain sum of cell masses, and exactly 1.0 when the set's links
 hit every cell.
 
 ``seat_partitions`` builds the partitions of a whole venue from its
-links' azimuths and active half-widths, many seats at a time: one sort
+links' azimuths and active half-widths, many seats at a time, into one
+flat store of every seat's cell masses and visibility rows: one sort
 finds every seat's boundaries, and one test over all (cell, arc) pairs of
 the batch decides every cell's membership. Arc endpoints and cell
 midpoints are wrapped with ``math.atan2`` and the masses use ``math.erf``,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -88,30 +89,6 @@ class OrientationDistribution:
         return OrientationDistribution(mean=gp.facing, std=gp.orientation_std)
 
 
-@dataclass(eq=False, slots=True)
-class ScenarioPartition:
-    """Cells covering the circle for one grid position.
-
-    ``bounds`` is the float64 array of the boundaries, ascending. Cell i
-    runs counterclockwise from ``bounds[i]`` to the next boundary, the
-    last one wrapping through +-pi back to the first; with no boundaries
-    the one cell is the whole circle. ``cell_probs`` holds the
-    cell masses. ``visible`` is an ``(n_cells, L)`` boolean matrix over
-    the venue's candidates: row i, column l is set when the link to
-    candidate l is active anywhere in cell i, so a link active for every
-    orientation has its column set in every row. The arguments are stored
-    as given.
-    """
-
-    gp: int
-    bounds: np.ndarray
-    cell_probs: np.ndarray
-    visible: np.ndarray
-
-    def __repr__(self) -> str:
-        return f"ScenarioPartition(gp={self.gp}, cells={len(self.cell_probs)})"
-
-
 # (cell, arc) pairs per batch of seat_partitions, counted as the bound
 # 2 x arcs^2 of each seat; the batch's temporaries are a few dozen bytes
 # per pair
@@ -136,15 +113,15 @@ def _boundaries(
 
 
 def _partitions(
-    gp_ids: Sequence[int],
     mean: np.ndarray,
     std: np.ndarray,
     phi_rx: np.ndarray,
     reach: np.ndarray,
-) -> List[ScenarioPartition]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The partitions of a batch of seats: row i of ``phi_rx`` and
-    ``reach`` holds the links of seat ``gp_ids[i]``, whose orientation
-    has mean ``mean[i]`` and deviation ``std[i]``.
+    ``reach`` holds the links of the batch's seat i, whose orientation
+    has mean ``mean[i]`` and deviation ``std[i]``. Returns each seat's
+    cell count and the cells' masses and visibility rows, seat after seat.
 
     The proper arcs (reach above 0 and below pi) of every seat are wrapped
     at once, and ``_boundaries`` gives each seat's boundaries. A cell's
@@ -156,8 +133,7 @@ def _partitions(
     evaluated once per boundary and once at each of -pi and pi, and each
     cell's mass is the sum, from 0, over its one or two segments, with the
     empty segment at +-pi worth 0.0. A seat without boundaries has one
-    cell, the whole circle, of mass 1.0. Each seat's ``bounds``,
-    ``visible`` and ``cell_probs`` are slices of batch arrays.
+    cell, the whole circle, of mass 1.0.
     """
     n = reach.shape[0]
     always = reach >= math.pi
@@ -215,17 +191,12 @@ def _partitions(
     lower = np.where(b[first] <= -math.pi, 0.0, (cdf[first] - cdf_lo[has]) / t)
     probs[row[last]] = 0.0 + upper + lower
 
-    return [
-        ScenarioPartition(gp, b[f:f + k], probs[r:r + c], visible[r:r + c])
-        for gp, f, k, r, c in zip(
-            gp_ids, b_first.tolist(), n_b.tolist(), row_first.tolist(),
-            n_cells.tolist())
-    ]
+    return n_cells, probs, visible
 
 
 def seat_partitions(
     venue: Venue, phi_rx: np.ndarray, reach: np.ndarray
-) -> List[ScenarioPartition]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Partition the orientation circle of every seat of the venue from its
     links' device-to-candidate azimuths and active half-widths.
 
@@ -234,9 +205,18 @@ def seat_partitions(
     active, a reach of pi or more is always on, and any other reach is the
     closed arc from ``phi_rx - reach`` to ``phi_rx + reach``, wrapped into
     [-pi, pi]. Raises ``ValueError`` when an arc is too narrow for its
-    wrapped endpoints to differ. Consecutive seats share a batch while
-    their (cell, arc) pairs, at most twice their arcs squared, stay within
-    ``_PARTITION_PAIRS``.
+    wrapped endpoints to differ.
+
+    Returns the store ``(cell_start, cell_probs, visible)``: seat m's cells
+    are rows ``cell_start[m]`` to ``cell_start[m + 1]`` of the cell masses
+    ``cell_probs`` and of the (cells, n_candidates) boolean ``visible``,
+    whose row, column l is set when the link to candidate l is active
+    anywhere in that cell, so an always-on link's column is set in every
+    row of its seat. Consecutive seats share a batch while their (cell,
+    arc) pairs, at most twice their arcs squared, stay within
+    ``_PARTITION_PAIRS``; each batch is copied into a store made for the
+    bound of ``max(2 x arcs, 1)`` cells per seat, whose unwritten tail is
+    never touched.
     """
     mean = np.array([gp.facing for gp in venue.grid_positions], dtype=float)
     std = np.array(
@@ -249,40 +229,47 @@ def seat_partitions(
             starts.append(m)
             pairs = 0
         pairs += cost
-    out: List[ScenarioPartition] = []
+    cell_probs = np.empty(np.maximum(2 * n_arcs, 1).sum())
+    visible = np.empty((len(cell_probs), reach.shape[1]), dtype=bool)
+    cell_start = np.zeros(venue.n_grid + 1, dtype=np.intp)
     for s, e in zip(starts, starts[1:] + [venue.n_grid]):
-        out += _partitions(
-            range(s, e), mean[s:e], std[s:e], phi_rx[s:e], reach[s:e]
+        n_cells, probs, vis = _partitions(
+            mean[s:e], std[s:e], phi_rx[s:e], reach[s:e]
         )
-    return out
+        r = cell_start[s]
+        cell_start[s + 1:e + 1] = r + np.cumsum(n_cells)
+        cell_probs[r:cell_start[e]] = probs
+        visible[r:cell_start[e]] = vis
+    n = cell_start[-1]
+    return cell_start, cell_probs[:n], visible[:n]
 
 
 def connectivity_probability(
-    partition: ScenarioPartition, row: np.ndarray
+    cell_probs: np.ndarray, visible: np.ndarray, row: np.ndarray
 ) -> float:
-    """Probability that at least one link in the set is active.
+    """Probability that at least one link in the set is active, for one
+    seat's cell masses and visibility rows (``PlanningModel.cells``).
 
     ``row`` is the set as a boolean row over the venue's candidates. A
     set whose links hit every cell, as an always-on link does, returns
     exactly 1.0. Raises ``ValueError`` for anything but a boolean row of
     length ``L``.
     """
-    n = partition.visible.shape[1]
+    n = visible.shape[1]
     row = np.asarray(row)
     if row.dtype != bool or row.shape != (n,):
         raise ValueError(
             f"assigned ids must be a boolean row of {n} entries, got "
             f"{row.dtype} of shape {row.shape}"
         )
-    hit = partition.visible[:, row].any(axis=1)
+    hit = visible[:, row].any(axis=1)
     if hit.all():
         return 1.0
-    return float(partition.cell_probs[hit].sum())
+    return float(cell_probs[hit].sum())
 
 
 __all__ = [
     "OrientationDistribution",
-    "ScenarioPartition",
     "seat_partitions",
     "connectivity_probability",
 ]

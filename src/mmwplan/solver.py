@@ -66,7 +66,6 @@ from .errors import (
 )
 from .inputs import DEPLOYMENT, read, write
 from .scenarios import (
-    ScenarioPartition,
     connectivity_probability,
     seat_partitions,
     wrapped_offset,
@@ -186,10 +185,12 @@ class PlanningModel:
     ``reach`` from ``_active_half_width`` at the aligned transmit gain,
     where 0 is never on and pi is always on; and every seat's partition
     from ``seat_partitions``, many seats at a time, straight from the
-    rows of ``phi_rx`` and ``reach``. ``_beam``, the one test of users
-    against a steered beam, read by the footprints and by
-    ``evaluate_coverage``, turns that view around: the mount sees the
-    seat at azimuth ``phi_rx + pi`` and ``psi_rx`` from straight down.
+    rows of ``phi_rx`` and ``reach``, into the flat store ``cell_start``,
+    ``cell_probs``, ``visible`` that ``cells(m)`` reads a seat at a time.
+    ``_beam``, the one test of users against a steered beam, read by the
+    footprints and by ``evaluate_coverage``, turns that view around: the
+    mount sees the seat at azimuth ``phi_rx + pi`` and ``psi_rx`` from
+    straight down.
     Where a value's bits reach the outputs the scalar ``math`` functions
     stay: ``math.log10`` per distance, ``math.atan2`` for angles that
     leave [-pi, pi], and ``math.erf`` per cell boundary, because their
@@ -248,7 +249,7 @@ class PlanningModel:
             tilt[:, None],
         )
         self.usable = self.reach > 0.0
-        self.partitions: List[ScenarioPartition] = seat_partitions(
+        self.cell_start, self.cell_probs, self.visible = seat_partitions(
             venue, self.phi_rx, self.reach
         )
 
@@ -309,9 +310,15 @@ class PlanningModel:
 
     # -- satisfaction --------------------------------------------------
 
+    def cells(self, m: int) -> Tuple[np.ndarray, np.ndarray]:
+        """User m's cell masses and (cells, L) visibility rows, views of
+        ``cell_probs`` and ``visible``."""
+        s, e = self.cell_start[m], self.cell_start[m + 1]
+        return self.cell_probs[s:e], self.visible[s:e]
+
     def conn(self, m: int, row: np.ndarray) -> float:
         """User m's probability over the links of a boolean candidate row."""
-        return connectivity_probability(self.partitions[m], row)
+        return connectivity_probability(*self.cells(m), row)
 
     def serving(self, selected: Sequence[PlacedAp]) -> np.ndarray:
         """The (M, L) serving matrix of the beams ``selected``: entry
@@ -454,9 +461,9 @@ class GreedyState:
         self.pred_sat[rows] = False
         rows = rows[~self.satisfied[rows]]
         for m in rows.tolist():
-            part = model.partitions[m]
-            uncovered = ~part.visible[:, self.assigned[m]].any(axis=1)
-            self.dp[m] = part.cell_probs @ (part.visible & uncovered[:, None])
+            probs, visible = model.cells(m)
+            uncovered = ~visible[:, self.assigned[m]].any(axis=1)
+            self.dp[m] = probs @ (visible & uncovered[:, None])
         pred = self.conn[rows, None] + self.dp[rows]
         beta = model.betas[rows, None]
         self.pred_sat[rows] = pred >= beta

@@ -24,7 +24,6 @@ from mmwplan.metrics import approximation_bound
 from mmwplan.scenarios import (
     TWO_PI,
     OrientationDistribution,
-    ScenarioPartition,
     connectivity_probability,
     wrap_angle,
 )
@@ -482,11 +481,23 @@ def circular_mass(dist, interval):
     return sum(mass_between(dist, a, b) for a, b in interval.segments())
 
 
+@dataclass(frozen=True)
+class WalkPartition:
+    """One seat's partition from the cell-by-cell walk: the ascending
+    boundaries (cell i runs counterclockwise from ``bounds[i]`` to the next
+    one, the last wrapping through +-pi; with none, the one cell is the
+    whole circle), the cell masses and the (cells, L) visibility rows."""
+
+    bounds: list
+    cell_probs: np.ndarray
+    visible: np.ndarray
+
+
 def build_scenarios(venue, gp_id, arcs):
     """Partition of one seat's orientation circle from the active arc of
     each of its links (``arcs[l]`` for candidate l): sorted arc endpoints,
     membership by ``AngularInterval.contains`` at each cell midpoint, and
-    masses by ``circular_mass``."""
+    masses by ``circular_mass``, as a ``WalkPartition``."""
     dist = OrientationDistribution.for_gp(venue, gp_id)
     always = np.array([arc.is_full for arc in arcs], dtype=bool)
     proper = [(ap, arc) for ap, arc in enumerate(arcs)
@@ -494,8 +505,7 @@ def build_scenarios(venue, gp_id, arcs):
 
     boundaries = sorted({e for _, arc in proper for e in arc.endpoints()})
     if not boundaries:
-        return ScenarioPartition(gp_id, boundaries, np.array([1.0]),
-                                 always[None, :])
+        return WalkPartition(boundaries, np.array([1.0]), always[None, :])
 
     n = len(boundaries)
     probs = []
@@ -509,7 +519,7 @@ def build_scenarios(venue, gp_id, arcs):
             if arc.contains(mid):
                 visible[i, ap] = True
         probs.append(circular_mass(dist, cell_arc))
-    return ScenarioPartition(gp_id, boundaries, np.array(probs), visible)
+    return WalkPartition(boundaries, np.array(probs), visible)
 
 
 def model_partitions(model):
@@ -526,23 +536,23 @@ def model_partitions(model):
 
 
 def cell_arcs(part):
-    """The cells of a partition as arcs, cell i from ``bounds[i]`` to the
-    next boundary."""
+    """The cells of a ``WalkPartition`` as arcs, cell i from ``bounds[i]``
+    to the next boundary."""
     b, n = part.bounds, len(part.bounds)
     if n == 0:
         return [AngularInterval.full()]
     return [AngularInterval.arc(b[i], b[(i + 1) % n]) for i in range(n)]
 
 
-def same_partition(a, b):
-    """Bit-equal boundaries and cell masses, and equal visibility rows
-    (an always-on link's column is set in every one)."""
-    return (a.gp == b.gp
-            and [float(x).hex() for x in a.bounds]
-            == [float(x).hex() for x in b.bounds]
-            and a.visible.shape == b.visible.shape
-            and (a.visible == b.visible).all()
-            and a.cell_probs.tobytes() == b.cell_probs.tobytes())
+def same_partition(cells, want):
+    """One seat's cells, ``(cell_probs, visible)`` as
+    ``PlanningModel.cells`` gives them, against a ``WalkPartition``: as
+    many rows, bit-equal cell masses and equal visibility rows (an
+    always-on link's column is set in every one)."""
+    probs, visible = cells
+    return (visible.shape == want.visible.shape
+            and (visible == want.visible).all()
+            and probs.tobytes() == want.cell_probs.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +610,7 @@ def union_probability(venue, params, gp_id, ap_ids):
     return total / denom
 
 
-def pattern_connectivity(partition, ap_ids):
+def pattern_connectivity(cells, ap_ids):
     """P(at least one link active) by visibility-pattern bookkeeping.
 
     Enumerates every subset of the assigned ids as a candidate activity
@@ -609,7 +619,8 @@ def pattern_connectivity(partition, ap_ids):
     """
     ids = list(ap_ids)
     masses = {}
-    for prob, row in zip(partition.cell_probs.tolist(), partition.visible):
+    probs, visible = cells
+    for prob, row in zip(probs.tolist(), visible):
         pat = tuple(bool(row[l]) for l in ids)
         masses[pat] = masses.get(pat, 0.0) + prob
     return sum(p for pat, p in masses.items() if any(pat))
@@ -671,7 +682,7 @@ def flat_minimum_count(venue, params, alpha, beta, kmax=3):
                         ids = [cand_subset[i] for i in range(k)
                                if s >> i & 1]
                         probs[s] = connectivity_probability(
-                            model.partitions[m], ids_row(L, ids))
+                            *model.cells(m), ids_row(L, ids))
                     opts.append(probs)
                 for choice in itertools.product(*[sorted(o) for o in opts]):
                     load = [0] * k
@@ -775,9 +786,9 @@ def iteration_key_oracle(model, l, ti, assigned, conn, satisfied):
         return None
     winners, rest = [], []
     for m in mem:
-        part = model.partitions[m]
         ids = sorted({int(k) for k in np.flatnonzero(assigned[m])} | {l})
-        after = connectivity_probability(part, ids_row(model.L, ids))
+        after = connectivity_probability(*model.cells(m),
+                                         ids_row(model.L, ids))
         gain = after - conn[m]
         if after >= beta[m]:
             winners.append(m)
@@ -828,13 +839,13 @@ def greedy_tables(model, state):
     dp = np.zeros((model.M, model.L))
     pred_sat = np.zeros((model.M, model.L), dtype=bool)
     for m in np.flatnonzero(~state.satisfied):
-        part = model.partitions[m]
-        uncovered = ~part.visible[:, state.assigned[m]].any(axis=1)
-        dp[m] = part.cell_probs @ (part.visible & uncovered[:, None])
+        probs, visible = model.cells(m)
+        uncovered = ~visible[:, state.assigned[m]].any(axis=1)
+        dp[m] = probs @ (visible & uncovered[:, None])
         for l in range(model.L):
             row = state.assigned[m].copy()
             row[l] = True
-            pred_sat[m, l] = (connectivity_probability(part, row)
+            pred_sat[m, l] = (connectivity_probability(probs, visible, row)
                               >= model.betas[m])
     return dp, pred_sat
 

@@ -97,7 +97,7 @@ def test_criterion_2_connectivity_probabilities():
         model = PlanningModel(venue, TIGHT, 0.65)
         row = oracles.ids_row(venue.n_candidates, s)
         got = model.conn(m, row)
-        want = oracles.pattern_connectivity(model.partitions[m], s)
+        want = oracles.pattern_connectivity(model.cells(m), s)
         enum_ok += abs(got - want) < 1e-12
         mc = McConfig(n_samples=100000, seed=900 + j)
         empirical = _seat_rate(model, mc, m, row)
@@ -213,7 +213,8 @@ def test_criterion_5_monotone_in_targets():
     cases = grew = 0
     parts = []
     for seed in range(4000, 4005):
-        parts += PlanningModel(random_toy(seed), TIGHT, 0.65).partitions
+        model = PlanningModel(random_toy(seed), TIGHT, 0.65)
+        parts += [model.cells(m) for m in range(model.M)]
     # random subsets of the 4 toy mounts: bit l of an integer picks id l
     full = (1 << 4) - 1
     while cases < 10000:
@@ -221,8 +222,8 @@ def test_criterion_5_monotone_in_targets():
         small = int(rng.integers(0, full + 1))
         big = small | int(rng.integers(0, full + 1))
         grew += (
-            connectivity_probability(part, _bits_row(small))
-            <= connectivity_probability(part, _bits_row(big)) + 1e-15
+            connectivity_probability(*part, _bits_row(small))
+            <= connectivity_probability(*part, _bits_row(big)) + 1e-15
         )
         cases += 1
     _verdict(

@@ -123,11 +123,35 @@ def test_array_reach_equals_ring_walk(v, params, tilt):
             assert abs(off) <= 1e-12, (m, l)
 
 
+def _check_store(store, n_seats):
+    """The flat cell store holds its seats back to back, each with at
+    least one cell, and nothing after the last."""
+    cell_start, cell_probs, visible = store
+    assert len(cell_start) == n_seats + 1
+    assert cell_start[0] == 0
+    assert (np.diff(cell_start) >= 1).all()
+    assert cell_start[-1] == len(cell_probs) == len(visible)
+
+
+def _store_cells(store, m):
+    cell_start, cell_probs, visible = store
+    s, e = cell_start[m], cell_start[m + 1]
+    return cell_probs[s:e], visible[s:e]
+
+
+def _check_model_partitions(model):
+    """The model's store, each seat's cells read through ``cells(m)`` as
+    views of it, bit-equal to the cell-by-cell walk."""
+    _check_store((model.cell_start, model.cell_probs, model.visible), model.M)
+    for m, want in enumerate(oracles.model_partitions(model)):
+        cells = model.cells(m)
+        assert np.shares_memory(cells[1], model.visible), m
+        assert oracles.same_partition(cells, want), m
+
+
 @given(rooms(), channels())
 def test_model_partitions_equal_cell_by_cell_build(v, params):
-    model = PlanningModel(v, params, 0.5)
-    for got, want in zip(model.partitions, oracles.model_partitions(model)):
-        assert oracles.same_partition(got, want), got.gp
+    _check_model_partitions(PlanningModel(v, params, 0.5))
 
 
 def _seat_venue(n_links, facing, std):
@@ -163,8 +187,10 @@ def test_seat_partition_equals_cell_by_cell_build(rows, facing, std):
         with pytest.raises(ValueError):
             seat_partitions(v, phi, reach)
         return
+    store = seat_partitions(v, phi, reach)
+    _check_store(store, 1)
     want = oracles.build_scenarios(v, 0, arcs)
-    assert oracles.same_partition(seat_partitions(v, phi, reach)[0], want)
+    assert oracles.same_partition(_store_cells(store, 0), want)
 
 
 @pytest.mark.parametrize("name", ["hall", "airport", "stadium"])
@@ -173,8 +199,7 @@ def test_built_in_venues_match_oracles_bit_for_bit(name):
     model = PlanningModel(v, ChannelParams(), 0.9)
     assert (model.occluded == oracles.occlusion_matrix(v)).all()
     assert model.reach.tobytes() == oracles.model_reach(model).tobytes()
-    for got, want in zip(model.partitions, oracles.model_partitions(model)):
-        assert oracles.same_partition(got, want), got.gp
+    _check_model_partitions(model)
 
 
 # steerings off the default grid: both ends of the azimuth range, azimuths
@@ -342,8 +367,7 @@ def test_partitions_in_any_batch_equal_cell_by_cell_build(v, params, pairs):
         mp.setattr(mmwplan.scenarios, "_PARTITION_PAIRS", pairs)
         model = PlanningModel(v, params, 0.5)
     assert (model.occluded == oracles.occlusion_matrix(v)).all()
-    for got, want in zip(model.partitions, oracles.model_partitions(model)):
-        assert oracles.same_partition(got, want), got.gp
+    _check_model_partitions(model)
 
 
 ENDS = st.sampled_from((0.0, -0.0, 1.0, -1.0, 0.5, math.pi, -math.pi))
@@ -397,8 +421,8 @@ def test_seat_partitions_equal_cell_by_cell_build(rows, pairs, facing):
         return
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mmwplan.scenarios, "_PARTITION_PAIRS", pairs)
-        got = seat_partitions(v, phi, reach)
-    assert len(got) == len(rows)
-    for m, part in enumerate(got):
+        store = seat_partitions(v, phi, reach)
+    _check_store(store, len(rows))
+    for m in range(len(rows)):
         want = oracles.build_scenarios(v, m, arcs[m])
-        assert oracles.same_partition(part, want), m
+        assert oracles.same_partition(_store_cells(store, m), want), m

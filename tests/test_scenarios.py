@@ -13,7 +13,6 @@ from conftest import random_toy, single_link_venue
 from mmwplan import ChannelParams, PlacedAp, PlanningModel, generate_venue
 from mmwplan.scenarios import (
     OrientationDistribution,
-    ScenarioPartition,
     connectivity_probability,
     seat_partitions,
 )
@@ -21,15 +20,17 @@ from mmwplan.venue import CandidateLocation
 
 
 def _partition(venue, params, m):
-    return PlanningModel(venue, params, 0.5).partitions[m]
+    return PlanningModel(venue, params, 0.5).cells(m)
 
 
 def _arc_mass(dist, center, half):
     """Mass the planner gives the arc of half-width ``half`` around
     ``center``: the connectivity of one link active on exactly that arc."""
     v = single_link_venue(facing=dist.mean, std=dist.std)
-    part, = seat_partitions(v, np.array([[center]]), np.array([[half]]))
-    return connectivity_probability(part, np.ones(1, dtype=bool))
+    _, probs, visible = seat_partitions(
+        v, np.array([[center]]), np.array([[half]])
+    )
+    return connectivity_probability(probs, visible, np.ones(1, dtype=bool))
 
 
 def _bits_row(bits, n):
@@ -99,26 +100,29 @@ def test_single_always_on_link_single_cell():
     assert model.reach[0, 0] >= math.pi
     reach = model.reach.copy()
     reach[0, 1:] = 0.0
-    part = seat_partitions(v, model.phi_rx, reach)[0]
-    assert part.bounds.size == 0
-    assert part.cell_probs.tolist() == [1.0]
-    assert part.visible.tolist() == [[True, False, False, False]]
+    cell_start, probs, visible = seat_partitions(v, model.phi_rx, reach)
+    assert cell_start[1] == 1
+    assert probs[:1].tolist() == [1.0]
+    assert visible[:1].tolist() == [[True, False, False, False]]
 
 
 def test_partition_invariants(toy_venue, default_params):
     model = PlanningModel(toy_venue, default_params, 0.5)
-    for m in range(toy_venue.n_grid):
-        part = model.partitions[m]
+    for m, walk in enumerate(oracles.model_partitions(model)):
+        probs, visible = model.cells(m)
         n_links = toy_venue.n_candidates
-        n_cells = len(part.cell_probs)
+        n_cells = len(probs)
         assert n_cells <= 2 * n_links + 1
-        assert abs(part.cell_probs.sum() - 1.0) < 1e-12
-        # disjoint cover of the circle
-        total = sum(c.length() for c in oracles.cell_arcs(part))
+        assert abs(probs.sum() - 1.0) < 1e-12
+        # the walk's cells, as many as the model's, cover the circle
+        # disjointly
+        arcs = oracles.cell_arcs(walk)
+        assert len(arcs) == n_cells
+        total = sum(c.length() for c in arcs)
         assert abs(total - 2.0 * math.pi) < 1e-9
-        assert part.visible.shape == (n_cells, n_links)
+        assert visible.shape == (n_cells, n_links)
         # an always-on link is active in every cell
-        assert part.visible[:, model.reach[m] >= math.pi].all()
+        assert visible[:, model.reach[m] >= math.pi].all()
 
 
 def test_widest_allowed_spread_is_uniform(default_params):
@@ -126,9 +130,10 @@ def test_widest_allowed_spread_is_uniform(default_params):
     # length over 2 pi; far past it the masses were 0 / 0
     venue = generate_venue("toy", orientation_std=1e6)
     model = PlanningModel(venue, default_params, 0.5)
-    for part in model.partitions:
-        assert part.bounds.size
-        for prob, arc in zip(part.cell_probs, oracles.cell_arcs(part)):
+    for m, walk in enumerate(oracles.model_partitions(model)):
+        probs, _ = model.cells(m)
+        assert len(walk.bounds) == len(probs) > 1
+        for prob, arc in zip(probs, oracles.cell_arcs(walk)):
             assert abs(prob - arc.length() / (2.0 * math.pi)) <= 1e-9
 
 
@@ -136,11 +141,13 @@ def test_cell_masks_constant_within_cells():
     p = ChannelParams()
     for seed in (5, 6):
         v = random_toy(seed)
-        for m in range(v.n_grid):
-            part = _partition(v, p, m)
+        model = PlanningModel(v, p, 0.5)
+        for m, walk in enumerate(oracles.model_partitions(model)):
+            visible = model.cells(m)[1]
+            assert len(visible) == len(oracles.cell_arcs(walk))
             arcs = [oracles.link_arc(v, p, m, l)
                     for l in range(v.n_candidates)]
-            for c, row in zip(oracles.cell_arcs(part), part.visible):
+            for c, row in zip(oracles.cell_arcs(walk), visible):
                 if c.length() < 1e-6:
                     continue
                 # probe a few interior points
@@ -157,7 +164,10 @@ def test_cell_frequencies_match_sampling():
     v = random_toy(9)
     p = ChannelParams()
     m = 2
-    part = _partition(v, p, m)
+    model = PlanningModel(v, p, 0.5)
+    probs = model.cells(m)[0]
+    cells = oracles.cell_arcs(oracles.model_partitions(model)[m])
+    assert len(cells) == len(probs)
     gp = v.grid_positions[m]
     rng = np.random.default_rng(77)
     # rejection from the untruncated Gaussian gives the renormalized law
@@ -165,7 +175,7 @@ def test_cell_frequencies_match_sampling():
     draws = raw[(raw >= -math.pi) & (raw <= math.pi)]
     n = draws.size
     assert n > 100000
-    for c, prob in zip(oracles.cell_arcs(part), part.cell_probs.tolist()):
+    for c, prob in zip(cells, probs.tolist()):
         if c.is_full:
             continue
         hits = sum(1 for x in draws if c.contains(float(x)))
@@ -179,16 +189,16 @@ def test_cell_frequencies_match_sampling():
 def test_connectivity_empty_set_zero(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 0)
     none = np.zeros(toy_venue.n_candidates, dtype=bool)
-    assert connectivity_probability(part, none) == 0.0
+    assert connectivity_probability(*part, none) == 0.0
 
 
 def test_connectivity_full_interval_link_is_one(toy_venue, default_params):
     part = _partition(toy_venue, default_params, 0)
-    always_on = part.visible.all(axis=0)
+    always_on = part[1].all(axis=0)
     assert always_on.any()
     l = int(np.flatnonzero(always_on)[-1])
     assert connectivity_probability(
-        part, oracles.ids_row(toy_venue.n_candidates, [l])
+        *part, oracles.ids_row(toy_venue.n_candidates, [l])
     ) == 1.0
 
 
@@ -197,10 +207,10 @@ def test_links_hitting_every_cell_connect_exactly_one():
     # hit every cell, whose masses sum to one ulp under 1
     m = 16
     model = PlanningModel(generate_venue("hall"), ChannelParams(), 1.0)
-    part = model.partitions[m]
+    probs, visible = model.cells(m)
     assert not (model.reach[m] >= math.pi).any()
-    assert part.visible[:, model.usable[m]].any(axis=1).all()
-    assert part.cell_probs.sum() < 1.0
+    assert visible[:, model.usable[m]].any(axis=1).all()
+    assert probs.sum() < 1.0
     assert model.conn(m, model.usable[m]) == 1.0
 
 
@@ -222,7 +232,7 @@ def test_connectivity_rejects_ids_outside_candidates(toy_venue,
     part = _partition(toy_venue, default_params, 3)
     aps = make(toy_venue.n_candidates)
     with pytest.raises(ValueError, match="assigned ids"):
-        connectivity_probability(part, aps)
+        connectivity_probability(*part, aps)
 
 
 def test_connectivity_matches_union_arithmetic():
@@ -237,7 +247,7 @@ def test_connectivity_matches_union_arithmetic():
                                   replace=False).tolist())
             part = _partition(v, p, m)
             got = connectivity_probability(
-                part, oracles.ids_row(v.n_candidates, s)
+                *part, oracles.ids_row(v.n_candidates, s)
             )
             want = oracles.union_probability(v, p, m, s)
             assert abs(got - want) < 1e-12
@@ -255,7 +265,7 @@ def test_connectivity_matches_pattern_enumeration():
                                   replace=False).tolist())
             part = _partition(v, p, m)
             got = connectivity_probability(
-                part, oracles.ids_row(v.n_candidates, s)
+                *part, oracles.ids_row(v.n_candidates, s)
             )
             want = oracles.pattern_connectivity(part, s)
             assert abs(got - want) < 1e-12
@@ -272,21 +282,22 @@ def test_connectivity_monotone_under_growth():
         small = int(rng.integers(0, 16))
         extra = int(rng.integers(0, 16))
         big = small | extra
-        assert connectivity_probability(parts[m], _bits_row(small, L)) <= \
-            connectivity_probability(parts[m], _bits_row(big, L)) + 1e-15
+        assert connectivity_probability(*parts[m], _bits_row(small, L)) <= \
+            connectivity_probability(*parts[m], _bits_row(big, L)) + 1e-15
 
 
 def test_refinement_invariance():
     v = random_toy(17)
-    p = ChannelParams()
+    model = PlanningModel(v, ChannelParams(), 0.5)
+    walks = oracles.model_partitions(model)
     for m in (0, 4):
-        part = _partition(v, p, m)
+        part = model.cells(m)
+        cells = oracles.cell_arcs(walks[m])
+        assert len(cells) == len(part[0])
         dist = OrientationDistribution.for_gp(v, m)
-        bounds, probs, rows = [], [], []
-        for c, prob, row in zip(oracles.cell_arcs(part),
-                                part.cell_probs.tolist(), part.visible):
+        probs, rows = [], []
+        for c, prob, row in zip(cells, part[0].tolist(), part[1]):
             if c.is_full or c.length() < 1e-9:
-                bounds += list(c.endpoints()[:1])
                 probs.append(prob)
                 rows.append(row)
                 continue
@@ -295,15 +306,13 @@ def test_refinement_invariance():
                              math.cos(lo + c.length() / 2.0))
             left = oracles.AngularInterval.arc(lo, mid)
             right = oracles.AngularInterval.arc(mid, hi)
-            bounds += [lo, mid]
             probs += [oracles.circular_mass(dist, left),
                       oracles.circular_mass(dist, right)]
             rows += [row, row]
-        fine = ScenarioPartition(m, np.array(bounds), np.array(probs),
-                                 np.array(rows))
+        fine = (np.array(probs), np.array(rows))
         for s in range(16):
-            a = connectivity_probability(part, _bits_row(s, v.n_candidates))
-            b = connectivity_probability(fine, _bits_row(s, v.n_candidates))
+            a = connectivity_probability(*part, _bits_row(s, v.n_candidates))
+            b = connectivity_probability(*fine, _bits_row(s, v.n_candidates))
             assert abs(a - b) < 1e-12
 
 
@@ -323,7 +332,7 @@ def test_satisfied_beta_one_needs_always_on():
     p = ChannelParams()
     serve = [PlacedAp(candidate=0, theta=0.0, phi=0.0, assigned=(0,))]
     strict = PlanningModel(v, p, 1.0)
-    assert not strict.partitions[0].visible.all(axis=0).any()
+    assert not strict.cells(0)[1].all(axis=0).any()
     assert strict.finalize(serve).satisfied == [False]
     assert PlanningModel(v, p, 0.3).finalize(serve).satisfied == [True]
 
@@ -373,8 +382,7 @@ def test_connectivity_past_64_candidates_matches_patterns(data):
     seed = data.draw(st.integers(0, 3), label="seed")
     n_candidates = data.draw(st.sampled_from([65, 70]), label="L")
     _, model = _padded_toy(seed, n_candidates)
-    parts = model.partitions
-    m = data.draw(st.integers(0, len(parts) - 1), label="seat")
+    m = data.draw(st.integers(0, model.M - 1), label="seat")
     always = np.flatnonzero(model.reach[m] >= math.pi).tolist()
     high = data.draw(st.integers(64, n_candidates - 1), label="high id")
     rest = data.draw(
@@ -385,8 +393,8 @@ def test_connectivity_past_64_candidates_matches_patterns(data):
     if always and data.draw(st.booleans(), label="add an always-on id"):
         ids.add(data.draw(st.sampled_from(always), label="always-on id"))
     ids = sorted(ids)
-    got = connectivity_probability(parts[m],
-                                   oracles.ids_row(n_candidates, ids))
-    assert abs(got - oracles.pattern_connectivity(parts[m], ids)) <= 1e-12
+    cells = model.cells(m)
+    got = connectivity_probability(*cells, oracles.ids_row(n_candidates, ids))
+    assert abs(got - oracles.pattern_connectivity(cells, ids)) <= 1e-12
     if set(ids) & set(always):
         assert got == 1.0

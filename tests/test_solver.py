@@ -389,8 +389,8 @@ def test_greedy_infeasible_names_unreachable_seats():
     diag = e.value.diagnostics
     # connectivity with every candidate of the venue serving the seat
     full = np.array([
-        connectivity_probability(part, np.ones(model.L, dtype=bool))
-        for part in model.partitions
+        connectivity_probability(*model.cells(m), np.ones(model.L, dtype=bool))
+        for m in range(model.M)
     ])
     assert diag["unreachable"] == np.flatnonzero(full < 0.9).tolist()
     assert len(diag["unreachable"]) == 319
@@ -408,8 +408,8 @@ def test_beta_one_refuses_only_seats_some_cell_leaves_dark(kind,
     model = PlanningModel(generate_venue(kind), ChannelParams(), 1.0)
     assert _reachability(model)["unreachable"] == unreachable
     for m in unreachable:
-        part = model.partitions[m]
-        assert not part.visible[:, model.usable[m]].any(axis=1).all()
+        visible = model.cells(m)[1]
+        assert not visible[:, model.usable[m]].any(axis=1).all()
 
 
 # -- exact ------------------------------------------------------------------
@@ -574,7 +574,7 @@ def test_model_builds_64_mounts(default_params):
     venue = Venue(name="64-mounts", grid_positions=seat, candidates=cands)
     model = PlanningModel(venue, default_params, 0.5)
     assert model.L == 64
-    assert model.partitions[0].visible.shape[1] == 64
+    assert model.visible.shape[1] == 64
     dep, _ = greedy_place(model, 0.5)
     assert dep.normalized_coverage >= 0.5
     assert evaluate_coverage(model, dep).coverage == dep.coverage
@@ -654,11 +654,7 @@ def _model_bytes(model):
         for name, value in vars(model).items()
         if isinstance(value, np.ndarray)
     }
-    parts = [
-        (p.gp, p.visible.tobytes(), p.cell_probs.tobytes())
-        for p in model.partitions
-    ]
-    return arrays, parts, model.total_mass
+    return arrays, model.total_mass
 
 
 def test_solvers_and_evaluation_leave_the_model_unchanged(tight_params):
