@@ -38,6 +38,7 @@ from .solver import (
     Deployment,
     PlanningModel,
     check_exact_size,
+    check_uniform_count,
     evaluate_coverage,
     exact_place,
     greedy_place,
@@ -127,13 +128,6 @@ def _infeasible_line(exc: InfeasibleError) -> str:
     return line
 
 
-def _check_uniform_n(args: argparse.Namespace, venue: Venue) -> None:
-    """``uniform_place``'s check of ``--uniform-n``, before any model."""
-    n, top = args.uniform_n, venue.n_candidates
-    if n is not None and not 1 <= n <= top:
-        raise ValueError(f"count must lie in [1, {top}], got {n}")
-
-
 # plan's options that one solver alone reads, by argparse dest: the flag
 # and that solver
 _ONE_SOLVER_OPTIONS = {
@@ -152,7 +146,8 @@ def cmd_plan(args: argparse.Namespace) -> int:
                 f"--solver {args.solver}"
             )
     venue = Venue.load(args.venue)
-    _check_uniform_n(args, venue)
+    if args.uniform_n is not None:
+        check_uniform_count(args.uniform_n, venue.n_candidates)
     params = _load_params(args)
     if args.solver == "exact":
         # None unless given, so that the other solvers can refuse them;
@@ -212,7 +207,8 @@ def _csv_cell(value) -> str:
 
 def cmd_compare(args: argparse.Namespace) -> int:
     venue = Venue.load(args.venue)
-    _check_uniform_n(args, venue)
+    if args.uniform_n is not None:
+        check_uniform_count(args.uniform_n, venue.n_candidates)
     base = _load_params(args)
     widths = args.beamwidth_ap or [base.ap_beamwidth]
     # every width is checked before the first model is built: replace

@@ -47,7 +47,7 @@ from .channel import ChannelParams, _clears, _log10
 from .inputs import MC_CONFIG, check
 from .scenarios import (
     OrientationDistribution,
-    _std_normal_cdf,
+    normal_cdf,
     wrap_angles,
     wrapped_offset,
 )
@@ -101,8 +101,8 @@ def ndtri(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
 
 def _cdf_range(dist: OrientationDistribution) -> Tuple[float, float]:
     """The untruncated Gaussian's CDF at -pi and at pi."""
-    return (_std_normal_cdf((-math.pi - dist.mean) / dist.std),
-            _std_normal_cdf((math.pi - dist.mean) / dist.std))
+    lo, hi = normal_cdf([-math.pi, math.pi], dist.mean, dist.std).tolist()
+    return lo, hi
 
 
 def _orientations(u: np.ndarray, dist: OrientationDistribution) -> np.ndarray:
@@ -177,7 +177,7 @@ def _bands(
     # a step at the mean with an infinite slope there
     with np.errstate(over="ignore"):
         z = (e - dist.mean) / dist.std
-        t = (np.array([_std_normal_cdf(x) for x in z.tolist()]) - lo) / span
+        t = (normal_cdf(e, dist.mean, dist.std) - lo) / span
         z = np.minimum(np.abs(z), 40.0)  # the density is 0.0 from about 38.5
         slope = np.exp(-0.5 * z * z) / (
             math.sqrt(2.0 * math.pi) * dist.std * span

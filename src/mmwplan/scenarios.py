@@ -62,8 +62,15 @@ def wrapped_offset(a, b) -> np.ndarray:
     return np.abs(np.arctan2(np.sin(d), np.cos(d)))
 
 
-def _std_normal_cdf(x: float) -> float:
-    return 0.5 * (1.0 + math.erf(x / _SQRT2))
+def normal_cdf(x, mean, std) -> np.ndarray:
+    """The Gaussian CDF at ``x``, elementwise over 1-D arrays that
+    broadcast, by one chain of IEEE operations: ``(x - mean) / std``,
+    then ``/ sqrt(2)``, then ``math.erf`` per element, then
+    ``0.5 * (1.0 + erf)``. A spread too small to divide by gives +-inf:
+    the point-mass limit, whose erf is +-1."""
+    with np.errstate(over="ignore"):
+        z = np.subtract(x, mean) / std / _SQRT2
+    return 0.5 * (1.0 + np.array([math.erf(v) for v in z.tolist()]))
 
 
 @dataclass(frozen=True)
@@ -171,16 +178,9 @@ def _partitions(
     visible = always[np.repeat(np.arange(n), n_cells)]
     visible.reshape(-1)[row[cell] * reach.shape[1] + arc_ap[at]] = True
 
-    # a spread too small to divide by gives +-inf: the point-mass limit,
-    # whose erf is +-1
-    with np.errstate(over="ignore"):
-        z = np.concatenate((
-            (b - mean[b_seat]) / std[b_seat],
-            (math.pi - mean) / std,
-            (-math.pi - mean) / std,
-        )) / _SQRT2
-    cdf = 0.5 * (1.0 + np.array([math.erf(v) for v in z.tolist()]))
-    cdf, cdf_hi, cdf_lo = cdf[:len(b)], cdf[len(b):-n], cdf[-n:]
+    cdf = normal_cdf(b, mean[b_seat], std[b_seat])
+    cdf_hi = normal_cdf(math.pi, mean, std)
+    cdf_lo = normal_cdf(-math.pi, mean, std)
     trunc = cdf_hi - cdf_lo
     probs = np.ones(len(visible))
     # every cell's upward segment; a seat's last cell is then replaced by

@@ -28,8 +28,11 @@ number of targets, solvers and evaluations:
   when a lower-index steering of the same mount reaches every user it
   reaches that could use the mount; coverage only grows with the reached
   set, so the lexicographically first optimum never uses a skipped
-  steering and the result is the one a full scan returns. Intended for
-  small instances only and guarded by hard size limits.
+  steering and the result is the one a full scan returns. Every set of
+  users is one Python int, bit m for user m, so a configuration's
+  reached users are a few ANDs and ORs, and a user's options are built
+  only for the configurations that pass the search's root test.
+  Intended for small instances only and guarded by hard size limits.
 * ``uniform_place`` is the coverage-oblivious baseline: spread n mounts by
   farthest-point selection and aim every beam straight down.
 
@@ -52,7 +55,7 @@ import logging
 import math
 from dataclasses import dataclass
 from itertools import combinations, product
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -730,7 +733,7 @@ def _minimal_satisfying_sets(
 
 def _assignment_search(
     order: Sequence[int],
-    choices: Dict[int, List[Tuple[int, ...]]],
+    options: Callable[[int], List[Tuple[int, ...]]],
     qv: np.ndarray,
     subset: Sequence[int],
     capacity: int,
@@ -742,10 +745,14 @@ def _assignment_search(
 
     Walks users in fixed order; each either takes one of its minimal
     satisfying sets (capacity permitting) or stays unassigned with the
-    empty set. The remaining-mass bound prunes branches that cannot beat
-    the incumbent, which starts at ``floor``, and the first assignment
-    reaching the maximum is kept, which makes the result independent of
-    pruning strength.
+    empty set. ``options(m)`` lists user m's sets, and is asked for each
+    user only past the root test: when the mass of every user in
+    ``order`` does not exceed ``floor``, the search returns without one
+    call, so a configuration cut there builds no options. The
+    remaining-mass bound prunes branches that cannot beat the incumbent,
+    which starts at ``floor``, and the first assignment reaching the
+    maximum is kept, which makes the result independent of pruning
+    strength.
     """
     n = len(order)
     suffix = np.zeros(n + 1)
@@ -753,6 +760,7 @@ def _assignment_search(
         suffix[j] = suffix[j + 1] + qv[order[j]]
     if suffix[0] <= floor:
         return None
+    choices = [options(m) for m in order]
     cap = dict.fromkeys(subset, capacity)
     cur: List[Tuple[int, ...]] = [()] * n
     best_val = floor
@@ -766,13 +774,12 @@ def _assignment_search(
             best_val = val
             best_assign = cur.copy()
             return
-        m = order[j]
-        for ms in choices[m]:
+        for ms in choices[j]:
             if all(cap[l] > 0 for l in ms):
                 for l in ms:
                     cap[l] -= 1
                 cur[j] = ms
-                rec(j + 1, val + qv[m])
+                rec(j + 1, val + qv[order[j]])
                 for l in ms:
                     cap[l] += 1
         cur[j] = ()
@@ -783,13 +790,23 @@ def _assignment_search(
 
 
 def _useful_steerings(
-    model: PlanningModel, l: int, matters: np.ndarray
-) -> List[int]:
+    model: PlanningModel, l: int, matters: int
+) -> Dict[int, int]:
     """Steerings of candidate l whose footprints, cut to the users
-    ``matters`` marks, no lower-index steering's contains."""
-    feet = (model.members(l, ti) for ti in range(model.n_tuples))
-    cut = [set(mem[matters[mem]].tolist()) for mem in feet]
-    return [t for t, r in enumerate(cut) if not any(r <= p for p in cut[:t])]
+    ``matters`` holds, no lower-index steering's contains, ascending and
+    each mapped to its cut footprint. A set of users is an int, bit m
+    for user m, so r is outside p when ``r & ~p`` is not 0."""
+    feet = (model.members(l, ti).tolist() for ti in range(model.n_tuples))
+    cut = [sum(1 << m for m in mem) & matters for mem in feet]
+    return {t: r for t, r in enumerate(cut) if all(r & ~p for p in cut[:t])}
+
+
+def check_uniform_count(count: int, L: int) -> None:
+    """Refuse a uniform baseline of ``count`` access points on L
+    candidates, with ``ValueError``, unless 1 <= count <= L. Callers
+    holding only the venue check it before building the model."""
+    if not 1 <= count <= L:
+        raise ValueError(f"count must lie in [1, {L}], got {count}")
 
 
 def check_exact_size(
@@ -839,6 +856,15 @@ def exact_place(
     kept ones returns the same deployment. The space is the sum over
     subsets of the product of their kept-steering counts, at most
     C(L, k) * (steerings)^k, so hard instance-size limits still guard it.
+
+    Every set of users is one Python int, bit m for user m, wide enough
+    for any user count: the demanding users holding each minimal set,
+    the users each mount matters to, and each kept footprint cut to
+    them; sets of mounts stay id tuples. A configuration ANDs the
+    footprints its beams chose over every minimal set inside its subset
+    and orders the demanding users inside any of them; the search asks
+    for a user's options only past its root test, so the configurations
+    cut there build none.
     """
     if not (0.0 <= alpha <= 1.0):
         raise ValueError("alpha must lie in [0, 1]")
@@ -873,22 +899,20 @@ def exact_place(
         acc += float(model.q[m])
     k_min = math.ceil(n_needed / capacity)
 
-    n_t = model.n_tuples
-    # whether user m may use mount l is read only through m's minimal sets
-    matters = np.zeros((L, M), dtype=bool)
-    for m, sets in choices_all.items():
-        for ms in sets:
-            matters[list(ms), m] = True
+    # a set of users is an int, bit m for user m: the demanding users
+    # holding each minimal set, and the users each mount matters to
+    holders: Dict[Tuple[int, ...], int] = {}
+    matters = [0] * L
+    for m in demanding:
+        for ms in choices_all[m]:
+            holders[ms] = holders.get(ms, 0) | 1 << m
+            for l in ms:
+                matters[l] |= 1 << m
     reps = [_useful_steerings(model, l, matters[l]) for l in range(L)]
-    # the kept footprints as lists, read once per steering configuration
-    feet = {
-        (l, ti): model.members(l, ti).tolist()
-        for l in range(L) for ti in reps[l]
-    }
     for l in range(L):
         logger.debug(
             "exact: candidate %d keeps %d of %d steerings %s",
-            l, len(reps[l]), n_t, reps[l],
+            l, len(reps[l]), model.n_tuples, list(reps[l]),
         )
 
     # one incumbent over every configuration: a search must beat both the
@@ -900,26 +924,27 @@ def exact_place(
     for k in range(k_min, L + 1):
         subsets = list(combinations(range(L), k))
         searched += sum(math.prod(len(reps[l]) for l in s) for s in subsets)
-        full += len(subsets) * n_t ** k
+        full += len(subsets) * model.n_tuples ** k
         for subset in subsets:
+            inside = [(ms, seats) for ms, seats in holders.items()
+                      if all(l in subset for l in ms)]
             for steer in product(*[reps[l] for l in subset]):
-                allowed: List[set] = [set() for _ in range(M)]
-                for l, ti in zip(subset, steer):
-                    for m in feet[l, ti]:
-                        allowed[m].add(l)
-                order = []
-                choices: Dict[int, List[Tuple[int, ...]]] = {}
-                for m in demanding:
-                    opts = [
-                        ms for ms in choices_all[m]
-                        if allowed[m].issuperset(ms)
-                    ]
-                    if opts:
-                        order.append(m)
-                        choices[m] = opts
+                cut = {l: reps[l][ti] for l, ti in zip(subset, steer)}
+                # each minimal set's holders inside all of its beams; the
+                # users to order are those inside any
+                reached, either = {}, 0
+                for ms, seats in inside:
+                    for l in ms:
+                        seats &= cut[l]
+                    reached[ms] = seats
+                    either |= seats
+                order = [m for m in demanding if either >> m & 1]
                 floor = max(alpha_floor, found_total - base - _SUM_TOL)
                 r = _assignment_search(
-                    order, choices, model.q, subset, capacity, floor
+                    order,
+                    lambda m: [ms for ms in choices_all[m]
+                               if reached.get(ms, 0) >> m & 1],
+                    model.q, subset, capacity, floor,
                 )
                 if r is None or base + r[0] <= found_total:
                     continue
@@ -941,12 +966,10 @@ def exact_place(
             diagnostics={"target_alpha": alpha, "candidates": L},
         )
     subset, steer, order, assign = found
-    by_ap: Dict[int, List[int]] = {l: [] for l in subset}
-    for j, m in enumerate(order):
-        for l in assign[j]:
-            by_ap[l].append(m)
     selected = [
-        PlacedAp(l, *model.steering_angles(ti), tuple(sorted(by_ap[l])))
+        PlacedAp(l, *model.steering_angles(ti), tuple(sorted(
+            m for m, ms in zip(order, assign) if l in ms
+        )))
         for l, ti in zip(subset, steer)
     ]
     return model.finalize(selected)
@@ -958,10 +981,7 @@ def exact_place(
 def uniform_place(model: PlanningModel, count: int) -> Deployment:
     """Coverage-oblivious baseline: farthest-point spread, beams straight
     down, users served by presence mass within each footprint."""
-    if not (1 <= count <= model.L):
-        raise ValueError(
-            f"count must lie in [1, {model.L}], got {count}"
-        )
+    check_uniform_count(count, model.L)
     xy = np.array([c.position[:2] for c in model.venue.candidates])
     centroid = xy.mean(axis=0)
     d0 = np.hypot(*(xy - centroid).T)
@@ -993,6 +1013,7 @@ __all__ = [
     "greedy_iteration_best",
     "greedy_place",
     "check_exact_size",
+    "check_uniform_count",
     "exact_place",
     "uniform_place",
 ]

@@ -744,7 +744,7 @@ def exact_place_unpruned(model, alpha):
                     continue
                 # a floor of -1 keeps every assignment, the empty one too
                 mass, assign = _assignment_search(
-                    order, choices, model.q, subset, T, -1.0)
+                    order, choices.__getitem__, model.q, subset, T, -1.0)
                 val = base + mass
                 z = free.copy()
                 z[[m for m, ms in zip(order, assign) if ms]] = True

@@ -28,6 +28,7 @@ from mmwplan import (
 from mmwplan.scenarios import connectivity_probability
 from mmwplan.solver import (
     GreedyState,
+    _assignment_search,
     _evaluate_tuple,
     _reachability,
     _screen,
@@ -483,6 +484,17 @@ def _with_twin_mount(venue):
     return replace(venue, candidates=venue.candidates + [cand])
 
 
+def _crowd():
+    """The airport's first 80 seats, two back-to-back double rows, under
+    its four mounts at y = 7.5 m: more seats than a 64-bit mask holds."""
+    airport = generate_venue("airport")
+    cands = [replace(c, id=i) for i, c in enumerate(airport.candidates[4:8])]
+    return replace(airport, name="crowd",
+                   grid_positions=airport.grid_positions[:80],
+                   candidates=cands,
+                   blockers=[b for b in airport.blockers if b.owner < 80])
+
+
 def _with_free_seats(venue, seats):
     """The venue with the given seats at per-seat target 0."""
     gps = [replace(gp, beta=0.0) if gp.id in seats else gp
@@ -523,6 +535,12 @@ def test_exact_matches_unpruned_scan():
                                        {i, (i + 3 + i // 3) % 6}),
                       ChannelParams(capacity_per_beam=cap, **grid),
                       (0.6, 0.8, 1.0)[i % 3]))
+    # seats past 63 have bits no fixed-width mask holds; at a capacity of
+    # every seat each reached seat is assigned, so a lost bit shows
+    crowd = ChannelParams(capacity_per_beam=80,
+                          elevation_grid=(0.0, math.pi / 4.0),
+                          azimuth_grid=(0.0, math.pi))
+    cases.append((_crowd(), crowd, 0.5))
     # a venue without presence mass is covered by no access point at all
     empty = random_toy(3300)
     empty = replace(empty, grid_positions=[
@@ -532,11 +550,54 @@ def test_exact_matches_unpruned_scan():
     for venue, params, alpha in cases:
         model = PlanningModel(venue, params, 0.65)
         want = _exact_or_none(oracles.exact_place_unpruned, model, alpha)
-        assert _exact_or_none(exact_place, model, alpha) == want, (
-            venue.name, params.capacity_per_beam, alpha)
+        got = _exact_or_none(
+            lambda m, a: exact_place(m, a, max_positions=m.M), model, alpha)
+        assert got == want, (venue.name, params.capacity_per_beam, alpha)
         placed += want is not None
+        if venue.name == "crowd":
+            assert any(m >= 64 for ap in want["selected"]
+                       for m in ap["assigned"])
     assert placed >= 36
     assert want["selected"] == []  # the zero-mass room, checked last
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    capacity=st.integers(1, 3),
+    alpha=st.floats(0.0, 1.0),
+    azimuths=st.lists(st.sampled_from(
+        [0.0, math.pi / 2.0, math.pi, -math.pi / 2.0]), min_size=2,
+        max_size=2),
+)
+def test_exact_matches_unpruned_scan_on_random_rooms(seed, capacity, alpha,
+                                                     azimuths):
+    # a 2 x 2 steering grid; a repeated azimuth gives every mount two
+    # steerings with one footprint, so the steering pruning meets ties
+    params = ChannelParams(capacity_per_beam=capacity,
+                           elevation_grid=(0.0, math.pi / 4.0),
+                           azimuth_grid=tuple(azimuths))
+    model = PlanningModel(random_toy(seed), params, 0.65)
+    assert _exact_or_none(exact_place, model, alpha) == _exact_or_none(
+        oracles.exact_place_unpruned, model, alpha)
+
+
+def test_assignment_search_cut_at_root_reads_no_options():
+    # the root test weighs every ordered user against the floor; a search
+    # cut there asks for no user's options
+    asked = []
+
+    def options(m):
+        asked.append(m)
+        return [(0,)]
+
+    q = np.array([0.25, 0.5, 0.25])
+    for floor in (1.0, 2.0):  # at and above the ordered users' mass
+        assert _assignment_search([0, 1, 2], options, q, (0,), 3,
+                                  floor) is None
+    assert asked == []
+    r = _assignment_search([0, 1, 2], options, q, (0,), 3, 0.9)
+    assert r == (1.0, [(0,), (0,), (0,)])
+    assert asked == [0, 1, 2]
 
 
 def test_exact_logs_pruned_search_at_debug(tight_params, caplog):
