@@ -99,18 +99,12 @@ def ndtri(x: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     return scipy_ndtri(x, out=out)
 
 
-def _cdf_range(dist: OrientationDistribution) -> Tuple[float, float]:
-    """The untruncated Gaussian's CDF at -pi and at pi."""
-    lo, hi = normal_cdf([-math.pi, math.pi], dist.mean, dist.std).tolist()
-    return lo, hi
-
-
 def _orientations(u: np.ndarray, dist: OrientationDistribution) -> np.ndarray:
     """The sampler's map from uniforms to orientations, in u's buffer:
     ``mean + std * ndtri(lo + u * (hi - lo))``, clipped to [-pi, pi]. IEEE
     addition and multiplication commute, so the bits match that
     expression; every step is monotone in u."""
-    lo, hi = _cdf_range(dist)
+    lo, hi = dist.cdf_range
     u *= hi - lo
     u += lo
     ndtri(u, out=u)
@@ -170,7 +164,7 @@ def _bands(
     monotone, up to rounding far below ``_BAND_MARGIN``, so no uniform
     outside every band maps near an edge.
     """
-    lo, hi = _cdf_range(dist)
+    lo, hi = dist.cdf_range
     span = hi - lo
     e = np.array(edges)
     # a spread too small to divide by gives +-inf: the point-mass limit,

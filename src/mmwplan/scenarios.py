@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Tuple
 
 import numpy as np
@@ -89,6 +90,13 @@ class OrientationDistribution:
             raise ValueError("mean must lie in [-pi, pi]")
         if self.std <= 0.0:
             raise ValueError("std must be positive")
+
+    @cached_property
+    def cdf_range(self) -> Tuple[float, float]:
+        """The untruncated Gaussian's CDF at -pi and at pi, computed once
+        per distribution."""
+        lo, hi = normal_cdf([-math.pi, math.pi], self.mean, self.std)
+        return float(lo), float(hi)
 
     @staticmethod
     def for_gp(venue: Venue, gp_id: int) -> "OrientationDistribution":
@@ -262,7 +270,13 @@ def connectivity_probability(
             f"assigned ids must be a boolean row of {n} entries, got "
             f"{row.dtype} of shape {row.shape}"
         )
-    hit = visible[:, row].any(axis=1)
+    return hit_mass(cell_probs, visible[:, row].any(axis=1))
+
+
+def hit_mass(cell_probs: np.ndarray, hit: np.ndarray) -> float:
+    """The mass of one seat's cells that the boolean mask ``hit`` marks:
+    exactly 1.0 when it marks every cell, else the marked masses summed
+    in cell order."""
     if hit.all():
         return 1.0
     return float(cell_probs[hit].sum())

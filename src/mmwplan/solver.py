@@ -17,9 +17,14 @@ number of targets, solvers and evaluations:
   one record of a run: it keeps the pool of mounts without a beam and the
   per-(user, candidate) step tables across steps, and a commit takes the
   mount out of the pool and recomputes only the rows of the beam's users.
-  Each step first scores every pair at once with vectorized bounds and
-  then runs the exact per-pair evaluation only on the pairs that can
-  still win, so it picks what evaluating every pair picks.
+  One row update rebuilds a user's probability, satisfaction and table
+  rows from one mask, the cells its assigned links hit, so a run calls
+  ``PlanningModel.conn`` only from ``finalize`` and, when it refuses,
+  from ``_reachability``. Each step first scores every pair at once with
+  vectorized bounds and then runs the exact per-pair evaluation only on
+  the pairs that can still win, so it picks what evaluating every pair
+  picks; that evaluation returns before choosing fillers once its exact
+  mass and gain bound lose to the best key found.
 * ``exact_place`` enumerates candidate subsets in increasing size with the
   steering combinations that can win and searches assignments depth-first,
   so the first feasible size is the minimum number of access points. One
@@ -70,6 +75,7 @@ from .errors import (
 from .inputs import DEPLOYMENT, read, write
 from .scenarios import (
     connectivity_probability,
+    hit_mass,
     seat_partitions,
     wrapped_offset,
 )
@@ -414,7 +420,7 @@ def evaluate_coverage(
 
 # slack for comparing a mass summed in one order with one summed in another:
 # a screen value with a key, a search's sum with ``coverage_of``, a step
-# table's ``conn + dp`` with ``model.conn``
+# table's ``conn + dp`` with the mass of the cells the sum's links hit
 _SUM_TOL = 1e-9
 
 
@@ -426,12 +432,20 @@ class GreedyState:
     is an ``(M, L)`` boolean matrix: row m marks the candidates serving
     user m. ``dp`` and ``pred_sat`` are the step tables over all L
     candidates: user m's connectivity gain if candidate l were added, and
-    whether adding l would meet m's target. That verdict is ``conn + dp >= beta`` except within ``_SUM_TOL`` of the
-    target, where the two sums may round to either side and it is the
-    test ``commit`` applies: ``model.conn`` with l added. A satisfied
-    user's rows are 0 and False. A row depends only on the user's own
-    assignment, so ``commit`` recomputes just the rows of the beam it
-    commits, and every row equals a fresh recompute bit for bit.
+    whether adding l would meet m's target. A satisfied user's rows are 0
+    and False.
+
+    ``_refresh`` is the one row update. A row depends only on the user's
+    own assignment: from the user's cells it builds one mask, the cells
+    the assigned links hit, and reads off it ``conn`` (the mask's mass by
+    ``hit_mass``, the rule ``connectivity_probability`` applies), whether
+    the user is now satisfied, ``dp`` (the mass each candidate would add
+    outside the mask) and ``pred_sat``. That verdict is ``conn + dp >=
+    beta`` except within ``_SUM_TOL`` of the target, where the two sums
+    may round to either side and it is the mass of the mask with the
+    candidate's own cells added. So ``commit`` updates just the rows of
+    the beam it commits, and every value equals a fresh recompute through
+    ``model.conn`` bit for bit.
     """
 
     pool: List[int]
@@ -458,76 +472,87 @@ class GreedyState:
         state._refresh(model, range(model.M))
         return state
 
-    def _refresh(self, model: PlanningModel, rows: Sequence[int]) -> None:
+    def _refresh(self, model: PlanningModel, rows: Sequence) -> List[int]:
+        """Recompute the users ``rows`` from their assignments and return
+        the ones this newly satisfies, in ``rows`` order. A user without
+        links hits no cell and keeps ``conn`` 0.0."""
         rows = np.asarray(rows, dtype=np.intp)
         self.dp[rows] = 0.0
         self.pred_sat[rows] = False
         rows = rows[~self.satisfied[rows]]
-        for m in rows.tolist():
+        linked = self.assigned[rows].any(axis=1).tolist()
+        newly, cells = [], {}
+        for m, has_links in zip(rows.tolist(), linked):
             probs, visible = model.cells(m)
-            uncovered = ~visible[:, self.assigned[m]].any(axis=1)
-            self.dp[m] = probs @ (visible & uncovered[:, None])
+            covered = np.zeros(len(probs), dtype=bool)
+            if has_links:
+                covered = visible[:, self.assigned[m]].any(axis=1)
+                self.conn[m] = hit_mass(probs, covered)
+                if self.conn[m] >= model.betas[m]:
+                    newly.append(m)
+                    continue
+            self.dp[m] = probs @ (visible & ~covered[:, None])
+            cells[m] = probs, visible, covered
+        self.satisfied[newly] = True
+        rows = np.fromiter(cells, dtype=np.intp, count=len(cells))
         pred = self.conn[rows, None] + self.dp[rows]
         beta = model.betas[rows, None]
         self.pred_sat[rows] = pred >= beta
         for i, l in np.argwhere(np.abs(pred - beta) <= _SUM_TOL).tolist():
-            m = int(rows[i])
-            row = self.assigned[m].copy()
-            row[l] = True
-            self.pred_sat[m, l] = model.conn(m, row) >= beta[i, 0]
+            probs, visible, covered = cells[int(rows[i])]
+            hit = covered | visible[:, l]
+            self.pred_sat[rows[i], l] = hit_mass(probs, hit) >= beta[i, 0]
+        return newly
 
     def commit(self, model: PlanningModel, ap: PlacedAp) -> List[int]:
         """Serve ``ap.assigned`` from ``ap.candidate``, take it out of the
         pool and return the users this newly satisfies, in ``ap.assigned``
         order."""
-        l = ap.candidate
-        self.pool.remove(l)
-        for m in ap.assigned:
-            self.assigned[m, l] = True
-            self.conn[m] = model.conn(m, self.assigned[m])
-        newly = [
-            m
-            for m in ap.assigned
-            if not self.satisfied[m] and self.conn[m] >= model.betas[m]
-        ]
-        self.satisfied[newly] = True
+        self.pool.remove(ap.candidate)
+        self.assigned[list(ap.assigned), ap.candidate] = True
+        newly = self._refresh(model, ap.assigned)
         self.coverage = model.coverage_of(self.satisfied)
-        self._refresh(model, ap.assigned)
         return newly
 
 
-def _winners(
-    model: PlanningModel, state: GreedyState, l: int, mem: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, float]:
-    """Of the users in candidate l's footprint ``mem``: which ones the
-    beam would not satisfy (a mask over ``mem``), the first ``capacity``
-    it would, and their presence mass. A satisfied user's table entries
-    are False and 0, so it never wins and never fills."""
-    wins = state.pred_sat[mem, l]
-    winners = mem[wins][:model.params.capacity_per_beam]
-    return ~wins, winners, float(model.q[winners].sum())
-
-
 def _evaluate_tuple(
-    model: PlanningModel, state: GreedyState, l: int, ti: int
-) -> Optional[Tuple[float, float, np.ndarray]]:
-    mem = model.members(l, ti)
-    others, winners, primary = _winners(model, state, l, mem)
-    room = model.params.capacity_per_beam - winners.size
+    model: PlanningModel, state: GreedyState, k: int,
+    best: Optional[tuple], ceiling: float,
+) -> Optional[Tuple[tuple, np.ndarray]]:
+    """The key ``(mass, gain mass, -k)`` and the members of footprint
+    k = l * n_tuples + ti, or None when it serves nobody or its key
+    cannot beat ``best`` (None: nothing to beat).
+
+    The members are the first ``capacity`` users the beam would satisfy
+    (its winners, a satisfied user's table entries being False), then
+    the largest positive mass-weighted gains among the others. The
+    winners' mass is exact from the one gather; the gain mass is exactly
+    0.0 when they fill the beam and at most ``ceiling`` otherwise, so a
+    key that cannot win returns before the fillers are chosen."""
+    capacity = model.params.capacity_per_beam
+    l = k // model.n_tuples
+    mem = model.members(l, k % model.n_tuples)
+    wins = state.pred_sat[mem, l]
+    winners = mem[wins][:capacity]
+    primary = float(model.q[winners].sum())
+    room = capacity - winners.size
+    if best is not None and (primary, ceiling if room else 0.0, -k) < best:
+        return None
     secondary = 0.0
     fillers = winners[:0]
     if room > 0:
-        rest = mem[others]
+        rest = mem[~wins]
         gains = state.dp[rest, l] * model.q[rest]
         pos = gains > 0.0
         rest, gains = rest[pos], gains[pos]
         take = np.lexsort((rest, -gains))[:room]
         fillers = rest[take]
         secondary = float(gains[take].sum())
+    key = (primary, secondary, -k)
     members = np.concatenate([winners, fillers])
-    if members.size == 0:
+    if members.size == 0 or (best is not None and key < best):
         return None
-    return primary, secondary, members
+    return key, members
 
 
 def _per_footprint(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -595,11 +620,12 @@ def greedy_iteration_best(
     ``_screen`` first scores all pairs at once. Pairs are visited by
     descending screen (newly satisfied mass, gain bound), and the scan
     stops at the first whose mass is out of reach of the best key found.
-    A pair is evaluated in full only when its exact newly satisfied mass
-    and its gain bound leave it a chance to beat that key, so the keys
-    compared and their tie-break are the full scan's.
+    Each other pair gets one ``_evaluate_tuple`` call with that key and
+    its gain bound: the call gathers the pair's winners once and chooses
+    fillers only when their exact mass and the bound leave the pair a
+    chance to beat the key, so the keys compared and their tie-break are
+    the full scan's.
     """
-    capacity = model.params.capacity_per_beam
     n_t = model.n_tuples
     primary, bound, n_wins = _screen(model, state)
     ks = (np.asarray(state.pool)[:, None] * n_t + np.arange(n_t)).ravel()
@@ -610,20 +636,11 @@ def greedy_iteration_best(
     for k in order.tolist():
         if n_wins[k] == 0 and bound[k] == 0.0:
             continue  # no winner and no positive gain: no members
-        l, ti = divmod(k, n_t)
-        if best is not None:
-            if primary[k] < best[0] - _SUM_TOL:
-                break  # no pair from here on reaches the best mass
-            # the best key this pair can reach: its exact mass, and a gain
-            # mass of exactly 0.0 when its winners fill the beam, at most
-            # its bound otherwise
-            p = _winners(model, state, l, model.members(l, ti))[2]
-            most = 0.0 if n_wins[k] >= capacity else bound[k] + _SUM_TOL
-            if (p, most, -k) < best:
-                continue
-        r = _evaluate_tuple(model, state, l, ti)
-        if r is not None and (best is None or (*r[:2], -k) > best):
-            best, members = (*r[:2], -k), r[2]
+        if best is not None and primary[k] < best[0] - _SUM_TOL:
+            break  # no pair from here on reaches the best mass
+        r = _evaluate_tuple(model, state, k, best, bound[k] + _SUM_TOL)
+        if r is not None:
+            best, members = r
     if best is None:
         return None
     primary, secondary, k = best

@@ -810,18 +810,23 @@ def iteration_key_oracle(model, l, ti, assigned, conn, satisfied):
 
 
 def iteration_best_scan(model, state):
-    """The greedy step without the screen: ``_evaluate_tuple`` on every
-    (candidate, steering) pair of the state's pool over its tables, the
-    larger key winning and then the lower (candidate, steering). Returns
-    what ``greedy_iteration_best`` returns."""
+    """The greedy step without the screen: ``_evaluate_tuple`` with no
+    incumbent on every (candidate, steering) pair of the state's pool
+    over its tables, the larger key winning and then the lower
+    (candidate, steering). Returns what ``greedy_iteration_best``
+    returns."""
     best = None
     for l in state.pool:
         for ti in range(model.n_tuples):
-            r = _evaluate_tuple(model, state, l, ti)
-            if r is not None and (best is None or r[:2] > best[:2] or (
-                r[:2] == best[:2] and (l, ti) < best[2:4]
-            )):
-                best = (*r[:2], l, ti, r[2])
+            k = l * model.n_tuples + ti
+            r = _evaluate_tuple(model, state, k, None, math.inf)
+            if r is None:
+                continue
+            key = r[0][:2]
+            if best is None or key > best[:2] or (
+                key == best[:2] and (l, ti) < best[2:4]
+            ):
+                best = (*key, l, ti, r[1])
     if best is None:
         return None
     primary, secondary, l, ti, members = best

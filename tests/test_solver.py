@@ -2,6 +2,7 @@
 
 import logging
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -27,12 +28,12 @@ from mmwplan import (
 )
 from mmwplan.scenarios import connectivity_probability
 from mmwplan.solver import (
+    _SUM_TOL,
     GreedyState,
     _assignment_search,
     _evaluate_tuple,
     _reachability,
     _screen,
-    _winners,
     greedy_iteration_best,
 )
 from mmwplan.venue import CandidateLocation
@@ -309,41 +310,56 @@ def test_iteration_choice_matches_oracle(tight_params):
 def _walk_greedy_checked(model, alpha):
     """Greedy steps until ``alpha`` through ``GreedyState.commit``,
     checking before each one that the kept tables equal their definition
-    bit for bit, that every screen value is at least the exact key and
-    that the screened step is the exhaustive scan's, and after each one
-    that the users it newly satisfied are the winners its key counted and
-    that their mass summed by descending presence is the step's mass bit
-    for bit; returns the number of steps committed."""
+    bit for bit, that every seat's ``conn`` is ``model.conn`` of its
+    assignment bit for bit, that the satisfied seats are those meeting
+    their targets and the coverage is their mass, that every screen value
+    is at least the exact key, that a pair returns early exactly when
+    its key loses to the step's and that the screened step is the
+    exhaustive scan's, and after each one that the users it newly
+    satisfied are the winners its key counted and that their mass summed
+    by descending presence is the step's mass bit for bit; returns the
+    number of steps committed."""
     state = GreedyState.initial(model)
     steps = 0
     while True:
         dp, pred_sat = oracles.greedy_tables(model, state)
         assert state.dp.tobytes() == dp.tobytes()
         assert state.pred_sat.tobytes() == pred_sat.tobytes()
+        conn = [model.conn(m, state.assigned[m]) for m in range(model.M)]
+        assert state.conn.tobytes() == np.array(conn).tobytes()
+        assert (state.satisfied == (state.conn >= model.betas)).all()
+        assert state.coverage == model.coverage_of(state.satisfied)
         if model.normalized(state.coverage) >= alpha or not state.pool:
             return steps
+        choice = greedy_iteration_best(model, state)
+        want = oracles.iteration_best_scan(model, state)
+        assert choice == want
+        if choice is not None:
+            ap = choice[0]
+            chosen = next(ti for ti in range(model.n_tuples)
+                          if model.steering_angles(ti) == (ap.theta, ap.phi))
+            best = (*choice[1:], -(ap.candidate * model.n_tuples + chosen))
         primary, bound, n_wins = _screen(model, state)
         for l in state.pool:
             for ti in range(model.n_tuples):
                 k = l * model.n_tuples + ti
-                r = _evaluate_tuple(model, state, l, ti)
+                r = _evaluate_tuple(model, state, k, None, math.inf)
                 # the screen skips exactly the pairs that serve nobody
                 assert (r is None) == (n_wins[k] == 0 and bound[k] == 0.0)
-                if r is not None:
-                    assert primary[k] >= r[0] - 1e-12
-                    assert bound[k] >= r[1] - 1e-12
-        choice = greedy_iteration_best(model, state)
-        want = oracles.iteration_best_scan(model, state)
-        assert choice == want
+                if r is None:
+                    continue
+                assert primary[k] >= r[0][0] - 1e-12
+                assert bound[k] >= r[0][1] - 1e-12
+                if choice is not None:
+                    early = _evaluate_tuple(model, state, k, best,
+                                            bound[k] + _SUM_TOL)
+                    assert (early is None) == (r[0] < best)
         if choice is None:
             return steps
         assert [w.hex() for w in choice[1:]] == [w.hex() for w in want[1:]]
-        ap = choice[0]
-        ti = next(ti for ti in range(model.n_tuples)
-                  if model.steering_angles(ti) == (ap.theta, ap.phi))
-        winners = _winners(
-            model, state, ap.candidate, model.members(ap.candidate, ti)
-        )[1]
+        mem = model.members(ap.candidate, chosen)
+        wins = state.pred_sat[mem, ap.candidate]
+        winners = mem[wins][:model.params.capacity_per_beam]
         newly = state.commit(model, ap)
         assert sorted(newly) == sorted(winners.tolist())
         by_mass = sorted(newly, key=lambda m: (-model.q[m], m))
@@ -381,6 +397,26 @@ def test_screened_step_equals_full_scan_on_venues(kind, capacity, beta,
     params = replace(ChannelParams(), capacity_per_beam=capacity)
     model = PlanningModel(generate_venue(kind), params, beta)
     assert _walk_greedy_checked(model, 0.75) == steps
+
+
+def test_greedy_asks_model_conn_only_to_finalize(monkeypatch):
+    # the state reads every probability off its own covered-cell masks;
+    # at beta 1.0 every link completing a seat's cover is near the target
+    model = PlanningModel(generate_venue("hall"), ChannelParams(), 1.0)
+    callers = []
+    conn = PlanningModel.conn
+
+    def spy(self, m, row):
+        frame = sys._getframe(1)
+        while frame.f_code.co_name.startswith("<"):  # a comprehension
+            frame = frame.f_back
+        callers.append(frame.f_code.co_name)
+        return conn(self, m, row)
+
+    monkeypatch.setattr(PlanningModel, "conn", spy)
+    greedy_place(model, 0.75)
+    assert model.M == 135
+    assert callers == ["finalize"] * model.M
 
 
 def test_greedy_infeasible_names_unreachable_seats():
