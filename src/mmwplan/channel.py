@@ -8,12 +8,15 @@ gain * (1 - cos(W/2)) / 2 == 1 for every beamwidth.
 
 Path loss in dB is kappa + 10 * alpha * log10(d) + chi with separate
 exponents and shadowing spreads for line-of-sight and blocked links.
-``_snr`` is the one expression of the budget and ``_clears`` the one
-verdict of a link at a body orientation. Both broadcast, so
-``_active_half_width`` over every (seat, candidate) pair and the
-shadowed Monte Carlo replay evaluate them, with log10(d) taken by
-``math.log10`` once per distance. Planning evaluates the budget at
-chi = 0; the Monte Carlo validator can draw chi per link and sample.
+``_snr`` is the one expression of the budget, ``_budget`` its value for
+a link at a body orientation and ``_clears`` the verdict there, the test
+``_active_half_width`` applies to the budgets it keeps. They broadcast,
+so ``_active_half_width`` over every (seat, candidate) pair and the
+shadowed Monte Carlo replay evaluate them. The replay takes log10(d) by
+``math.log10`` once per distance; ``_active_half_width`` takes it by
+``np.log10`` and calls ``math.log10`` only for the links whose budget
+lies within ``_NEAR_DB`` of the threshold. Planning evaluates the budget
+at chi = 0; the Monte Carlo validator can draw chi per link and sample.
 Without shadowing the replay reads the model's ``reach`` instead.
 A served user always lies inside its beam (``PlanningModel`` holds the
 one beam test), so the transmit side is always the main-lobe gain; the
@@ -50,6 +53,11 @@ from .scenarios import wrap_angle
 
 _DEF_ELEVATIONS = (0.0, math.pi / 4.0, math.pi / 2.0)
 _DEF_AZIMUTHS = tuple(wrap_angle(n * math.pi / 4.0) for n in range(8))
+
+# one ulp of log10(d) moves a budget of the default scale by about 1e-14
+# dB: a link further than this from the threshold gets the same verdict
+# from ``np.log10`` as from ``math.log10``
+_NEAR_DB = 1e-9
 
 
 @dataclass(frozen=True)
@@ -137,16 +145,24 @@ def _path_loss(params: ChannelParams, log_d, los, shadowing_db=0.0):
 
 def _snr(params: ChannelParams, log_d, tx_db, rx_db, los, shadowing_db=0.0):
     """The link budget in dB; the arguments after ``params`` broadcast
-    against each other, with ``log_d`` from ``_log10``."""
+    against each other, with ``log_d`` the log10 of the distance."""
     loss = _path_loss(params, log_d, los, shadowing_db)
     return params.tx_power_dbm + tx_db + rx_db - loss - params.noise_power_dbm
 
 
 def _clears(params: ChannelParams, log_d, psi_rx, vertical_ray, occluded,
             device_tilt, offset, shadow=None) -> np.ndarray:
-    """Whether links clear the threshold at a body orientation ``offset``
-    from the device-to-candidate azimuth, the beam at the mount aligned;
-    the arguments after ``params`` broadcast. Line of sight needs an
+    """Whether links clear the threshold at a body orientation ``offset``:
+    ``_budget`` at least ``snr_threshold_db``."""
+    return _budget(params, log_d, psi_rx, vertical_ray, occluded,
+                   device_tilt, offset, shadow) >= params.snr_threshold_db
+
+
+def _budget(params: ChannelParams, log_d, psi_rx, vertical_ray, occluded,
+            device_tilt, offset, shadow=None) -> np.ndarray:
+    """The links' budgets in dB at a body orientation ``offset`` from the
+    device-to-candidate azimuth, the beam at the mount aligned; the
+    arguments after ``params`` broadcast. Line of sight needs an
     unoccluded ray and the offset within the self-blockage window; the
     device's main lobe needs its tilt within half its beamwidth of
     ``psi_rx`` and, but for a vertical ray, the offset within that half
@@ -160,8 +176,7 @@ def _clears(params: ChannelParams, log_d, psi_rx, vertical_ray, occluded,
     rx_db = np.where(main, rx_main_db, params.side_lobe_gain_db)
     tx_db = linear_to_db(main_lobe_gain(params.ap_beamwidth))
     chi = 0.0 if shadow is None else np.where(los, *shadow)
-    snr = _snr(params, log_d, tx_db, rx_db, los, chi)
-    return snr >= params.snr_threshold_db
+    return _snr(params, log_d, tx_db, rx_db, los, chi)
 
 
 def _active_half_width(
@@ -185,8 +200,14 @@ def _active_half_width(
     gain, which ``ChannelParams`` checks, and distances of at least 1 m,
     below which blocked loss falls under line-of-sight loss;
     ``PlanningModel`` refuses a seat closer than that to a mount.
+
+    log10(d) is ``np.log10``'s, which differs from ``math.log10``'s in the
+    last bit for some inputs. Only a link whose budget at some cut lies
+    within ``_NEAR_DB`` of the threshold can get another verdict from
+    that bit, so those links alone are judged again with ``math.log10``,
+    and the result is the one ``math.log10`` gives for every link.
     """
-    log_d = _log10(distance)
+    log_d = np.log10(distance)
     half_cone = params.md_beamwidth / 2.0
     elev_ok = np.abs(device_tilt - psi_rx) <= half_cone
     # each window's edge, or pi for a window that is absent (no line of
@@ -196,11 +217,25 @@ def _active_half_width(
     b = np.where(elev_ok & ~vertical_ray, half_cone, math.pi)
     # a repeated cut gives a repeated verdict, so it changes nothing
     cuts = (np.minimum(a, b), np.maximum(a, b), math.pi)
-    clears = [
-        _clears(params, log_d, psi_rx, vertical_ray, occluded, device_tilt,
-                cut)
-        for cut in cuts
-    ]
+
+    def budgets(log_d):
+        return [
+            _budget(params, log_d, psi_rx, vertical_ray, occluded,
+                    device_tilt, cut)
+            for cut in cuts
+        ]
+
+    snrs = budgets(log_d)
+    near = False
+    for snr in snrs:
+        near = near | (np.abs(snr - params.snr_threshold_db) <= _NEAR_DB)
+    if np.any(near):
+        # math.log10 where the last bit can matter; off ``near`` the
+        # budgets are recomputed from the same bits
+        exact = np.array(np.broadcast_to(log_d, near.shape))
+        exact[near] = _log10(np.broadcast_to(distance, near.shape)[near])
+        snrs = budgets(exact)
+    clears = [snr >= params.snr_threshold_db for snr in snrs]
     return np.where(
         clears[0],
         np.where(clears[1], np.where(clears[2], math.pi, cuts[1]), cuts[0]),

@@ -19,12 +19,21 @@ number of targets, solvers and evaluations:
   mount out of the pool and recomputes only the rows of the beam's users.
   One row update rebuilds a user's probability, satisfaction and table
   rows from one mask, the cells its assigned links hit, so a run calls
-  ``PlanningModel.conn`` only from ``finalize`` and, when it refuses,
-  from ``_reachability``. Each step first scores every pair at once with
-  vectorized bounds and then runs the exact per-pair evaluation only on
-  the pairs that can still win, so it picks what evaluating every pair
-  picks; that evaluation returns before choosing fillers once its exact
-  mass and gain bound lose to the best key found.
+  ``connectivity_probability`` only from ``finalize`` and, when it
+  refuses, from ``_reachability``. The state also carries, per mount,
+  an upper bound on the newly satisfied mass of any of its steerings. A
+  step opens mounts best-first by that bound (the lazy greedy of Minoux
+  and CELF): each opened mount's pairs are scored at once with
+  vectorized bounds, and the exact per-pair evaluation runs only on the
+  pairs that can still win; the step stops at the first mount whose
+  bound is out of reach of the best key found, so it picks what
+  evaluating every pair picks. That evaluation returns before choosing
+  fillers once its exact mass and gain bound lose to the best key found.
+  Opening a mount resets its bound to its screened maximum, and a commit
+  raises every bound by the mass of the beam's users that turned into
+  winners for that mount: another beam can lift a user to within one
+  mount of its target, so the objective is not submodular and a bound
+  must grow.
 * ``exact_place`` enumerates candidate subsets in increasing size with the
   steering combinations that can win and searches assignments depth-first,
   so the first feasible size is the minimum number of access points. One
@@ -201,11 +210,13 @@ class PlanningModel:
     mount sees the seat at azimuth ``phi_rx + pi`` and ``psi_rx`` from
     straight down.
     Where a value's bits reach the outputs the scalar ``math`` functions
-    stay: ``math.log10`` per distance, ``math.atan2`` for angles that
-    leave [-pi, pi], and ``math.erf`` per cell boundary, because their
-    numpy counterparts differ from them in the last bit for some inputs.
-    So the model is bit-identical to the one-link, one-cell walks kept as
-    oracles in the tests.
+    stay, because their numpy counterparts differ from them in the last
+    bit for some inputs: ``math.atan2`` for angles that leave [-pi, pi],
+    ``math.erf`` per cell boundary, and ``math.log10`` for the distance
+    of each link whose budget lies within rounding of the threshold
+    (``_active_half_width`` takes ``np.log10`` for all others, where
+    that bit changes no verdict). So the model is bit-identical to the
+    one-link, one-cell walks kept as oracles in the tests.
     """
 
     def __init__(
@@ -347,9 +358,13 @@ class PlanningModel:
 
     def finalize(self, selected: Sequence[PlacedAp]) -> Deployment:
         assigned = self.serving(selected)
-        probs = np.array(
-            [self.conn(m, assigned[m]) for m in range(self.M)]
-        )
+        # ``conn`` of every seat, with the store's bounds read once
+        start = self.cell_start.tolist()
+        probs = np.array([
+            connectivity_probability(self.cell_probs[s:e], self.visible[s:e],
+                                     row)
+            for s, e, row in zip(start, start[1:], assigned)
+        ])
         z = probs >= self.betas
         coverage = self.coverage_of(z)
         return Deployment(
@@ -446,6 +461,16 @@ class GreedyState:
     candidate's own cells added. So ``commit`` updates just the rows of
     the beam it commits, and every value equals a fresh recompute through
     ``model.conn`` bit for bit.
+
+    ``bound`` holds, per candidate, an upper bound on the newly satisfied
+    mass of any of its steerings, to within ``_SUM_TOL``: +inf until a
+    step first opens the candidate, then the largest screened winner mass
+    among its footprints, raised at each commit by the mass of the beam's
+    users whose ``pred_sat`` entry for the candidate turned True. A
+    commit changes only those users' rows, and a footprint's first
+    ``capacity`` winners weigh at most their old mass plus the new
+    winners', so the bound holds; its bits decide only which candidates
+    a step opens, never what it returns.
     """
 
     pool: List[int]
@@ -455,6 +480,7 @@ class GreedyState:
     coverage: float
     dp: np.ndarray
     pred_sat: np.ndarray
+    bound: np.ndarray
 
     @staticmethod
     def initial(model: PlanningModel) -> "GreedyState":
@@ -468,6 +494,7 @@ class GreedyState:
             coverage=model.coverage_of(satisfied),
             dp=np.zeros((model.M, model.L)),
             pred_sat=np.zeros((model.M, model.L), dtype=bool),
+            bound=np.full(model.L, np.inf),
         )
         state._refresh(model, range(model.M))
         return state
@@ -507,10 +534,15 @@ class GreedyState:
     def commit(self, model: PlanningModel, ap: PlacedAp) -> List[int]:
         """Serve ``ap.assigned`` from ``ap.candidate``, take it out of the
         pool and return the users this newly satisfies, in ``ap.assigned``
-        order."""
+        order, raising each candidate's ``bound`` by the mass of the users
+        that turned into its winners."""
+        rows = list(ap.assigned)
         self.pool.remove(ap.candidate)
-        self.assigned[list(ap.assigned), ap.candidate] = True
-        newly = self._refresh(model, ap.assigned)
+        self.assigned[rows, ap.candidate] = True
+        before = self.pred_sat[rows]
+        newly = self._refresh(model, rows)
+        turned = self.pred_sat[rows] & ~before
+        self.bound += (model.q[rows, None] * turned).sum(axis=0)
         self.coverage = model.coverage_of(self.satisfied)
         return newly
 
@@ -566,22 +598,23 @@ def _per_footprint(x: np.ndarray, offsets: np.ndarray) -> np.ndarray:
 
 
 def _screen(
-    model: PlanningModel, state: GreedyState
+    model: PlanningModel, state: GreedyState, mounts: Sequence[int]
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per grid footprint k = l * n_tuples + ti of a pool candidate: the
-    mass of its first ``capacity`` winners, an upper bound on its gain
-    mass (the mass-weighted gains of all its other users, or 0 when the
-    winners fill the beam) and its winner count, from a few passes over
-    each candidate's run of ``foot_flat``; other entries are 0. Sums run
-    in another order than ``_evaluate_tuple``'s, so they match its key
-    only to within rounding."""
+    """Per grid footprint of the candidates ``mounts``, entry
+    i * n_tuples + ti for steering ti of ``mounts[i]``: the mass of its
+    first ``capacity`` winners, an upper bound on its gain mass (the
+    mass-weighted gains of all its other users, or 0 when the winners
+    fill the beam) and its winner count, from a few passes over each
+    candidate's run of ``foot_flat``. Sums run in another order than
+    ``_evaluate_tuple``'s, so they match its key only to within
+    rounding."""
     capacity = model.params.capacity_per_beam
     n_t = model.n_tuples
-    primary = np.zeros(model.L * n_t)
-    bound = np.zeros(model.L * n_t)
-    n_wins = np.zeros(model.L * n_t, dtype=np.intp)
-    for l in state.pool:
-        ks = slice(l * n_t, (l + 1) * n_t)
+    primary = np.zeros(len(mounts) * n_t)
+    bound = np.zeros(len(mounts) * n_t)
+    n_wins = np.zeros(len(mounts) * n_t, dtype=np.intp)
+    for i, l in enumerate(mounts):
+        ks = slice(i * n_t, (i + 1) * n_t)
         start = model.foot_start[l * n_t:(l + 1) * n_t + 1]
         mem = model.foot_flat[start[0]:start[-1]]
         offsets = start - start[0]
@@ -617,30 +650,42 @@ def greedy_iteration_best(
     to the lowest (candidate, elevation index, azimuth index).
 
     The result is that of running ``_evaluate_tuple`` on every pair, but
-    ``_screen`` first scores all pairs at once. Pairs are visited by
-    descending screen (newly satisfied mass, gain bound), and the scan
-    stops at the first whose mass is out of reach of the best key found.
-    Each other pair gets one ``_evaluate_tuple`` call with that key and
-    its gain bound: the call gathers the pair's winners once and chooses
-    fillers only when their exact mass and the bound leave the pair a
-    chance to beat the key, so the keys compared and their tie-break are
-    the full scan's.
+    candidates are opened best-first: by descending ``state.bound``, then
+    ascending id, stopping at the first whose bound is out of reach of
+    the best key found. ``_screen`` scores an opened candidate's pairs at
+    once and resets its bound to their largest winner mass. Its pairs are
+    visited by descending screen (newly satisfied mass, gain bound), up
+    to the first whose mass is out of reach of the best key. Each other
+    pair gets one ``_evaluate_tuple`` call with that key and its gain
+    bound: the call gathers the pair's winners once and chooses fillers
+    only when their exact mass and the bound leave the pair a chance to
+    beat the key. A pair left unvisited has an exact mass below the best
+    key's, so the keys compared and their tie-break are the full scan's.
+    While the best key's mass is 0 no bound is out of reach, and every
+    candidate is opened.
     """
     n_t = model.n_tuples
-    primary, bound, n_wins = _screen(model, state)
-    ks = (np.asarray(state.pool)[:, None] * n_t + np.arange(n_t)).ravel()
-    order = ks[np.lexsort((ks, -bound[ks], -primary[ks]))]
+    pool = np.asarray(state.pool, dtype=np.intp)
     # the incumbent's key (mass, gain mass, -k): larger weights win, then
     # the lower (candidate, steering)
     best = members = None
-    for k in order.tolist():
-        if n_wins[k] == 0 and bound[k] == 0.0:
-            continue  # no winner and no positive gain: no members
-        if best is not None and primary[k] < best[0] - _SUM_TOL:
-            break  # no pair from here on reaches the best mass
-        r = _evaluate_tuple(model, state, k, best, bound[k] + _SUM_TOL)
-        if r is not None:
-            best, members = r
+    ts = np.arange(n_t)
+    for l in pool[np.lexsort((pool, -state.bound[pool]))].tolist():
+        # the bound and the screen each round within _SUM_TOL of the
+        # exact mass
+        if best is not None and state.bound[l] < best[0] - 2 * _SUM_TOL:
+            break  # no candidate from here on reaches the best mass
+        primary, bound, n_wins = _screen(model, state, [l])
+        state.bound[l] = primary.max()
+        for ti in np.lexsort((ts, -bound, -primary)).tolist():
+            if n_wins[ti] == 0 and bound[ti] == 0.0:
+                continue  # no winner and no positive gain: no members
+            if best is not None and primary[ti] < best[0] - _SUM_TOL:
+                break  # no pair of l from here on reaches the best mass
+            r = _evaluate_tuple(model, state, l * n_t + ti, best,
+                                bound[ti] + _SUM_TOL)
+            if r is not None:
+                best, members = r
     if best is None:
         return None
     primary, secondary, k = best

@@ -11,7 +11,13 @@ import pytest
 import oracles
 from conftest import random_toy, single_link_venue
 from mmwplan import ChannelParams, PlanningModel
-from mmwplan.channel import _path_loss, _snr, linear_to_db, main_lobe_gain
+from mmwplan.channel import (
+    _active_half_width,
+    _path_loss,
+    _snr,
+    linear_to_db,
+    main_lobe_gain,
+)
 from mmwplan.scenarios import wrap_angle
 from mmwplan.venue import BodyPrism
 from oracles import db_to_linear, flat_top_gain
@@ -300,6 +306,38 @@ def test_widening_rx_beam_never_shrinks_interval():
         p = ChannelParams(md_beamwidth=w)
         lengths.append(_arc(_model(v, p)).length())
     assert all(a <= b + 1e-9 for a, b in zip(lengths, lengths[1:]))
+
+
+@pytest.mark.parametrize("toward", [math.inf, -math.inf])
+def test_reach_at_the_threshold_follows_math_log10(monkeypatch, toward):
+    # np.log10 one ulp off math.log10 toward ``toward``, and a line-of-sight
+    # main-lobe link whose budget lies exactly at the threshold under one
+    # of the two: the reach is the one math.log10 gives, which only the
+    # near-threshold recompute keeps
+    p = ChannelParams()
+    tx = linear_to_db(main_lobe_gain(p.ap_beamwidth))
+    rx = linear_to_db(main_lobe_gain(p.md_beamwidth))
+
+    def budgets(d):
+        exact = math.log10(d)
+        return (_snr(p, exact, tx, rx, True),
+                _snr(p, float(np.nextafter(exact, toward)), tx, rx, True))
+
+    d = next(d for d in np.linspace(2.0, 40.0, 401).tolist()
+             if budgets(d)[0] != budgets(d)[1])
+    exact, off = budgets(d)
+    params = replace(p, snr_threshold_db=max(exact, off))
+    log10 = np.log10
+    monkeypatch.setattr(
+        np, "log10", lambda x: np.nextafter(log10(x), toward)
+    )
+    tilt = math.pi / 4.0
+    reach = _active_half_width(params, np.array([d]), np.array([tilt]),
+                               np.array([False]), np.array([False]), tilt)
+    # the first cut is the receive cone's edge; the side lobe past it
+    # lies far below the threshold
+    want = p.md_beamwidth / 2.0 if exact >= off else 0.0
+    assert reach.tolist() == [want]
 
 
 def test_raising_threshold_monotone_classification():

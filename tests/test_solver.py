@@ -26,6 +26,7 @@ from mmwplan import (
     greedy_place,
     uniform_place,
 )
+from mmwplan import solver
 from mmwplan.scenarios import connectivity_probability
 from mmwplan.solver import (
     _SUM_TOL,
@@ -312,15 +313,17 @@ def _walk_greedy_checked(model, alpha):
     checking before each one that the kept tables equal their definition
     bit for bit, that every seat's ``conn`` is ``model.conn`` of its
     assignment bit for bit, that the satisfied seats are those meeting
-    their targets and the coverage is their mass, that every screen value
-    is at least the exact key, that a pair returns early exactly when
-    its key loses to the step's and that the screened step is the
-    exhaustive scan's, and after each one that the users it newly
-    satisfied are the winners its key counted and that their mass summed
-    by descending presence is the step's mass bit for bit; returns the
-    number of steps committed."""
+    their targets and the coverage is their mass, that each pool
+    candidate's carried bound is at least the largest winner mass of the
+    full screen over its footprints, that every screen value is at least
+    the exact key, that a pair returns early exactly when its key loses
+    to the step's and that the best-first step is the exhaustive scan's,
+    and after each one that the users it newly satisfied are the winners
+    its key counted and that their mass summed by descending presence is
+    the step's mass bit for bit; returns the number of steps committed."""
     state = GreedyState.initial(model)
     steps = 0
+    n_t = model.n_tuples
     while True:
         dp, pred_sat = oracles.greedy_tables(model, state)
         assert state.dp.tobytes() == dp.tobytes()
@@ -331,28 +334,30 @@ def _walk_greedy_checked(model, alpha):
         assert state.coverage == model.coverage_of(state.satisfied)
         if model.normalized(state.coverage) >= alpha or not state.pool:
             return steps
+        primary, bound, n_wins = _screen(model, state, state.pool)
+        fresh = primary.reshape(len(state.pool), n_t).max(axis=1)
+        assert (state.bound[state.pool] >= fresh - _SUM_TOL).all()
         choice = greedy_iteration_best(model, state)
         want = oracles.iteration_best_scan(model, state)
         assert choice == want
         if choice is not None:
             ap = choice[0]
-            chosen = next(ti for ti in range(model.n_tuples)
+            chosen = next(ti for ti in range(n_t)
                           if model.steering_angles(ti) == (ap.theta, ap.phi))
-            best = (*choice[1:], -(ap.candidate * model.n_tuples + chosen))
-        primary, bound, n_wins = _screen(model, state)
-        for l in state.pool:
-            for ti in range(model.n_tuples):
-                k = l * model.n_tuples + ti
+            best = (*choice[1:], -(ap.candidate * n_t + chosen))
+        for i, l in enumerate(state.pool):
+            for ti in range(n_t):
+                k, j = l * n_t + ti, i * n_t + ti
                 r = _evaluate_tuple(model, state, k, None, math.inf)
                 # the screen skips exactly the pairs that serve nobody
-                assert (r is None) == (n_wins[k] == 0 and bound[k] == 0.0)
+                assert (r is None) == (n_wins[j] == 0 and bound[j] == 0.0)
                 if r is None:
                     continue
-                assert primary[k] >= r[0][0] - 1e-12
-                assert bound[k] >= r[0][1] - 1e-12
+                assert primary[j] >= r[0][0] - 1e-12
+                assert bound[j] >= r[0][1] - 1e-12
                 if choice is not None:
                     early = _evaluate_tuple(model, state, k, best,
-                                            bound[k] + _SUM_TOL)
+                                            bound[j] + _SUM_TOL)
                     assert (early is None) == (r[0] < best)
         if choice is None:
             return steps
@@ -399,21 +404,70 @@ def test_screened_step_equals_full_scan_on_venues(kind, capacity, beta,
     assert _walk_greedy_checked(model, 0.75) == steps
 
 
+def test_commit_raises_bounds_by_seats_turned_winners():
+    # at beta 1.0 a seat turns into a mount's winner when another beam
+    # leaves it one mount short of every cell, so a mount's winner mass
+    # can rise after its last screen (the objective is not submodular):
+    # here a bound carried without the commit's increment falls below its
+    # fresh screen, and the increment keeps every bound above it
+    params = replace(ChannelParams(), capacity_per_beam=3)
+    model = PlanningModel(random_toy(0), params, 1.0)
+    state = GreedyState.initial(model)
+    short = []
+    while model.normalized(state.coverage) < 0.95 and len(state.pool) > 1:
+        choice = greedy_iteration_best(model, state)
+        carried = state.bound.copy()
+        state.commit(model, choice[0])
+        pool = state.pool
+        fresh = _screen(model, state, pool)[0].reshape(len(pool), -1)
+        fresh = fresh.max(axis=1)
+        assert (state.bound[pool] >= fresh - _SUM_TOL).all()
+        short += np.asarray(pool)[carried[pool] < fresh - _SUM_TOL].tolist()
+    assert short
+
+
+def test_step_with_no_winner_mass_opens_every_mount(monkeypatch):
+    # no bound is below a best winner mass of 0, so a step that finds no
+    # winner opens each pool mount once, bounds carried or not
+    params = replace(ChannelParams(), capacity_per_beam=3)
+    model = PlanningModel(random_toy(0), params, 0.9)
+    opened = []
+    screen = solver._screen
+
+    def spy(model, state, mounts):
+        opened.extend(mounts)
+        return screen(model, state, mounts)
+
+    monkeypatch.setattr(solver, "_screen", spy)
+    state = GreedyState.initial(model)
+    for _ in range(2):
+        state.commit(model, greedy_iteration_best(model, state)[0])
+    carried = state.bound.copy()
+    assert np.isfinite(carried).all()
+    opened.clear()
+    choice = greedy_iteration_best(model, state)
+    assert choice[1] == 0.0 and choice[2] > 0.0
+    assert opened == sorted(state.pool, key=lambda l: (-carried[l], l))
+
+
 def test_greedy_asks_model_conn_only_to_finalize(monkeypatch):
     # the state reads every probability off its own covered-cell masks;
-    # at beta 1.0 every link completing a seat's cover is near the target
+    # at beta 1.0 every link completing a seat's cover is near the target.
+    # finalize reads the store itself, so the spy sits on the rule that
+    # it and ``PlanningModel.conn`` both call
     model = PlanningModel(generate_venue("hall"), ChannelParams(), 1.0)
     callers = []
-    conn = PlanningModel.conn
 
-    def spy(self, m, row):
+    def spy(probs, visible, row):
         frame = sys._getframe(1)
-        while frame.f_code.co_name.startswith("<"):  # a comprehension
+        # past a comprehension and past PlanningModel.conn
+        while frame.f_code.co_name.startswith("<") or (
+                frame.f_code.co_name == "conn"):
             frame = frame.f_back
         callers.append(frame.f_code.co_name)
-        return conn(self, m, row)
+        return connectivity_probability(probs, visible, row)
 
-    monkeypatch.setattr(PlanningModel, "conn", spy)
+    monkeypatch.setattr(solver, "connectivity_probability", spy)
     greedy_place(model, 0.75)
     assert model.M == 135
     assert callers == ["finalize"] * model.M
